@@ -2,14 +2,15 @@
 extraction runs.
 
 Exit codes: 0 all good, 1 a mathematical verification failed, 2 usage or
-I/O error.  All coefficients are serialized as exact fraction strings.
+I/O error (including an empty or negative range, an index beyond the solved
+range, an extraction height below 1, and ``verify --alpha`` or ``--draws``
+below 1).  All coefficients are serialized as exact fraction strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -27,7 +28,16 @@ def _parse_range(text):
         lo = hi = int(text)
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
+    if lo < 0:
+        raise ValueError(f"negative index in range {text!r}")
     return range(lo, hi + 1)
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _poly_entry(index, poly: MPoly):
@@ -72,6 +82,11 @@ def parse_table_json(text):
     return data["what"], data["cap"], entries
 
 
+# weight table -> (solver in slice_solver, sequence of the solved family)
+_WEIGHTS = {"b": ("solve_bw", "first"), "w": ("solve_bw", "second"), "p": ("solve_pq", "first"),
+            "q": ("solve_pq", "second"), "y": ("solve_y", "first")}
+
+
 def cmd_table(args) -> int:
     cap = args.cap
     entries = []
@@ -79,21 +94,13 @@ def cmd_table(args) -> int:
         fn = slice_solver.f_n if args.what == "fn" else slice_solver.j_n
         for n in _parse_range(args.n):
             entries.append(_poly_entry(n, fn(n, cap)))
-    elif args.what in ("b", "w", "p", "q"):
-        fam = slice_solver.solve_bw(cap) if args.what in ("b", "w") else slice_solver.solve_pq(cap)
-        seq = fam.first if args.what in ("b", "p") else fam.second
-        for i in _parse_range(args.i):
-            if i > fam.i_max:
-                raise StructureError(f"height {i} beyond solved range {fam.i_max}")
-            entries.append(_poly_entry(i, seq[i]))
-    elif args.what == "y":
-        fam = slice_solver.solve_y(cap)
+    else:
+        solver, side = _WEIGHTS[args.what]
+        fam = getattr(slice_solver, solver)(cap)
         for i in _parse_range(args.i):
             if i > fam.i_max:
                 raise StructureError(f"index {i} beyond solved range {fam.i_max}")
-            entries.append(_poly_entry(i, fam.first[i]))
-    else:
-        raise StructureError(f"unknown table {args.what!r}")
+            entries.append(_poly_entry(i, getattr(fam, side)[i]))
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         _emit_table(args.what, cap, entries, args.format, out)
@@ -219,34 +226,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    rows = []
+    wanted = _parse_range(args.i)
+    if wanted[0] < 1:
+        raise StructureError("extraction heights start at 1")
+    i_max = wanted[-1]
     if args.type == "stieltjes":
         if args.internal_cap is not None:
             # fixed internal cap: divisions fail loudly when it is too small
-            i_max = max(_parse_range(args.i))
             F = contfrac.Series(
                 "z", 2 * i_max,
                 [slice_solver.f_n(k, args.internal_cap) for k in range(2 * i_max + 1)],
                 contfrac._ring_field(slice_solver.f_n(0, args.internal_cap)),
             )
-            rungs = contfrac.stieltjes_extract(F, i_max)
-            got = {key: val for key, val in rungs.items()}
+            got = contfrac.stieltjes_extract(F, i_max)
         else:
-            got = contfrac.stieltjes_rungs_from_solver(args.cap, max(_parse_range(args.i)))
+            got = contfrac.stieltjes_rungs_from_solver(args.cap, i_max)
         bw = slice_solver.solve_bw(args.cap + 2)
-        for (tag, idx), val in sorted(got.items(), key=lambda kv: kv[0][1]):
-            seq = bw.first if tag == "b" else bw.second
-            want = seq[idx].with_cap(min(val.cap, args.cap))
-            rows.append((f"{tag}{idx}", val.with_cap(want.cap), want))
+
+        def rung(k):  # odd rungs are the white weights, even rungs the black
+            tag, seq = ("b", bw.first) if k % 2 == 0 else ("w", bw.second)
+            return f"{tag}{k}", got[(tag, k)], seq[k]
     else:
-        i_max = max(_parse_range(args.i))
         got = contfrac.newtype_rungs_from_solver_inputs(args.cap - 1, i_max)
         yf = slice_solver.solve_y(args.cap)
-        for j, val in enumerate(got, start=1):
-            want = yf.first[j].with_cap(min(val.cap, args.cap))
-            rows.append((f"y{j}", val.with_cap(want.cap), want))
+
+        def rung(k):
+            return f"y{k}", got[k - 1], yf.first[k]
     all_equal = True
-    for name, extracted, solver_val in rows:
+    for k in range(2 * wanted[0] - 1, 2 * i_max + 1):
+        name, val, solver_val = rung(k)
+        solver_val = solver_val.with_cap(min(val.cap, args.cap))
+        extracted = val.with_cap(solver_val.cap)
         verdict = "equal" if extracted == solver_val else "DIFFERENT"
         all_equal = all_equal and extracted == solver_val
         print(f"{name}: {verdict}")
@@ -278,8 +288,8 @@ def build_parser():
     p_verify.add_argument("--order", type=int, default=8)
     p_verify.add_argument("--enum-n", type=int, default=3)
     p_verify.add_argument("--enum-f", type=int, default=3)
-    p_verify.add_argument("--alpha", type=int, default=4)
-    p_verify.add_argument("--draws", type=int, default=20)
+    p_verify.add_argument("--alpha", type=_positive_int, default=4)
+    p_verify.add_argument("--draws", type=_positive_int, default=20)
     p_verify.add_argument("--seed", type=int, default=20260808)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -27,12 +27,13 @@ nested field of rational functions in y and alpha.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CheckReport, StructureError, VerificationError
 from .exactalg import MPoly
 from .ratfunc import RatFunc, ratfunc_field
 from .series import Series
-from .slice_solver import solve_bw, solve_limit, solve_pq, solve_y
+from .slice_solver import SYSTEMS, solve_bw, solve_limit, solve_pq, solve_y
 
 GAMMA_FIELD = ratfunc_field("gamma")
 ALPHA_FIELD = ratfunc_field("alpha")
@@ -177,61 +178,38 @@ def eval_pqy_closed(i, p: ParamPoint):
 
 # -------------------------------------------------------------- verification
 
+def _closed_heights(system, p: ParamPoint):
+    """Height accessors (x, y) of a system's closed forms, indexed as its
+    rule reads them; each height is evaluated once."""
+    closed = eval_bw_closed if system == "bw" else eval_pqy_closed
+    at = lru_cache(maxsize=None)(lambda m: closed(m, p))
+    if system == "y":  # x(i) = Y_{2i}, y(i) = Y_{2i-1}
+        return (lambda i: at(i)[2]), (lambda i: at(i - 1)[3])
+    return (lambda i: at(i)[0]), (lambda i: at(i)[1])
+
+
 def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
     """Residuals of the recursion systems under the closed forms.
 
-    system in {"bw", "pq", "y"}; each residual must vanish identically in
-    the parameter up to order M in the series variable.
+    system in {"bw", "pq", "y"}; each residual value - rule(...) must
+    vanish identically in the parameter up to order M in the series variable.
     """
     if M < 2:
         raise StructureError("need order >= 2")
+    if system not in SYSTEMS:
+        raise StructureError(f"unknown system {system!r}")
+    rule, name, _ = SYSTEMS[system]
     report = CheckReport(f"closed-form recursion residuals: {system} to order {M}")
-    if system == "bw":
-        p = ParamPoint("xgamma", M)
-        t_b, t_w = eval_tt(p)
-        vals = {i: eval_bw_closed(i, p) for i in range(min(i_range) - 1, max(i_range) + 2)}
-        for i in i_range:
-            B_i, W_i = vals[i]
-            r1 = B_i - t_b - B_i * (vals[i - 1][1] + B_i + vals[i + 1][1])
-            r2 = W_i - t_w - W_i * (vals[i - 1][0] + W_i + vals[i + 1][0])
-            if not r1.is_zero() or not r2.is_zero():
-                raise VerificationError(f"bicolored residual nonzero at height {i}")
-            report.add(f"height {i}: both residuals vanish")
-        return report
-    if system == "pq":
-        p = ParamPoint("yalpha", M)
-        t_b, t_w = eval_tt(p)
-        vals = {i: eval_pqy_closed(i, p)[:2] for i in range(min(i_range) - 1, max(i_range) + 2)}
-        for i in i_range:
-            P_i, Q_i = vals[i]
-            Qn = vals[i + 1][1]
-            r1 = P_i - t_b - P_i * (vals[i - 1][0] + Q_i + Qn)
-            r2 = Q_i - t_w - Q_i * (vals[i - 1][0] + Q_i) - P_i * Qn
-            if not r1.is_zero() or not r2.is_zero():
-                raise VerificationError(f"context residual nonzero at height {i}")
-            report.add(f"height {i}: both residuals vanish")
-        return report
-    if system == "y":
-        p = ParamPoint("yalpha", M)
-        t_b, t_w = eval_tt(p)
-        hi = max(i_range)
-        y = {}
-        for m in range(0, hi + 2):
-            _, _, y_even, y_odd = eval_pqy_closed(m, p)
-            y[2 * m] = y_even
-            y[2 * m + 1] = y_odd
-        for i in i_range:
-            r_even = y[2 * i] - t_b - y[2 * i] * (
-                y[2 * i - 2] + y[2 * i - 1] + y[2 * i] + y[2 * i + 1] + y[2 * i + 2]
-            )
-            r_odd = y[2 * i - 1] - (t_w - t_b) - y[2 * i - 1] * (
-                y[2 * i - 2] + y[2 * i - 1] + y[2 * i]
-            )
-            if not r_even.is_zero() or not r_odd.is_zero():
-                raise VerificationError(f"merged residual nonzero at pair {i}")
-            report.add(f"pair {i}: both residuals vanish")
-        return report
-    raise StructureError(f"unknown system {system!r}")
+    p = ParamPoint("xgamma" if system == "bw" else "yalpha", M)
+    t_b, t_w = eval_tt(p)
+    x, y = _closed_heights(system, p)
+    where = "pair" if system == "y" else "height"
+    for i in i_range:
+        rhs_x, rhs_y = rule(x, y, i, t_b, t_w)
+        if not (x(i) - rhs_x).is_zero() or not (y(i) - rhs_y).is_zero():
+            raise VerificationError(f"{name} residual nonzero at {where} {i}")
+        report.add(f"{where} {i}: both residuals vanish")
+    return report
 
 
 def _subst_to_x(series: Series, M) -> Series:

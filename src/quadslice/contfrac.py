@@ -379,7 +379,6 @@ def underdetermination_witness(seed) -> CheckReport:
     rng = random.Random(seed)
     i_max = 3
     Y = _random_nonzero_rationals(2 * i_max + 3, rng)
-    alpha = (len(Y) + 1) // 2
     order = i_max + 1
     J = expand(FractionSpec("newtype", Y, finite=True), order)
     Jt_true = expand(FractionSpec("newtype", tilde_coeffs(Y), finite=True), order)
@@ -410,5 +409,4 @@ def underdetermination_witness(seed) -> CheckReport:
         if any(re_J.coeffs[k] != J.coeffs[k] for k in range(i_max + 1)):
             raise VerificationError(f"{tag} rungs re-expand to a different main series")
     report.add("both rung sets re-expand to the same main series")
-    _ = alpha
     return report

@@ -88,11 +88,6 @@ class MPoly:
             return None
         return min(sum(e) for e in self.terms)
 
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def coeff(self, exp) -> Fraction:
         return Fraction(self.terms.get(tuple(exp), 0))
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import NonInvertibleError, StructureError
 from .exactalg import BIVARS, MPoly
-from .ratfunc import FieldSpec, Poly, RatFunc, ratfunc_field
+from .ratfunc import Poly, RatFunc, ratfunc_field
 
 RHO_FIELD = ratfunc_field("rho")
 TAU = "tau"
@@ -224,10 +224,6 @@ class Series:
         if any(c != z for c in self.coeffs[:-k]):
             raise NonInvertibleError(f"series not divisible by {self.var}^{-k}")
         return Series(self.var, self.cap + k, self.coeffs[-k:], self.field)
-
-    def map_coeffs(self, fn, field=None, cap=None):
-        cap = self.cap if cap is None else cap
-        return Series(self.var, cap, [fn(c) for c in self.coeffs[: cap + 1]], field or self.field)
 
     def agrees_with(self, other, order=None):
         """Coefficient-wise equality up to min(caps) or the given order."""

@@ -12,6 +12,13 @@ height i >= 1 (index 0 is identically zero):
   which is the context system rewritten through Y_{2i-1} = Q_i - P_i,
   Y_{2i} = P_i (cross-checked against the context solution).
 
+Each system is stated once, as a rule ``rule(x, y, i, t_b, t_w)`` giving
+the two right-hand sides at height i from height accessors x and y over any
+ring; the solvers, the limit pair and the closed-form residual checks of
+``closed_forms`` all evaluate these rules.  The merged sequence enters its
+rule as the pair x(i) = Y_{2i}, y(i) = Y_{2i-1}, so its parity-respecting
+clamp is the ordinary height clamp of the pair at N + 3.
+
 Because every slice weight has zero constant term, a simultaneous-update
 sweep starting from zero determines all coefficients of total degree <= s
 after s sweeps, so at cap N the iteration is stationary after at most
@@ -20,11 +27,12 @@ height i but not at i - 1 carries at least i weighted vertices, so at cap
 N all heights above N + 1 agree and the clamp is exact.  Stabilization is
 asserted after solving and any failure aborts.
 
-The i -> infinity limits satisfy the closed pair B = tb + B(B + 2W),
-W = tw + W(W + 2B) shared by both ensembles.  This module also assembles
-the fixed-boundary-length series f_n and j_n from the path generating
-functions, evaluates the level-d conserved quantities, and computes the
-first merged coefficient by its two independent closed-form routes.
+The i -> infinity limits satisfy the bicolored rule with height-independent
+weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles.
+This module also assembles the fixed-boundary-length series f_n and j_n
+from the path generating functions, evaluates the level-d conserved
+quantities, and computes the first merged coefficient by its two
+independent closed-form routes.
 """
 
 from __future__ import annotations
@@ -35,6 +43,32 @@ from .errors import StructureError, VerificationError
 from .exactalg import MPoly, bipoly_one, bipoly_zero, tb, tw
 from .lattice_paths import PathSpec, WeightTable, symbol_table, z_bicolored, z_const, z_context
 from .series import graded_div
+
+
+def bicolored_rule(x, y, i, t_b, t_w):
+    """x = B, y = W."""
+    return (t_b + x(i) * (y(i - 1) + x(i) + y(i + 1)),
+            t_w + y(i) * (x(i - 1) + y(i) + x(i + 1)))
+
+
+def context_rule(x, y, i, t_b, t_w):
+    """x = P, y = Q."""
+    return (t_b + x(i) * (x(i - 1) + y(i) + y(i + 1)),
+            t_w + y(i) * (x(i - 1) + y(i)) + x(i) * y(i + 1))
+
+
+def merged_rule(x, y, i, t_b, t_w):
+    """x(i) = Y_{2i}, y(i) = Y_{2i-1}."""
+    return (t_b + x(i) * (x(i - 1) + y(i) + x(i) + y(i + 1) + x(i + 1)),
+            (t_w - t_b) + y(i) * (x(i - 1) + y(i) + x(i)))
+
+
+# family kind -> (rule, system name, weight-table kind of the solved family)
+SYSTEMS = {
+    "bw": (bicolored_rule, "bicolored", "bicolored"),
+    "pq": (context_rule, "context", "context"),
+    "y": (merged_rule, "merged", "elongated"),
+}
 
 
 class SliceFamily:
@@ -50,11 +84,7 @@ class SliceFamily:
         self.second = list(second) if second is not None else None
 
     def weight_table(self) -> WeightTable:
-        if self.kind == "bw":
-            return WeightTable("bicolored", self.first, self.second)
-        if self.kind == "pq":
-            return WeightTable("context", self.first, self.second)
-        return WeightTable("elongated", self.first)
+        return WeightTable(SYSTEMS[self.kind][2], self.first, self.second)
 
 
 class LimitPair:
@@ -78,99 +108,62 @@ def _iterate(update, init, max_sweeps):
     raise VerificationError("fixed point iteration failed to become stationary")
 
 
-@lru_cache(maxsize=None)
-def solve_bw(N) -> SliceFamily:
+def _solve(kind, N, i_max):
+    """Zero-started simultaneous sweeps of a system's rule at cap N with
+    heights clamped at i_max; returns the two lists of heights 0..i_max."""
     if N < 1:
         raise StructureError("cap must be >= 1")
-    i_max = N + 2
+    rule, name, _ = SYSTEMS[kind]
     zero = bipoly_zero(N)
     t_b, t_w = tb(N), tw(N)
 
     def update(vals):
-        B, W = vals
-        nB, nW = [zero], [zero]
-        for i in range(1, i_max + 1):
-            Bp = B[i + 1] if i + 1 <= i_max else B[i_max]
-            Wp = W[i + 1] if i + 1 <= i_max else W[i_max]
-            nB.append(t_b + B[i] * (W[i - 1] + B[i] + Wp))
-            nW.append(t_w + W[i] * (B[i - 1] + W[i] + Bp))
-        return (nB, nW)
+        X, Y = vals
+        # one extra entry repeats height i_max: that is the clamp
+        x, y = (X + [X[i_max]]).__getitem__, (Y + [Y[i_max]]).__getitem__
+        new = [rule(x, y, i, t_b, t_w) for i in range(1, i_max + 1)]
+        return [zero] + [a for a, _ in new], [zero] + [b for _, b in new]
 
-    B, W = _iterate(update, ([zero] * (i_max + 1), [zero] * (i_max + 1)), N + 3)
-    if B[i_max] != B[i_max - 1] or W[i_max] != W[i_max - 1]:
-        raise VerificationError("bicolored family failed to stabilize at the clamp")
-    return SliceFamily("bw", N, i_max, B, W)
+    X, Y = _iterate(update, ([zero] * (i_max + 1), [zero] * (i_max + 1)), N + 3)
+    if X[i_max] != X[i_max - 1] or Y[i_max] != Y[i_max - 1]:
+        raise VerificationError(f"{name} family failed to stabilize at the clamp")
+    return X, Y
+
+
+@lru_cache(maxsize=None)
+def solve_bw(N) -> SliceFamily:
+    return SliceFamily("bw", N, N + 2, *_solve("bw", N, N + 2))
 
 
 @lru_cache(maxsize=None)
 def solve_pq(N) -> SliceFamily:
-    if N < 1:
-        raise StructureError("cap must be >= 1")
-    i_max = N + 2
-    zero = bipoly_zero(N)
-    t_b, t_w = tb(N), tw(N)
-
-    def update(vals):
-        P, Q = vals
-        nP, nQ = [zero], [zero]
-        for i in range(1, i_max + 1):
-            Qp = Q[i + 1] if i + 1 <= i_max else Q[i_max]
-            nP.append(t_b + P[i] * (P[i - 1] + Q[i] + Qp))
-            nQ.append(t_w + Q[i] * (P[i - 1] + Q[i]) + P[i] * Qp)
-        return (nP, nQ)
-
-    P, Q = _iterate(update, ([zero] * (i_max + 1), [zero] * (i_max + 1)), N + 3)
-    if P[i_max] != P[i_max - 1] or Q[i_max] != Q[i_max - 1]:
-        raise VerificationError("context family failed to stabilize at the clamp")
-    return SliceFamily("pq", N, i_max, P, Q)
+    return SliceFamily("pq", N, N + 2, *_solve("pq", N, N + 2))
 
 
 @lru_cache(maxsize=None)
 def solve_y(N) -> SliceFamily:
     """Merged sequence solver, cross-checked against the context solution."""
-    if N < 1:
-        raise StructureError("cap must be >= 1")
-    j_max = 2 * (N + 2) + 2
-    zero = bipoly_zero(N)
-    t_b, t_w = tb(N), tw(N)
-
-    def get(Y, j):
-        while j > j_max:
-            j -= 2  # parity-respecting clamp
-        return Y[j]
-
-    def update(Y):
-        nY = [zero]
-        for j in range(1, j_max + 1):
-            if j % 2 == 0:
-                nY.append(
-                    t_b + Y[j] * (Y[j - 2] + Y[j - 1] + Y[j] + get(Y, j + 1) + get(Y, j + 2))
-                )
-            else:
-                prev = Y[j - 1] if j >= 2 else zero
-                nY.append((t_w - t_b) + Y[j] * (prev + Y[j] + get(Y, j + 1)))
-        return nY
-
-    Y = _iterate(update, [zero] * (j_max + 1), N + 3)
-    if Y[j_max] != Y[j_max - 2] or Y[j_max - 1] != Y[j_max - 3]:
-        raise VerificationError("merged family failed to stabilize at the clamp")
+    even, odd = _solve("y", N, N + 3)
     pq = solve_pq(N)
     for i in range(1, pq.i_max + 1):
-        if 2 * i <= j_max and Y[2 * i] != pq.first[i]:
+        if even[i] != pq.first[i]:
             raise VerificationError(f"Y_{2 * i} disagrees with context weight P_{i}")
-        if 2 * i - 1 <= j_max and Y[2 * i - 1] != pq.second[i] - pq.first[i]:
+        if odd[i] != pq.second[i] - pq.first[i]:
             raise VerificationError(f"Y_{2 * i - 1} disagrees with Q_{i} - P_{i}")
-    return SliceFamily("y", N, j_max, Y)
+    Y = [even[0]]
+    for i in range(1, N + 4):
+        Y += [odd[i], even[i]]
+    return SliceFamily("y", N, len(Y) - 1, Y)
 
 
 @lru_cache(maxsize=None)
 def solve_limit(N) -> LimitPair:
+    """The bicolored rule on height-independent weights."""
     zero = bipoly_zero(N)
     t_b, t_w = tb(N), tw(N)
 
     def update(vals):
-        B, W = vals
-        return (t_b + B * (B + 2 * W), t_w + W * (W + 2 * B))
+        return bicolored_rule(lambda i: vals[0], lambda i: vals[1], 1, t_b, t_w)
 
     B, W = _iterate(update, (zero, zero), N + 3)
     return LimitPair(B, W, N)
@@ -225,30 +218,27 @@ def f_n_closed(n, N, route="direct") -> MPoly:
 
 # ------------------------------------------------------ conserved quantities
 
+def _conserved(fam, z, n, d, N) -> MPoly:
+    table = fam.weight_table()
+    main = z(PathSpec(n, d), table).with_cap(N - 1)
+    if d == 0:
+        return main
+    corr = z(PathSpec(n + 1, d, k=2), table) * fam.first[d]
+    return main - graded_div(corr, tb(N))
+
+
 def conserved_f(n, d, N) -> MPoly:
     """Level-d invariant of the bicolored system; equals f_n for every d.
 
     Value: Z(2n at level d) - (1/tb) Z2v(2n+2 at level d) B_d, with the
     exact tb division done in the tau grading.  Result cap is N - 1.
     """
-    fam = solve_bw(N)
-    table = fam.weight_table()
-    main = z_bicolored(PathSpec(n, d), table)
-    if d == 0:
-        return main.with_cap(N - 1)
-    corr = z_bicolored(PathSpec(n + 1, d, k=2), table) * fam.first[d]
-    return main.with_cap(N - 1) - graded_div(corr, tb(N))
+    return _conserved(solve_bw(N), z_bicolored, n, d, N)
 
 
 def conserved_j(n, d, N) -> MPoly:
     """Level-d invariant of the context system; equals j_n for every d."""
-    fam = solve_pq(N)
-    table = fam.weight_table()
-    main = z_context(PathSpec(n, d), table)
-    if d == 0:
-        return main.with_cap(N - 1)
-    corr = z_context(PathSpec(n + 1, d, k=2), table) * fam.first[d]
-    return main.with_cap(N - 1) - graded_div(corr, tb(N))
+    return _conserved(solve_pq(N), z_context, n, d, N)
 
 
 @lru_cache(maxsize=None)

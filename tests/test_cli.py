@@ -88,3 +88,27 @@ def test_extract_cap_too_small_diagnostic():
     )
     assert rc == 1
     assert "verification failure" in err or err == ""
+
+
+def test_alpha_and_draws_below_one_are_usage_errors():
+    # a suite that would run zero checks must not print PASS
+    for flags in (["--alpha", "0"], ["--draws", "0"], ["--alpha", "-1"]):
+        rc, out, _ = run(["verify", "reflection", *flags])
+        assert rc == 2, flags
+        assert "PASS" not in out
+
+
+def test_extract_prints_only_the_requested_rungs():
+    rc, out, _ = run(["extract", "--type", "stieltjes", "--i", "2..2", "--cap", "5"])
+    assert rc == 0
+    assert [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")] == ["w3", "b4"]
+    rc, out, _ = run(["extract", "--type", "newtype", "--i", "2..2", "--cap", "4"])
+    assert rc == 0
+    assert [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")] == ["y3", "y4"]
+    rc, out, _ = run(["extract", "--type", "newtype", "--i", "0..1", "--cap", "4"])
+    assert rc == 2 and out == ""
+
+
+def test_negative_range_is_usage_error():
+    rc, out, _ = run(["table", "--what", "b", "--i=-1..1", "--cap", "3"])
+    assert rc == 2 and out == ""

@@ -3,8 +3,10 @@ extraction runs.
 
 Exit codes: 0 all good, 1 a mathematical verification failed, 2 usage or
 I/O error (including an empty or negative range, an index beyond the solved
-range, an extraction height below 1, and ``verify --alpha`` or ``--draws``
-below 1).  All coefficients are serialized as exact fraction strings.
+range, an extraction height below 1, ``verify --n``, ``--alpha`` or
+``--draws`` below 1, ``verify bijection`` or ``all`` with ``--enum-n`` below
+1, and ``verify --cap`` or ``extract --cap`` below 1).  All coefficients are
+serialized as exact fraction strings.
 """
 
 from __future__ import annotations
@@ -210,6 +212,8 @@ def _run_suite(name, args, log):
 
 def cmd_verify(args) -> int:
     names = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
+    if "bijection" in names and args.enum_n < 1:
+        raise StructureError(f"the bijection suite needs --enum-n >= 1, got {args.enum_n}")
     failed = False
     for name in names:
         lines = []
@@ -283,8 +287,8 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--n", type=int, default=4)
-    p_verify.add_argument("--cap", type=int, default=6)
+    p_verify.add_argument("--n", type=_positive_int, default=4)
+    p_verify.add_argument("--cap", type=_positive_int, default=6)
     p_verify.add_argument("--order", type=int, default=8)
     p_verify.add_argument("--enum-n", type=int, default=3)
     p_verify.add_argument("--enum-f", type=int, default=3)
@@ -296,7 +300,7 @@ def build_parser():
     p_extract = sub.add_parser("extract", help="extract fraction rungs and compare")
     p_extract.add_argument("--type", required=True, choices=["stieltjes", "newtype"])
     p_extract.add_argument("--i", default="1..2")
-    p_extract.add_argument("--cap", type=int, default=6)
+    p_extract.add_argument("--cap", type=_positive_int, default=6)
     p_extract.add_argument("--internal-cap", type=int, default=None,
                            help="fixed internal series cap (no adaptation); too small a value surfaces the non-exact division diagnostic")
     p_extract.set_defaults(func=cmd_extract)

@@ -15,7 +15,10 @@ is an ordinary polynomial; this is used for opaque symbolic weights.
 
 The bivariate case over the two vertex-weight variables is the workhorse
 and has dedicated constructors (``bipoly_*``).  Values are immutable and
-all operations are pure.
+all operations are pure.  A product of two capped two-variable polynomials
+is one big-integer multiply by Kronecker substitution, with both operands
+packed into integers slot by slot; every other product runs over the term
+dicts.
 
 Determinants over any of the rings in this package are computed by the
 Berkowitz recurrence, which uses ring operations only.  Truncated rings
@@ -25,6 +28,7 @@ have zero divisors, so elimination with division is not available.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NonInvertibleError, StructureError
 
@@ -33,6 +37,8 @@ BIVARS = ("tb", "tw")  # weight of a "black-like" vertex, weight of a "white-lik
 
 def _norm_coeff(c):
     """Keep integers as ints for speed, everything else as Fraction."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     return c
@@ -138,24 +144,9 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        cap = self.cap
-        out = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other.terms, self.terms
-        else:
-            a, b = self.terms, other.terms
-        for ea, ca in a.items():
-            da = sum(ea)
-            for eb, cb in b.items():
-                if cap is not None and da + sum(eb) > cap:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MPoly(self.vars, out, cap)
+        if self.cap is not None and len(self.vars) == 2:
+            return _packed_mul(self, other)
+        return _dict_mul(self, other)
 
     __rmul__ = __mul__
 
@@ -233,6 +224,88 @@ class MPoly:
             )
             bits.append(f"{c}" if not mono else (f"{c}*{mono}" if c != 1 else mono))
         return " + ".join(bits)
+
+
+def _dict_mul(p, q):
+    """Schoolbook product over the term dicts (any number of variables)."""
+    cap = p.cap
+    out = {}
+    if len(p.terms) > len(q.terms):
+        a, b = q.terms, p.terms
+    else:
+        a, b = p.terms, q.terms
+    for ea, ca in a.items():
+        da = sum(ea)
+        for eb, cb in b.items():
+            if cap is not None and da + sum(eb) > cap:
+                continue
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return MPoly(p.vars, out, cap)
+
+
+def _packed_mul(p, q):
+    """Kronecker-substituted product of two capped two-variable polynomials.
+
+    Each operand is scaled to integers over its common denominator and
+    packed into one int, exponent (a, b) in slot a * (2 cap + 1) + b of k
+    bytes; no product exponent reaches 2 cap + 1 in the second variable, so
+    slots never collide.  k bytes hold the signed bound on a product
+    coefficient, min(#terms) * max|p| * max|q|, with a sign bit to spare.
+    After one big-int multiply, adding 2^(8k - 1) to every slot turns the
+    signed slots into unsigned bytes, and only slots with a + b <= cap are
+    read back.
+    """
+    cap = p.cap
+    if not p.terms or not q.terms:
+        return MPoly(p.vars, {}, cap)
+    den_p, ints_p, max_p = _integral(p.terms)
+    den_q, ints_q, max_q = _integral(q.terms)
+    k = (min(len(ints_p), len(ints_q)) * max_p * max_q).bit_length() // 8 + 1
+    stride = 2 * cap + 1
+    top = cap * stride + 1  # slots up to exponent (cap, 0)
+    half = 1 << (8 * k - 1)
+    bias = int.from_bytes((bytes(k - 1) + b"\x80") * top, "little")  # half in every slot
+    digits = ((_pack(ints_p, stride, top, k) * _pack(ints_q, stride, top, k) + bias)
+              & ((1 << (8 * k * top)) - 1)).to_bytes(top * k, "little")
+    den = den_p * den_q
+    out = {}
+    for a in range(cap + 1):
+        for b in range(cap + 1 - a):
+            at = (a * stride + b) * k
+            c = int.from_bytes(digits[at:at + k], "little") - half
+            if c:
+                out[(a, b)] = c if den == 1 else _norm_coeff(Fraction(c, den))
+    prod = MPoly.__new__(MPoly)  # out is already clean
+    prod.vars, prod.cap, prod.terms = p.vars, cap, out
+    return prod
+
+
+def _integral(terms):
+    """(d, {exp: d * c}, max |d * c|) with d the common denominator."""
+    dens = [c.denominator for c in terms.values() if type(c) is not int]
+    if dens:
+        den = lcm(*dens)
+        terms = {e: c * den if type(c) is int else c.numerator * (den // c.denominator)
+                 for e, c in terms.items()}
+    else:
+        den = 1
+    return den, terms, max(map(abs, terms.values()))
+
+
+def _pack(terms, stride, top, k):
+    pos, neg = bytearray(top * k), bytearray(top * k)
+    for (a, b), c in terms.items():
+        at = (a * stride + b) * k
+        if c > 0:
+            pos[at:at + k] = c.to_bytes(k, "little")
+        else:
+            neg[at:at + k] = (-c).to_bytes(k, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # ------------------------------------------------------------------ bivariate

@@ -19,16 +19,20 @@ ring; the solvers, the limit pair and the closed-form residual checks of
 rule as the pair x(i) = Y_{2i}, y(i) = Y_{2i-1}, so its parity-respecting
 clamp is the ordinary height clamp of the pair at N + 3.
 
-Because every slice weight has zero constant term, a simultaneous-update
-sweep starting from zero determines all coefficients of total degree <= s
-after s sweeps, so at cap N the iteration is stationary after at most
-N + 1 sweeps.  Heights are clamped at i_max = N + 2: a slice counted at
-height i but not at i - 1 carries at least i weighted vertices, so at cap
-N all heights above N + 1 agree and the clamp is exact.  Stabilization is
-asserted after solving and any failure aborts.
+Because every slice weight has zero constant term, a right-hand side is
+exact to total degree c whenever the weights it reads are exact to degree
+c - 1.  So the solver raises the precision one degree per sweep: starting
+from zero, sweep c = 1..N runs at cap c on the previous values cut to cap
+c, and fixes every coefficient of degree <= c.  One confirming sweep at cap
+N must then reproduce its input, or the solve fails as not stationary.
+Heights are clamped at i_max = N + 2: a slice counted at height i but not
+at i - 1 carries at least i weighted vertices, so at cap N all heights
+above N + 1 agree and the clamp is exact.  Stabilization is asserted after
+solving and any failure aborts.
 
 The i -> infinity limits satisfy the bicolored rule with height-independent
-weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles.
+weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles,
+and are solved on the same schedule.
 This module also assembles the fixed-boundary-length series f_n and j_n
 from the path generating functions, evaluates the level-d conserved
 quantities, and computes the first merged coefficient by its two
@@ -98,33 +102,33 @@ class LimitPair:
         self.cap = cap
 
 
-def _iterate(update, init, max_sweeps):
-    values = init
-    for _ in range(max_sweeps):
-        new = update(values)
-        if new == values:
-            return values
-        values = new
-    raise VerificationError("fixed point iteration failed to become stationary")
+def _rising(step, size, N):
+    """Fixed point of ``step(X, Y, t_b, t_w) -> (X, Y)`` on two lists of
+    ``size`` weights, by the rising-precision schedule: sweep c = 1..N runs
+    at cap c on the values cut to cap c, then one confirming sweep at cap N
+    must reproduce its input."""
+    X = Y = [bipoly_zero(0)] * size
+    for c in range(1, N + 1):
+        X, Y = step([v.with_cap(c) for v in X], [v.with_cap(c) for v in Y], tb(c), tw(c))
+    if step(X, Y, tb(N), tw(N)) != (X, Y):
+        raise VerificationError("fixed point iteration failed to become stationary")
+    return X, Y
 
 
 def _solve(kind, N, i_max):
-    """Zero-started simultaneous sweeps of a system's rule at cap N with
-    heights clamped at i_max; returns the two lists of heights 0..i_max."""
+    """A system's rule solved at cap N with heights clamped at i_max;
+    returns the two lists of heights 0..i_max."""
     if N < 1:
         raise StructureError("cap must be >= 1")
     rule, name, _ = SYSTEMS[kind]
-    zero = bipoly_zero(N)
-    t_b, t_w = tb(N), tw(N)
 
-    def update(vals):
-        X, Y = vals
+    def step(X, Y, t_b, t_w):
         # one extra entry repeats height i_max: that is the clamp
         x, y = (X + [X[i_max]]).__getitem__, (Y + [Y[i_max]]).__getitem__
         new = [rule(x, y, i, t_b, t_w) for i in range(1, i_max + 1)]
-        return [zero] + [a for a, _ in new], [zero] + [b for _, b in new]
+        return X[:1] + [a for a, _ in new], Y[:1] + [b for _, b in new]
 
-    X, Y = _iterate(update, ([zero] * (i_max + 1), [zero] * (i_max + 1)), N + 3)
+    X, Y = _rising(step, i_max + 1, N)
     if X[i_max] != X[i_max - 1] or Y[i_max] != Y[i_max - 1]:
         raise VerificationError(f"{name} family failed to stabilize at the clamp")
     return X, Y
@@ -159,13 +163,11 @@ def solve_y(N) -> SliceFamily:
 @lru_cache(maxsize=None)
 def solve_limit(N) -> LimitPair:
     """The bicolored rule on height-independent weights."""
-    zero = bipoly_zero(N)
-    t_b, t_w = tb(N), tw(N)
+    def step(X, Y, t_b, t_w):
+        B, W = bicolored_rule(lambda i: X[0], lambda i: Y[0], 1, t_b, t_w)
+        return [B], [W]
 
-    def update(vals):
-        return bicolored_rule(lambda i: vals[0], lambda i: vals[1], 1, t_b, t_w)
-
-    B, W = _iterate(update, (zero, zero), N + 3)
+    (B,), (W,) = _rising(step, 1, N)
     return LimitPair(B, W, N)
 
 

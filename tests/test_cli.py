@@ -112,3 +112,26 @@ def test_extract_prints_only_the_requested_rungs():
 def test_negative_range_is_usage_error():
     rc, out, _ = run(["table", "--what", "b", "--i=-1..1", "--cap", "3"])
     assert rc == 2 and out == ""
+
+
+def test_verify_n_below_one_is_usage_error():
+    # --enum-n 0 alone stays legal for the equality suite
+    rc, out, _ = run(["verify", "equality", "--n", "0", "--enum-n", "0"])
+    assert rc == 2 and "PASS" not in out
+    rc, out, _ = run(["verify", "equality", "--n", "1", "--cap", "3", "--enum-n", "0"])
+    assert rc == 0 and out.startswith("PASS equality")
+
+
+def test_bijection_enum_n_below_one_is_usage_error():
+    for suite in ("bijection", "all"):
+        rc, out, err = run(["verify", suite, "--enum-n", "0"])
+        assert rc == 2 and out == "", suite
+        assert "--enum-n" in err
+
+
+def test_cap_below_one_is_usage_error():
+    for argv in (["verify", "stieltjes", "--cap", "0"],
+                 ["extract", "--type", "stieltjes", "--cap", "0"],
+                 ["extract", "--type", "newtype", "--cap", "-1"]):
+        rc, out, _ = run(argv)
+        assert rc == 2 and out == "", argv

@@ -1,14 +1,18 @@
 """Kernel tests: truncated polynomial ring laws, division-free determinants
-against a Leibniz oracle, and the canonical text form."""
+against a Leibniz oracle, the canonical text form, and the packed product
+against the dict-product oracle."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError, StructureError
 from quadslice.exactalg import (
+    BIVARS,
+    MPoly,
     bipoly,
     bipoly_from_text,
     bipoly_one,
@@ -18,6 +22,7 @@ from quadslice.exactalg import (
     tb,
     tw,
 )
+from quadslice.lattice_paths import symbol_table
 
 
 def leibniz_det(rows):
@@ -157,3 +162,89 @@ def test_canonical_text_golden():
     from quadslice.slice_solver import f_n
 
     assert bipoly_to_text(f_n(1, 2)) == "0 1 1/1\n0 2 1/1\n1 1 1/1"
+
+
+# ------------------------------------------- packed product against the oracle
+
+
+def dict_product(p, q):
+    """The schoolbook product over the term dicts, kept as the oracle."""
+    cap = p.cap
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            if cap is not None and sum(ea) + sum(eb) > cap:
+                continue
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return MPoly(p.vars, out, cap)
+
+
+def exact_form(p):
+    """cap plus every term with its coefficient's type: ints stay ints."""
+    return p.cap, sorted((e, type(c).__name__, c) for e, c in p.terms.items())
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 10**22)),
+)
+
+
+@st.composite
+def capped_operands(draw):
+    cap = draw(st.integers(0, 9))
+    slots = [(a, b) for a in range(cap + 1) for b in range(cap + 1 - a)]
+
+    def operand():
+        shape = draw(st.sampled_from(["sparse", "dense", "constant"]))
+        if shape == "dense":
+            keys = slots
+        elif shape == "constant":
+            keys = [(0, 0)]
+        else:
+            keys = draw(st.lists(st.sampled_from(slots), max_size=6, unique=True))
+        return MPoly(BIVARS, {e: draw(coefficients) for e in keys}, cap)
+
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(capped_operands())
+@example((MPoly(BIVARS, {}, 0), MPoly(BIVARS, {(0, 0): 5}, 0)))
+@example((MPoly(BIVARS, {(0, 0): -(2**80)}, 0), MPoly(BIVARS, {(0, 0): 2**80 + 1}, 0)))
+@example((MPoly(BIVARS, {(3, 0): Fraction(-1, 3)}, 3), MPoly(BIVARS, {(0, 3): 3}, 3)))
+def test_packed_product_matches_dict_oracle(operands):
+    p, q = operands
+    want = exact_form(dict_product(p, q))
+    assert exact_form(p * q) == want
+    assert exact_form(q * p) == want
+
+
+def test_packed_product_uneven_operands():
+    N = 12
+    dense = MPoly(BIVARS, {(a, b): (-1) ** a * (a + 1) * 2**65 + b
+                           for a in range(N + 1) for b in range(N + 1 - a)}, N)
+    for small in (tb(N), -tw(N) * Fraction(1, 7), bipoly({(N, 0): -1}, N),
+                  bipoly({(0, 0): Fraction(-3, 2)}, N), bipoly_zero(N)):
+        assert exact_form(dense * small) == exact_form(dict_product(dense, small))
+        assert exact_form(small * dense) == exact_form(dict_product(small, dense))
+
+
+def test_other_products_match_dict_oracle():
+    # uncapped many-variable symbols, and a capped ring with three variables
+    table, names = symbol_table("context", 4)
+    a = table.a(1) + table.b(2) * table.a(3) - 2 * table.b(4)
+    b = table.b(1) * table.b(1) - Fraction(1, 3) * table.a(2) + 1
+    assert a.cap is None and len(names) > 2
+    assert exact_form(a * b) == exact_form(dict_product(a, b))
+    assert exact_form((a * b) * a) == exact_form(dict_product(dict_product(a, b), a))
+    x, y, z = (MPoly.gen("xyz", v, 3) for v in "xyz")
+    c = x + y * z - 4 * z * z
+    d = c + Fraction(5, 2) * x * y
+    assert exact_form(c * d) == exact_form(dict_product(c, d))

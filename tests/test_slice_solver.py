@@ -3,8 +3,9 @@ the fundamental boundary-series equality, and conserved quantities."""
 
 import pytest
 
-from quadslice.errors import StructureError
-from quadslice.exactalg import bipoly, bipoly_one, tb, tw
+from quadslice import slice_solver
+from quadslice.errors import StructureError, VerificationError
+from quadslice.exactalg import bipoly, bipoly_one, bipoly_zero, tb, tw
 from quadslice.slice_solver import (
     agree,
     conserved_f,
@@ -146,3 +147,57 @@ def test_sweep_count_determines_degree():
         for i in range(0, i_max + 1):
             assert vals[0][i].with_cap(k).with_cap(N) == solved.first[i].with_cap(k).with_cap(N), (k, i)
     assert list(vals[0]) == solved.first and list(vals[1]) == solved.second
+
+
+# ------------------------------- rising-precision schedule against the oracle
+
+
+def full_cap_iteration(update, init, N):
+    """The zero-started simultaneous iteration at full cap N, kept as the
+    oracle: sweep until stationary, at most N + 3 sweeps."""
+    values = init
+    for _ in range(N + 3):
+        new = update(values)
+        if new == values:
+            return values
+        values = new
+    raise AssertionError("oracle iteration did not become stationary")
+
+
+def oracle_family(kind, N, i_max):
+    rule = slice_solver.SYSTEMS[kind][0]
+    zero = bipoly_zero(N)
+
+    def update(vals):
+        X, Y = vals
+        x, y = (X + [X[i_max]]).__getitem__, (Y + [Y[i_max]]).__getitem__
+        new = [rule(x, y, i, tb(N), tw(N)) for i in range(1, i_max + 1)]
+        return [zero] + [a for a, _ in new], [zero] + [b for _, b in new]
+
+    return full_cap_iteration(update, ([zero] * (i_max + 1), [zero] * (i_max + 1)), N)
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_solvers_match_full_cap_iteration(N):
+    assert (solve_bw(N).first, solve_bw(N).second) == oracle_family("bw", N, N + 2)
+    assert (solve_pq(N).first, solve_pq(N).second) == oracle_family("pq", N, N + 2)
+    even, odd = oracle_family("y", N, N + 3)
+    merged = [even[0]] + [v for i in range(1, N + 4) for v in (odd[i], even[i])]
+    assert solve_y(N).first == merged
+    zero = bipoly_zero(N)
+    limit = full_cap_iteration(
+        lambda v: slice_solver.bicolored_rule(lambda i: v[0], lambda i: v[1], 1, tb(N), tw(N)),
+        (zero, zero), N)
+    assert (solve_limit(N).first, solve_limit(N).second) == limit
+
+
+def test_confirming_sweep_rejects_a_nonzero_constant_term(monkeypatch):
+    # with a constant term the degree-by-degree argument fails, and the
+    # confirming sweep must notice that its input is not a fixed point
+    def rule(x, y, i, t_b, t_w):
+        return 1 + t_b + x(i) * x(i), t_w + y(i) * x(i)
+
+    monkeypatch.setitem(slice_solver.SYSTEMS, "bad", (rule, "bad", "bicolored"))
+    for N in (1, 3):
+        with pytest.raises(VerificationError, match="failed to become stationary"):
+            slice_solver._solve("bad", N, N + 2)

@@ -4,9 +4,10 @@ extraction runs.
 Exit codes: 0 all good, 1 a mathematical verification failed, 2 usage or
 I/O error (including an empty or negative range, an index beyond the solved
 range, an extraction height below 1, ``verify --n``, ``--alpha`` or
-``--draws`` below 1, ``verify bijection`` or ``all`` with ``--enum-n`` below
-1, and ``verify --cap`` or ``extract --cap`` below 1).  All coefficients are
-serialized as exact fraction strings.
+``--draws`` below 1, ``verify --enum-n`` or ``--enum-f`` below 0, ``verify
+bijection`` or ``all`` with ``--enum-n`` below 1, ``verify conserved`` or
+``all`` with ``--cap`` below 6, and ``verify --cap`` or ``extract --cap``
+below 1).  All coefficients are serialized as exact fraction strings.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ def _parse_range(text):
     return range(lo, hi + 1)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum):
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _poly_entry(index, poly: MPoly):
@@ -214,6 +221,10 @@ def cmd_verify(args) -> int:
     names = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
     if "bijection" in names and args.enum_n < 1:
         raise StructureError(f"the bijection suite needs --enum-n >= 1, got {args.enum_n}")
+    # invariants up to n = 3 at levels up to 4 read weights of height 8,
+    # and the solved families reach height cap + 2
+    if "conserved" in names and args.cap < 6:
+        raise StructureError(f"the conserved suite needs --cap >= 6, got {args.cap}")
     failed = False
     for name in names:
         lines = []
@@ -237,11 +248,7 @@ def cmd_extract(args) -> int:
     if args.type == "stieltjes":
         if args.internal_cap is not None:
             # fixed internal cap: divisions fail loudly when it is too small
-            F = contfrac.Series(
-                "z", 2 * i_max,
-                [slice_solver.f_n(k, args.internal_cap) for k in range(2 * i_max + 1)],
-                contfrac._ring_field(slice_solver.f_n(0, args.internal_cap)),
-            )
+            F = contfrac.boundary_series(2 * i_max, args.internal_cap)
             got = contfrac.stieltjes_extract(F, i_max)
         else:
             got = contfrac.stieltjes_rungs_from_solver(args.cap, i_max)
@@ -290,8 +297,8 @@ def build_parser():
     p_verify.add_argument("--n", type=_positive_int, default=4)
     p_verify.add_argument("--cap", type=_positive_int, default=6)
     p_verify.add_argument("--order", type=int, default=8)
-    p_verify.add_argument("--enum-n", type=int, default=3)
-    p_verify.add_argument("--enum-f", type=int, default=3)
+    p_verify.add_argument("--enum-n", type=_nonnegative_int, default=3)
+    p_verify.add_argument("--enum-f", type=_nonnegative_int, default=3)
     p_verify.add_argument("--alpha", type=_positive_int, default=4)
     p_verify.add_argument("--draws", type=_positive_int, default=20)
     p_verify.add_argument("--seed", type=int, default=20260808)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .errors import CheckReport, StructureError, VerificationError
 from .exactalg import MPoly
@@ -327,13 +328,27 @@ def large_height_collapse(M=5, i_from=None) -> CheckReport:
 # ------------------------------------------------- rational identities tower
 
 def _tower():
-    """Constants of the nested field: rational functions in alpha over
-    rational functions in y."""
+    """The constructive route's quantities in the nested field Q(y)(alpha):
+    the limits P, Q over their denominator D, the merged limit Y = Q - P,
+    the vertex weights t_b, t_w, the ladder coefficients A_0, A_1, the first
+    merged coefficient Y_1, the hard-piece weight w and d = (Y_1 - Y)/Y_1."""
     FY = ratfunc_field("y")
     a = RatFunc.gen("alpha", FY)
     y = RatFunc.const("alpha", RatFunc.gen("y"), FY)
     one = RatFunc.one("alpha", FY)
-    return FY, a, y, one
+    D = one + y + a * y - 6 * a * y ** 2 + a * y ** 3 + a ** 2 * y ** 3 + a ** 2 * y ** 4
+    P = y * (one - a * y) ** 2 / D
+    Q = a * y * (one - y) ** 2 / D
+    Y = Q - P
+    t_b = P * (one - P - 2 * Q)
+    t_w = Q * (one - Q - 2 * P)
+    A0 = P * (one - P - Q) / t_b
+    A1 = -P / t_b
+    Y1 = Y * (one - P - 2 * Q) / (one - 2 * Q)
+    w = A0 * A1 * (Y1 / Y) ** 2 * P
+    d = (Y1 - Y) / Y1
+    return SimpleNamespace(a=a, y=y, one=one, D=D, P=P, Q=Q, Y=Y, t_b=t_b, t_w=t_w,
+                           A0=A0, A1=A1, Y1=Y1, w=w, d=d)
 
 
 def section6_algebra() -> CheckReport:
@@ -347,33 +362,25 @@ def section6_algebra() -> CheckReport:
     terms of P and then pinning P.
     """
     report = CheckReport("rational identities of the constructive route")
-    _, a, y, one = _tower()
-    D = one + y + a * y - 6 * a * y ** 2 + a * y ** 3 + a ** 2 * y ** 3 + a ** 2 * y ** 4
-    P = y * (one - a * y) ** 2 / D
-    Q = a * y * (one - y) ** 2 / D
-    Y = Q - P
+    T = _tower()
+    a, y, one, D, P, Q, Y = T.a, T.y, T.one, T.D, T.P, T.Q, T.Y
+    Y1, A0, A1, w, d = T.Y1, T.A0, T.A1, T.w, T.d
     if Y != (a - 1) * y * (one - a * y ** 2) / D:
         raise VerificationError("merged limit display failed")
     report.add("Y display")
-    t_b = P * (one - P - 2 * Q)
-    t_w = Q * (one - Q - 2 * P)
     tts = eval_tt(ParamPoint("yalpha", 8))
     # cross-check the closed t display against the series evaluation route
-    if _tower_to_series(t_b, 8) != tts[0] or _tower_to_series(t_w, 8) != tts[1]:
+    if _tower_to_series(T.t_b, 8) != tts[0] or _tower_to_series(T.t_w, 8) != tts[1]:
         raise VerificationError("vertex weight parametrization display failed")
     report.add("vertex weights match their displays")
-    Y1 = Y * (one - P - 2 * Q) / (one - 2 * Q)
     if Y1 != (a - 1) * y * (one - a * y ** 3) / ((one + y) * D):
         raise VerificationError("first merged coefficient display failed")
     report.add("Y_1 display")
-    A0 = P * (one - P - Q) / t_b
-    A1 = -P / t_b
     if A0 != (one - a * y ** 2) ** 2 / ((one - a * y) * (one - a * y ** 3)):
         raise VerificationError("A_0 display failed")
     if A1 != -D / ((one - a * y) * (one - a * y ** 3)):
         raise VerificationError("A_1 display failed")
     report.add("A_0 and A_1 displays")
-    w = A0 * A1 * (Y1 / Y) ** 2 * P
     if w != -one / (y + 1 / y + 2):
         raise VerificationError("hard-piece weight identity failed")
     if w != -P * (one - Q - P) / (one - 2 * Q) ** 2:
@@ -382,7 +389,6 @@ def section6_algebra() -> CheckReport:
     if (one - 2 * Q) ** 2 - (2 + y + 1 / y) * P * (one - P - Q) != 0 * one:
         raise VerificationError("characteristic equation failed")
     report.add("characteristic equation")
-    d = (Y1 - Y) / Y1
     if d != -y * (one - a * y) / (one - a * y ** 3):
         raise VerificationError("d display failed")
     if d != -P / (one - P - 2 * Q):

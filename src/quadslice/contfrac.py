@@ -293,6 +293,12 @@ def newtype_rungs_from_solver_inputs(N, i_max):
     return [tau_to_bipoly(val.shift(1)) for val in rungs]
 
 
+def boundary_series(order, cap) -> Series:
+    """The Stieltjes series sum_n f_n z^n to ``order``, each f_n at ``cap``."""
+    coeffs = [f_n(n, cap) for n in range(order + 1)]
+    return Series("z", order, coeffs, _ring_field(bipoly_one(cap)))
+
+
 def stieltjes_rungs_from_solver(out_cap, i_max):
     """Extract the bicolored slice weights from the boundary series alone.
 
@@ -301,11 +307,8 @@ def stieltjes_rungs_from_solver(out_cap, i_max):
     {("b", 2i): ..., ("w", 2i-1): ...} with every value of cap >= out_cap.
     The denominator valuation is probed on a first pass.
     """
-    field = _ring_field(bipoly_one(1))
-
     def extract_at(cap):
-        F = Series("z", 2 * i_max, [f_n(n, cap) for n in range(2 * i_max + 1)], field)
-        return stieltjes_extract(F, i_max)
+        return stieltjes_extract(boundary_series(2 * i_max, cap), i_max)
 
     probe = extract_at(out_cap + 2)
     deficit = max(out_cap - min(v.cap for v in probe.values()), 0)

@@ -35,6 +35,7 @@ from .contfrac import (
     JnLadder,
     _random_nonzero_rationals,
     _ring_field,
+    build_jn,
     expand,
     hankel_type_dets,
     tilde_coeffs,
@@ -121,15 +122,9 @@ def heap_gf(alpha, base, weights, L) -> Series:
 def finite_ladder(Y, order_hi, order_lo) -> JnLadder:
     """Two-sided ladder of a finite fraction with rungs Y_1..Y_{2 alpha - 1}:
     entries n >= 0 from 1 + z Y_1 J(z), entries n < 0 from the companion."""
-    J = expand(FractionSpec("newtype", Y, finite=True), max(order_hi - 1, 0))
+    J = expand(FractionSpec("newtype", Y, finite=True), order_hi - 1)
     Jt = expand(FractionSpec("newtype", tilde_coeffs(Y), finite=True), order_lo)
-    one = _ring_one_of(Y[0])
-    j = {0: one}
-    for n in range(1, order_hi + 1):
-        j[n] = Y[0] * J.coeffs[n - 1]
-    for n in range(1, order_lo + 1):
-        j[-n] = Jt.coeffs[n]
-    return JnLadder(j, Y[0])
+    return build_jn(J, Y[0], Jt)
 
 
 def heaps_vs_fraction_check(alpha, seed) -> CheckReport:
@@ -364,17 +359,8 @@ def h_ladder(i_max) -> CheckReport:
     the closed-form merged weights."""
     from .closed_forms import _tower
 
-    _, a, y, one = _tower()
-    D = one + y + a * y - 6 * a * y ** 2 + a * y ** 3 + a ** 2 * y ** 3 + a ** 2 * y ** 4
-    P = y * (one - a * y) ** 2 / D
-    Q = a * y * (one - y) ** 2 / D
-    Y = Q - P
-    t_b = P * (one - P - 2 * Q)
-    A0 = P * (one - P - Q) / t_b
-    A1 = -P / t_b
-    Y1 = Y * (one - P - 2 * Q) / (one - 2 * Q)
-    w = A0 * A1 * (Y1 / Y) ** 2 * P
-    d = (Y1 - Y) / Y1
+    T = _tower()
+    a, y, one, P, Y, Y1, A0, A1, w, d = T.a, T.y, T.one, T.P, T.Y, T.Y1, T.A0, T.A1, T.w, T.d
     report = CheckReport(f"determinant ladder to i={i_max}")
 
     if Y1 * (A0 / Y + A1) != one:

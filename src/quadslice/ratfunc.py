@@ -7,9 +7,9 @@ e.g. rational functions in one parameter whose coefficients are rational
 functions in another.  That tower is how two-parameter identities are
 verified exactly.
 
-RatFunc is kept fully canonical: numerator and denominator are reduced by
-their monic gcd and the denominator is monic, so two arithmetic routes to
-the same value produce structurally equal objects and == is reliable.
+RatFunc is kept fully canonical: numerator and denominator are coprime and
+the denominator is monic, so two arithmetic routes to the same value produce
+structurally equal objects and == is reliable.  RatFunc says where the gcd runs.
 """
 
 from __future__ import annotations
@@ -276,27 +276,38 @@ class Poly:
         return " + ".join(bits)
 
 
+def _cancel(a: Poly, b: Poly):
+    """a and b divided by their monic gcd."""
+    if a.degree() > 0 and b.degree() > 0:
+        g = a.gcd(b)
+        if g.degree() > 0:
+            return a.divmod(g)[0], b.divmod(g)[0]
+    return a, b
+
+
 class RatFunc:
-    """Reduced fraction of Polys with monic denominator (canonical form)."""
+    """Coprime fraction of Polys with monic denominator (canonical form).
+
+    Only the constructor reduces by a gcd; ``reduce=False`` skips it for a
+    num and den known to be coprime.  Products cross-cancel their reduced
+    operands (Henrici 1956; Knuth, TAOCP 2, 4.5.1), so they, like inverses,
+    quotients and powers, need no gcd on the result.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly, reduce=True):
         if den.is_zero():
             raise NonInvertibleError("zero denominator")
-        if reduce:
-            if num.is_zero():
-                den = Poly.one(num.var, num.field)
-            else:
-                if num.degree() > 0 and den.degree() > 0:
-                    g = num.gcd(den)
-                    if g.degree() > 0:
-                        num = num.divmod(g)[0]
-                        den = den.divmod(g)[0]
-                if den.lead() != den.field.one:
-                    lead_inv = _inv_elem(num.field, den.lead())
-                    num = num.scale(lead_inv)
-                    den = den.scale(lead_inv)
+        if num.is_zero():
+            den = Poly.one(num.var, num.field)
+        else:
+            if reduce:
+                num, den = _cancel(num, den)
+            if den.lead() != den.field.one:
+                lead_inv = _inv_elem(num.field, den.lead())
+                num = num.scale(lead_inv)
+                den = den.scale(lead_inv)
         self.num = num
         self.den = den
 
@@ -381,19 +392,10 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a_num, a_den, b_num, b_den = self.num, self.den, other.num, other.den
-        # cross-cancel first so intermediate degrees stay small
-        if a_num.degree() > 0 and b_den.degree() > 0:
-            g = a_num.gcd(b_den)
-            if g.degree() > 0:
-                a_num = a_num.divmod(g)[0]
-                b_den = b_den.divmod(g)[0]
-        if b_num.degree() > 0 and a_den.degree() > 0:
-            g = b_num.gcd(a_den)
-            if g.degree() > 0:
-                b_num = b_num.divmod(g)[0]
-                a_den = a_den.divmod(g)[0]
-        return RatFunc(a_num * b_num, a_den * b_den)
+        # cross-cancel; the parts left of two reduced fractions are coprime
+        a_num, b_den = _cancel(self.num, other.den)
+        b_num, a_den = _cancel(other.num, self.den)
+        return RatFunc(a_num * b_num, a_den * b_den, reduce=False)
 
     __rmul__ = __mul__
 
@@ -401,28 +403,23 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
-            raise NonInvertibleError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other / self
+        return other * self.inverse()
 
     def inverse(self):
         if self.is_zero():
             raise NonInvertibleError("zero has no inverse")
-        return RatFunc(self.den, self.num)
+        return RatFunc(self.den, self.num, reduce=False)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFunc.one(self.var, self.field)
-        for _ in range(n):
-            result = result * self
-        return result
+        return RatFunc(self.num ** n, self.den ** n, reduce=False)
 
     def eval(self, x):
         """Evaluate at a field element x (e.g. another RatFunc): num(x)/den(x)."""
@@ -443,7 +440,7 @@ class RatFunc:
         q = self.den.degree()
         num_rev = Poly(self.var, tuple(reversed(self.num.coeffs)), self.field)
         den_rev = Poly(self.var, tuple(reversed(self.den.coeffs)), self.field)
-        out = RatFunc(num_rev, den_rev)
+        out = RatFunc(num_rev, den_rev, reduce=False)  # reversal keeps coprimality
         return out * z ** (q - p) if q >= p else out / z ** (p - q)
 
     def __eq__(self, other):

@@ -135,3 +135,22 @@ def test_cap_below_one_is_usage_error():
                  ["extract", "--type", "newtype", "--cap", "-1"]):
         rc, out, _ = run(argv)
         assert rc == 2 and out == "", argv
+
+
+def test_negative_enumeration_bounds_are_usage_errors():
+    # each of these used to PASS after zero enumeration checks
+    for argv in (["verify", "bijection", "--enum-f", "-1"],
+                 ["verify", "equality", "--n", "1", "--cap", "3", "--enum-n", "-2"],
+                 ["verify", "equality", "--n", "1", "--cap", "3", "--enum-n", "1", "--enum-f", "-1"]):
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "", argv
+        assert "must be >= 0" in err, argv
+
+
+def test_conserved_cap_below_six_is_usage_error():
+    for suite in ("conserved", "all"):
+        rc, out, err = run(["verify", suite, "--cap", "5"])
+        assert rc == 2 and out == "", suite
+        assert "--cap >= 6" in err
+    rc, out, _ = run(["verify", "conserved", "--cap", "6"])
+    assert rc == 0 and out.startswith("PASS conserved")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError
 from quadslice.ratfunc import Poly, RatFunc, ratfunc_field
@@ -77,3 +78,88 @@ def test_polynomial_flag_and_degrees():
     assert not (1 / (1 + z)).is_polynomial()
     f = (1 + z) / ((1 - z) * (2 + z))
     assert f.num.degree() == 1 and f.den.degree() == 2
+
+
+# ------------------------------------- canonical by construction (oracle)
+#
+# The operations below skip the gcd on their result.  The oracle is the old
+# always-reducing route: the plain product or quotient of the numerators and
+# denominators handed to the reducing constructor.  Operands are products of
+# a few shared factors, so cross-cancellation happens often.
+
+FY = ratfunc_field("y")
+Y_FACTORS = ((-1, 1), (1, 1), (-3, 2), (0, 1), (1, 0, 1))  # y-1, y+1, 2y-3, y, y^2+1
+nonzero_scalars = st.sampled_from([1, -1, 2, Fraction(-3, 5), Fraction(7, 2)])
+
+
+@st.composite
+def qq_sides(draw, nonzero):
+    if draw(st.booleans()):
+        p = Poly("y", [draw(nonzero_scalars)])
+        for f in draw(st.lists(st.sampled_from(Y_FACTORS), max_size=3)):
+            p = p * Poly("y", f)
+        return p
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1 if nonzero else 0, max_size=4))
+    p = Poly("y", coeffs)
+    return Poly("y", [draw(nonzero_scalars)]) if nonzero and p.is_zero() else p
+
+
+@st.composite
+def qq_ratfuncs(draw, nonzero=False):
+    return RatFunc(draw(qq_sides(nonzero)), draw(qq_sides(True)))
+
+
+@st.composite
+def tower_sides(draw, nonzero):
+    """Polynomials in alpha over Q(y) built from alpha-y, y alpha-1, alpha, alpha+1."""
+    y = RatFunc.gen("y")
+    one = RatFunc.one("y")
+    factors = ((-y, one), (-one, y), (0 * y, one), (one, one))
+    p = Poly("alpha", [draw(qq_ratfuncs(nonzero=True))], FY)
+    for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
+        p = p * Poly("alpha", f, FY)
+    if not nonzero and draw(st.integers(0, 5)) == 0:
+        return Poly.zero("alpha", FY)
+    return p
+
+
+@st.composite
+def tower_ratfuncs(draw):
+    return RatFunc(draw(tower_sides(False)), draw(tower_sides(True)))
+
+
+def _assert_canonical_and_equal(got, want):
+    assert got.num == want.num and got.den == want.den
+    assert got.den.lead() == got.field.one
+    assert got.num.gcd(got.den).degree() == 0
+
+
+def _check_ops_against_reducing_constructor(a, b, n):
+    _assert_canonical_and_equal(a * b, RatFunc(a.num * b.num, a.den * b.den))
+    if not b.is_zero():
+        _assert_canonical_and_equal(a / b, RatFunc(a.num * b.den, a.den * b.num))
+        _assert_canonical_and_equal(3 / b, RatFunc(b.den.scale(3), b.num))
+    if not a.is_zero():
+        _assert_canonical_and_equal(a.inverse(), RatFunc(a.den, a.num))
+    if n >= 0:
+        _assert_canonical_and_equal(a ** n, RatFunc(a.num ** n, a.den ** n))
+    elif not a.is_zero():
+        _assert_canonical_and_equal(a ** n, RatFunc(a.den ** -n, a.num ** -n))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(qq_ratfuncs(), qq_ratfuncs(), st.integers(-3, 4))
+def test_ops_match_reducing_constructor_over_qq(a, b, n):
+    _check_ops_against_reducing_constructor(a, b, n)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(tower_ratfuncs(), tower_ratfuncs(), st.integers(-3, 4))
+def test_ops_match_reducing_constructor_in_tower(a, b, n):
+    _check_ops_against_reducing_constructor(a, b, n)
+
+
+def test_reciprocal_substitution_stays_canonical():
+    z = RatFunc.gen("z")
+    for f in ((z - 1) ** 2 / (z * (2 * z + 3)), z ** 3 / (1 + z), (z ** 2 + 1) / (3 * z ** 2)):
+        _assert_canonical_and_equal(f.subst_reciprocal(), f.eval(1 / z))

@@ -5,9 +5,11 @@ Exit codes: 0 all good, 1 a mathematical verification failed, 2 usage or
 I/O error (including an empty or negative range, an index beyond the solved
 range, an extraction height below 1, ``verify --n``, ``--alpha`` or
 ``--draws`` below 1, ``verify --enum-n`` or ``--enum-f`` below 0, ``verify
-bijection`` or ``all`` with ``--enum-n`` below 1, ``verify conserved`` or
-``all`` with ``--cap`` below 6, and ``verify --cap`` or ``extract --cap``
-below 1).  All coefficients are serialized as exact fraction strings.
+--order`` below 3, ``verify bijection`` or ``all`` with ``--enum-n`` below 1,
+``verify conserved`` or ``all`` with ``--cap`` below 6, and ``verify --cap``
+or ``extract --cap`` below 1).  An ``extract --internal-cap`` too small for
+``--cap`` exits 1, naming the rung and the cap it reached.  All
+coefficients are serialized as exact fraction strings.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ def _poly_entry(index, poly: MPoly):
     return {"index": index, "monomials": monomials}
 
 
+def _entry_poly(entry, cap) -> MPoly:
+    return MPoly(
+        ("tb", "tw"),
+        {(m["tb"], m["tw"]): Fraction(m["coeff"]) for m in entry["monomials"]},
+        cap,
+    )
+
+
 def _emit_table(what, cap, entries, fmt, out):
     if fmt == "json":
         out.write(json.dumps({"what": what, "cap": cap, "entries": entries}, indent=2))
@@ -70,24 +80,13 @@ def _emit_table(what, cap, entries, fmt, out):
     else:
         for entry in entries:
             out.write(f"# index {entry['index']}\n")
-            poly = MPoly(
-                ("tb", "tw"),
-                {(m["tb"], m["tw"]): Fraction(m["coeff"]) for m in entry["monomials"]},
-                cap,
-            )
-            out.write(bipoly_to_text(poly) + "\n")
+            out.write(bipoly_to_text(_entry_poly(entry, cap)) + "\n")
 
 
 def parse_table_json(text):
     """Round-trip reader for the JSON table schema."""
     data = json.loads(text)
-    entries = {}
-    for entry in data["entries"]:
-        entries[entry["index"]] = MPoly(
-            ("tb", "tw"),
-            {(m["tb"], m["tw"]): Fraction(m["coeff"]) for m in entry["monomials"]},
-            data["cap"],
-        )
+    entries = {entry["index"]: _entry_poly(entry, data["cap"]) for entry in data["entries"]}
     return data["what"], data["cap"], entries
 
 
@@ -263,11 +262,16 @@ def cmd_extract(args) -> int:
 
         def rung(k):
             return f"y{k}", got[k - 1], yf.first[k]
+    rungs = [rung(k) for k in range(2 * wanted[0] - 1, 2 * i_max + 1)]
+    for name, val, _ in rungs:
+        if val.cap < args.cap:
+            raise NonInvertibleError(
+                f"{name} is exact only to cap {val.cap}, below --cap {args.cap}"
+            )
     all_equal = True
-    for k in range(2 * wanted[0] - 1, 2 * i_max + 1):
-        name, val, solver_val = rung(k)
-        solver_val = solver_val.with_cap(min(val.cap, args.cap))
-        extracted = val.with_cap(solver_val.cap)
+    for name, val, solver_val in rungs:
+        solver_val = solver_val.with_cap(args.cap)
+        extracted = val.with_cap(args.cap)
         verdict = "equal" if extracted == solver_val else "DIFFERENT"
         all_equal = all_equal and extracted == solver_val
         print(f"{name}: {verdict}")
@@ -296,7 +300,7 @@ def build_parser():
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--n", type=_positive_int, default=4)
     p_verify.add_argument("--cap", type=_positive_int, default=6)
-    p_verify.add_argument("--order", type=int, default=8)
+    p_verify.add_argument("--order", type=_int_at_least(3), default=8)
     p_verify.add_argument("--enum-n", type=_nonnegative_int, default=3)
     p_verify.add_argument("--enum-f", type=_nonnegative_int, default=3)
     p_verify.add_argument("--alpha", type=_positive_int, default=4)

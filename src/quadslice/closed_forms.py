@@ -145,13 +145,11 @@ def eval_bw_closed(i, p: ParamPoint):
     g = p.param
     B, W = eval_limits(p)
     if i % 2 == 0:
-        m = i  # even index 2m with 2m = i
-        b_i = p.ratio(B, [(1, m), (g, m + 3)], [(g, m + 1), (1, m + 2)])
-        w_i = p.ratio(W, [(1, m), (1 / g, m + 3)], [(1 / g, m + 1), (1, m + 2)])
+        b_i = p.ratio(B, [(1, i), (g, i + 3)], [(g, i + 1), (1, i + 2)])
+        w_i = p.ratio(W, [(1, i), (1 / g, i + 3)], [(1 / g, i + 1), (1, i + 2)])
     else:
-        m = i
-        b_i = p.ratio(B, [(1 / g, m), (1, m + 3)], [(1, m + 1), (1 / g, m + 2)])
-        w_i = p.ratio(W, [(g, m), (1, m + 3)], [(1, m + 1), (g, m + 2)])
+        b_i = p.ratio(B, [(1 / g, i), (1, i + 3)], [(1, i + 1), (1 / g, i + 2)])
+        w_i = p.ratio(W, [(g, i), (1, i + 3)], [(1, i + 1), (g, i + 2)])
     return b_i, w_i
 
 

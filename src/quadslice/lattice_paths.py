@@ -177,18 +177,14 @@ def z_const(n, first, second, kind="bicolored", k=0):
     from odd height ``second``; for the context kind ``first`` applies
     after a descent and ``second`` after an ascent.
     """
+    if kind not in ("bicolored", "context"):
+        raise StructureError(f"unsupported constant kind {kind!r}")
     hmax = n + 1
-    table = WeightTable(
-        kind if kind != "elongated" else "context",
-        [None] + [first] * hmax,
-        [None] + [second] * hmax,
-    )
+    table = WeightTable(kind, [None] + [first] * hmax, [None] + [second] * hmax)
     spec = PathSpec(n, 0, k)
     if kind == "bicolored":
         return z_bicolored(spec, table)
-    if kind == "context":
-        return z_context(spec, table)
-    raise StructureError(f"unsupported constant kind {kind!r}")
+    return z_context(spec, table)
 
 
 # ------------------------------------------------------- symbolic utilities

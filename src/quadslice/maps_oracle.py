@@ -41,9 +41,16 @@ faces become whites) and its genuine pointwise inverse is
 angular_inverse, which connects the black corners of every face.  The two
 constructions do NOT invert each other pointwise: composing them changes
 vertex counts already at boundary length 4 with one inner face, because
-local maxima need not be white.  Orientation conventions below were
-pinned by requiring the round trips and the oriented-distance transport
-to hold on the whole corpus.
+local maxima need not be white.
+
+ab_forward and angular_inverse are one corner-joining construction,
+_join_corners, with a different corner test and set of kept vertices:
+rising corners with the non-maxima kept, and black corners with the blacks
+kept.  It joins the two picked corners of every inner face and the picked
+corners of the external face cyclically, and orders the new edge ends
+around each kept vertex by the sigma order of their corners.  Orientation
+conventions were pinned by requiring the round trips and the
+oriented-distance transport to hold on the whole corpus.
 """
 
 from __future__ import annotations
@@ -58,9 +65,25 @@ from .exactalg import BIVARS, MPoly
 MAX_DARTS_DEFAULT = 20
 
 
+def _guard_darts(darts):
+    if darts > int(os.environ.get("QUADSLICE_MAX_DARTS", MAX_DARTS_DEFAULT)):
+        raise ResourceGuardError(f"{darts} darts exceed the guard; set QUADSLICE_MAX_DARTS to override")
 
-def _max_darts():
-    return int(os.environ.get("QUADSLICE_MAX_DARTS", MAX_DARTS_DEFAULT))
+
+def _bfs_distances(neighbours, root):
+    """Breadth-first distances from vertex root along neighbours[v]; -1 where unreachable."""
+    dist = [-1] * len(neighbours)
+    dist[root] = 0
+    frontier = [root]
+    while frontier:
+        nxt_frontier = []
+        for v in frontier:
+            for u in neighbours[v]:
+                if dist[u] == -1:
+                    dist[u] = dist[v] + 1
+                    nxt_frontier.append(u)
+        frontier = nxt_frontier
+    return dist
 
 
 class RootedMap:
@@ -130,6 +153,15 @@ class RootedMap:
             cyc.append(e)
             e = phi[e]
         return tuple(cyc)
+
+    def inner_faces(self):
+        """Every face cycle but the external one, in faces() order."""
+        return [face for face in self.faces() if self.root not in face]
+
+    def boundary_is_bridgeless(self):
+        """No edge has both of its darts on the external face."""
+        ext = set(self.face_of_root())
+        return not any(self.alpha[d] in ext for d in ext)
 
     def vertex_of_darts(self):
         out = [0] * self.n_darts
@@ -239,6 +271,13 @@ def glue_polygons(sizes, symmetric_groups=()):
             p = parent[p]
         return p
 
+    def first_fresh_of_class(p):
+        """The least untouched polygon of p's class; p itself outside a class."""
+        g = group_of.get(p)
+        if g is None:
+            return p
+        return next(r for r in symmetric_groups[g] if touched[r] == 0)
+
     def same_walk(s, t):
         e = wnext[s]
         while True:
@@ -263,13 +302,8 @@ def glue_polygons(sizes, symmetric_groups=()):
             emit()
             return
         ps = poly_of[s]
-        gs = group_of.get(ps)
-        if touched[ps] == 0 and gs is not None:
-            for p in symmetric_groups[gs]:
-                if touched[p] == 0:
-                    if p != ps:
-                        return  # a lower-index fresh polygon of the class must come first
-                    break
+        if touched[ps] == 0 and first_fresh_of_class(ps) != ps:
+            return  # a lower-index fresh polygon of the class must come first
         for t in range(s + 1, total):
             if match[t] != -1:
                 continue
@@ -278,27 +312,16 @@ def glue_polygons(sizes, symmetric_groups=()):
                 # entering a fresh polygon: its rotation is a symmetry, so
                 # enter through side 0 only; within a class of identical
                 # polygons, enter the least-index fresh one
-                if t != starts[pt]:
+                if t != starts[pt] or first_fresh_of_class(pt) != pt:
                     continue
-                gt = group_of.get(pt)
-                if gt is not None:
-                    first_fresh = None
-                    for p in symmetric_groups[gt]:
-                        if touched[p] == 0:
-                            first_fresh = p
-                            break
-                    if pt != first_fresh:
-                        continue
-            if not attempt(s, t):
-                continue
-        return
+            attempt(s, t)
 
     def attempt(s, t):
         # genus rule
         in_same_walk = same_walk(s, t)
         rs, rt = find(poly_of[s]), find(poly_of[t])
         if not in_same_walk and rs == rt:
-            return False  # would attach a handle
+            return  # would attach a handle
         trail = []
 
         def set_arr(arr, idx, val):
@@ -341,7 +364,6 @@ def glue_polygons(sizes, symmetric_groups=()):
             arr[idx] = val
         touched[poly_of[s]] -= 1
         touched[poly_of[t]] -= 1
-        return True
 
     choose()
     return results, nxt
@@ -368,18 +390,7 @@ class LabeledQuad:
             adj[b].add(a)
         self.adj = adj
         root_vertex = self.vertex_of[m.root]
-        dist = [-1] * V
-        dist[root_vertex] = 0
-        frontier = [root_vertex]
-        while frontier:
-            nxt_frontier = []
-            for v in frontier:
-                for u in adj[v]:
-                    if dist[u] == -1:
-                        dist[u] = dist[v] + 1
-                        nxt_frontier.append(u)
-            frontier = nxt_frontier
-        self.dist = dist
+        self.dist = dist = _bfs_distances(adj, root_vertex)
         self.color = ["black" if d % 2 == 0 else "white" for d in dist]
         self.local_max = [
             all(dist[u] == dist[v] - 1 for u in adj[v]) and v != root_vertex
@@ -389,12 +400,9 @@ class LabeledQuad:
 
     def check(self):
         m = self.map
-        ext = m.face_of_root()
-        if len(ext) != 2 * self.n:
+        if len(m.face_of_root()) != 2 * self.n:
             raise VerificationError("external face degree is not twice the boundary length")
-        for face in m.faces():
-            if set(face) == set(ext):
-                continue
+        for face in m.inner_faces():
             if len(face) != 4:
                 raise VerificationError("inner face of degree != 4")
         for d in range(m.n_darts):
@@ -423,11 +431,7 @@ def enumerate_quads(n, f_max):
         raise StructureError("need n >= 1, f_max >= 0")
     out = []
     for f in range(f_max + 1):
-        darts = 2 * n + 4 * f
-        if darts > _max_darts():
-            raise ResourceGuardError(
-                f"{darts} darts exceed the guard; set QUADSLICE_MAX_DARTS to override"
-            )
+        _guard_darts(2 * n + 4 * f)
         sizes = [2 * n] + [4] * f
         groups = [list(range(1, f + 1))] if f > 1 else []
         matchings, nxt = glue_polygons(sizes, groups)
@@ -443,22 +447,22 @@ def enumerate_quads(n, f_max):
     return out
 
 
-def bf_F(n, f_max, cap=None) -> MPoly:
-    """Ground-truth bicolored weight sum over all maps with f <= f_max."""
+def _weight_sum(weight, n, f_max, cap):
     cap = (n + f_max) if cap is None else cap
     total = MPoly.zero(BIVARS, cap)
     for q in enumerate_quads(n, f_max):
-        total = total + q.weight_bicolored(cap)
+        total = total + weight(q, cap)
     return total
+
+
+def bf_F(n, f_max, cap=None) -> MPoly:
+    """Ground-truth bicolored weight sum over all maps with f <= f_max."""
+    return _weight_sum(LabeledQuad.weight_bicolored, n, f_max, cap)
 
 
 def bf_J(n, f_max, cap=None) -> MPoly:
     """Ground-truth local-maxima weight sum over all maps with f <= f_max."""
-    cap = (n + f_max) if cap is None else cap
-    total = MPoly.zero(BIVARS, cap)
-    for q in enumerate_quads(n, f_max):
-        total = total + q.weight_local_max(cap)
-    return total
+    return _weight_sum(LabeledQuad.weight_local_max, n, f_max, cap)
 
 
 # ----------------------------------------------------------- general maps
@@ -468,10 +472,7 @@ def enumerate_bridgeless_maps(boundary_len, n_edges):
     """Rooted general maps with n_edges edges whose external face has the
     given degree and carries no bridge; one per isomorphism class."""
     darts = 2 * n_edges
-    if darts > _max_darts():
-        raise ResourceGuardError(
-            f"{darts} darts exceed the guard; set QUADSLICE_MAX_DARTS to override"
-        )
+    _guard_darts(darts)
     out = []
     seen = set()
 
@@ -493,12 +494,8 @@ def enumerate_bridgeless_maps(boundary_len, n_edges):
             matchings, nxt = glue_polygons(sizes, sym)
             for match in matchings:
                 m = RootedMap(list(nxt), match, 0)
-                ext = m.face_of_root()
-                if len(ext) != boundary_len:
+                if len(m.face_of_root()) != boundary_len or not m.boundary_is_bridgeless():
                     continue
-                ext_set = set(ext)
-                if any(m.alpha[d] in ext_set for d in ext):
-                    continue  # a bridge on the boundary
                 key = m.canonical_key()
                 if key in seen:
                     continue  # symmetry factoring is a pruning aid, not exact
@@ -521,86 +518,75 @@ class AbImage:
         self.n = n
 
 
+def _join_corners(m: RootedMap, picked, kept, kind):
+    """The corner-joining construction behind ab_forward and angular_inverse.
+
+    Join the two picked corners of every inner face, and join the picked
+    corners of the external face cyclically; picked(d) tests the corner
+    that starts at dart d.  Only the vertices v with kept(v) stay, and the
+    new edge ends sit around each in sigma order of their corners, the
+    incoming end before the outgoing one within a corner.  Returns the new
+    map, rooted at the end leaving the root corner toward its successor,
+    and the kept original vertex of each of its vertices.  kind names the
+    picked corners in the error messages.
+    """
+    edges = []  # pairs of ends (corner dart, tag); the tag orders ends within a corner
+    for face in m.inner_faces():
+        corners = [d for d in face if picked(d)]
+        if len(corners) != 2:
+            raise VerificationError(f"inner face must have exactly two {kind} corners")
+        edges.append(((corners[0], 0), (corners[1], 0)))
+    ext = [d for d in m.face_of_root() if picked(d)]
+    if m.root not in ext:
+        raise VerificationError(f"root corner must be {kind}")
+    for a, b in zip(ext, ext[1:] + ext[:1]):
+        edges.append(((a, +1), (b, -1)))  # +1: toward successor, -1: from predecessor
+
+    ends_at_corner = {}
+    for edge in edges:
+        for end in edge:
+            ends_at_corner.setdefault(end[0], []).append(end)
+    rotations = []
+    origin = []
+    for v, v_cycle in enumerate(m.vertices()):
+        if not kept(v):
+            continue
+        rot = []
+        for corner in v_cycle:
+            rot += sorted(ends_at_corner.get(corner, ()), key=lambda end: end[1])  # -1 before +1
+        rotations.append(rot)
+        origin.append(v)
+    dart_id = {end: i for i, end in enumerate(end for rot in rotations for end in rot)}
+    if len(dart_id) != 2 * len(edges):
+        raise VerificationError("an edge end landed on a dropped vertex")
+    sigma = [0] * len(dart_id)
+    alpha = [0] * len(dart_id)
+    for rot in rotations:
+        for k, end in enumerate(rot):
+            sigma[dart_id[end]] = dart_id[rot[(k + 1) % len(rot)]]
+    for a, b in edges:
+        alpha[dart_id[a]], alpha[dart_id[b]] = dart_id[b], dart_id[a]
+    return RootedMap(sigma, alpha, dart_id[(m.root, +1)]), origin
+
+
 def ab_forward(q: LabeledQuad) -> AbImage:
     """Apply the local rules: in every inner face connect the two corners
     followed by a larger label; around the external face connect the
     corners followed by a larger label cyclically; keep only vertices that
     are not local maxima."""
     m = q.map
-    phi = [m.sigma[m.alpha[d]] for d in range(m.n_darts)]
-    ext = m.face_of_root()
-    ext_set = set(ext)
     label = lambda d: q.dist[q.vertex_of[d]]
-
-    edges = []  # pairs of (corner dart, tag); tag orders ends within a corner
-    for face in m.faces():
-        if set(face) == ext_set:
-            continue
-        rising = [d for d in face if label(phi[d]) > label(d)]
-        if len(rising) != 2:
-            raise VerificationError("inner face must have exactly two rising corners")
-        edges.append(((rising[0], 0), (rising[1], 0)))
-    rising_ext = [d for d in ext if label(phi[d]) > label(d)]
-    if len(rising_ext) != q.n or m.root not in rising_ext:
-        raise VerificationError("external face must have n rising corners incl. the root")
-    n_ext = len(rising_ext)
-    root_end = None
-    for idx in range(n_ext):
-        a = rising_ext[idx]
-        b = rising_ext[(idx + 1) % n_ext]
-        edges.append(((a, +1), (b, -1)))  # +1: toward successor, -1: from predecessor
-        if a == m.root:
-            root_end = (a, +1)
-
-    # rotation order of the new ends around each retained vertex: corners in
-    # sigma order; within one corner the incoming end comes before outgoing
-    ends_at_corner = {}
-    for e_idx, (end_a, end_b) in enumerate(edges):
-        for end in (end_a, end_b):
-            ends_at_corner.setdefault(end[0], []).append((end, e_idx))
-    dart_ids = {}
-    rotations = []
-    vertex_origin = []
-    for v_cycle in m.vertices():
-        v = q.vertex_of[v_cycle[0]]
-        if q.local_max[v]:
-            continue
-        rot = []
-        for corner in v_cycle:
-            here = ends_at_corner.get(corner, [])
-            here.sort(key=lambda pair: pair[0][1])  # incoming end before outgoing
-            for end, e_idx in here:
-                rot.append((end, e_idx))
-        vertex_origin.append(v)
-        rotations.append(rot)
-
-    for rot in rotations:
-        for end, _ in rot:
-            dart_ids[end] = len(dart_ids)
-    n_darts = len(dart_ids)
-    if n_darts != 2 * len(edges):
-        raise VerificationError("an edge end landed on a discarded local maximum")
-    sigma = [0] * n_darts
-    alpha = [0] * n_darts
-    for rot in rotations:
-        ids = [dart_ids[end] for end, _ in rot]
-        for k, d in enumerate(ids):
-            sigma[d] = ids[(k + 1) % len(ids)]
-    for end_a, end_b in edges:
-        alpha[dart_ids[end_a]] = dart_ids[end_b]
-        alpha[dart_ids[end_b]] = dart_ids[end_a]
-    new_map = RootedMap(sigma, alpha, dart_ids[root_end])
-    image = AbImage(new_map, vertex_origin, q.n)
-    ext_new = new_map.face_of_root()
-    if len(ext_new) != q.n:
+    rising = lambda d: label(m.sigma[m.alpha[d]]) > label(d)
+    if sum(1 for d in m.face_of_root() if rising(d)) != q.n:
+        raise VerificationError("external face must have n rising corners")
+    new_map, vertex_origin = _join_corners(m, rising, lambda v: not q.local_max[v], "rising")
+    if len(new_map.face_of_root()) != q.n:
         raise VerificationError("image boundary length must be n")
-    ext_set_new = set(ext_new)
-    if any(new_map.alpha[d] in ext_set_new for d in ext_new):
+    if not new_map.boundary_is_bridgeless():
         raise VerificationError("image boundary must be bridgeless")
-    n_max = sum(1 for flag in q.local_max if flag)
-    if len(new_map.faces()) - 1 != n_max:
+    if len(new_map.inner_faces()) != sum(q.local_max):
         raise VerificationError("inner faces must correspond to local maxima")
-    return image
+    return AbImage(new_map, vertex_origin, q.n)
 
 
 def ab_inverse(m: RootedMap) -> LabeledQuad:
@@ -611,12 +597,9 @@ def ab_inverse(m: RootedMap) -> LabeledQuad:
     This is a bijection onto the quadrangulation family, pointwise inverted
     by angular_inverse; it is NOT the pointwise inverse of ab_forward (see
     distinct_bijections_witness)."""
-    ext = m.face_of_root()
-    ext_set = set(ext)
-    if any(m.alpha[d] in ext_set for d in ext):
+    if not m.boundary_is_bridgeless():
         raise StructureError("boundary must be bridgeless")
-    n = len(ext)
-    faces = [f for f in m.faces() if set(f) != ext_set]
+    faces = m.inner_faces()
     face_id = {}
     for i, f in enumerate(faces):
         for d in f:
@@ -652,7 +635,7 @@ def ab_inverse(m: RootedMap) -> LabeledQuad:
     if root_corner not in face_id:
         raise VerificationError("corner left of the root should border an inner face")
     new_map = RootedMap(sigma, alpha, dart_ids[(root_corner, "b")])
-    return LabeledQuad(new_map, n)
+    return LabeledQuad(new_map, len(m.face_of_root()))
 
 
 def oriented_distance_check(image: AbImage, q: LabeledQuad):
@@ -664,24 +647,9 @@ def oriented_distance_check(image: AbImage, q: LabeledQuad):
     V = len(m.vertices())
     arcs = [[] for _ in range(V)]
     for d in range(m.n_darts):
-        u, v = vertex_of[d], vertex_of[m.alpha[d]]
-        if d in ext or m.alpha[d] in ext:
-            if d in ext:
-                arcs[u].append(v)
-        else:
-            arcs[u].append(v)
-    root_vertex = vertex_of[m.root]
-    dist = [-1] * V
-    dist[root_vertex] = 0
-    frontier = [root_vertex]
-    while frontier:
-        nxt_frontier = []
-        for v in frontier:
-            for u in arcs[v]:
-                if dist[u] == -1:
-                    dist[u] = dist[v] + 1
-                    nxt_frontier.append(u)
-        frontier = nxt_frontier
+        if d in ext or m.alpha[d] not in ext:  # a boundary edge runs along its external dart
+            arcs[vertex_of[d]].append(vertex_of[m.alpha[d]])
+    dist = _bfs_distances(arcs, vertex_of[m.root])
     for new_v in range(V):
         want = q.dist[image.vertex_origin[new_v]]
         if dist[new_v] != want:
@@ -695,65 +663,8 @@ def angular_inverse(q: LabeledQuad) -> RootedMap:
     every inner face, connect the black corners of the external face
     cyclically, and drop the white vertices.  Root: the edge of the corner
     pair adjacent to the root."""
-    m = q.map
-    phi = [m.sigma[m.alpha[d]] for d in range(m.n_darts)]
-    ext = m.face_of_root()
-    ext_set = set(ext)
-    is_black = lambda d: q.color[q.vertex_of[d]] == "black"
-
-    edges = []
-    for face in m.faces():
-        if set(face) == ext_set:
-            continue
-        blacks = [d for d in face if is_black(d)]
-        if len(blacks) != 2:
-            raise VerificationError("inner face must have exactly two black corners")
-        edges.append(((blacks[0], 0), (blacks[1], 0)))
-    blacks_ext = [d for d in ext if is_black(d)]
-    if m.root not in blacks_ext:
-        raise VerificationError("root corner must be black")
-    n_ext = len(blacks_ext)
-    root_end = None
-    for idx in range(n_ext):
-        a = blacks_ext[idx]
-        b = blacks_ext[(idx + 1) % n_ext]
-        edges.append(((a, +1), (b, -1)))
-        if a == m.root:
-            root_end = (a, +1)
-
-    ends_at_corner = {}
-    for e_idx, (end_a, end_b) in enumerate(edges):
-        for end in (end_a, end_b):
-            ends_at_corner.setdefault(end[0], []).append((end, e_idx))
-    dart_ids = {}
-    rotations = []
-    for v_cycle in m.vertices():
-        v = q.vertex_of[v_cycle[0]]
-        if q.color[v] != "black":
-            continue
-        rot = []
-        for corner in v_cycle:
-            here = ends_at_corner.get(corner, [])
-            here.sort(key=lambda pair: pair[0][1])
-            for end, e_idx in here:
-                rot.append((end, e_idx))
-        rotations.append(rot)
-    for rot in rotations:
-        for end, _ in rot:
-            dart_ids[end] = len(dart_ids)
-    n_darts = len(dart_ids)
-    if n_darts != 2 * len(edges):
-        raise VerificationError("an edge end landed on a white vertex")
-    sigma = [0] * n_darts
-    alpha = [0] * n_darts
-    for rot in rotations:
-        ids = [dart_ids[end] for end, _ in rot]
-        for k, d in enumerate(ids):
-            sigma[d] = ids[(k + 1) % len(ids)]
-    for end_a, end_b in edges:
-        alpha[dart_ids[end_a]] = dart_ids[end_b]
-        alpha[dart_ids[end_b]] = dart_ids[end_a]
-    return RootedMap(sigma, alpha, dart_ids[root_end])
+    black = lambda v: q.color[v] == "black"
+    return _join_corners(q.map, lambda d: black(q.vertex_of[d]), black, "black")[0]
 
 
 def bijection_check(n, f) -> "CheckReport":

@@ -27,6 +27,16 @@ def test_every_traced_binding_resolves():
             assert callable(tracer._resolve(binding)), binding
 
 
+def test_every_by_name_import_is_bound():
+    # the names the tracer must rebind in the importing module too; the
+    # module is imported, not its classes, so pytest collects none of them
+    import selftest
+
+    for owner, names in selftest.TracerBindings.IMPORTED.items():
+        for name in names:
+            assert name in vars(owner), f"{owner.__name__}.{name}"
+
+
 def test_every_benchmark_cache_is_an_lru_cache():
     assert set(workloads.CACHES["slice_solver"]) == set(tracer._SOLVER_CACHES)
     assert set(workloads.CACHES["maps_oracle"]) == set(tracer._ORACLE_CACHES)

@@ -154,3 +154,21 @@ def test_conserved_cap_below_six_is_usage_error():
         assert "--cap >= 6" in err
     rc, out, _ = run(["verify", "conserved", "--cap", "6"])
     assert rc == 0 and out.startswith("PASS conserved")
+
+
+def test_order_below_three_is_usage_error():
+    # rejected while parsing, before any suite prints a PASS
+    for order in ("2", "0", "-1"):
+        rc, out, _ = run(["verify", "all", "--order", order, "--n", "1", "--enum-n", "1", "--enum-f", "0"])
+        assert rc == 2, order
+        assert out == ""
+
+
+def test_extract_internal_cap_shortfall_is_reported():
+    # at internal cap 8, w3 is exact only to cap 5 and b4 only to cap 2
+    rc, out, err = run(
+        ["extract", "--type", "stieltjes", "--i", "1..2", "--cap", "6", "--internal-cap", "8"]
+    )
+    assert rc == 1
+    assert out == ""
+    assert "w3" in err and "cap 5" in err and "--cap 6" in err

@@ -1,5 +1,7 @@
 """Exhaustive map enumeration and the two boundary bijections."""
 
+import hashlib
+
 import pytest
 
 from quadslice.errors import ResourceGuardError, StructureError
@@ -152,3 +154,34 @@ def test_exchange_format_golden():
 def test_bf_weight_golden():
     # one-edge map: a single white vertex beyond the root
     assert bf_F(1, 0) == tw(1)
+
+
+def _pointwise_digest():
+    """sha256 over the exact images of the three constructions on every
+    rooted map with n <= 3 and f <= 2, in enumeration order."""
+    h = hashlib.sha256()
+
+    def feed(*parts):
+        h.update(repr(parts).encode())
+        h.update(b"\n")
+
+    for n in range(1, 4):
+        for f in range(0, 3):
+            for q in enumerate_quads(n, f):
+                img = ab_forward(q)
+                feed("ab_forward", n, f, img.map.sigma, img.map.alpha, img.map.root,
+                     tuple(img.vertex_origin))
+                m = angular_inverse(q)
+                feed("angular_inverse", n, f, m.sigma, m.alpha, m.root)
+            for m in enumerate_bridgeless_maps(n, n + f):
+                q = ab_inverse(m).map
+                feed("ab_inverse", n, f, q.sigma, q.alpha, q.root)
+    return h.hexdigest()
+
+
+# recorded before the corner-joining constructions shared one builder
+POINTWISE_GOLDEN = "6cfa18a27ec979f984a17e62c99e3b03538b5968ab2c0ba06de7d68315f4be1b"
+
+
+def test_constructions_match_pointwise_golden():
+    assert _pointwise_digest() == POINTWISE_GOLDEN

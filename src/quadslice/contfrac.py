@@ -24,6 +24,18 @@ leaves the bi-ratios otherwise unchanged, and it makes every ladder entry
 a genuine power series: entry n of the ladder has valuation exactly |n|
 before rescaling.  The final shift by tau restores the rung values.
 
+The tau-coefficients of the main ladder entries are polynomials in rho,
+and those of the companion coefficient n have denominators dividing
+(rho - 1)^(2n).  So the graded ladder is held over Q[rho], with entry -n
+stored as (rho - 1)^(2n) j_{-n}.  In H_i^(s) row n is scaled by
+(rho - 1)^(2 max(0, i-n-s)), which clears every denominator in it, and
+Berkowitz's recurrence runs over Q[rho] with ring operations only: no
+polynomial gcd, and one big-integer product per series multiply.  The
+bi-ratios are exact series divisions in Q[rho] with the powers of
+(rho - 1) kept as integer bookkeeping; a nonzero remainder raises
+NonInvertibleError naming the rung.  H_i^(s) itself is not polynomial in
+rho in general, so it is never formed.
+
 For finite fractions the whole object is a rational function of z and the
 companion is forced: tilde(J)(z) = -(Y_1/z) J(1/z) with Y_1 read off the
 large-z limit.  That reflection is verified here exactly, and conjecturally
@@ -35,7 +47,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import CheckReport, StructureError, VerificationError
+from .errors import CheckReport, NonInvertibleError, StructureError, VerificationError
 from .exactalg import (
     MPoly,
     _ring_one_of,
@@ -44,8 +56,8 @@ from .exactalg import (
     det_division_free,
     tb,
 )
-from .ratfunc import QQ, FieldSpec, RatFunc
-from .series import Series, bipoly_to_tau, graded_div, tau_to_bipoly
+from .ratfunc import QQ, FieldSpec, Poly, RatFunc
+from .series import RHO, RHO_RING, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 from .slice_solver import a0_a1_times_tb, f_n, solve_limit, y1_series
 from .lattice_paths import z_const
 
@@ -145,21 +157,24 @@ def stieltjes_extract(F: Series, i_max):
 # --------------------------------------------------------- two-sided ladder
 
 class JnLadder:
-    """Two-sided coefficient ladder j_n with the first rung value y1."""
+    """Two-sided coefficient ladder j_n with the first rung value y1.
 
-    __slots__ = ("j", "y1")
+    A ladder over a ring that lacks the entries j_{-n} themselves carries a
+    clearing factor u: entry -n holds u^n j_{-n}, which lies in the ring.
+    ``clear`` is None for a ladder over a field, whose entry -n is j_{-n}.
+    """
 
-    def __init__(self, j, y1):
+    __slots__ = ("j", "y1", "clear")
+
+    def __init__(self, j, y1, clear=None):
         self.j = dict(j)
         self.y1 = y1
+        self.clear = clear
 
     def __getitem__(self, n):
         if n not in self.j:
             raise StructureError(f"ladder entry {n} not populated")
         return self.j[n]
-
-    def range(self):
-        return min(self.j), max(self.j)
 
 
 def build_jn(J: Series, y1, Jt: Series) -> JnLadder:
@@ -176,25 +191,66 @@ def build_jn(J: Series, y1, Jt: Series) -> JnLadder:
 
 
 def hankel_type_dets(ladder: JnLadder, i, shift):
-    """H_i^(shift) = det(j_{n+m-i-1+shift}) over 1 <= n, m <= i; H_0 = 1."""
+    """H_i^(shift) = det(j_{n+m-i-1+shift}) over 1 <= n, m <= i; H_0 = 1.
+
+    On a ladder with a clearing factor u, row n is first scaled by
+    u^max(0, i-n-shift), the power that clears its most negative entry
+    j_{n-i+shift}, so the determinant comes back as u^e H_i^(shift) with
+    e = _clearing_power(i, shift).
+    """
     if i == 0:
         return _ring_one_of(ladder.y1)
-    rows = [
-        [ladder[n + m - i - 1 + shift] for m in range(1, i + 1)]
-        for n in range(1, i + 1)
-    ]
+    rows = []
+    for n in range(1, i + 1):
+        row = []
+        for m in range(1, i + 1):
+            idx = n + m - i - 1 + shift
+            entry = ladder[idx]
+            if ladder.clear is not None:
+                extra = max(0, i - n - shift) - max(0, -idx)  # >= 0: idx >= n-i+shift
+                entry = entry * ladder.clear ** extra if extra else entry
+            row.append(entry)
+        rows.append(row)
     return det_division_free(rows)
 
 
+def _clearing_power(i, shift):
+    """Power of the clearing factor in the row-scaled H_i^(shift)."""
+    return sum(max(0, i - n - shift) for n in range(1, i + 1))
+
+
 def newtype_extract(ladder: JnLadder, i_max):
-    """Recover Y_1..Y_{2 i_max} from the ladder via the bi-ratio formulas."""
-    H0 = {i: hankel_type_dets(ladder, i, 0) for i in range(i_max + 1)}
-    H1 = {i: hankel_type_dets(ladder, i, 1) for i in range(i_max + 2)}
-    Y = {}
+    """Recover Y_1..Y_{2 i_max} from the ladder via the bi-ratio formulas
+
+        Y_{2i-1} = H_i^(1) H_{i-1}^(0) / (H_{i-1}^(1) H_i^(0)),
+        Y_{2i} = H_{i-1}^(0) H_{i+1}^(1) / (H_i^(0) H_i^(1)).
+
+    On a ladder with a clearing factor u the determinants come row-scaled,
+    the powers of u are put back as integer bookkeeping, and a quotient
+    that is not exact in the ladder's ring raises NonInvertibleError naming
+    the rung.
+    """
+    H = {(i, s): hankel_type_dets(ladder, i, s) for s in (0, 1) for i in range(i_max + 1 + s)}
+    rungs = []
     for i in range(1, i_max + 1):
-        Y[2 * i - 1] = _div(H1[i] * H0[i - 1], H1[i - 1] * H0[i])
-        Y[2 * i] = _div(H0[i - 1] * H1[i + 1], H0[i] * H1[i])
-    return [Y[k] for k in range(1, 2 * i_max + 1)]
+        for k, num, den in (
+            (2 * i - 1, ((i, 1), (i - 1, 0)), ((i - 1, 1), (i, 0))),
+            (2 * i, ((i - 1, 0), (i + 1, 1)), ((i, 0), (i, 1))),
+        ):
+            a = H[num[0]] * H[num[1]]
+            b = H[den[0]] * H[den[1]]
+            if ladder.clear is not None:
+                # H = (scaled H) / u^e, so the quotient gains u^(e_den - e_num)
+                e = sum(_clearing_power(*d) for d in den) - sum(_clearing_power(*n) for n in num)
+                if e > 0:
+                    a = a * ladder.clear ** e
+                elif e < 0:
+                    b = b * ladder.clear ** -e
+            try:
+                rungs.append(_div(a, b))
+            except NonInvertibleError as exc:
+                raise NonInvertibleError(f"rung Y_{k}: {exc}") from None
+    return rungs
 
 
 def tilde_coeffs(Y):
@@ -225,15 +281,31 @@ def graded_ladder(order, n_hi, n_lo) -> JnLadder:
     Entry n of the raw ladder has valuation exactly |n|, so every rescaled
     entry is an honest tau-series; each is built at the internal cap that
     makes it exact to the requested order.
+
+    The ladder is held over Q[rho]: the companion coefficient n has every
+    denominator dividing (rho - 1)^(2n), so the clearing factor is
+    (rho - 1)^2 and entry -n holds (rho - 1)^(2n) times the companion.
     """
     j = {}
     for n in range(0, n_hi + 1):
         cap = order + n
         val = y1_series(cap) * f_n(n - 1, cap) if n >= 1 else bipoly_one(order)
-        j[n] = bipoly_to_tau(val).shift(-n)
+        j[n] = bipoly_to_tau(val, RHO_RING).shift(-n)
+    clear = Poly(RHO, (1, -2, 1))  # (rho - 1)^2
     for n in range(1, n_lo + 1):
-        j[-n] = conjectured_tilde_j_graded(n, order)
-    return JnLadder(j, bipoly_to_tau(y1_series(order)))
+        j[-n] = _cleared(conjectured_tilde_j_graded(n, order), clear ** n, f"j_{-n}")
+    return JnLadder(j, bipoly_to_tau(y1_series(order), RHO_RING), clear)
+
+
+def _cleared(s: Series, d: Poly, name) -> Series:
+    """d * s over Q[rho], for a series s over Q(rho) whose denominators divide d."""
+    out = []
+    for k, c in enumerate(s.coeffs):
+        factor, rem = d.divmod(c.den)
+        if not rem.is_zero():
+            raise NonInvertibleError(f"ladder entry {name}: tau^{k} denominator does not divide {d!r}")
+        out.append(c.num * factor)
+    return Series(s.var, s.cap, out, RHO_RING)
 
 
 def conjectured_tilde_j_graded(n, order) -> Series:

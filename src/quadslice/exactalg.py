@@ -18,7 +18,8 @@ and has dedicated constructors (``bipoly_*``).  Values are immutable and
 all operations are pure.  A product of two capped two-variable polynomials
 is one big-integer multiply by Kronecker substitution, with both operands
 packed into integers slot by slot; every other product runs over the term
-dicts.
+dicts.  The same packing multiplies truncated series whose coefficients are
+polynomials (``packed_series_mul``, used for series over Q[rho]).
 
 Determinants over any of the rings in this package are computed by the
 Berkowitz recurrence, which uses ring operations only.  Truncated rings
@@ -151,16 +152,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.ring_one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self.ring_one(), self, n)
 
     def inv(self):
         """Multiplicative inverse in the truncated ring.
@@ -226,6 +218,19 @@ class MPoly:
         return " + ".join(bits)
 
 
+def power(one, base, n):
+    """base ** n by square-and-multiply; n must be a non-negative int."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _dict_mul(p, q):
     """Schoolbook product over the term dicts (any number of variables)."""
     cap = p.cap
@@ -249,40 +254,71 @@ def _dict_mul(p, q):
 
 
 def _packed_mul(p, q):
-    """Kronecker-substituted product of two capped two-variable polynomials.
+    """Product of two capped two-variable polynomials by Kronecker substitution.
 
-    Each operand is scaled to integers over its common denominator and
-    packed into one int, exponent (a, b) in slot a * (2 cap + 1) + b of k
-    bytes; no product exponent reaches 2 cap + 1 in the second variable, so
-    slots never collide.  k bytes hold the signed bound on a product
-    coefficient, min(#terms) * max|p| * max|q|, with a sign bit to spare.
-    After one big-int multiply, adding 2^(8k - 1) to every slot turns the
-    signed slots into unsigned bytes, and only slots with a + b <= cap are
-    read back.
+    Exponent (a, b) goes to slot a * (2 cap + 1) + b; no product exponent
+    reaches 2 cap + 1 in the second variable, so slots never collide, and
+    only slots with a + b <= cap are read back.
     """
     cap = p.cap
     if not p.terms or not q.terms:
         return MPoly(p.vars, {}, cap)
-    den_p, ints_p, max_p = _integral(p.terms)
-    den_q, ints_q, max_q = _integral(q.terms)
-    k = (min(len(ints_p), len(ints_q)) * max_p * max_q).bit_length() // 8 + 1
     stride = 2 * cap + 1
-    top = cap * stride + 1  # slots up to exponent (cap, 0)
+    wanted = ((a, b) for a in range(cap + 1) for b in range(cap + 1 - a))
+    prod = MPoly.__new__(MPoly)  # the kernel's output is already clean
+    prod.vars, prod.cap = p.vars, cap
+    prod.terms = _kronecker(p.terms, q.terms, stride, cap * stride + 1, wanted)
+    return prod
+
+
+def packed_series_mul(p, q, cap):
+    """Truncated product of two series with polynomial coefficients.
+
+    p and q list the coefficients of var^0, var^1, ... as coefficient
+    sequences of the inner polynomial, lowest degree first.  Exponent
+    (a, b) of var^a inner^b goes to slot a * stride + b with stride one more
+    than the product's inner degree, so slots never collide; every slot
+    with a <= cap is read back.  Returns cap + 1 coefficient lists.
+    """
+    tp = {(a, b): c for a, cs in enumerate(p[:cap + 1]) for b, c in enumerate(cs) if c}
+    tq = {(a, b): c for a, cs in enumerate(q[:cap + 1]) for b, c in enumerate(cs) if c}
+    if not tp or not tq:
+        return [[] for _ in range(cap + 1)]
+    stride = max(b for _, b in tp) + max(b for _, b in tq) + 1
+    out = [[0] * stride for _ in range(cap + 1)]
+    wanted = ((a, b) for a in range(cap + 1) for b in range(stride))
+    for (a, b), c in _kronecker(tp, tq, stride, (cap + 1) * stride, wanted).items():
+        out[a][b] = c
+    return out
+
+
+def _kronecker(p, q, stride, top, wanted):
+    """{(a, b): c} of the product of two term dicts, at the exponents in ``wanted``.
+
+    Each operand is scaled to integers over its common denominator and
+    packed into one int, exponent (a, b) in slot a * stride + b of k bytes;
+    the caller picks a stride at which product slots never collide, and
+    slots from ``top`` on are cut off.  k bytes hold the signed bound on a
+    product coefficient, min(#terms) * max|p| * max|q|, with a sign bit to
+    spare.  After one big-int multiply, adding 2^(8k - 1) to every slot
+    turns the signed slots into unsigned bytes, so negative coefficients
+    come back exact.
+    """
+    den_p, ints_p, max_p = _integral(p)
+    den_q, ints_q, max_q = _integral(q)
+    k = (min(len(ints_p), len(ints_q)) * max_p * max_q).bit_length() // 8 + 1
     half = 1 << (8 * k - 1)
     bias = int.from_bytes((bytes(k - 1) + b"\x80") * top, "little")  # half in every slot
     digits = ((_pack(ints_p, stride, top, k) * _pack(ints_q, stride, top, k) + bias)
               & ((1 << (8 * k * top)) - 1)).to_bytes(top * k, "little")
     den = den_p * den_q
     out = {}
-    for a in range(cap + 1):
-        for b in range(cap + 1 - a):
-            at = (a * stride + b) * k
-            c = int.from_bytes(digits[at:at + k], "little") - half
-            if c:
-                out[(a, b)] = c if den == 1 else _norm_coeff(Fraction(c, den))
-    prod = MPoly.__new__(MPoly)  # out is already clean
-    prod.vars, prod.cap, prod.terms = p.vars, cap, out
-    return prod
+    for a, b in wanted:
+        at = (a * stride + b) * k
+        c = int.from_bytes(digits[at:at + k], "little") - half
+        if c:
+            out[(a, b)] = c if den == 1 else _norm_coeff(Fraction(c, den))
+    return out
 
 
 def _integral(terms):
@@ -313,11 +349,8 @@ def _pack(terms, stride, top, k):
 def bipoly_zero(cap) -> MPoly:
     return MPoly.zero(BIVARS, cap)
 
-def bipoly_const(value, cap) -> MPoly:
-    return MPoly.const(BIVARS, value, cap)
-
 def bipoly_one(cap) -> MPoly:
-    return bipoly_const(1, cap)
+    return MPoly.const(BIVARS, 1, cap)
 
 def tb(cap) -> MPoly:
     return MPoly.gen(BIVARS, "tb", cap)

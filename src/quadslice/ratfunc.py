@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import NonInvertibleError, StructureError
+from .exactalg import power
 
 
 def _primitive_ints(coeffs):
@@ -192,10 +193,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = Poly.one(self.var, self.field)
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(Poly.one(self.var, self.field), self, n)
 
     def scale(self, c):
         return Poly(self.var, [a * c for a in self.coeffs], self.field)

@@ -19,6 +19,12 @@ divisible in the bivariate ring can be divided as series (valuation
 shift plus field division) and converted back.  The conversion back
 verifies the degree bound, which is exactly the condition for the series
 to be the image of a genuine polynomial in the two weights.
+
+The same image can be held over Q[rho] instead (``RHO_RING``, Poly
+coefficients).  There a product of two series is one big-integer multiply
+(``exactalg.packed_series_mul``), chosen once per product from the field
+spec, and ``divide`` is exact: each coefficient division must leave
+remainder zero, else NonInvertibleError.  No gcd runs in this form.
 """
 
 from __future__ import annotations
@@ -26,11 +32,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonInvertibleError, StructureError
-from .exactalg import BIVARS, MPoly
-from .ratfunc import Poly, RatFunc, ratfunc_field
+from .exactalg import BIVARS, MPoly, packed_series_mul, power
+from .ratfunc import FieldSpec, Poly, RatFunc, ratfunc_field
 
-RHO_FIELD = ratfunc_field("rho")
-TAU = "tau"
+TAU, RHO = "tau", "rho"
+RHO_FIELD = ratfunc_field(RHO)
+RHO_RING = FieldSpec(Poly.zero(RHO), Poly.one(RHO), f"QQ[{RHO}]")
 
 
 def _elem_inv(field, x):
@@ -145,6 +152,9 @@ class Series:
             cap = min(self.cap, other.cap)
             a = self if self.cap == cap else self.truncate(cap)
             b = other if other.cap == cap else other.truncate(cap)
+            if a.field is RHO_RING:  # one big-int product for the whole series
+                rows = packed_series_mul([c.coeffs for c in a.coeffs], [c.coeffs for c in b.coeffs], cap)
+                return Series(a.var, cap, [Poly(RHO, r) for r in rows], a.field)
             z = a.field.zero
             out = [z] * (cap + 1)
             for i, ca in enumerate(a.coeffs):
@@ -162,10 +172,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = self.ring_one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(self.ring_one(), self, n)
 
     def inv(self):
         """Inverse series; needs an invertible order-0 coefficient."""
@@ -188,7 +195,8 @@ class Series:
         """Exact series quotient q with other * q = self.
 
         Requires valuation(other) <= valuation(self); the result cap shrinks
-        by valuation(other).  Coefficient divisions happen in the field.
+        by valuation(other).  Coefficient divisions happen in the field; over
+        Q[rho] each one must leave remainder zero, else NonInvertibleError.
         """
         self._check(other)
         vb = other.valuation()
@@ -211,7 +219,14 @@ class Series:
                 bj = other.coeff(vb + j)
                 if bj != z:
                     acc = acc - bj * q[k - j]
-            q[k] = _elem_div(self.field, acc, lead)
+            if self.field is RHO_RING:
+                q[k], rem = acc.divmod(lead)
+                if not rem.is_zero():
+                    raise NonInvertibleError(
+                        f"quotient is not over Q[rho]: nonzero remainder at {self.var}^{k}"
+                    )
+            else:
+                q[k] = _elem_div(self.field, acc, lead)
         return Series(self.var, cap, q, self.field)
 
     def shift(self, k):
@@ -251,27 +266,28 @@ class Series:
 
 # -------------------------------------------------------------- tau grading
 
-def _rho_poly(coeff_by_rho_power: dict) -> RatFunc:
-    deg = max(coeff_by_rho_power) if coeff_by_rho_power else -1
-    coeffs = [Fraction(coeff_by_rho_power.get(k, 0)) for k in range(deg + 1)]
-    return RatFunc.from_poly(Poly("rho", coeffs))
+def bipoly_to_tau(p: MPoly, field=RHO_FIELD) -> Series:
+    """Image of tb^a tw^b -> rho^b tau^(a+b); cap becomes the tau order.
 
-
-def bipoly_to_tau(p: MPoly) -> Series:
-    """Image of tb^a tw^b -> rho^b tau^(a+b); cap becomes the tau order."""
+    The coefficients are held in Q(rho) (``RHO_FIELD``), where series divide
+    by field division, or in Q[rho] (``RHO_RING``).
+    """
     if p.vars != BIVARS:
         raise StructureError("tau grading applies to bivariate weight polynomials")
     if p.cap is None:
         raise StructureError("tau grading needs a capped polynomial")
-    slots = [dict() for _ in range(p.cap + 1)]
+    slots = [[0] * (k + 1) for k in range(p.cap + 1)]
     for (a, b), c in p.terms.items():
         slots[a + b][b] = c
-    return Series(TAU, p.cap, [_rho_poly(s) for s in slots], RHO_FIELD)
+    coeffs = [Poly(RHO, s) for s in slots]
+    if field is RHO_FIELD:
+        coeffs = [RatFunc.from_poly(c) for c in coeffs]
+    return Series(TAU, p.cap, coeffs, field)
 
 
 def tau_to_bipoly(s: Series, cap=None) -> MPoly:
-    """Inverse of bipoly_to_tau; checks each coefficient is a polynomial in
-    rho of degree at most its tau power."""
+    """Inverse of bipoly_to_tau (from Q(rho) or Q[rho]); checks each
+    coefficient is a polynomial in rho of degree at most its tau power."""
     if s.var != TAU:
         raise StructureError("expected a tau-graded series")
     cap = s.cap if cap is None else cap
@@ -280,20 +296,19 @@ def tau_to_bipoly(s: Series, cap=None) -> MPoly:
     terms = {}
     for k in range(cap + 1):
         c = s.coeffs[k]
-        if c.is_zero():
-            continue
-        if not c.is_polynomial():
+        if isinstance(c, RatFunc):
+            if not c.is_polynomial():
+                raise NonInvertibleError(
+                    f"tau^{k} coefficient is not polynomial in rho: {c!r}"
+                )
+            c = c.num  # over the monic denominator 1
+        if c.degree() > k:
             raise NonInvertibleError(
-                f"tau^{k} coefficient is not polynomial in rho: {c!r}"
+                f"tau^{k} coefficient has rho-degree {c.degree()} > {k}"
             )
-        if c.num.degree() > k:
-            raise NonInvertibleError(
-                f"tau^{k} coefficient has rho-degree {c.num.degree()} > {k}"
-            )
-        den = c.den.coeffs[0]
-        for b, coef in enumerate(c.num.coeffs):
+        for b, coef in enumerate(c.coeffs):
             if coef != 0:
-                terms[(k - b, b)] = Fraction(coef) / Fraction(den)
+                terms[(k - b, b)] = coef
     return MPoly(BIVARS, terms, cap)
 
 

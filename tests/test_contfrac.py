@@ -22,12 +22,13 @@ from quadslice.contfrac import (
     tilde_coeffs,
     underdetermination_witness,
 )
-from quadslice.errors import StructureError
-from quadslice.exactalg import det_division_free
+from quadslice import contfrac
+from quadslice.errors import NonInvertibleError, StructureError
+from quadslice.exactalg import bipoly_one, det_division_free
 from quadslice.lattice_paths import symbol_table
-from quadslice.ratfunc import QQ, RatFunc
-from quadslice.series import Series
-from quadslice.slice_solver import f_n, solve_bw, solve_y
+from quadslice.ratfunc import QQ, Poly, RatFunc
+from quadslice.series import RHO_FIELD, Series, bipoly_to_tau, tau_to_bipoly
+from quadslice.slice_solver import f_n, solve_bw, solve_y, y1_series
 
 
 def rationals(seed, count, bound=7):
@@ -212,3 +213,108 @@ def test_stieltjes_expand_after_extract_identity():
         rungs.append(got[("b", 2 * i)])
     again = expand(FractionSpec("stieltjes", rungs), 2 * i_max)
     assert again == F
+
+
+# ------------------------------------------- the Q(rho) route, kept as the oracle
+
+
+def ratfunc_ladder(order, n_hi, n_lo):
+    """The graded ladder with every entry over Q(rho): j_{-n} is the
+    companion itself, not cleared of its (rho - 1) denominators."""
+    j = {}
+    for n in range(0, n_hi + 1):
+        cap = order + n
+        val = y1_series(cap) * f_n(n - 1, cap) if n >= 1 else bipoly_one(order)
+        j[n] = bipoly_to_tau(val).shift(-n)
+    for n in range(1, n_lo + 1):
+        j[-n] = conjectured_tilde_j_graded(n, order)
+    return j
+
+
+def ratfunc_hankel(j, i, shift, order):
+    if i == 0:
+        return Series.one("tau", order, RHO_FIELD)
+    return det_division_free([[j[n + m - i - 1 + shift] for m in range(1, i + 1)] for n in range(1, i + 1)])
+
+
+def ratfunc_rungs(H, i_max):
+    """Y_1..Y_{2 i_max} by field division of the bi-ratios, as bivariate polynomials."""
+    Y = []
+    for i in range(1, i_max + 1):
+        Y.append((H[i, 1] * H[i - 1, 0]).divide(H[i - 1, 1] * H[i, 0]))
+        Y.append((H[i - 1, 0] * H[i + 1, 1]).divide(H[i, 0] * H[i, 1]))
+    return [tau_to_bipoly(v.shift(1)) for v in Y]
+
+
+ORACLE_I_MAX = 4
+
+
+@pytest.fixture(scope="module", params=[3, 4, 5])
+def ratfunc_route(request):
+    """(N, every H_i^(s) the extraction at i_max <= 4 reads, rungs Y_1..Y_8) over Q(rho)."""
+    N = request.param
+    j = ratfunc_ladder(N, ORACLE_I_MAX + 1, ORACLE_I_MAX - 1)
+    H = {(i, s): ratfunc_hankel(j, i, s, N) for s in (0, 1) for i in range(ORACLE_I_MAX + 1 + s)}
+    return N, H, ratfunc_rungs(H, ORACLE_I_MAX)
+
+
+def test_scaled_hankel_dets_match_ratfunc_route(ratfunc_route):
+    N, H, _ = ratfunc_route
+    ladder = graded_ladder(N, ORACLE_I_MAX + 1, ORACLE_I_MAX - 1)
+    assert ladder.clear == Poly("rho", (-1, 1)) ** 2
+    for (i, s), want in H.items():
+        got = hankel_type_dets(ladder, i, s)
+        assert got.field is not RHO_FIELD and got.cap == want.cap, (i, s)
+        scale = ladder.clear ** contfrac._clearing_power(i, s)
+        back = [RatFunc(c, scale) for c in got.coeffs]
+        assert back == list(want.coeffs), (N, i, s)
+
+
+def test_rungs_match_ratfunc_route(ratfunc_route):
+    N, _, want = ratfunc_route
+    for i_max in range(1, ORACLE_I_MAX + 1):
+        assert newtype_rungs_from_solver_inputs(N, i_max) == want[: 2 * i_max], (N, i_max)
+
+
+def test_hankel_type_dets_run_without_gcd(monkeypatch):
+    ladder = graded_ladder(4, 3, 1)
+
+    def forbidden(*args):
+        raise AssertionError("gcd or Q(rho) arithmetic inside the extraction")
+
+    monkeypatch.setattr(Poly, "gcd", forbidden)
+    for op in ("__add__", "__mul__", "inverse"):
+        monkeypatch.setattr(RatFunc, op, forbidden)
+    assert len(newtype_extract(ladder, 2)) == 4
+
+
+def test_perturbed_companion_entry_fails_loudly():
+    ladder = graded_ladder(4, 3, 1)
+    entry = ladder[-1]
+    coeffs = list(entry.coeffs)
+    coeffs[0] = coeffs[0] + Poly.gen("rho")  # j_{-1} gains rho / (rho - 1)^2 at tau^0
+    ladder.j[-1] = Series(entry.var, entry.cap, coeffs, entry.field)
+    with pytest.raises(NonInvertibleError, match="rung Y_3"):
+        newtype_extract(ladder, 2)
+
+
+def test_companion_denominator_beyond_the_clearing_power_fails_loudly(monkeypatch):
+    honest = contfrac.conjectured_tilde_j_graded
+
+    def perturbed(n, order):
+        s = honest(n, order)
+        bump = RatFunc(Poly.one("rho"), Poly("rho", (-1, 1)) ** (2 * n + 1))
+        return Series(s.var, s.cap, [s.coeffs[0], s.coeffs[1] + bump, *s.coeffs[2:]], s.field)
+
+    monkeypatch.setattr(contfrac, "conjectured_tilde_j_graded", perturbed)
+    with pytest.raises(NonInvertibleError, match="j_-1"):
+        graded_ladder(3, 2, 1)
+
+
+def test_newtype_extraction_reaches_i_max_5():
+    got = newtype_rungs_from_solver_inputs(5, 5)
+    yf = solve_y(6)
+    assert len(got) == 10
+    for j, val in enumerate(got, start=1):
+        assert val.cap >= 6
+        assert val.with_cap(6) == yf.first[j].with_cap(6), j

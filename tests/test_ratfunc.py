@@ -163,3 +163,12 @@ def test_reciprocal_substitution_stays_canonical():
     z = RatFunc.gen("z")
     for f in ((z - 1) ** 2 / (z * (2 * z + 3)), z ** 3 / (1 + z), (z ** 2 + 1) / (3 * z ** 2)):
         _assert_canonical_and_equal(f.subst_reciprocal(), f.eval(1 / z))
+
+
+def test_poly_pow_is_square_and_multiply_and_rejects_negative_exponents():
+    p = Poly("rho", [1, 1])
+    assert p ** 0 == Poly.one("rho")
+    assert p ** 5 == p * p * p * p * p
+    assert Poly("rho", [Fraction(1, 2), -1]) ** 3 == Poly("rho", [Fraction(1, 8), Fraction(-3, 4), Fraction(3, 2), -1])
+    with pytest.raises(ValueError):
+        p ** -1

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError
 from quadslice.exactalg import bipoly, tb, tw
-from quadslice.ratfunc import QQ, RatFunc
-from quadslice.series import RHO_FIELD, Series, bipoly_to_tau, graded_div, tau_to_bipoly
+from quadslice.ratfunc import QQ, Poly, RatFunc
+from quadslice.series import RHO_FIELD, RHO_RING, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 
-from test_exactalg import random_bipoly
+from test_exactalg import coefficients, random_bipoly
 
 
 def frac_series(coeffs, cap):
@@ -94,3 +95,89 @@ def test_series_equality_is_structural():
     b = frac_series([1, 2], 4)
     assert a != b  # caps differ
     assert a.agrees_with(b)
+
+
+def test_pow_is_square_and_multiply_and_rejects_negative_exponents():
+    s = Series("z", 3, [2, 1], QQ)
+    assert s ** 0 == s.ring_one()
+    assert s ** 5 == s * s * s * s * s
+    with pytest.raises(ValueError):
+        s ** -1
+
+
+# ------------------------------------------------------- series over Q[rho]
+
+
+def rho_series(cap, coeffs):
+    return Series("tau", cap, [Poly("rho", c) for c in coeffs], RHO_RING)
+
+
+def schoolbook(a, b):
+    """The coefficient-by-coefficient product over Q[rho], kept as the oracle."""
+    cap = min(a.cap, b.cap)
+    out = [Poly.zero("rho")] * (cap + 1)
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return Series("tau", cap, out, RHO_RING)
+
+
+def exact_form(s):
+    """cap plus every coefficient with its type: ints stay ints."""
+    return s.cap, [[(type(c).__name__, c) for c in p.coeffs] for p in s.coeffs]
+
+
+@st.composite
+def rho_operands(draw):
+    def operand():
+        cap = draw(st.integers(0, 6))
+        shape = draw(st.sampled_from(["zero", "dense", "sparse"]))
+        if shape == "zero":
+            return rho_series(cap, [])
+        degree = draw(st.integers(0, 5))  # drawn per operand, so rho degrees are uneven
+        rows = []
+        for _ in range(cap + 1):
+            if shape == "dense":
+                rows.append([draw(coefficients) for _ in range(degree + 1)])
+            else:
+                rows.append([draw(coefficients) if draw(st.booleans()) else 0 for _ in range(degree + 1)])
+        return rho_series(cap, rows)
+
+    return operand(), operand()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rho_operands())
+@example((rho_series(0, []), rho_series(0, [[5]])))
+@example((rho_series(0, [[-(2**80)]]), rho_series(0, [[2**80 + 1, -1]])))
+@example((rho_series(3, [[0, Fraction(-1, 3)], [], [], [1]]), rho_series(2, [[3, 0, 0, 0, 7], [-2]])))
+def test_packed_rho_product_matches_schoolbook(operands):
+    a, b = operands
+    want = exact_form(schoolbook(a, b))
+    assert exact_form(a * b) == want
+    assert exact_form(b * a) == want
+
+
+def test_rho_ring_divide_is_exact():
+    rho = Poly.gen("rho")
+    b = Series("tau", 4, [rho - 1, rho * rho, Poly.const("rho", 3)], RHO_RING)
+    q = Series("tau", 4, [rho + 2, -rho, Poly.zero("rho"), Poly.one("rho"), rho ** 3], RHO_RING)
+    a = b * q
+    assert a.divide(b) == q
+    assert a.shift(2).divide(b.shift(2)) == q
+    bumped = Series("tau", 4, [*a.coeffs[:2], a.coeffs[2] + 1, *a.coeffs[3:]], RHO_RING)
+    with pytest.raises(NonInvertibleError, match="tau\\^2"):
+        bumped.divide(b)  # (rho - 1) does not divide the tau^2 remainder
+
+
+def test_grading_into_the_rho_ring():
+    rng = random.Random(10)
+    for _ in range(20):
+        p = random_bipoly(rng, 5)
+        t = bipoly_to_tau(p, RHO_RING)
+        assert t.field is RHO_RING and all(isinstance(c, Poly) for c in t.coeffs)
+        assert list(t.coeffs) == list(bipoly_to_tau(p).coeffs)
+        assert tau_to_bipoly(t) == p
+    bad = Series("tau", 2, [Poly.zero("rho"), Poly("rho", (0, 0, 1))], RHO_RING)
+    with pytest.raises(NonInvertibleError):
+        tau_to_bipoly(bad)  # rho-degree 2 at tau^1

@@ -200,18 +200,15 @@ def hankel_type_dets(ladder: JnLadder, i, shift):
     """
     if i == 0:
         return _ring_one_of(ladder.y1)
-    rows = []
-    for n in range(1, i + 1):
-        row = []
-        for m in range(1, i + 1):
-            idx = n + m - i - 1 + shift
-            entry = ladder[idx]
-            if ladder.clear is not None:
-                extra = max(0, i - n - shift) - max(0, -idx)  # >= 0: idx >= n-i+shift
-                entry = entry * ladder.clear ** extra if extra else entry
-            row.append(entry)
-        rows.append(row)
-    return det_division_free(rows)
+
+    def entry(n, m):
+        idx = n + m - i - 1 + shift
+        extra = max(0, i - n - shift) - max(0, -idx)  # >= 0, as idx >= n - i + shift
+        if ladder.clear is None or not extra:
+            return ladder[idx]
+        return ladder[idx] * ladder.clear ** extra
+
+    return det_division_free([[entry(n, m) for m in range(1, i + 1)] for n in range(1, i + 1)])
 
 
 def _clearing_power(i, shift):

@@ -45,6 +45,10 @@ def _elem_inv(field, x):
         if x == 0:
             raise NonInvertibleError("coefficient not invertible: 0")
         return Fraction(1) / Fraction(x)
+    if isinstance(x, Poly):  # the units of Q[rho] are its nonzero constants
+        if x.degree() != 0:
+            raise NonInvertibleError(f"coefficient not a unit of Q[rho]: {x!r}")
+        return Poly.const(x.var, Fraction(1) / Fraction(x.coeffs[0]))
     if hasattr(x, "inverse"):
         return x.inverse()
     return x.inv()  # MPoly

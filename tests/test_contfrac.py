@@ -27,7 +27,7 @@ from quadslice.errors import NonInvertibleError, StructureError
 from quadslice.exactalg import bipoly_one, det_division_free
 from quadslice.lattice_paths import symbol_table
 from quadslice.ratfunc import QQ, Poly, RatFunc
-from quadslice.series import RHO_FIELD, Series, bipoly_to_tau, tau_to_bipoly
+from quadslice.series import RHO_FIELD, RHO_RING, Series, bipoly_to_tau, tau_to_bipoly
 from quadslice.slice_solver import f_n, solve_bw, solve_y, y1_series
 
 
@@ -264,7 +264,7 @@ def test_scaled_hankel_dets_match_ratfunc_route(ratfunc_route):
     assert ladder.clear == Poly("rho", (-1, 1)) ** 2
     for (i, s), want in H.items():
         got = hankel_type_dets(ladder, i, s)
-        assert got.field is not RHO_FIELD and got.cap == want.cap, (i, s)
+        assert got.field is RHO_RING and got.cap == want.cap, (i, s)
         scale = ladder.clear ** contfrac._clearing_power(i, s)
         back = [RatFunc(c, scale) for c in got.coeffs]
         assert back == list(want.coeffs), (N, i, s)

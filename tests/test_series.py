@@ -170,6 +170,14 @@ def test_rho_ring_divide_is_exact():
         bumped.divide(b)  # (rho - 1) does not divide the tau^2 remainder
 
 
+def test_rho_ring_inverse_needs_a_constant_unit():
+    rho = Poly.gen("rho")
+    s = Series("tau", 3, [Poly.const("rho", 2), rho, rho * rho], RHO_RING)
+    assert s * s.inv() == s.ring_one()
+    with pytest.raises(NonInvertibleError):
+        Series("tau", 3, [rho + 1, rho], RHO_RING).inv()
+
+
 def test_grading_into_the_rho_ring():
     rng = random.Random(10)
     for _ in range(20):

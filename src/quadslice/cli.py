@@ -6,7 +6,8 @@ I/O error (including an empty or negative range, an index beyond the solved
 range, an extraction height below 1, ``verify --n``, ``--alpha`` or
 ``--draws`` below 1, ``verify --enum-n`` or ``--enum-f`` below 0, ``verify
 --order`` below 3, ``verify bijection`` or ``all`` with ``--enum-n`` below 1,
-``verify conserved`` or ``all`` with ``--cap`` below 6, and ``verify --cap``
+``verify conserved`` or ``all`` with ``--cap`` below 6, ``verify newtype``
+or ``extract --type newtype`` with ``--cap`` below 2, and ``verify --cap``
 or ``extract --cap`` below 1).  An ``extract --internal-cap`` too small for
 ``--cap`` exits 1, naming the rung and the cap it reached.  All
 coefficients are serialized as exact fraction strings.
@@ -224,6 +225,8 @@ def cmd_verify(args) -> int:
     # and the solved families reach height cap + 2
     if "conserved" in names and args.cap < 6:
         raise StructureError(f"the conserved suite needs --cap >= 6, got {args.cap}")
+    if "newtype" in names:
+        _check_newtype_cap(args.cap)
     failed = False
     for name in names:
         lines = []
@@ -237,6 +240,12 @@ def cmd_verify(args) -> int:
         for line in lines:
             print(f"  - {line}")
     return 1 if failed else 0
+
+
+def _check_newtype_cap(cap):
+    # the extraction reads the solvers at cap - 1, which must be >= 1
+    if cap < 2:
+        raise StructureError(f"the newtype extraction needs --cap >= 2, got {cap}")
 
 
 def cmd_extract(args) -> int:
@@ -257,6 +266,7 @@ def cmd_extract(args) -> int:
             tag, seq = ("b", bw.first) if k % 2 == 0 else ("w", bw.second)
             return f"{tag}{k}", got[(tag, k)], seq[k]
     else:
+        _check_newtype_cap(args.cap)
         got = contfrac.newtype_rungs_from_solver_inputs(args.cap - 1, i_max)
         yf = slice_solver.solve_y(args.cap)
 

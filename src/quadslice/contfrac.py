@@ -282,15 +282,21 @@ def graded_ladder(order, n_hi, n_lo) -> JnLadder:
     The ladder is held over Q[rho]: the companion coefficient n has every
     denominator dividing (rho - 1)^(2n), so the clearing factor is
     (rho - 1)^2 and entry -n holds (rho - 1)^(2n) times the companion.
+
+    The entries are built from the largest solver cap down: the companions
+    from n_lo to 1 (companion n solves at cap order + 2n + 2), then the main
+    entries from n_hi to 0 (entry n at cap order + n).  So the solvers run
+    once, at the top cap, and every later request is served from their
+    store by truncation instead of a warm extension per cap.
     """
     j = {}
-    for n in range(0, n_hi + 1):
+    clear = Poly(RHO, (1, -2, 1))  # (rho - 1)^2
+    for n in range(n_lo, 0, -1):
+        j[-n] = _cleared(conjectured_tilde_j_graded(n, order), clear ** n, f"j_{-n}")
+    for n in range(n_hi, -1, -1):
         cap = order + n
         val = y1_series(cap) * f_n(n - 1, cap) if n >= 1 else bipoly_one(order)
         j[n] = bipoly_to_tau(val, RHO_RING).shift(-n)
-    clear = Poly(RHO, (1, -2, 1))  # (rho - 1)^2
-    for n in range(1, n_lo + 1):
-        j[-n] = _cleared(conjectured_tilde_j_graded(n, order), clear ** n, f"j_{-n}")
     return JnLadder(j, bipoly_to_tau(y1_series(order), RHO_RING), clear)
 
 

@@ -30,6 +30,21 @@ at i - 1 carries at least i weighted vertices, so at cap N all heights
 above N + 1 agree and the clamp is exact.  Stabilization is asserted after
 solving and any failure aborts.
 
+Each of ``solve_bw``, ``solve_pq``, ``solve_y``, ``solve_limit`` and
+``y1_series`` keeps one store: the result at the highest cap asked for so
+far.  A request at or below that cap is answered by cutting the stored
+result down, its values to the lower cap and its heights to that cap's
+clamp, so ``i_max`` and the strict weight table read exactly as after a
+solve at the lower cap.  A request above it re-solves, warm-started: the
+stored heights, padded by repeating the last one (exact, since every
+height above c0 + 1 agrees at the stored cap c0), are the input of sweep
+c0 + 1, and only sweeps c0 + 1..N run.  Sweep c fixes degree c from
+inputs exact to degree c - 1, so the warm result equals the cold one.  The
+confirming sweep, the clamp assertion and the cross-checks of ``solve_y``
+and ``y1_series`` run at every solve at a new top cap.  A cut-down result
+needs none of them again: truncation is a ring homomorphism and the clamp
+is exact, so it is the truncation of a checked value.
+
 The i -> infinity limits satisfy the bicolored rule with height-independent
 weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles,
 and are solved on the same schedule.
@@ -41,7 +56,7 @@ independent closed-form routes.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import namedtuple
 
 from .errors import StructureError, VerificationError
 from .exactalg import MPoly, bipoly_one, bipoly_zero, tb, tw
@@ -90,6 +105,17 @@ class SliceFamily:
     def weight_table(self) -> WeightTable:
         return WeightTable(SYSTEMS[self.kind][2], self.first, self.second)
 
+    def with_cap(self, N):
+        """The family a solve at the lower cap N gives: values cut to cap N,
+        heights cut to its clamp (the merged sequence has 2(N + 3))."""
+        i_max = 2 * (N + 3) if self.kind == "y" else N + 2
+
+        def cut(seq):
+            return [v.with_cap(N) for v in seq[: i_max + 1]]
+
+        return SliceFamily(self.kind, N, i_max, cut(self.first),
+                           None if self.second is None else cut(self.second))
+
 
 class LimitPair:
     """Common large-height limit (first = B = P, second = W = Q)."""
@@ -101,25 +127,67 @@ class LimitPair:
         self.second = second
         self.cap = cap
 
+    def with_cap(self, N):
+        return LimitPair(self.first.with_cap(N), self.second.with_cap(N), N)
 
-def _rising(step, size, N):
+
+StoreInfo = namedtuple("StoreInfo", "hits misses currsize")
+
+
+def _top_cap_store(solve):
+    """Serve ``solve(N, top)`` from the highest-cap result seen so far.
+
+    A cap at or below the stored one is a hit, answered by the stored
+    result's ``with_cap``.  A higher cap is a miss: ``solve`` runs with the
+    stored result (None when empty) to warm-start from, and its result
+    becomes the store.  ``cache_clear`` and ``cache_info`` work as on a
+    ``functools.lru_cache``.
+    """
+    top = None
+    hits = misses = 0
+
+    def stored(N):
+        nonlocal top, hits, misses
+        if N < 1:
+            raise StructureError("cap must be >= 1")
+        if top is not None and N <= top.cap:
+            hits += 1
+            return top if N == top.cap else top.with_cap(N)
+        misses += 1
+        top = solve(N, top)
+        return top
+
+    def cache_clear():
+        nonlocal top, hits, misses
+        top, hits, misses = None, 0, 0
+
+    stored.cache_clear = cache_clear
+    stored.cache_info = lambda: StoreInfo(hits, misses, int(top is not None))
+    for attr in ("__name__", "__qualname__", "__doc__"):
+        setattr(stored, attr, getattr(solve, attr))
+    return stored
+
+
+def _rising(step, size, N, start=None):
     """Fixed point of ``step(X, Y, t_b, t_w) -> (X, Y)`` on two lists of
-    ``size`` weights, by the rising-precision schedule: sweep c = 1..N runs
-    at cap c on the values cut to cap c, then one confirming sweep at cap N
-    must reproduce its input."""
-    X = Y = [bipoly_zero(0)] * size
-    for c in range(1, N + 1):
+    ``size`` weights, by the rising-precision schedule: sweep c = c0+1..N
+    runs at cap c on the values cut to cap c, then one confirming sweep at
+    cap N must reproduce its input.  ``start = (c0, X, Y)`` holds values
+    exact at cap c0, padded to ``size`` by repeating the last height; the
+    default starts from zero at c0 = 0."""
+    c0, X, Y = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
+    X, Y = (v + v[-1:] * (size - len(v)) for v in (X, Y))
+    for c in range(c0 + 1, N + 1):
         X, Y = step([v.with_cap(c) for v in X], [v.with_cap(c) for v in Y], tb(c), tw(c))
     if step(X, Y, tb(N), tw(N)) != (X, Y):
         raise VerificationError("fixed point iteration failed to become stationary")
     return X, Y
 
 
-def _solve(kind, N, i_max):
-    """A system's rule solved at cap N with heights clamped at i_max;
-    returns the two lists of heights 0..i_max."""
-    if N < 1:
-        raise StructureError("cap must be >= 1")
+def _solve(kind, N, i_max, start=None):
+    """A system's rule solved at cap N with heights clamped at i_max,
+    warm-started from ``start`` as in ``_rising``; returns the two lists of
+    heights 0..i_max."""
     rule, name, _ = SYSTEMS[kind]
 
     def step(X, Y, t_b, t_w):
@@ -128,26 +196,32 @@ def _solve(kind, N, i_max):
         new = [rule(x, y, i, t_b, t_w) for i in range(1, i_max + 1)]
         return X[:1] + [a for a, _ in new], Y[:1] + [b for _, b in new]
 
-    X, Y = _rising(step, i_max + 1, N)
+    X, Y = _rising(step, i_max + 1, N, start)
     if X[i_max] != X[i_max - 1] or Y[i_max] != Y[i_max - 1]:
         raise VerificationError(f"{name} family failed to stabilize at the clamp")
     return X, Y
 
 
-@lru_cache(maxsize=None)
-def solve_bw(N) -> SliceFamily:
-    return SliceFamily("bw", N, N + 2, *_solve("bw", N, N + 2))
+def _resume(top):
+    return None if top is None else (top.cap, top.first, top.second)
 
 
-@lru_cache(maxsize=None)
-def solve_pq(N) -> SliceFamily:
-    return SliceFamily("pq", N, N + 2, *_solve("pq", N, N + 2))
+@_top_cap_store
+def solve_bw(N, top) -> SliceFamily:
+    return SliceFamily("bw", N, N + 2, *_solve("bw", N, N + 2, _resume(top)))
 
 
-@lru_cache(maxsize=None)
-def solve_y(N) -> SliceFamily:
+@_top_cap_store
+def solve_pq(N, top) -> SliceFamily:
+    return SliceFamily("pq", N, N + 2, *_solve("pq", N, N + 2, _resume(top)))
+
+
+@_top_cap_store
+def solve_y(N, top) -> SliceFamily:
     """Merged sequence solver, cross-checked against the context solution."""
-    even, odd = _solve("y", N, N + 3)
+    # the stored sequence interleaves the pairs: Y_{2i} = even[i], Y_{2i-1} = odd[i]
+    start = None if top is None else (top.cap, top.first[::2], top.first[:1] + top.first[1::2])
+    even, odd = _solve("y", N, N + 3, start)
     pq = solve_pq(N)
     for i in range(1, pq.i_max + 1):
         if even[i] != pq.first[i]:
@@ -160,14 +234,15 @@ def solve_y(N) -> SliceFamily:
     return SliceFamily("y", N, len(Y) - 1, Y)
 
 
-@lru_cache(maxsize=None)
-def solve_limit(N) -> LimitPair:
+@_top_cap_store
+def solve_limit(N, top) -> LimitPair:
     """The bicolored rule on height-independent weights."""
     def step(X, Y, t_b, t_w):
         B, W = bicolored_rule(lambda i: X[0], lambda i: Y[0], 1, t_b, t_w)
         return [B], [W]
 
-    (B,), (W,) = _rising(step, 1, N)
+    start = None if top is None else (top.cap, [top.first], [top.second])
+    (B,), (W,) = _rising(step, 1, N, start)
     return LimitPair(B, W, N)
 
 
@@ -243,8 +318,8 @@ def conserved_j(n, d, N) -> MPoly:
     return _conserved(solve_pq(N), z_context, n, d, N)
 
 
-@lru_cache(maxsize=None)
-def y1_series(N) -> MPoly:
+@_top_cap_store
+def y1_series(N, _top) -> MPoly:
     """First merged coefficient at full cap N via the division-free route
     (Q - P)(1 - P - 2Q) / (1 - 2Q); cross-checked against the solver."""
     lim = solve_limit(N)

@@ -172,3 +172,15 @@ def test_extract_internal_cap_shortfall_is_reported():
     assert rc == 1
     assert out == ""
     assert "w3" in err and "cap 5" in err and "--cap 6" in err
+
+
+def test_newtype_cap_below_two_is_usage_error():
+    # the extraction reads the solvers at cap - 1; this used to report
+    # "cap must be >= 1" for a --cap of 1
+    for argv in (["verify", "newtype", "--cap", "1"],
+                 ["extract", "--type", "newtype", "--i", "1..1", "--cap", "1"]):
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "", argv
+        assert "newtype extraction needs --cap >= 2, got 1" in err, argv
+    rc, out, _ = run(["extract", "--type", "newtype", "--i", "1..1", "--cap", "2"])
+    assert rc == 0 and out.startswith("y1: equal")

@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import ResourceGuardError, StructureError
 from quadslice.exactalg import tw
@@ -185,3 +186,18 @@ POINTWISE_GOLDEN = "6cfa18a27ec979f984a17e62c99e3b03538b5968ab2c0ba06de7d68315f4
 
 def test_constructions_match_pointwise_golden():
     assert _pointwise_digest() == POINTWISE_GOLDEN
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_line_format_round_trips_relabelled_maps(data):
+    # every map of the corpus, its darts relabelled and its root moved
+    for q in (q for n in (1, 2) for q in enumerate_quads(n, 1)):
+        darts = q.map.n_darts
+        p = data.draw(st.permutations(range(darts)))
+        sigma, alpha = [0] * darts, [0] * darts
+        for d in range(darts):
+            sigma[p[d]], alpha[p[d]] = p[q.map.sigma[d]], p[q.map.alpha[d]]
+        m = RootedMap(sigma, alpha, data.draw(st.integers(0, darts - 1)))
+        again = RootedMap.from_line(m.to_line())
+        assert (again.sigma, again.alpha, again.root) == (m.sigma, m.alpha, m.root)

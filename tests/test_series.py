@@ -189,3 +189,53 @@ def test_grading_into_the_rho_ring():
     bad = Series("tau", 2, [Poly.zero("rho"), Poly("rho", (0, 0, 1))], RHO_RING)
     with pytest.raises(NonInvertibleError):
         tau_to_bipoly(bad)  # rho-degree 2 at tau^1
+
+
+# ------------------------------------------------------------- ring axioms
+
+RINGS = {
+    "QQ": (QQ, lambda draw: draw(coefficients)),
+    "Q[rho]": (RHO_RING, lambda draw: Poly("rho", draw(st.lists(coefficients, max_size=4)))),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_series_ring_axioms(ring, data):
+    field, coefficient = RINGS[ring]
+    draw = data.draw
+
+    def operand():
+        cap = draw(st.integers(0, 5))
+        length = draw(st.integers(0, cap + 1))
+        return Series("tau", cap, [coefficient(draw) for _ in range(length)], field)
+
+    a, b, c = operand(), operand(), operand()
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    unit = draw(coefficients.filter(bool))
+    u = Series("tau", a.cap, [field.one * unit, *a.coeffs[1:]], field)
+    assert u * u.inv() == u.ring_one()
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def graded_operands(draw):
+    cap = draw(st.integers(0, 5))
+    slots = st.sampled_from([(i, j) for i in range(cap + 1) for j in range(cap + 1 - i)])
+    a = bipoly(draw(st.dictionaries(slots, small_fractions)), cap)
+    b = bipoly(draw(st.dictionaries(slots, small_fractions.filter(bool), min_size=1)), cap)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(graded_operands())
+def test_graded_div_undoes_multiplication(operands):
+    # the quotient is exact to the cap lowered by b's tau-valuation
+    a, b = operands
+    valuation = min(i + j for i, j in b.terms)
+    assert graded_div(a * b, b) == a.with_cap(a.cap - valuation)

@@ -201,3 +201,122 @@ def test_confirming_sweep_rejects_a_nonzero_constant_term(monkeypatch):
     for N in (1, 3):
         with pytest.raises(VerificationError, match="failed to become stationary"):
             slice_solver._solve("bad", N, N + 2)
+
+
+# ------------------------------------------ the top-cap store against per-cap solves
+
+STORED = (solve_bw, solve_pq, solve_y, solve_limit, y1_series)
+
+
+def clear_stores():
+    for stored in STORED:
+        stored.cache_clear()
+
+
+def limit_step(X, Y, t_b, t_w):
+    B, W = slice_solver.bicolored_rule(lambda i: X[0], lambda i: Y[0], 1, t_b, t_w)
+    return [B], [W]
+
+
+@pytest.fixture(scope="module")
+def per_cap_solves():
+    """What a solve at each cap 1..12 alone gives: the zero-started full-cap
+    iteration up to cap 10, a cold rising solve above it."""
+    out = {}
+    for N in range(1, 13):
+        solve_alone = oracle_family if N <= 10 else slice_solver._solve
+        bw, pq, (even, odd) = (solve_alone(kind, N, N + clamp) for kind, clamp in (("bw", 2), ("pq", 2), ("y", 3)))
+        if N <= 10:
+            zero = bipoly_zero(N)
+            limit = full_cap_iteration(lambda v: limit_step(*v, tb(N), tw(N)), ([zero], [zero]), N)
+        else:
+            limit = slice_solver._rising(limit_step, 1, N)
+        merged = [even[0]] + [v for i in range(1, N + 4) for v in (odd[i], even[i])]
+        out[N] = {"bw": bw, "pq": pq, "y": (merged, None), "limit": (limit[0][0], limit[1][0])}
+    return out
+
+
+REQUEST_ORDERS = {
+    "ascending": list(range(1, 13)),
+    "descending": list(range(12, 0, -1)),
+    "shuffled-a": [7, 2, 11, 4, 9, 1, 12, 5, 3, 10, 6, 8],
+    "shuffled-b": [3, 10, 1, 6, 12, 8, 2, 9, 5, 11, 4, 7],
+}
+
+
+@pytest.mark.parametrize("order", sorted(REQUEST_ORDERS))
+def test_store_matches_per_cap_solves(order, per_cap_solves):
+    clear_stores()
+    for N in REQUEST_ORDERS[order]:
+        want = per_cap_solves[N]
+        for kind, solver, i_max in (("bw", solve_bw, N + 2), ("pq", solve_pq, N + 2),
+                                    ("y", solve_y, 2 * N + 6)):
+            fam = solver(N)
+            assert (fam.cap, fam.i_max, len(fam.first)) == (N, i_max, i_max + 1), (kind, N)
+            assert (fam.first, fam.second) == tuple(want[kind]), (kind, N)
+            # the strict table ends where a solve at this cap ends
+            table = fam.weight_table()
+            for read in (table.a, table.b) if kind != "y" else (table.a,):
+                with pytest.raises(StructureError, match="beyond stored range"):
+                    read(i_max + 1)
+        lim = solve_limit(N)
+        assert (lim.cap, lim.first, lim.second) == (N, *want["limit"]), N
+        assert y1_series(N) == want["y"][0][1], N
+
+
+def test_store_refuses_caps_below_one_after_a_warm_solve():
+    clear_stores()
+    for stored in STORED:
+        stored(5)
+    for stored in STORED:
+        with pytest.raises(StructureError, match="cap must be >= 1"):
+            stored(0)
+
+
+def test_store_clear_and_counts():
+    clear_stores()
+    assert all(stored.cache_info() == (0, 0, 0) for stored in STORED)
+    solve_bw(4)
+    assert solve_bw.cache_info() == (0, 1, 1)
+    solve_bw(4), solve_bw(2)
+    assert solve_bw.cache_info() == (2, 1, 1)
+    solve_bw(6)  # a warm extension is a miss
+    assert solve_bw.cache_info() == (2, 2, 1)
+    solve_bw.cache_clear()
+    assert solve_bw.cache_info().currsize == 0
+    solve_bw(2)
+    assert solve_bw.cache_info() == (0, 1, 1)
+
+
+def test_store_hits_run_no_sweep(monkeypatch):
+    clear_stores()
+    for stored in STORED:
+        stored(7)
+    before = [stored.cache_info() for stored in STORED]
+    sweeps = []
+    monkeypatch.setattr(slice_solver, "_rising", lambda *args: sweeps.append(args))
+    for stored in STORED:
+        for N in (7, 5, 1):
+            stored(N)
+    assert sweeps == []
+    for stored, info in zip(STORED, before):
+        assert stored.cache_info() == (info.hits + 3, info.misses, 1), stored.__name__
+
+
+def test_warm_extension_runs_only_the_new_sweeps(monkeypatch):
+    rising = slice_solver._rising
+    sweep_caps = []
+
+    def counted(step, size, N, start=None):
+        def counting_step(X, Y, t_b, t_w):
+            sweep_caps.append(t_b.cap)
+            return step(X, Y, t_b, t_w)
+        return rising(counting_step, size, N, start)
+
+    monkeypatch.setattr(slice_solver, "_rising", counted)
+    clear_stores()
+    solve_bw(5)
+    assert sweep_caps == [1, 2, 3, 4, 5, 5]
+    sweep_caps.clear()
+    solve_bw(8)  # sweeps 6..8 from the stored cap-5 family, then the confirming sweep
+    assert sweep_caps == [6, 7, 8, 8]

@@ -140,8 +140,8 @@ def _top_cap_store(solve):
     A cap at or below the stored one is a hit, answered by the stored
     result's ``with_cap``.  A higher cap is a miss: ``solve`` runs with the
     stored result (None when empty) to warm-start from, and its result
-    becomes the store.  ``cache_clear`` and ``cache_info`` work as on a
-    ``functools.lru_cache``.
+    becomes the store.  As on a ``functools.lru_cache``, ``cache_clear``
+    empties the store and resets the counts, and ``cache_info`` reports them.
     """
     top = None
     hits = misses = 0

@@ -71,6 +71,8 @@ class WeightTable:
         return self._lookup(self.first, self.tail_first, idx)
 
     def b(self, idx):
+        if self.second is None:
+            raise StructureError(f"{self.kind} weight table has no second sequence")
         return self._lookup(self.second, self.tail_second, idx)
 
     def an_element(self):

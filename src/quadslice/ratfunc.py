@@ -5,7 +5,10 @@ FieldSpec (zero and one exemplars plus a name).  The base field is the
 rationals; since a RatFunc is itself a field element, fields can be nested,
 e.g. rational functions in one parameter whose coefficients are rational
 functions in another.  That tower is how two-parameter identities are
-verified exactly.
+verified exactly.  Over QQ (zero 0, one 1) a coefficient is stored as an int
+where it is integral and as a Fraction otherwise, so integer inputs stay on
+int arithmetic; the constructor strips trailing zeros and turns an integral
+Fraction back into an int.
 
 RatFunc is kept fully canonical: numerator and denominator are coprime and
 the denominator is monic, so two arithmetic routes to the same value produce
@@ -25,10 +28,10 @@ def _primitive_ints(coeffs):
     """Clear denominators and content: rational coeff list -> primitive ints."""
     lcm = 1
     for c in coeffs:
-        if isinstance(c, Fraction):
+        if type(c) is Fraction:
             d = c.denominator
             lcm = lcm * d // _int_gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs]
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
     g = 0
     for v in ints:
         g = _int_gcd(g, v)
@@ -68,8 +71,8 @@ def _qq_poly_gcd_coeffs(a, b):
             if g > 1:
                 r = [c // g for c in r]
         u, v = v, r
-    lead = Fraction(u[-1])
-    return [Fraction(c) / lead for c in u]
+    lead = u[-1]
+    return [c * lead for c in u] if lead in (1, -1) else [Fraction(c, lead) for c in u]
 
 
 class FieldSpec:
@@ -84,14 +87,21 @@ class FieldSpec:
         return f"FieldSpec({self.name})"
 
 
-QQ = FieldSpec(Fraction(0), Fraction(1), "QQ")
+QQ = FieldSpec(0, 1, "QQ")
 
 
-def _inv_elem(field, x):
+def _qq_normal(cs):
+    """Rationals with every integral Fraction turned into an int."""
+    return [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in cs]
+
+
+def _inv_elem(x):
+    """Inverse of a field element; a rational 1/n (so +-1 too) gives an int."""
     if isinstance(x, (int, Fraction)):
-        if x == 0:
+        n, d = x.numerator, x.denominator
+        if not n:
             raise NonInvertibleError("division by zero in coefficient field")
-        return Fraction(1) / Fraction(x)
+        return n * d if n in (1, -1) else Fraction(d, n)
     return x.inverse()
 
 
@@ -104,13 +114,13 @@ class Poly:
         self.var = var
         self.field = field
         cs = list(coeffs)
-        while cs and cs[-1] == field.zero:
-            cs.pop()
         if field is QQ:
-            cs = [
-                int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-                for c in cs
-            ]
+            while cs and not cs[-1]:
+                cs.pop()
+            cs = _qq_normal(cs)
+        else:
+            while cs and cs[-1] == field.zero:
+                cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
@@ -159,8 +169,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.var, [self.coeff(k) + other.coeff(k) for k in range(n)], self.field)
+        a, b = self.coeffs, other.coeffs
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(out):] or b[len(out):]
+        return Poly(self.var, out, self.field)
 
     __radd__ = __add__
 
@@ -182,12 +194,13 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.var, self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        zero = self.field.zero
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == self.field.zero:
+            if a == zero:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+                out[i + j] += a * b
         return Poly(self.var, out, self.field)
 
     __rmul__ = __mul__
@@ -212,7 +225,7 @@ class Poly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly.zero(self.var, self.field), self
-        inv_lead = _inv_elem(self.field, other.lead())
+        inv_lead = _inv_elem(other.lead())
         quo = [self.field.zero] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + other.degree()] * inv_lead
@@ -225,7 +238,7 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(_inv_elem(self.field, self.lead()))
+        return self.scale(_inv_elem(self.lead()))
 
     def gcd(self, other):
         """Monic gcd; integer primitive remainder sequences over the
@@ -303,7 +316,7 @@ class RatFunc:
             if reduce:
                 num, den = _cancel(num, den)
             if den.lead() != den.field.one:
-                lead_inv = _inv_elem(num.field, den.lead())
+                lead_inv = _inv_elem(den.lead())
                 num = num.scale(lead_inv)
                 den = den.scale(lead_inv)
         self.num = num
@@ -325,8 +338,6 @@ class RatFunc:
 
     @classmethod
     def const(cls, var, value, field=QQ):
-        if field is QQ:
-            value = Fraction(value)
         return cls.from_poly(Poly.const(var, value, field))
 
     @classmethod

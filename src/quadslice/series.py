@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import NonInvertibleError, StructureError
 from .exactalg import BIVARS, MPoly, packed_series_mul, power
-from .ratfunc import FieldSpec, Poly, RatFunc, ratfunc_field
+from .ratfunc import QQ, FieldSpec, Poly, RatFunc, _inv_elem, _qq_normal, ratfunc_field
 
 TAU, RHO = "tau", "rho"
 RHO_FIELD = ratfunc_field(RHO)
@@ -41,23 +41,13 @@ RHO_RING = FieldSpec(Poly.zero(RHO), Poly.one(RHO), f"QQ[{RHO}]")
 
 
 def _elem_inv(field, x):
-    if isinstance(x, (int, Fraction)):
-        if x == 0:
-            raise NonInvertibleError("coefficient not invertible: 0")
-        return Fraction(1) / Fraction(x)
     if isinstance(x, Poly):  # the units of Q[rho] are its nonzero constants
         if x.degree() != 0:
             raise NonInvertibleError(f"coefficient not a unit of Q[rho]: {x!r}")
-        return Poly.const(x.var, Fraction(1) / Fraction(x.coeffs[0]))
-    if hasattr(x, "inverse"):
-        return x.inverse()
+        return Poly.const(x.var, _inv_elem(x.coeffs[0]))
+    if isinstance(x, (int, Fraction)) or hasattr(x, "inverse"):
+        return _inv_elem(x)
     return x.inv()  # MPoly
-
-
-def _elem_div(field, a, b):
-    if isinstance(b, (int, Fraction)) and isinstance(a, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
-    return a * _elem_inv(field, b)
 
 
 class Series:
@@ -66,7 +56,7 @@ class Series:
     def __init__(self, var, cap, coeffs, field):
         if cap < 0:
             raise StructureError("series cap must be >= 0")
-        coeffs = list(coeffs)
+        coeffs = _qq_normal(coeffs) if field is QQ else list(coeffs)
         if len(coeffs) < cap + 1:
             coeffs = coeffs + [field.zero] * (cap + 1 - len(coeffs))
         elif len(coeffs) > cap + 1:
@@ -230,7 +220,7 @@ class Series:
                         f"quotient is not over Q[rho]: nonzero remainder at {self.var}^{k}"
                     )
             else:
-                q[k] = _elem_div(self.field, acc, lead)
+                q[k] = acc * _elem_inv(self.field, lead)
         return Series(self.var, cap, q, self.field)
 
     def shift(self, k):

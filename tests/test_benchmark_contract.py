@@ -37,7 +37,7 @@ def test_every_by_name_import_is_bound():
             assert name in vars(owner), f"{owner.__name__}.{name}"
 
 
-def test_every_benchmark_cache_is_an_lru_cache():
+def test_every_benchmark_cache_clears_and_counts():
     assert set(workloads.CACHES["slice_solver"]) == set(tracer._SOLVER_CACHES)
     assert set(workloads.CACHES["maps_oracle"]) == set(tracer._ORACLE_CACHES)
     for layer in workloads.CACHES.values():

@@ -14,7 +14,7 @@ from quadslice.lattice_paths import (
     z_context,
     z_elongated,
 )
-from quadslice.slice_solver import solve_limit
+from quadslice.slice_solver import solve_limit, solve_y
 
 
 def brute_paths(n, d, k, weight_of_descent, one):
@@ -205,6 +205,13 @@ def test_strict_table_raises_beyond_range():
     table = WeightTable("bicolored", [None, lim.first], [None, lim.second])
     with pytest.raises(StructureError):
         z_bicolored(PathSpec(2, 0), table)
+
+
+def test_elongated_table_has_no_second_sequence():
+    table = solve_y(2).weight_table()
+    assert table.kind == "elongated"
+    with pytest.raises(StructureError, match="elongated"):
+        table.b(1)
 
 
 def test_path_spec_validation():

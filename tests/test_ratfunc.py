@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError
-from quadslice.ratfunc import Poly, RatFunc, ratfunc_field
+from quadslice.ratfunc import QQ, Poly, RatFunc, ratfunc_field
+from quadslice.series import Series
 
 
 def test_arithmetic_examples():
@@ -172,3 +173,154 @@ def test_poly_pow_is_square_and_multiply_and_rejects_negative_exponents():
     assert Poly("rho", [Fraction(1, 2), -1]) ** 3 == Poly("rho", [Fraction(1, 8), Fraction(-3, 4), Fraction(3, 2), -1])
     with pytest.raises(ValueError):
         p ** -1
+
+
+# --------------------------------------- integral coefficients (Fraction oracle)
+#
+# Poly over QQ computes in ints wherever its values are integral.  The oracle
+# is the schoolbook arithmetic it replaced, on little-endian coefficient
+# lists: every accumulator starts at Fraction(0), a division multiplies by
+# Fraction(1) / lead, and the gcd is Euclid's over Q made monic by
+# Fraction(c) / lead.
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _old_add(a, b):
+    def pad(p, k):
+        return p[k] if k < len(p) else Fraction(0)
+
+    return _strip(pad(a, k) + pad(b, k) for k in range(max(len(a), len(b))))
+
+
+def _old_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _strip(out)
+
+
+def _old_divmod(a, b):
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return [], _strip(rem)
+    inv_lead = Fraction(1) / Fraction(b[-1])
+    quo = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + len(b) - 1] * inv_lead
+        quo[k] = c
+        if c != 0:
+            for j, y in enumerate(b):
+                rem[k + j] = rem[k + j] - c * y
+    return _strip(quo), _strip(rem)
+
+
+def _old_monic(a):
+    if not a:
+        return []
+    lead = Fraction(a[-1])
+    return [Fraction(c) / lead for c in a]
+
+
+def _old_gcd(a, b):
+    while b:
+        a, b = b, _old_divmod(a, b)[1]
+    return _old_monic(a)
+
+
+def _assert_qq_coeffs(cs, strict_tail=True):
+    """Each coefficient an int or a Fraction that is not integral; no trailing zero."""
+    for c in cs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    if strict_tail:
+        assert not cs or cs[-1] != 0
+
+
+def _same(poly, want):
+    _assert_qq_coeffs(poly.coeffs)
+    assert list(poly.coeffs) == want
+
+
+qq_coeffs = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-2 ** 80, 2 ** 80),
+    st.fractions(max_denominator=12).filter(lambda c: abs(c.numerator) < 10 ** 6),
+)
+qq_lists = st.lists(qq_coeffs, max_size=6)
+qq_leads = st.sampled_from([1, -1, Fraction(1), 2, -3, Fraction(1, 2), Fraction(-5, 3), 2 ** 70 + 1])
+
+
+@st.composite
+def qq_divisors(draw):
+    return draw(st.lists(qq_coeffs, max_size=4)) + [draw(qq_leads)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(qq_lists, qq_lists, qq_divisors())
+def test_qq_poly_matches_fraction_oracle(a, b, d):
+    pa, pb, pd = Poly("y", a), Poly("y", b), Poly("y", d)
+    _same(pa, _strip(a))
+    _same(pa + pb, _old_add(a, b))
+    _same(pa - pb, _old_add(a, [-c for c in b]))
+    _same(pa * pb, _old_mul(a, b))
+    q, r = pa.divmod(pd)
+    want_q, want_r = _old_divmod(_strip(a), d)
+    _same(q, want_q)
+    _same(r, want_r)
+    _same(pd.monic(), _old_monic(d))
+    _same(pa.gcd(pb), _old_gcd(_strip(a), _strip(b)))
+    if all(type(c) is int for c in pa.coeffs + pd.coeffs) and pd.lead() in (1, -1):
+        assert all(type(c) is int for c in q.coeffs + r.coeffs)  # a unit lead keeps ints
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(qq_lists, qq_divisors())
+def test_qq_ratfunc_constructor_matches_fraction_oracle(a, d):
+    f = RatFunc(Poly("y", a), Poly("y", d))
+    num = _strip(a)
+    if num:
+        g = _old_gcd(num, d)
+        num, den = _old_divmod(num, g)[0], _old_divmod(d, g)[0]
+        inv = Fraction(1) / den[-1]
+        num, den = [c * inv for c in num], [c * inv for c in den]
+    else:
+        den = [1]
+    _same(f.num, num)
+    _same(f.den, den)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(qq_lists, qq_lists, qq_divisors(), st.integers(0, 5))
+def test_qq_series_keeps_the_representation(a, b, d, cap):
+    def series(cs):
+        return Series("z", cap, cs[: cap + 1], QQ)
+
+    sa, sb = series(a), series(b)
+    prod = sa * sb
+    for s in (sa, prod, sa + sb, sa - sb):
+        _assert_qq_coeffs(s.coeffs, strict_tail=False)
+    want = _old_mul(a[: cap + 1], b[: cap + 1])[: cap + 1]
+    assert list(prod.coeffs) == want + [0] * (cap + 1 - len(want))
+    unit = series(list(reversed(d)))  # constant term from qq_leads, never zero
+    for s in (unit.inv(), prod.divide(unit), unit.divide(unit)):
+        _assert_qq_coeffs(s.coeffs, strict_tail=False)
+    assert unit * unit.inv() == Series.one("z", cap, QQ)
+    assert (prod.divide(unit) * unit) == prod
+
+
+def test_qq_constructor_normalises_and_strips():
+    p = Poly("y", [Fraction(4, 2), Fraction(1, 3), 0, Fraction(0), Fraction(0, 5)])
+    assert p.coeffs == (2, Fraction(1, 3)) and type(p.coeffs[0]) is int
+    assert Poly("y", [Fraction(0), 0]).coeffs == ()
+    assert Poly("y", [Fraction(-7)]).gcd(Poly("y", [Fraction(14)])).coeffs == (1,)
+    _assert_qq_coeffs(RatFunc.const("y", Fraction(6, 3)).num.coeffs)

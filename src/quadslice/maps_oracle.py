@@ -20,7 +20,7 @@ unchanged), pairing sides of different walks in different components
 merges them (genus unchanged), and pairing sides of different walks in
 one component would add a handle, so that branch is pruned.  Every
 complete gluing is therefore planar by construction.  Interchangeable
-polygons (the squares; equal-degree vertex stars) are factored out by an
+polygons (inner faces of equal degree) are factored out by an
 orderly rule: a fresh polygon may only be entered through its first side
 and polygons of a class are entered in index order.  Rooted maps have no
 automorphisms fixing the root dart, so each rooted map appears exactly
@@ -28,9 +28,9 @@ once per surviving labeled gluing; a canonical breadth-first relabeling
 deduplicates the handful of symmetric copies the orderly rule cannot see
 (a fresh polygon first contacted by one of its own side pairs).
 
-General maps (for the image side of the bijection) are enumerated the
-same way with the roles of vertices and faces exchanged: the polygons are
-vertex rotation stars, one per degree-sequence choice.
+General maps with a bridgeless boundary of length b and E edges (the
+image side of the bijection) are glued from the root face [b] plus inner
+faces, one run per partition of 2E - b, keeping bridgeless boundaries.
 
 Two distinct bijections connect the quadrangulations to general maps with
 a bridgeless boundary, and both are implemented: ab_forward applies the
@@ -66,7 +66,12 @@ MAX_DARTS_DEFAULT = 20
 
 
 def _guard_darts(darts):
-    if darts > int(os.environ.get("QUADSLICE_MAX_DARTS", MAX_DARTS_DEFAULT)):
+    text = os.environ.get("QUADSLICE_MAX_DARTS", str(MAX_DARTS_DEFAULT))
+    try:
+        limit = int(text)
+    except ValueError:
+        raise ResourceGuardError(f"QUADSLICE_MAX_DARTS must be an integer, got {text!r}") from None
+    if darts > limit:
         raise ResourceGuardError(f"{darts} darts exceed the guard; set QUADSLICE_MAX_DARTS to override")
 
 
@@ -229,13 +234,13 @@ class RootedMap:
 
 # ------------------------------------------------------------ gluing engine
 
-def glue_polygons(sizes, symmetric_groups=()):
+def glue_polygons(sizes):
     """All connected genus-0 complete side pairings of labeled polygons.
 
     sizes[p] is the side count of polygon p; polygon 0 is pinned (its side
-    0 is the eventual root dart).  symmetric_groups lists index sets of
-    mutually interchangeable polygons, factored out by orderly generation.
-    Yields match arrays (involutions on side indices).
+    0 is the eventual root dart), and the other polygons of equal size are
+    interchangeable, factored out by orderly generation.  Returns the match
+    arrays (involutions on side indices) and the next-side permutation.
     """
     total = sum(sizes)
     if total % 2:
@@ -252,10 +257,6 @@ def glue_polygons(sizes, symmetric_groups=()):
             s = starts[p] + k
             poly_of[s] = p
             nxt[s] = starts[p] + (k + 1) % L
-    group_of = {}
-    for gi, members in enumerate(symmetric_groups):
-        for p in members:
-            group_of[p] = gi
 
     match = [-1] * total
     wnext = list(nxt)
@@ -272,11 +273,10 @@ def glue_polygons(sizes, symmetric_groups=()):
         return p
 
     def first_fresh_of_class(p):
-        """The least untouched polygon of p's class; p itself outside a class."""
-        g = group_of.get(p)
-        if g is None:
-            return p
-        return next(r for r in symmetric_groups[g] if touched[r] == 0)
+        """The least untouched polygon of p's size; the pinned polygon 0 is alone."""
+        if p == 0:
+            return 0
+        return next(r for r in range(1, len(sizes)) if sizes[r] == sizes[p] and touched[r] == 0)
 
     def same_walk(s, t):
         e = wnext[s]
@@ -423,28 +423,34 @@ class LabeledQuad:
         return MPoly(BIVARS, {(others, maxima): Fraction(1)}, cap)
 
 
+def _glued_maps(sizes, keep=lambda m: True):
+    """One rooted map per isomorphism class among the planar gluings of the
+    polygons sizes that pass keep; the faces of each map are exactly the
+    polygons, polygon 0 being the external face.  The first map in gluing
+    order represents its class."""
+    _guard_darts(sum(sizes))
+    matchings, nxt = glue_polygons(sizes)
+    out = []
+    seen = set()
+    for match in matchings:
+        m = RootedMap([nxt[match[d]] for d in range(len(match))], match, 0)
+        if not keep(m):
+            continue
+        key = m.canonical_key()
+        if key in seen:
+            continue  # symmetry factoring is a pruning aid, not exact
+        seen.add(key)
+        out.append(m)
+    return out
+
+
 @lru_cache(maxsize=None)
 def enumerate_quads(n, f_max):
     """One representative per rooted isomorphism class, all inner-face
     counts f <= f_max, boundary length 2n."""
     if n < 1 or f_max < 0:
         raise StructureError("need n >= 1, f_max >= 0")
-    out = []
-    for f in range(f_max + 1):
-        _guard_darts(2 * n + 4 * f)
-        sizes = [2 * n] + [4] * f
-        groups = [list(range(1, f + 1))] if f > 1 else []
-        matchings, nxt = glue_polygons(sizes, groups)
-        seen = set()
-        for match in matchings:
-            sigma = [nxt[match[d]] for d in range(len(match))]
-            m = RootedMap(sigma, match, 0)
-            key = m.canonical_key()
-            if key in seen:
-                continue  # symmetry factoring is a pruning aid, not exact
-            seen.add(key)
-            out.append(LabeledQuad(m, n))
-    return out
+    return [LabeledQuad(m, n) for f in range(f_max + 1) for m in _glued_maps([2 * n] + [4] * f)]
 
 
 def _weight_sum(weight, n, f_max, cap):
@@ -467,41 +473,25 @@ def bf_J(n, f_max, cap=None) -> MPoly:
 
 # ----------------------------------------------------------- general maps
 
+def _partitions(total, max_part):
+    """The partitions of total into parts of at most max_part, largest part first."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, max_part), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
 @lru_cache(maxsize=None)
 def enumerate_bridgeless_maps(boundary_len, n_edges):
     """Rooted general maps with n_edges edges whose external face has the
     given degree and carries no bridge; one per isomorphism class."""
-    darts = 2 * n_edges
-    _guard_darts(darts)
-    out = []
-    seen = set()
-
-    def partitions(total, max_part):
-        if total == 0:
-            yield ()
-            return
-        for part in range(min(total, max_part), 0, -1):
-            for rest in partitions(total - part, part):
-                yield (part,) + rest
-
-    for root_degree in range(1, darts + 1):
-        for rest in partitions(darts - root_degree, darts):
-            sizes = [root_degree] + list(rest)
-            groups = {}
-            for p, L in enumerate(sizes[1:], start=1):
-                groups.setdefault(L, []).append(p)
-            sym = [members for members in groups.values() if len(members) > 1]
-            matchings, nxt = glue_polygons(sizes, sym)
-            for match in matchings:
-                m = RootedMap(list(nxt), match, 0)
-                if len(m.face_of_root()) != boundary_len or not m.boundary_is_bridgeless():
-                    continue
-                key = m.canonical_key()
-                if key in seen:
-                    continue  # symmetry factoring is a pruning aid, not exact
-                seen.add(key)
-                out.append(m)
-    return out
+    if boundary_len < 1:
+        raise StructureError("need boundary_len >= 1")
+    inner = 2 * n_edges - boundary_len
+    return [m for degrees in _partitions(inner, inner)
+            for m in _glued_maps([boundary_len, *degrees], RootedMap.boundary_is_bridgeless)]
 
 
 # ------------------------------------------------------------- the bijection

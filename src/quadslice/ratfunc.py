@@ -437,9 +437,7 @@ class RatFunc:
         if isinstance(den, (int, Fraction)):
             if den == 0:
                 raise NonInvertibleError("evaluation hits a pole")
-            if isinstance(num, (int, Fraction)):
-                return Fraction(num) / Fraction(den)
-            return num * (Fraction(1) / Fraction(den))
+            return _qq_normal([num * _inv_elem(den)])[0]
         return num / den
 
     def subst_reciprocal(self):

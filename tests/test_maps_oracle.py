@@ -18,6 +18,7 @@ from quadslice.maps_oracle import (
     distinct_bijections_witness,
     enumerate_bridgeless_maps,
     enumerate_quads,
+    glue_polygons,
     oriented_distance_check,
 )
 from quadslice.slice_solver import f_n, j_n
@@ -114,6 +115,11 @@ def test_bijection_suites():
             assert bijection_check(n, f).passed
 
 
+def test_bijection_suite_at_four_inner_faces():
+    # the one f = 4 size kept in tier-1: 3,359 quadrangulations at n = 2
+    assert bijection_check(2, 4).passed
+
+
 def test_angular_pair_round_trips():
     for m in enumerate_bridgeless_maps(2, 3):
         q = ab_inverse(m)
@@ -137,12 +143,52 @@ def test_bridgeless_filter():
         assert not any(m.alpha[d] in ext for d in ext)
 
 
+def _vertex_star_maps(boundary_len, n_edges):
+    """The former general-map enumerator, kept as a differential oracle: glue
+    vertex rotation stars for every root degree and degree partition of 2E,
+    keep the maps whose root face has degree boundary_len and no bridge."""
+    darts = 2 * n_edges
+
+    def partitions(total, max_part):
+        if total == 0:
+            yield ()
+            return
+        for part in range(min(total, max_part), 0, -1):
+            for rest in partitions(total - part, part):
+                yield (part,) + rest
+
+    keys = set()
+    for root_degree in range(1, darts + 1):
+        for rest in partitions(darts - root_degree, darts):
+            matchings, nxt = glue_polygons([root_degree, *rest])
+            for match in matchings:
+                m = RootedMap(list(nxt), match, 0)
+                if len(m.face_of_root()) == boundary_len and m.boundary_is_bridgeless():
+                    keys.add(m.canonical_key())
+    return keys
+
+
+@pytest.mark.parametrize("b,E", [(1, 1), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)])
+def test_face_gluing_matches_vertex_star_oracle(b, E):
+    maps = enumerate_bridgeless_maps(b, E)
+    keys = [m.canonical_key() for m in maps]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _vertex_star_maps(b, E)
+    for m in maps:
+        assert m.n_darts == 2 * E
+        assert len(m.face_of_root()) == b
+        assert m.boundary_is_bridgeless()
+
+
 def test_resource_guard(monkeypatch):
     monkeypatch.setenv("QUADSLICE_MAX_DARTS", "6")
     enumerate_quads.cache_clear()
     try:
         with pytest.raises(ResourceGuardError):
             enumerate_quads(2, 3)
+        monkeypatch.setenv("QUADSLICE_MAX_DARTS", "x")
+        with pytest.raises(ResourceGuardError, match="QUADSLICE_MAX_DARTS.*'x'"):
+            enumerate_quads(1, 0)
     finally:
         enumerate_quads.cache_clear()
 
@@ -157,35 +203,62 @@ def test_bf_weight_golden():
     assert bf_F(1, 0) == tw(1)
 
 
-def _pointwise_digest():
-    """sha256 over the exact images of the three constructions on every
-    rooted map with n <= 3 and f <= 2, in enumeration order."""
+def _sha256(items):
     h = hashlib.sha256()
-
-    def feed(*parts):
+    for parts in items:
         h.update(repr(parts).encode())
         h.update(b"\n")
-
-    for n in range(1, 4):
-        for f in range(0, 3):
-            for q in enumerate_quads(n, f):
-                img = ab_forward(q)
-                feed("ab_forward", n, f, img.map.sigma, img.map.alpha, img.map.root,
-                     tuple(img.vertex_origin))
-                m = angular_inverse(q)
-                feed("angular_inverse", n, f, m.sigma, m.alpha, m.root)
-            for m in enumerate_bridgeless_maps(n, n + f):
-                q = ab_inverse(m).map
-                feed("ab_inverse", n, f, q.sigma, q.alpha, q.root)
     return h.hexdigest()
 
 
-# recorded before the corner-joining constructions shared one builder
-POINTWISE_GOLDEN = "6cfa18a27ec979f984a17e62c99e3b03538b5968ab2c0ba06de7d68315f4be1b"
+def _corpus():
+    """Every rooted quadrangulation with n <= 3 and f <= 2, in enumeration order."""
+    for n in range(1, 4):
+        for f in range(0, 3):
+            for q in enumerate_quads(n, f):
+                yield n, f, q
 
 
-def test_constructions_match_pointwise_golden():
-    assert _pointwise_digest() == POINTWISE_GOLDEN
+def _forward_and_angular_images():
+    for n, f, q in _corpus():
+        img = ab_forward(q)
+        yield ("ab_forward", n, f, img.map.sigma, img.map.alpha, img.map.root,
+               tuple(img.vertex_origin))
+        m = angular_inverse(q)
+        yield ("angular_inverse", n, f, m.sigma, m.alpha, m.root)
+
+
+def _white_vertex_images():
+    # one representative of every codomain class, independent of how the
+    # codomain is enumerated
+    for n, f, q in _corpus():
+        q2 = ab_inverse(angular_inverse(q)).map
+        yield ("ab_inverse", n, f, q2.sigma, q2.alpha, q2.root)
+
+
+def _codomain_keys():
+    for n in range(1, 4):
+        for f in range(0, 3):
+            yield n, f, sorted(m.canonical_key() for m in enumerate_bridgeless_maps(n, n + f))
+
+
+# all three recorded while the general maps were still glued from vertex stars
+FORWARD_ANGULAR_GOLDEN = "1a6bd1917a28e81fbcb2d5fe8110cf513cf54c687a49cd9b0e5e93c4510aff85"
+WHITE_VERTEX_GOLDEN = "5a2035bb163f3a4e1fe23226be438f7006912159d7cc7d673998515508fa57bd"
+CODOMAIN_KEYS_GOLDEN = "e237d5d0f5c5a1195d8f3af39262773bc6d284d80c5654d62b04d55a088578d0"
+
+
+def test_forward_and_angular_images_match_golden():
+    # exact images, in enumeration order, of ab_forward and angular_inverse
+    assert _sha256(_forward_and_angular_images()) == FORWARD_ANGULAR_GOLDEN
+
+
+def test_white_vertex_images_match_golden():
+    assert _sha256(_white_vertex_images()) == WHITE_VERTEX_GOLDEN
+
+
+def test_codomain_classes_match_golden():
+    assert _sha256(_codomain_keys()) == CODOMAIN_KEYS_GOLDEN
 
 
 @settings(max_examples=50, deadline=None, database=None)

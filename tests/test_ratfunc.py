@@ -324,3 +324,21 @@ def test_qq_constructor_normalises_and_strips():
     assert Poly("y", [Fraction(0), 0]).coeffs == ()
     assert Poly("y", [Fraction(-7)]).gcd(Poly("y", [Fraction(14)])).coeffs == (1,)
     _assert_qq_coeffs(RatFunc.const("y", Fraction(6, 3)).num.coeffs)
+
+
+def _old_eval(cs, x):
+    return sum((Fraction(c) * Fraction(x) ** k for k, c in enumerate(cs)), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(qq_lists, qq_divisors(), st.one_of(st.integers(-5, 5), st.fractions(max_denominator=6)))
+def test_qq_ratfunc_eval_matches_fraction_oracle(a, d, x):
+    f = RatFunc(Poly("y", a), Poly("y", d))
+    den = _old_eval(f.den.coeffs, x)
+    if den == 0:
+        with pytest.raises(NonInvertibleError):
+            f.eval(x)
+        return
+    got = f.eval(x)
+    assert got == _old_eval(f.num.coeffs, x) / den
+    _assert_qq_coeffs([got], strict_tail=False)

@@ -122,6 +122,8 @@ def _div(a, b):
         return a.divide(b)
     if isinstance(a, MPoly) or isinstance(b, MPoly):
         return graded_div(a, b)
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)  # int / int would be a float
     return a / b
 
 

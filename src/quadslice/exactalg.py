@@ -1,25 +1,35 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-The central value type is MPoly, a sparse polynomial in a fixed tuple of
-named variables with exact rational coefficients, optionally truncated by
-total degree:
+The central value type is MPoly, a polynomial in a fixed tuple of named
+variables with exact rational coefficients, optionally truncated by total
+degree.  Its coefficients read as a dict:
 
-    terms = {(a, b, ...): coeff}   # exponent tuple -> nonzero coefficient
+    p.terms == {(a, b, ...): coeff}   # exponent tuple -> nonzero coefficient
 
-Coefficients are Python ints where integral and Fraction otherwise; zero
-coefficients are never stored, so equality of the dicts is semantic
-equality of the polynomials.  When ``cap`` is an int, every operation
-discards terms of total degree above it, which makes the type a quotient
-ring (truncation commutes with + and *).  When ``cap`` is None the value
-is an ordinary polynomial; this is used for opaque symbolic weights.
+Coefficients are Python ints where integral and Fraction otherwise, and
+zero coefficients are never listed.  When ``cap`` is an int, every
+operation discards terms of total degree above it, which makes the type a
+quotient ring (truncation commutes with + and *).  When ``cap`` is None the
+value is an ordinary polynomial; this is used for opaque symbolic weights.
+Values are immutable and all operations are pure.
 
-The bivariate case over the two vertex-weight variables is the workhorse
-and has dedicated constructors (``bipoly_*``).  Values are immutable and
-all operations are pure.  A product of two capped two-variable polynomials
-is one big-integer multiply by Kronecker substitution, with both operands
-packed into integers slot by slot; every other product runs over the term
-dicts.  The same packing multiplies truncated series whose coefficients are
-polynomials (``packed_series_mul``, used for series over Q[rho]).
+A capped polynomial in two variables -- the weight series in (tb, tw), the
+workhorse of the package, with dedicated constructors ``bipoly_*`` -- is
+held packed: one integer numerator over one positive denominator in lowest
+terms.  The coefficient of tb^a tw^b is slot (a + b)(cap + 1) + b of the
+numerator, a signed field of ``width`` bits.  In this graded layout a
+product slot of total degree <= cap receives exactly its own pairs of
+terms, since b1 + b2 <= cap, so a product is one big-integer multiply
+(Kronecker substitution) cut by one mask, and a sum is one integer sum.
+Changing the cap re-lays the degree rows.  Each value also records a bound
+``fit`` on its slots, exact after every product, from which the next
+product picks its slot width; widths only grow, and an operand narrower
+than its partner is widened in place, once.  The term dict is decoded only
+when ``terms`` is read.  Every other polynomial (uncapped, or in another number
+of variables) is held as its term dict, and its products run over the
+dicts.  The same packing codec multiplies truncated series whose
+coefficients are polynomials (``packed_series_mul``, used for series over
+Q[rho]).
 
 Determinants over any of the rings in this package are computed by the
 Berkowitz recurrence, which uses ring operations only.  Truncated rings
@@ -28,8 +38,11 @@ have zero divisors, so elimination with division is not available.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
+from operator import add
 
 from .errors import NonInvertibleError, StructureError
 
@@ -45,20 +58,148 @@ def _norm_coeff(c):
     return c
 
 
+# ------------------------------------------------------------- packing codec
+#
+# A run of n signed ints c_0, c_1, ... packs into the one int sum c_k 2^(k w),
+# w a multiple of 8.  Slot k reads back exactly while every c_k lies in
+# [-2^(w-1), 2^(w-1)): adding 2^(w-1) to every slot makes each slot an
+# unsigned w-bit field, with no borrow between slots.
+
+@lru_cache(maxsize=256)
+def _ones(width, n):
+    """A 1 at the bottom of each of n slots of ``width`` bits."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * n, "little")
+
+
+def _encode(slots, width, n):
+    """Pack {slot: int} into n slots of ``width`` bits."""
+    k = width // 8
+    pos, neg = bytearray(n * k), bytearray(n * k)
+    for at, c in slots.items():
+        if c > 0:
+            pos[at * k:at * k + k] = c.to_bytes(k, "little")
+        else:
+            neg[at * k:at * k + k] = (-c).to_bytes(k, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _digits(num, width, n):
+    """The bytes of the low n slots of num, each slot biased by 2^(width-1)."""
+    biased = num + (_ones(width, n) << (width - 1))
+    return (biased & ((1 << n * width) - 1)).to_bytes(n * width // 8, "little")
+
+
+def _decode(num, width, n, at):
+    """The signed values of the slots listed in ``at``, among the low n slots
+    of num; slots from n on are ignored."""
+    k, half = width // 8, 1 << (width - 1)
+    digits = _digits(num, width, n)
+    return [int.from_bytes(digits[i * k:i * k + k], "little") - half for i in at]
+
+
+def _truncate(num, bits):
+    """The low ``bits`` bits of num, read as a signed number."""
+    num &= (1 << bits) - 1
+    return num - (1 << bits) if num >> (bits - 1) else num
+
+
+def _widen(num, width, new, n):
+    """num with its n slots re-laid from ``width`` to ``new`` bits."""
+    k, wide = width // 8, new // 8
+    digits = _digits(num, width, n)
+    out = bytearray(n * wide)
+    for j in range(k):  # byte j of every slot in one strided copy
+        out[j::wide] = digits[j::k]
+    return int.from_bytes(out, "little") - (_ones(new, n) << (width - 1))
+
+
+def _restride(num, width, stride, rows, new_stride):
+    """The first ``rows`` rows of ``stride`` slots of num, re-laid at
+    ``new_stride`` slots a row; the slots of a row past the shorter stride
+    must hold 0."""
+    k = width // 8
+    keep, old, new = min(stride, new_stride) * k, stride * k, new_stride * k
+    digits = _digits(num, width, rows * stride)
+    out = bytearray((bytes(k - 1) + b"\x80") * (rows * new_stride))  # biased zeros
+    for d in range(rows):
+        out[d * new:d * new + keep] = digits[d * old:d * old + keep]
+    return int.from_bytes(out, "little") - (_ones(width, rows * new_stride) << (width - 1))
+
+
+def _fit(num, width, n, hi):
+    """The smallest m with every one of the n slots of num in
+    [-2^(m-1), 2^(m-1)), given that m = hi fits.
+
+    A probe at m adds 2^(m-1) to every slot; the slots fit iff the sum is a
+    nonnegative number of n slots none of which has a bit at or above m.
+    """
+    if not num:
+        return 0
+    ones, top, lo = _ones(width, n), n * width, 1
+    high = ones << width
+    while lo < hi:
+        m = (lo + hi) // 2
+        biased = num + (ones << (m - 1))
+        if biased >> top or biased & (high - (ones << m)):
+            lo = m + 1
+        else:
+            hi = m
+    return hi
+
+
+def _integral(coeffs):
+    """(d, [d * c ...]) with d the common denominator of the coefficients."""
+    den = lcm(*(c.denominator for c in coeffs if type(c) is not int))
+    if den == 1:
+        return 1, list(coeffs)
+    return den, [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _bits(c):
+    """The smallest m with c in [-2^(m-1), 2^(m-1))."""
+    return (c if c >= 0 else ~c).bit_length() + 1
+
+
+def _bytes_width(bits):
+    """The least slot width of whole bytes that holds a ``bits``-bit signed value."""
+    return 8 * max(1, -(-bits // 8))
+
+
+@lru_cache(maxsize=64)
+def _layout(cap):
+    """(slots, exponents, their slots) of the graded layout at a cap, whose
+    stride is cap + 1."""
+    exps = [(d - b, b) for d in range(cap + 1) for b in range(d + 1)]
+    return (cap + 1) ** 2, exps, [(a + b) * (cap + 1) + b for a, b in exps]
+
+
+# ---------------------------------------------------------------------- MPoly
+
 class MPoly:
-    __slots__ = ("vars", "cap", "terms")
+    # _num is None for a term-dict value; otherwise the value is packed and
+    # _terms caches its decoded dict (None until read)
+    __slots__ = ("vars", "cap", "_terms", "_num", "_den", "_width", "_fit")
 
     def __init__(self, vars, terms, cap=None):
-        self.vars = tuple(vars)
-        self.cap = cap
         clean = {}
         for exp, c in terms.items():
-            if c == 0:
-                continue
-            if cap is not None and sum(exp) > cap:
+            if c == 0 or (cap is not None and sum(exp) > cap):
                 continue
             clean[exp] = _norm_coeff(c)
-        self.terms = clean
+        _set_terms(self, tuple(vars), cap, clean)
+
+    @property
+    def terms(self):
+        """{exponent tuple: nonzero coefficient}; decoded on first read."""
+        if self._terms is None:
+            n, exps, at = _layout(self.cap)
+            den = self._den
+            vals = _decode(self._num, self._width, n, at)
+            if den == 1:
+                self._terms = {e: c for e, c in zip(exps, vals) if c}
+            else:
+                self._terms = {e: _norm_coeff(Fraction(c, den)) for e, c in zip(exps, vals) if c}
+        return self._terms
 
     # ---------------------------------------------------------------- basics
 
@@ -84,14 +225,14 @@ class MPoly:
         return MPoly.const(self.vars, 1, self.cap)
 
     def is_zero(self):
-        return not self.terms
+        return not (self._terms if self._num is None else self._num)
 
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((0,) * len(self.vars), 0))
 
     def valuation(self):
         """Minimal total degree of a term; None for the zero polynomial."""
-        if not self.terms:
+        if self.is_zero():
             return None
         return min(sum(e) for e in self.terms)
 
@@ -118,24 +259,32 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
+        if self._num is not None:
+            return _packed_sum(self, other, 1)
+        big, small = sorted((self._terms, other._terms), key=len, reverse=True)
+        out = dict(big)
+        for exp, c in small.items():
             s = out.get(exp, 0) + c
             if s == 0:
-                out.pop(exp, None)
+                del out[exp]
             else:
-                out[exp] = s
-        return MPoly(self.vars, out, self.cap)
+                out[exp] = s if type(s) is int else _norm_coeff(s)
+        return _from_terms(self.vars, self.cap, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()}, self.cap)
+        if self._num is None:
+            return _from_terms(self.vars, self.cap, {e: -c for e, c in self._terms.items()})
+        zero = _packed(self.vars, self.cap, 0, self._den, 8, 0)  # over our denominator
+        return _packed_sum(zero, self, -1)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self._num is not None:
+            return _packed_sum(self, other, -1)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -145,8 +294,8 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.cap is not None and len(self.vars) == 2:
-            return _packed_mul(self, other)
+        if self._num is not None:
+            return _packed_product(self, other)
         return _dict_mul(self, other)
 
     __rmul__ = __mul__
@@ -184,7 +333,12 @@ class MPoly:
 
     def with_cap(self, cap):
         """Reinterpret with a new cap; terms above it are dropped."""
-        return MPoly(self.vars, self.terms, cap)
+        if self._num is not None and cap is not None:
+            return _packed_with_cap(self, cap)
+        terms = self.terms
+        if cap is not None and (self.cap is None or cap < self.cap):
+            terms = {e: c for e, c in terms.items() if sum(e) <= cap}
+        return _from_terms(self.vars, cap, terms)
 
     def swap(self, i=0, j=1):
         """Exchange two variables (used for the black/white symmetry)."""
@@ -200,13 +354,20 @@ class MPoly:
             other = MPoly.const(self.vars, other, self.cap)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.vars == other.vars and self.cap == other.cap and self.terms == other.terms
+        if self.vars != other.vars or self.cap != other.cap:
+            return False
+        if self._num is None:
+            return self._terms == other._terms
+        if not self._num or not other._num or self._den != other._den:
+            return self._num == other._num and self._den == other._den
+        _align(max(self._width, other._width), self, other)
+        return self._num == other._num
 
     def __hash__(self):
         return hash((self.vars, self.cap, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         bits = []
         for exp in sorted(self.terms):
@@ -231,44 +392,128 @@ def power(one, base, n):
     return result
 
 
+# ------------------------------------------------------------ building values
+
+def _set_terms(p, vars, cap, terms):
+    """Fill p from a clean dict: nonzero normalised coefficients within the cap."""
+    p.vars, p.cap, p._terms = vars, cap, terms
+    if cap is None or len(vars) != 2:
+        p._num = None
+        return
+    den, nums = _integral(terms.values())
+    fit = max(map(_bits, nums), default=0)
+    p._width = _bytes_width(fit)
+    p._num = _encode({(a + b) * (cap + 1) + b: c for (a, b), c in zip(terms, nums)},
+                     p._width, (cap + 1) ** 2)
+    p._den, p._fit = den, fit
+
+
+def _from_terms(vars, cap, terms):
+    """An MPoly from a clean dict, skipping the constructor's clean-up."""
+    p = MPoly.__new__(MPoly)
+    _set_terms(p, vars, cap, terms)
+    return p
+
+
 def _dict_mul(p, q):
     """Schoolbook product over the term dicts (any number of variables)."""
     cap = p.cap
+    a, b = (q._terms, p._terms) if len(p._terms) > len(q._terms) else (p._terms, q._terms)
+    row = list(b.items())
+    if cap is not None:  # b by total degree, so each a-term takes a prefix
+        row.sort(key=lambda t: sum(t[0]))
+        degrees = [sum(e) for e, _ in row]
     out = {}
-    if len(p.terms) > len(q.terms):
-        a, b = q.terms, p.terms
-    else:
-        a, b = p.terms, q.terms
     for ea, ca in a.items():
-        da = sum(ea)
-        for eb, cb in b.items():
-            if cap is not None and da + sum(eb) > cap:
-                continue
-            e = tuple(x + y for x, y in zip(ea, eb))
+        for eb, cb in (row if cap is None else row[:bisect_right(degrees, cap - sum(ea))]):
+            e = tuple(map(add, ea, eb))
             s = out.get(e, 0) + ca * cb
             if s == 0:
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-    return MPoly(p.vars, out, cap)
+    for e, c in out.items():
+        if type(c) is not int:
+            out[e] = _norm_coeff(c)
+    return _from_terms(p.vars, cap, out)
 
 
-def _packed_mul(p, q):
-    """Product of two capped two-variable polynomials by Kronecker substitution.
+# ------------------------------------------------------------- packed values
 
-    Exponent (a, b) goes to slot a * (2 cap + 1) + b; no product exponent
-    reaches 2 cap + 1 in the second variable, so slots never collide, and
-    only slots with a + b <= cap are read back.
+def _packed(vars, cap, num, den, width, fit):
+    p = MPoly.__new__(MPoly)
+    p.vars, p.cap, p._terms = vars, cap, None
+    p._num, p._den, p._width, p._fit = num, den, width, fit
+    return p
+
+
+def _reduced(vars, cap, num, den, width, fit):
+    """A packed value with num / den brought to lowest terms."""
+    if not num:
+        return _packed(vars, cap, 0, 1, width, 0)
+    if den != 1:
+        n = (cap + 1) ** 2
+        slots = _decode(num, width, n, range(n))
+        g = gcd(den, *slots)
+        if g != 1:  # num // g is exact: g divides every slot
+            num, den, fit = num // g, den // g, max(_bits(c // g) for c in slots)
+    return _packed(vars, cap, num, den, width, fit)
+
+
+def _align(width, *polys):
+    """Widen, in place, every nonzero packed value narrower than ``width``
+    bits (0 reads the same at every width)."""
+    for p in polys:
+        if p._num and p._width < width:
+            p._num = _widen(p._num, p._width, width, (p.cap + 1) ** 2)
+            p._width = width
+
+
+def _packed_sum(p, q, sign):
+    """p + q (sign 1) or p - q (sign -1) over the common denominator."""
+    if not q._num:
+        return p
+    if not p._num and sign > 0:
+        return q
+    den = lcm(p._den, q._den)
+    sp, sq = den // p._den, den // q._den  # a scale s <= 2^bitlen(s - 1) widens the fit that much
+    fit = max(p._fit + (sp - 1).bit_length(), q._fit + (sq - 1).bit_length()) + 1
+    width = max(p._width, q._width, _bytes_width(fit))
+    _align(width, p, q)
+    a = p._num if sp == 1 else p._num * sp
+    b = q._num if sq == 1 else q._num * sq
+    return _reduced(p.vars, p.cap, a + b if sign > 0 else a - b, den, width, fit)
+
+
+def _packed_product(p, q):
+    """One big-int multiply in the graded layout, cut to total degree <= cap.
+
+    At most (cap + 1)(cap + 2) / 2 pairs of terms, one operand's worth, meet
+    in a product slot, so a product coefficient is bounded by that count
+    times 2^(fit_p - 1) 2^(fit_q - 1); the width holds the bound with a sign
+    bit to spare, and the exact fit of the cut product is found after.
     """
     cap = p.cap
-    if not p.terms or not q.terms:
-        return MPoly(p.vars, {}, cap)
-    stride = 2 * cap + 1
-    wanted = ((a, b) for a in range(cap + 1) for b in range(cap + 1 - a))
-    prod = MPoly.__new__(MPoly)  # the kernel's output is already clean
-    prod.vars, prod.cap = p.vars, cap
-    prod.terms = _kronecker(p.terms, q.terms, stride, cap * stride + 1, wanted)
-    return prod
+    if not p._num or not q._num:
+        return _packed(p.vars, cap, 0, 1, max(p._width, q._width), 0)
+    n = (cap + 1) ** 2
+    bound = ((cap + 1) * (cap + 2) // 2) << (p._fit + q._fit - 2)
+    width = max(_bytes_width(bound.bit_length() + 1), p._width, q._width)
+    _align(width, p, q)
+    num = _truncate(p._num * q._num, n * width)
+    return _reduced(p.vars, cap, num, p._den * q._den, width,
+                    _fit(num, width, n, bound.bit_length() + 1))
+
+
+def _packed_with_cap(p, cap):
+    if cap == p.cap:
+        return p
+    num = _restride(p._num, p._width, p.cap + 1, min(cap, p.cap) + 1, cap + 1)
+    if cap > p.cap:
+        out = _packed(p.vars, cap, num, p._den, p._width, p._fit)
+        out._terms = p._terms
+        return out
+    return _reduced(p.vars, cap, num, p._den, p._width, p._fit)
 
 
 def packed_series_mul(p, q, cap):
@@ -278,70 +523,28 @@ def packed_series_mul(p, q, cap):
     sequences of the inner polynomial, lowest degree first.  Exponent
     (a, b) of var^a inner^b goes to slot a * stride + b with stride one more
     than the product's inner degree, so slots never collide; every slot
-    with a <= cap is read back.  Returns cap + 1 coefficient lists.
+    with a <= cap is read back.  A slot holds the signed bound on a product
+    coefficient, min(#terms) * max|p| * max|q|, with a sign bit to spare.
+    Returns cap + 1 coefficient lists.
     """
     tp = {(a, b): c for a, cs in enumerate(p[:cap + 1]) for b, c in enumerate(cs) if c}
     tq = {(a, b): c for a, cs in enumerate(q[:cap + 1]) for b, c in enumerate(cs) if c}
     if not tp or not tq:
         return [[] for _ in range(cap + 1)]
     stride = max(b for _, b in tp) + max(b for _, b in tq) + 1
-    out = [[0] * stride for _ in range(cap + 1)]
-    wanted = ((a, b) for a in range(cap + 1) for b in range(stride))
-    for (a, b), c in _kronecker(tp, tq, stride, (cap + 1) * stride, wanted).items():
-        out[a][b] = c
-    return out
+    den_p, ints_p = _integral(tp.values())
+    den_q, ints_q = _integral(tq.values())
+    bound = min(len(ints_p), len(ints_q)) * max(map(abs, ints_p)) * max(map(abs, ints_q))
+    width, n = _bytes_width(bound.bit_length() + 1), (cap + 1) * stride
 
+    def pack(terms, ints):
+        return _encode({a * stride + b: c for (a, b), c in zip(terms, ints)}, width, n)
 
-def _kronecker(p, q, stride, top, wanted):
-    """{(a, b): c} of the product of two term dicts, at the exponents in ``wanted``.
-
-    Each operand is scaled to integers over its common denominator and
-    packed into one int, exponent (a, b) in slot a * stride + b of k bytes;
-    the caller picks a stride at which product slots never collide, and
-    slots from ``top`` on are cut off.  k bytes hold the signed bound on a
-    product coefficient, min(#terms) * max|p| * max|q|, with a sign bit to
-    spare.  After one big-int multiply, adding 2^(8k - 1) to every slot
-    turns the signed slots into unsigned bytes, so negative coefficients
-    come back exact.
-    """
-    den_p, ints_p, max_p = _integral(p)
-    den_q, ints_q, max_q = _integral(q)
-    k = (min(len(ints_p), len(ints_q)) * max_p * max_q).bit_length() // 8 + 1
-    half = 1 << (8 * k - 1)
-    bias = int.from_bytes((bytes(k - 1) + b"\x80") * top, "little")  # half in every slot
-    digits = ((_pack(ints_p, stride, top, k) * _pack(ints_q, stride, top, k) + bias)
-              & ((1 << (8 * k * top)) - 1)).to_bytes(top * k, "little")
+    vals = _decode(pack(tp, ints_p) * pack(tq, ints_q), width, n, range(n))
     den = den_p * den_q
-    out = {}
-    for a, b in wanted:
-        at = (a * stride + b) * k
-        c = int.from_bytes(digits[at:at + k], "little") - half
-        if c:
-            out[(a, b)] = c if den == 1 else _norm_coeff(Fraction(c, den))
-    return out
-
-
-def _integral(terms):
-    """(d, {exp: d * c}, max |d * c|) with d the common denominator."""
-    dens = [c.denominator for c in terms.values() if type(c) is not int]
-    if dens:
-        den = lcm(*dens)
-        terms = {e: c * den if type(c) is int else c.numerator * (den // c.denominator)
-                 for e, c in terms.items()}
-    else:
-        den = 1
-    return den, terms, max(map(abs, terms.values()))
-
-
-def _pack(terms, stride, top, k):
-    pos, neg = bytearray(top * k), bytearray(top * k)
-    for (a, b), c in terms.items():
-        at = (a * stride + b) * k
-        if c > 0:
-            pos[at:at + k] = c.to_bytes(k, "little")
-        else:
-            neg[at:at + k] = (-c).to_bytes(k, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    if den != 1:
+        vals = [_norm_coeff(Fraction(c, den)) if c else 0 for c in vals]
+    return [vals[a * stride:(a + 1) * stride] for a in range(cap + 1)]
 
 
 # ------------------------------------------------------------------ bivariate
@@ -387,13 +590,13 @@ def bipoly_from_text(text: str, cap) -> MPoly:
 
 def _ring_one_of(x):
     if isinstance(x, (int, Fraction)):
-        return Fraction(1)
+        return 1
     return x.ring_one()
 
 
 def _ring_zero_of(x):
     if isinstance(x, (int, Fraction)):
-        return Fraction(0)
+        return 0
     return x.ring_zero()
 
 

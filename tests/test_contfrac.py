@@ -318,3 +318,15 @@ def test_newtype_extraction_reaches_i_max_5():
     for j, val in enumerate(got, start=1):
         assert val.cap >= 6
         assert val.with_cap(6) == yf.first[j].with_cap(6), j
+
+
+def test_rational_rings_start_from_int_one():
+    # the Berkowitz accumulators start from the ints 0 and 1, so integer
+    # data stays in ints, and a quotient of ints stays an exact rational
+    assert det_division_free([[2, 1], [1, 3]]) == 5
+    assert type(det_division_free([[2, 1], [1, 3]])) is int
+    catalan = Series("z", 6, [1, 1, 2, 5, 14, 42, 132], QQ)
+    rungs = stieltjes_extract(catalan, 3)
+    assert list(rungs.values()) == [1] * 6
+    assert all(isinstance(v, (int, Fraction)) for v in rungs.values())
+    assert tilde_coeffs([2, 3, 4]) == [Fraction(1, 2), Fraction(3, 8), Fraction(1, 4)]

@@ -1,6 +1,6 @@
 """Kernel tests: truncated polynomial ring laws, division-free determinants
-against a Leibniz oracle, the canonical text form, and the packed product
-against the dict-product oracle."""
+against a Leibniz oracle, the canonical text form, and the packed
+two-variable representation against the term-dict oracle."""
 
 import itertools
 import random
@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from quadslice import slice_solver
 
 from quadslice.errors import NonInvertibleError, StructureError
 from quadslice.exactalg import (
@@ -248,3 +250,200 @@ def test_other_products_match_dict_oracle():
     c = x + y * z - 4 * z * z
     d = c + Fraction(5, 2) * x * y
     assert exact_form(c * d) == exact_form(dict_product(c, d))
+
+
+# ------------------------------------- packed values against the dict oracle
+#
+# The oracle keeps a capped two-variable value as (cap, {(a, b): coeff}) and
+# runs every operation over the dicts, with dict_product as its product.
+
+
+def oracle(p):
+    return p.cap, dict(p.terms)
+
+
+def oracle_clean(cap, terms):
+    out = {}
+    for e, c in terms.items():
+        c = Fraction(c)
+        if c and sum(e) <= cap:
+            out[e] = int(c) if c.denominator == 1 else c
+    return cap, out
+
+
+def oracle_add(x, y, sign=1):
+    out = dict(x[1])
+    for e, c in y[1].items():
+        out[e] = out.get(e, 0) + sign * c
+    return oracle_clean(x[0], out)
+
+
+def oracle_mul(x, y):
+    product = dict_product(MPoly(BIVARS, x[1], x[0]), MPoly(BIVARS, y[1], y[0]))
+    return oracle_clean(x[0], product.terms)
+
+
+def oracle_inv(x):
+    """The geometric series of the inverse, over the dicts."""
+    cap, terms = x
+    c0 = Fraction(terms.get((0, 0), 0))
+    u = oracle_add((cap, {(0, 0): 1}), oracle_clean(cap, {e: c / c0 for e, c in terms.items()}), -1)
+    out = power = (cap, {(0, 0): 1})
+    for _ in range(cap):
+        power = oracle_mul(power, u)
+        out = oracle_add(out, power)
+    return oracle_clean(cap, {e: c / c0 for e, c in out[1].items()})
+
+
+def oracle_form(x):
+    return x[0], sorted((e, type(c).__name__, c) for e, c in x[1].items())
+
+
+wide_coefficients = st.one_of(
+    coefficients,
+    st.integers(-(2**200), 2**200),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.sampled_from([1, 2, 3, 6, 7, 2**65])),
+)
+
+
+@st.composite
+def capped_value(draw, cap):
+    slots = [(a, b) for a in range(cap + 1) for b in range(cap + 1 - a)]
+    shape = draw(st.sampled_from(["zero", "constant", "sparse", "dense", "near 2^70"]))
+    if shape == "zero":
+        terms = {}
+    elif shape == "constant":
+        terms = {(0, 0): draw(wide_coefficients)}
+    elif shape == "near 2^70":
+        terms = {e: 2**70 - draw(st.integers(0, 2**20)) for e in slots}
+    else:
+        keys = slots if shape == "dense" else draw(st.lists(st.sampled_from(slots), max_size=6, unique=True))
+        terms = {e: draw(wide_coefficients) for e in keys}
+    return MPoly(BIVARS, terms, cap)
+
+
+OPS = ("add", "sub", "neg", "mul", "square", "cap down", "cap up", "swap", "inv", "eq")
+
+
+@st.composite
+def op_chains(draw):
+    cap = draw(st.integers(0, 11))
+    values = draw(st.lists(capped_value(cap), min_size=1, max_size=3))
+    steps = draw(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 99), st.integers(0, 99),
+                                    st.integers(0, 12)), max_size=10))
+    return cap, values, steps
+
+
+def exact_fit(p):
+    """The smallest m with every numerator over p's denominator in [-2^(m-1), 2^(m-1))."""
+    nums = [int(c * p._den) for c in p.terms.values()]
+    return max(((c if c >= 0 else ~c).bit_length() + 1 for c in nums), default=0)
+
+
+def check_same(p, x, product=False):
+    """p equals the oracle's x, and its packing keeps its invariants: the
+    recorded fit bounds the slots (exactly, after a product) and fits the width."""
+    assert exact_form(p) == oracle_form(x)
+    assert not any(type(c) is Fraction and c.denominator == 1 for c in p.terms.values())
+    assert exact_fit(p) <= p._fit <= p._width and p._width % 8 == 0
+    if product:
+        assert p._fit == exact_fit(p)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(op_chains())
+@example((2, [MPoly(BIVARS, {(1, 0): -1, (0, 1): -4}, 2)], [("neg", 0, 0, 0), ("mul", 1, 1, 0)]))
+@example((0, [MPoly(BIVARS, {}, 0), MPoly(BIVARS, {(0, 0): Fraction(-3, 2**65)}, 0)],
+          [("add", 0, 1, 0), ("inv", 1, 0, 0), ("mul", 1, 3, 0), ("eq", 4, 0, 0), ("cap up", 4, 0, 3)]))
+def test_packed_chains_match_dict_oracle(chain):
+    cap, values, steps = chain
+    pool = [(p, oracle(p)) for p in values]
+    for op, i, j, k in steps:
+        (p, x), (q, y) = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "add":
+            p, x = p + q, oracle_add(x, y)
+        elif op == "sub":
+            p, x = p - q, oracle_add(x, y, -1)
+        elif op == "neg":
+            p, x = -p, oracle_clean(cap, {e: -c for e, c in x[1].items()})
+        elif op == "mul":
+            p, x = p * q, oracle_mul(x, y)
+        elif op == "square":
+            p, x = p * p, oracle_mul(x, x)
+        elif op in ("cap down", "cap up"):
+            other = k % (cap + 1) if op == "cap down" else cap + 1 + k
+            cut = p.with_cap(other)
+            check_same(cut, oracle_clean(other, x[1]))
+            p, x = cut.with_cap(cap), oracle_clean(min(cap, other), x[1])
+            x = (cap, x[1])
+        elif op == "swap":
+            p, x = p.swap(), (cap, {(b, a): c for (a, b), c in x[1].items()})
+        elif op == "inv":
+            if not x[1].get((0, 0)):
+                continue
+            p, x = p.inv(), oracle_inv(x)
+        else:
+            assert (p == q) == (oracle_form(x) == oracle_form(y))
+            rebuilt = (p + q) - q
+            assert rebuilt == p and hash(rebuilt) == hash(p)
+            if p == q:
+                assert hash(p) == hash(q)
+            continue
+        check_same(p, x, product=op in ("mul", "square"))
+        pool.append((p, x))
+
+
+def test_product_wider_than_either_operand():
+    N = 11
+    near = MPoly(BIVARS, {(a, b): 2**70 - 3 * a - b for a in range(N + 1) for b in range(N + 1 - a)}, N)
+    other = MPoly(BIVARS, {(a, b): -(2**70) + a for a in range(N + 1) for b in range(N + 1 - a)}, N)
+    for p, q in ((near, other), (near, near), (other * near, near), (near + other, near - other)):
+        check_same(p * q, oracle(dict_product(p, q)), product=True)
+
+
+def oracle_solve(monkeypatch, solver, N):
+    """``solver(N)`` solved afresh with every MPoly product taken over the dicts."""
+    def product(p, q):
+        return dict_product(p, p._coerce(q))
+
+    solver.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(MPoly, "__mul__", product)
+            patch.setattr(MPoly, "__rmul__", product)
+            return solver(N)
+    finally:
+        solver.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["solve_bw", "solve_pq", "solve_limit"])
+def test_solvers_match_dict_oracle_products(monkeypatch, name):
+    solver = getattr(slice_solver, name)
+    want = oracle_solve(monkeypatch, solver, 12)
+    got = solver(12)
+    if name == "solve_limit":
+        assert (got.first, got.second) == (want.first, want.second)
+    else:
+        assert got.i_max == want.i_max
+        assert got.first == want.first and got.second == want.second
+
+
+def test_equal_values_hash_equal_across_representations():
+    cap = 5  # stride 8; its with_cap source at cap 9 has stride 16
+    a = bipoly({(1, 0): Fraction(1, 2), (0, 1): 3, (2, 1): Fraction(-5, 6)}, cap + 4)
+    b = bipoly({(0, 0): 2, (1, 0): -1, (0, 2): 2**70, (1, 1): Fraction(2, 3)}, cap + 4)
+    want = dict_product(a, b).with_cap(cap).terms
+    built = [
+        a.with_cap(cap) * b.with_cap(cap),  # packed product
+        MPoly(BIVARS, want, cap),
+        (a * b).with_cap(cap),
+        bipoly_from_text(bipoly_to_text(MPoly(BIVARS, want, cap)), cap),
+    ]
+    for p in built:
+        assert p == built[0] and hash(p) == hash(built[0])
+        assert p.terms == want
+        assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+    # a product whose denominators cancel comes back integral
+    whole = bipoly({(1, 0): Fraction(1, 2)}, cap) * bipoly({(0, 1): 2}, cap)
+    assert whole.terms == {(1, 1): 1} and type(whole.terms[(1, 1)]) is int
+    assert hash(whole) == hash(tb(cap) * tw(cap))

@@ -181,12 +181,15 @@ class MPoly:
     __slots__ = ("vars", "cap", "_terms", "_num", "_den", "_width", "_fit")
 
     def __init__(self, vars, terms, cap=None):
+        vars = tuple(vars)
         clean = {}
         for exp, c in terms.items():
+            if len(exp) != len(vars) or min(exp, default=0) < 0:
+                raise StructureError(f"exponent {exp!r} does not fit the variables {vars}")
             if c == 0 or (cap is not None and sum(exp) > cap):
                 continue
             clean[exp] = _norm_coeff(c)
-        _set_terms(self, tuple(vars), cap, clean)
+        _set_terms(self, vars, cap, clean)
 
     @property
     def terms(self):

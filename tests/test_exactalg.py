@@ -114,6 +114,15 @@ def test_inv_two_sided_on_random_units():
         assert p * q == one and q * p == one
 
 
+def test_malformed_exponents_are_structural():
+    # a negative or missing exponent would alias another slot of the packing
+    for terms in ({(-1, 1): 1}, {(1,): 2}, {(0, 0, 1): 3}):
+        with pytest.raises(StructureError):
+            MPoly(BIVARS, terms, 3)
+    with pytest.raises(StructureError):
+        bipoly_from_text("-1 1 1/1", 3)
+
+
 def test_det_trivial_examples():
     a = tb(3)
     assert det_division_free([[a]]) == a

@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import NonInvertibleError, ResourceGuardError, StructureError, VerificationError
 from .exactalg import MPoly, bipoly_to_text
@@ -54,10 +55,31 @@ _nonnegative_int = _int_at_least(0)
 
 def _poly_entry(index, poly: MPoly):
     monomials = [
-        {"tb": a, "tw": b, "coeff": f"{Fraction(c).numerator}/{Fraction(c).denominator}"}
+        {"tb": a, "tw": b, "coeff": f"{c.numerator}/{c.denominator}"}
         for (a, b), c in sorted(poly.terms.items())
     ]
     return {"index": index, "monomials": monomials}
+
+
+def _table_json(what, cap, entries):
+    """The text of ``json.dumps({"what": ..., "cap": ..., "entries": ...}, indent=2)``.
+
+    ``indent`` makes json fall back to its pure-Python encoder, so the
+    table's fixed shape is laid out here: strings go through json's C string
+    encoder, and ints print as json prints them.
+    """
+
+    def block(items, pad):
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+
+    mono = '        {\n          "tb": %d,\n          "tw": %d,\n          "coeff": %s\n        }'
+
+    def entry(e):
+        monomials = block([mono % (m["tb"], m["tw"], _json_str(m["coeff"])) for m in e["monomials"]], "      ")
+        return '    {\n      "index": %d,\n      "monomials": %s\n    }' % (e["index"], monomials)
+
+    entries = block([entry(e) for e in entries], "  ")
+    return '{\n  "what": %s,\n  "cap": %d,\n  "entries": %s\n}' % (_json_str(what), cap, entries)
 
 
 def _entry_poly(entry, cap) -> MPoly:
@@ -70,7 +92,7 @@ def _entry_poly(entry, cap) -> MPoly:
 
 def _emit_table(what, cap, entries, fmt, out):
     if fmt == "json":
-        out.write(json.dumps({"what": what, "cap": cap, "entries": entries}, indent=2))
+        out.write(_table_json(what, cap, entries))
         out.write("\n")
     elif fmt == "csv":
         writer = csv.writer(out)

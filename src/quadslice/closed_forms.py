@@ -325,11 +325,13 @@ def large_height_collapse(M=5, i_from=None) -> CheckReport:
 
 # ------------------------------------------------- rational identities tower
 
+@lru_cache(maxsize=None)
 def _tower():
     """The constructive route's quantities in the nested field Q(y)(alpha):
     the limits P, Q over their denominator D, the merged limit Y = Q - P,
     the vertex weights t_b, t_w, the ladder coefficients A_0, A_1, the first
-    merged coefficient Y_1, the hard-piece weight w and d = (Y_1 - Y)/Y_1."""
+    merged coefficient Y_1, the hard-piece weight w and d = (Y_1 - Y)/Y_1.
+    Built on first use and shared; callers must not mutate it."""
     FY = ratfunc_field("y")
     a = RatFunc.gen("alpha", FY)
     y = RatFunc.const("alpha", RatFunc.gen("y"), FY)

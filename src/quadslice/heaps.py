@@ -24,6 +24,7 @@ solution reproduces the closed-form slice weights.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 import random
 
 from .errors import CheckReport, StructureError, VerificationError
@@ -367,11 +368,20 @@ def h_ladder(i_max) -> CheckReport:
         raise VerificationError("normalization Y_1 (A_0/Y + A_1) = 1 failed")
     report.add("ladder normalization")
 
-    def L0(i):
-        return (one - y ** (i + 1)) / ((one - y) * (one + y) ** i)
+    # the system's coefficients, fixed over the whole ladder
+    A0Y1, A1Y1 = A0 * Y1, A1 * Y1
+    c00, c01, c10, c11 = A0Y1 / Y ** 2, A1Y1, A0Y1 / Y, A1Y1 * (Y + P)
 
+    def den(i):
+        return (one - y) * (one + y) ** i
+
+    @lru_cache(maxsize=None)
+    def L0(i):
+        return (one - y ** (i + 1)) / den(i)
+
+    @lru_cache(maxsize=None)
     def L1(i):
-        return Y1 * (one + d * y) * (one - a * y ** (i + 2)) / ((one - y) * (one + y) ** i)
+        return Y1 * (one + d * y) * (one - a * y ** (i + 2)) / den(i)
 
     if L0(0) != one or L0(1) != one:
         raise VerificationError("initial values of the first rescaled sequence")
@@ -380,9 +390,9 @@ def h_ladder(i_max) -> CheckReport:
     report.add("initial conditions, including L_1^(1) = Y_1")
 
     for i in range(1, i_max + 1):
-        if L0(i) != A0 * Y1 / Y ** 2 * L1(i - 1) + A1 * Y1 * L0(i - 1):
+        if L0(i) != c00 * L1(i - 1) + c01 * L0(i - 1):
             raise VerificationError(f"rescaled system (first line) failed at i={i}")
-        if L1(i) != A0 * Y1 / Y * L1(i - 1) + A1 * Y1 * (Y + P) * L0(i - 1):
+        if L1(i) != c10 * L1(i - 1) + c11 * L0(i - 1):
             raise VerificationError(f"rescaled system (second line) failed at i={i}")
     report.add("rescaled system holds, so the closed forms solve the ladder")
 
@@ -396,9 +406,7 @@ def h_ladder(i_max) -> CheckReport:
     report.add("three-term recursions with the hard-piece weight")
 
     for i in range(0, i_max + 1):
-        alt = (Y * (one - y ** (i + 1)) + (Y1 - Y) * (one - y ** i) * (one + y)) / (
-            (one - y) * (one + y) ** i
-        )
+        alt = (Y * (one - y ** (i + 1)) + (Y1 - Y) * (one - y ** i) * (one + y)) / den(i)
         if L1(i) != alt:
             raise VerificationError(f"two displays of L^(1) disagree at i={i}")
     report.add("both displayed forms of L^(1) agree")
@@ -408,8 +416,8 @@ def h_ladder(i_max) -> CheckReport:
     H1 = {0: one}
     for i in (1, 2):
         pw = P ** (i - 1)
-        H0[i] = A0 * Y1 * pw / Y ** (2 * i - 1) * H1[i - 1] + A1 * Y1 * pw / Y ** (i - 1) * H0[i - 1]
-        H1[i] = A0 * Y1 * pw / Y ** (i - 1) * H1[i - 1] + A1 * Y1 * pw * (Y + P) * H0[i - 1]
+        H0[i] = A0Y1 * pw / Y ** (2 * i - 1) * H1[i - 1] + A1Y1 * pw / Y ** (i - 1) * H0[i - 1]
+        H1[i] = A0Y1 * pw / Y ** (i - 1) * H1[i - 1] + c11 * pw * H0[i - 1]
         scale = (Y / P) ** (i * (i - 1) // 2)
         if scale * H0[i] != L0(i) or scale * H1[i] / Y ** (i - 1) != L1(i):
             raise VerificationError(f"rescaling definition failed at i={i}")

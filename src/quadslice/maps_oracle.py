@@ -56,7 +56,7 @@ oriented-distance transport to hold on the whole corpus.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 
 from .errors import ResourceGuardError, StructureError, VerificationError
@@ -412,15 +412,18 @@ class LabeledQuad:
         if self.local_max[self.vertex_of[m.root]]:
             raise VerificationError("root vertex can never be a local maximum")
 
-    def weight_bicolored(self, cap) -> MPoly:
+    def bicolored_exponents(self):
+        """(a, b) of its bicolored weight tb^a tw^b: the black vertices but
+        the root, and the white vertices."""
         blacks = sum(1 for c in self.color if c == "black") - 1
         whites = sum(1 for c in self.color if c == "white")
-        return MPoly(BIVARS, {(blacks, whites): Fraction(1)}, cap)
+        return blacks, whites
 
-    def weight_local_max(self, cap) -> MPoly:
+    def local_max_exponents(self):
+        """(a, b) of its local-maxima weight tb^a tw^b: the vertices but the
+        root that are not local maxima, and the local maxima."""
         maxima = sum(1 for flag in self.local_max if flag)
-        others = len(self.local_max) - maxima - 1
-        return MPoly(BIVARS, {(others, maxima): Fraction(1)}, cap)
+        return len(self.local_max) - maxima - 1, maxima
 
 
 def _glued_maps(sizes, keep=lambda m: True):
@@ -453,22 +456,19 @@ def enumerate_quads(n, f_max):
     return [LabeledQuad(m, n) for f in range(f_max + 1) for m in _glued_maps([2 * n] + [4] * f)]
 
 
-def _weight_sum(weight, n, f_max, cap):
+def _weight_sum(exponents, n, f_max, cap):
     cap = (n + f_max) if cap is None else cap
-    total = MPoly.zero(BIVARS, cap)
-    for q in enumerate_quads(n, f_max):
-        total = total + weight(q, cap)
-    return total
+    return MPoly(BIVARS, Counter(exponents(q) for q in enumerate_quads(n, f_max)), cap)
 
 
 def bf_F(n, f_max, cap=None) -> MPoly:
     """Ground-truth bicolored weight sum over all maps with f <= f_max."""
-    return _weight_sum(LabeledQuad.weight_bicolored, n, f_max, cap)
+    return _weight_sum(LabeledQuad.bicolored_exponents, n, f_max, cap)
 
 
 def bf_J(n, f_max, cap=None) -> MPoly:
     """Ground-truth local-maxima weight sum over all maps with f <= f_max."""
-    return _weight_sum(LabeledQuad.weight_local_max, n, f_max, cap)
+    return _weight_sum(LabeledQuad.local_max_exponents, n, f_max, cap)
 
 
 # ----------------------------------------------------------- general maps

@@ -10,6 +10,12 @@ where it is integral and as a Fraction otherwise, so integer inputs stay on
 int arithmetic; the constructor strips trailing zeros and turns an integral
 Fraction back into an int.
 
+Poly.gcd runs a primitive pseudo-remainder sequence: over QQ on integer
+polynomials, and over a rational-function field base(v) on polynomials over
+base[v], after clearing the v-denominators, with each remainder's content
+taken by the gcd over base (recursively for a deeper tower).  Only the last
+remainder is made monic over base(v).
+
 RatFunc is kept fully canonical: numerator and denominator are coprime and
 the denominator is monic, so two arithmetic routes to the same value produce
 structurally equal objects and == is reliable.  RatFunc says where the gcd runs.
@@ -24,6 +30,14 @@ from .errors import NonInvertibleError, StructureError
 from .exactalg import power
 
 
+def _int_primitive(ints):
+    """Int coefficient list divided by its content."""
+    g = 0
+    for c in ints:
+        g = _int_gcd(g, c)
+    return [c // g for c in ints] if g > 1 else ints
+
+
 def _primitive_ints(coeffs):
     """Clear denominators and content: rational coeff list -> primitive ints."""
     lcm = 1
@@ -31,48 +45,62 @@ def _primitive_ints(coeffs):
         if type(c) is Fraction:
             d = c.denominator
             lcm = lcm * d // _int_gcd(lcm, d)
-    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    return _int_primitive([c.numerator * (lcm // c.denominator) for c in coeffs])
 
 
-def _int_pseudo_rem(u, v):
-    """Pseudo-remainder of primitive int coefficient lists (little-endian)."""
+def _pseudo_rem(u, v):
+    """Pseudo-remainder of little-endian coefficient lists over an integral
+    domain: ints, or Polys over a field."""
     r = list(u)
     lv = v[-1]
     dv = len(v) - 1
-    while len(r) - 1 >= dv and r:
+    zero = lv - lv
+    while r and len(r) - 1 >= dv:
         lr = r[-1]
         shift = len(r) - 1 - dv
-        r = [lv * c for c in r]
-        for j, b in enumerate(v):
+        r = [lv * c for c in r[:-1]]  # the leading terms cancel
+        for j, b in enumerate(v[:-1]):
             r[shift + j] -= lr * b
-        while r and r[-1] == 0:
+        while r and r[-1] == zero:
             r.pop()
     return r
 
 
-def _qq_poly_gcd_coeffs(a, b):
-    """Monic gcd coefficients over the rationals via primitive integer PRS."""
-    u = _primitive_ints(a)
-    v = _primitive_ints(b)
+def _prs_last(u, v, primitive):
+    """Last nonzero remainder of the primitive pseudo-remainder sequence of
+    two primitive coefficient lists, a gcd up to a unit (Brown, J. ACM 18,
+    1971; Knuth, TAOCP 2, 4.6.1); primitive divides a list by its content."""
     if len(u) < len(v):
         u, v = v, u
     while v:
-        r = _int_pseudo_rem(u, v)
-        if r:
-            g = 0
-            for c in r:
-                g = _int_gcd(g, c)
-            if g > 1:
-                r = [c // g for c in r]
-        u, v = v, r
+        u, v = v, primitive(_pseudo_rem(u, v))
+    return u
+
+
+def _qq_poly_gcd_coeffs(a, b):
+    """Monic gcd coefficients over the rationals via primitive integer PRS."""
+    u = _prs_last(_primitive_ints(a), _primitive_ints(b), _int_primitive)
     lead = u[-1]
     return [c * lead for c in u] if lead in (1, -1) else [Fraction(c, lead) for c in u]
+
+
+def _poly_primitive(ps):
+    """Polys over a field divided by their gcd: a primitive list over base[v]."""
+    g = None
+    for p in reversed(ps):
+        g = p if g is None else g.gcd(p)
+        if g.degree() == 0:
+            return ps
+    return [p.divmod(g)[0] for p in ps] if ps else ps
+
+
+def _cleared(p):
+    """A Poly over base(v) times the lcm of its coefficients' denominators,
+    made primitive: a coefficient list of Polys in v over base."""
+    lcm = None
+    for d in {c.den for c in p.coeffs if c.den.degree() > 0}:  # monic, so any order gives one lcm
+        lcm = d if lcm is None else lcm * d.divmod(lcm.gcd(d))[0]
+    return _poly_primitive([c.num if lcm is None else c.num * lcm.divmod(c.den)[0] for c in p.coeffs])
 
 
 class FieldSpec:
@@ -241,18 +269,21 @@ class Poly:
         return self.scale(_inv_elem(self.lead()))
 
     def gcd(self, other):
-        """Monic gcd; integer primitive remainder sequences over the
-        rationals, plain Euclid over nested coefficient fields."""
+        """Monic gcd by a primitive pseudo-remainder sequence.  Over the
+        rationals it runs on integer polynomials; over rational functions in
+        v over a base field it runs on polynomials over base[v], taking
+        contents with the base field's gcd, and is made monic once."""
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
         if self.field is QQ:
             return Poly(self.var, _qq_poly_gcd_coeffs(self.coeffs, other.coeffs), QQ)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1].monic()
-        return a.monic()
+        if not isinstance(self.field.zero, RatFunc):
+            raise StructureError(f"no gcd over {self.field.name}")
+        u = _prs_last(_cleared(self), _cleared(other), _poly_primitive)
+        lead = u[-1]
+        return Poly(self.var, [RatFunc(c, lead) for c in u[:-1]] + [self.field.one], self.field)
 
     def eval(self, x):
         """Horner evaluation at any ring element x (must absorb field coeffs)."""

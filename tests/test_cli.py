@@ -3,8 +3,10 @@
 import io
 import contextlib
 import json
+from fractions import Fraction
 
-from quadslice.cli import main, parse_table_json
+from quadslice.cli import _poly_entry, _table_json, main, parse_table_json
+from quadslice.exactalg import MPoly
 from quadslice.slice_solver import f_n, solve_y
 
 
@@ -23,6 +25,18 @@ def test_table_json_round_trip():
     assert what == "fn" and cap == 4
     for n in range(1, 4):
         assert entries[n] == f_n(n, 4)
+
+
+def test_table_json_text_is_json_dumps_indent_2():
+    def poly(terms):
+        return MPoly(("tb", "tw"), terms, 6)
+
+    mixed = poly({(0, 0): 3, (1, 0): -2, (0, 2): Fraction(-7, 3), (2, 3): Fraction(5, 12)})
+    entries = [_poly_entry(0, poly({})), _poly_entry(1, mixed), _poly_entry(12, poly({(6, 0): -1}))]
+    for what, cap, table in (("y", 6, entries), ("fn", 0, entries[:1]), ("b", 3, [])):
+        want = json.dumps({"what": what, "cap": cap, "entries": table}, indent=2)
+        assert _table_json(what, cap, table) == want
+    assert entries[1]["monomials"][1]["coeff"] == "-7/3"  # non-integral, negative, as n/d
 
 
 def test_table_y_csv(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import ResourceGuardError, StructureError
-from quadslice.exactalg import tw
+from quadslice.exactalg import BIVARS, MPoly, bipoly_to_text, tw
 from quadslice.maps_oracle import (
     RootedMap,
     ab_forward,
@@ -33,6 +33,28 @@ def test_single_edge_quad():
     assert q.local_max == [False, True]
     assert bf_F(1, 0) == tw(1)
     assert bf_J(1, 0) == tw(1)
+
+
+def _summed_weights(n, f_max, cap):
+    """The weight sums as one single-monomial MPoly per quadrangulation."""
+    F = J = MPoly.zero(BIVARS, cap)
+    for q in enumerate_quads(n, f_max):
+        blacks = sum(1 for c in q.color if c == "black") - 1
+        whites = sum(1 for c in q.color if c == "white")
+        maxima = sum(1 for flag in q.local_max if flag)
+        F = F + MPoly(BIVARS, {(blacks, whites): 1}, cap)
+        J = J + MPoly(BIVARS, {(len(q.local_max) - maxima - 1, maxima): 1}, cap)
+    return F, J
+
+
+def test_counted_weight_sums_match_summed_monomials():
+    for n in range(1, 4):
+        for f_max in range(3):
+            for cap in (None, n + f_max - 1):
+                F, J = _summed_weights(n, f_max, n + f_max if cap is None else cap)
+                got_F, got_J = bf_F(n, f_max, cap), bf_J(n, f_max, cap)
+                assert got_F == F and got_F.terms == F.terms and bipoly_to_text(got_F) == bipoly_to_text(F)
+                assert got_J == J and got_J.terms == J.terms and bipoly_to_text(got_J) == bipoly_to_text(J)
 
 
 def test_small_class_counts():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError
-from quadslice.ratfunc import QQ, Poly, RatFunc, ratfunc_field
+from quadslice.ratfunc import QQ, Poly, RatFunc, _cleared, _poly_primitive, _prs_last, ratfunc_field
 from quadslice.series import Series
 
 
@@ -94,39 +94,52 @@ nonzero_scalars = st.sampled_from([1, -1, 2, Fraction(-3, 5), Fraction(7, 2)])
 
 
 @st.composite
-def qq_sides(draw, nonzero):
+def qq_sides(draw, nonzero, var="y"):
     if draw(st.booleans()):
-        p = Poly("y", [draw(nonzero_scalars)])
+        p = Poly(var, [draw(nonzero_scalars)])
         for f in draw(st.lists(st.sampled_from(Y_FACTORS), max_size=3)):
-            p = p * Poly("y", f)
+            p = p * Poly(var, f)
         return p
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=1 if nonzero else 0, max_size=4))
-    p = Poly("y", coeffs)
-    return Poly("y", [draw(nonzero_scalars)]) if nonzero and p.is_zero() else p
+    p = Poly(var, coeffs)
+    return Poly(var, [draw(nonzero_scalars)]) if nonzero and p.is_zero() else p
 
 
 @st.composite
-def qq_ratfuncs(draw, nonzero=False):
-    return RatFunc(draw(qq_sides(nonzero)), draw(qq_sides(True)))
+def qq_ratfuncs(draw, nonzero=False, var="y"):
+    return RatFunc(draw(qq_sides(nonzero, var)), draw(qq_sides(True, var)))
+
+
+def _field_tower(var, inner, base, coeffs):
+    """Polynomials in var over base(inner): nonzero coefficients drawn from
+    coeffs, and the factors var - t, t var - 1, var, var + 1 with t = inner."""
+    t, one = RatFunc.gen(inner, base), RatFunc.one(inner, base)
+    return var, ratfunc_field(inner, base), coeffs, ((-t, one), (-one, t), (0 * t, one), (one, one))
+
+
+YA_TOWER = _field_tower("alpha", "y", QQ, qq_ratfuncs(nonzero=True))  # Q(y)(alpha), as in closed_forms
+YP_TOWER = _field_tower("Pc", "Yc", QQ, qq_ratfuncs(nonzero=True, var="Yc"))  # Q(Yc)(Pc), as in heaps
 
 
 @st.composite
-def tower_sides(draw, nonzero):
-    """Polynomials in alpha over Q(y) built from alpha-y, y alpha-1, alpha, alpha+1."""
-    y = RatFunc.gen("y")
-    one = RatFunc.one("y")
-    factors = ((-y, one), (-one, y), (0 * y, one), (one, one))
-    p = Poly("alpha", [draw(qq_ratfuncs(nonzero=True))], FY)
+def tower_sides(draw, nonzero, tower=YA_TOWER):
+    """Products of a nonzero coefficient and up to two of the tower's factors."""
+    var, field, coeffs, factors = tower
+    p = Poly(var, [draw(coeffs)], field)
     for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
-        p = p * Poly("alpha", f, FY)
+        p = p * Poly(var, f, field)
     if not nonzero and draw(st.integers(0, 5)) == 0:
-        return Poly.zero("alpha", FY)
+        return Poly.zero(var, field)
     return p
 
 
 @st.composite
-def tower_ratfuncs(draw):
-    return RatFunc(draw(tower_sides(False)), draw(tower_sides(True)))
+def tower_ratfuncs(draw, tower=YA_TOWER):
+    return RatFunc(draw(tower_sides(False, tower)), draw(tower_sides(True, tower)))
+
+
+YB_TOWER = _field_tower("b", "y", QQ, qq_ratfuncs(nonzero=True))
+YBA_TOWER = _field_tower("alpha", "b", FY, tower_ratfuncs(YB_TOWER).filter(lambda c: not c.is_zero()))  # Q(y)(b)(alpha)
 
 
 def _assert_canonical_and_equal(got, want):
@@ -158,6 +171,80 @@ def test_ops_match_reducing_constructor_over_qq(a, b, n):
 @given(tower_ratfuncs(), tower_ratfuncs(), st.integers(-3, 4))
 def test_ops_match_reducing_constructor_in_tower(a, b, n):
     _check_ops_against_reducing_constructor(a, b, n)
+
+
+# --------------------------------------------- nested-field gcd (Euclid oracle)
+#
+# Poly.gcd over a rational-function field runs a primitive pseudo-remainder
+# sequence over base[v].  The oracle is the Euclid loop it replaced: divmod
+# over the field, then monic, at every step.
+
+def _euclid_gcd(a, b):
+    if a.is_zero():
+        return b.monic()
+    if b.is_zero():
+        return a.monic()
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1].monic()
+    return a.monic()
+
+
+@st.composite
+def gcd_pairs(draw, tower):
+    """Two sides (zero, constant or not) times one shared nonzero side."""
+    shared = draw(tower_sides(True, tower))
+    return draw(tower_sides(False, tower)) * shared, draw(tower_sides(False, tower)) * shared
+
+
+def _is_primitive(cs):
+    g = Poly.zero(cs[0].var, cs[0].field)
+    for c in cs:
+        g = g.gcd(c)
+    return g.degree() == 0
+
+
+def _check_gcd_against_euclid(a, b):
+    got = a.gcd(b)
+    assert got.coeffs == _euclid_gcd(a, b).coeffs
+    assert got.coeffs == b.gcd(a).coeffs
+    if not got.is_zero():
+        assert got.lead() == got.field.one
+    if a.degree() > 0 and b.degree() > 0:  # the sequence runs on primitive polynomials over base[v]
+        u, v = _cleared(a), _cleared(b)
+        assert _is_primitive(u) and _is_primitive(v)
+        assert _is_primitive(_prs_last(u, v, _poly_primitive))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.one_of(gcd_pairs(YA_TOWER), gcd_pairs(YP_TOWER)))
+def test_nested_gcd_matches_euclid_oracle(pair):
+    _check_gcd_against_euclid(*pair)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(gcd_pairs(YBA_TOWER))
+def test_three_level_gcd_matches_euclid_oracle(pair):
+    _check_gcd_against_euclid(*pair)
+
+
+def test_nested_gcd_edge_cases():
+    field = YA_TOWER[1]
+    y = RatFunc.gen("y")
+
+    def poly(*coeffs):  # alpha-coefficients in Q(y), constant term first
+        return Poly("alpha", [RatFunc.one("y") * c for c in coeffs], field)
+
+    sq = poly(y ** 2, -2 * y, 1)  # (alpha - y)^2
+    zero = Poly.zero("alpha", field)
+    coprime = (poly(-y / (y ** 2 + 1), 1 / (y ** 2 + 1)), poly(y ** 2, y))  # (alpha - y)/(y^2 + 1), y (alpha + y)
+    shared = (sq * poly(1 / y, 1 / y), sq * poly(-1 / (y - 3), y / (y - 3)))
+    cases = [(zero, zero), (zero, sq), (poly((y - 1) / (y + 2)), sq), coprime, shared, (sq * poly(-y, 1), sq)]
+    for p, q in cases:
+        _check_gcd_against_euclid(p, q)
+    assert zero.gcd(zero).is_zero()
+    assert coprime[0].gcd(coprime[1]).coeffs == (field.one,)
+    assert shared[0].gcd(shared[1]) == sq
+    assert (sq * poly(-y, 1)).gcd(sq) == sq
 
 
 def test_reciprocal_substitution_stays_canonical():

@@ -423,7 +423,8 @@ class LabeledQuad:
         """(a, b) of its local-maxima weight tb^a tw^b: the vertices but the
         root that are not local maxima, and the local maxima."""
         maxima = sum(1 for flag in self.local_max if flag)
-        return len(self.local_max) - maxima - 1, maxima
+        others = len(self.local_max) - maxima - 1
+        return others, maxima
 
 
 def _glued_maps(sizes, keep=lambda m: True):

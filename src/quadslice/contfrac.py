@@ -27,14 +27,14 @@ before rescaling.  The final shift by tau restores the rung values.
 The tau-coefficients of the main ladder entries are polynomials in rho,
 and those of the companion coefficient n have denominators dividing
 (rho - 1)^(2n).  So the graded ladder is held over Q[rho], with entry -n
-stored as (rho - 1)^(2n) j_{-n}.  In H_i^(s) row n is scaled by
-(rho - 1)^(2 max(0, i-n-s)), which clears every denominator in it, and
-Berkowitz's recurrence runs over Q[rho] with ring operations only: no
-polynomial gcd, and one big-integer product per series multiply.  The
-bi-ratios are exact series divisions in Q[rho] with the powers of
-(rho - 1) kept as integer bookkeeping; a nonzero remainder raises
-NonInvertibleError naming the rung.  H_i^(s) itself is not polynomial in
-rho in general, so it is never formed.
+computed directly as (rho - 1)^(2n) j_{-n} by one exact series division.
+In H_i^(s) row n is scaled by (rho - 1)^(2 max(0, i-n-s)), which clears
+every denominator in it, and Berkowitz's recurrence runs over Q[rho] with
+ring operations only: no polynomial gcd, and one big-integer product per
+series multiply.  The bi-ratios are exact series divisions in Q[rho] with
+the powers of (rho - 1) kept as integer bookkeeping; a nonzero remainder
+raises NonInvertibleError naming the rung.  H_i^(s) itself is not
+polynomial in rho in general, so it is never formed.
 
 For finite fractions the whole object is a rational function of z and the
 companion is forced: tilde(J)(z) = -(Y_1/z) J(1/z) with Y_1 read off the
@@ -56,8 +56,8 @@ from .exactalg import (
     det_division_free,
     tb,
 )
-from .ratfunc import QQ, FieldSpec, Poly, RatFunc
-from .series import RHO, RHO_RING, Series, bipoly_to_tau, graded_div, tau_to_bipoly
+from .ratfunc import QQ, FieldSpec, Poly, RatFunc, ratfunc_field
+from .series import RHO, RHO_RING, TAU, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 from .slice_solver import a0_a1_times_tb, f_n, solve_limit, y1_series
 from .lattice_paths import z_const
 
@@ -272,6 +272,10 @@ def tilde_coeffs(Y):
 
 # ------------------------------------------------- bivariate graded pipeline
 
+RHO_FIELD = ratfunc_field(RHO)  # only for the companions' public view
+_RHO_1 = Poly(RHO, (-1, 1))
+
+
 def graded_ladder(order, n_hi, n_lo) -> JnLadder:
     """Ladder for the local-maxima ensemble in the rescaled tau grading.
 
@@ -283,7 +287,7 @@ def graded_ladder(order, n_hi, n_lo) -> JnLadder:
 
     The ladder is held over Q[rho]: the companion coefficient n has every
     denominator dividing (rho - 1)^(2n), so the clearing factor is
-    (rho - 1)^2 and entry -n holds (rho - 1)^(2n) times the companion.
+    (rho - 1)^2 and entry -n is ``_companion_cleared(n, order)``.
 
     The entries are built from the largest solver cap down: the companions
     from n_lo to 1 (companion n solves at cap order + 2n + 2), then the main
@@ -291,38 +295,33 @@ def graded_ladder(order, n_hi, n_lo) -> JnLadder:
     once, at the top cap, and every later request is served from their
     store by truncation instead of a warm extension per cap.
     """
-    j = {}
-    clear = Poly(RHO, (1, -2, 1))  # (rho - 1)^2
-    for n in range(n_lo, 0, -1):
-        j[-n] = _cleared(conjectured_tilde_j_graded(n, order), clear ** n, f"j_{-n}")
+    j = {-n: _companion_cleared(n, order) for n in range(n_lo, 0, -1)}
     for n in range(n_hi, -1, -1):
         cap = order + n
         val = y1_series(cap) * f_n(n - 1, cap) if n >= 1 else bipoly_one(order)
-        j[n] = bipoly_to_tau(val, RHO_RING).shift(-n)
-    return JnLadder(j, bipoly_to_tau(y1_series(order), RHO_RING), clear)
+        j[n] = bipoly_to_tau(val).shift(-n)
+    return JnLadder(j, bipoly_to_tau(y1_series(order)), _RHO_1 ** 2)
 
 
-def _cleared(s: Series, d: Poly, name) -> Series:
-    """d * s over Q[rho], for a series s over Q(rho) whose denominators divide d."""
-    out = []
-    for k, c in enumerate(s.coeffs):
-        factor, rem = d.divmod(c.den)
-        if not rem.is_zero():
-            raise NonInvertibleError(f"ladder entry {name}: tau^{k} denominator does not divide {d!r}")
-        out.append(c.num * factor)
-    return Series(s.var, s.cap, out, RHO_RING)
+def _rho_view(s: Series, e) -> Series:
+    """s / (rho - 1)^e over Q(rho), for a series s over Q[rho]."""
+    d = _RHO_1 ** e
+    return Series(s.var, s.cap, [RatFunc(c, d) for c in s.coeffs], RHO_FIELD)
 
 
-def conjectured_tilde_j_graded(n, order) -> Series:
-    """Companion coefficient n in the rescaled grading, exact to ``order``.
+def _companion_cleared(n, order) -> Series:
+    """(rho - 1)^(2n) times companion coefficient n in the rescaled grading,
+    over Q[rho] and exact to ``order``.
 
-    tau^n * Y_1 (A_0 Z_n + A_1 (Q-P)^2 Z_{n-1}) / (Q-P)^(2n+1), with A_0
-    and A_1 multiplied through by tb so numerator and denominator are
-    polynomial; Z_k is the constant-weight path series coefficient.  The
-    result has valuation 0 and constant coefficient 1 at n = 0.
+    The companion is tau^n * Y_1 (A_0 Z_n + A_1 (Q-P)^2 Z_{n-1}) /
+    (Q-P)^(2n+1), with A_0 and A_1 multiplied through by tb so numerator
+    and denominator are polynomial; Z_k is the constant-weight path series
+    coefficient.  The numerator's image times (rho - 1)^(2n) is divided
+    exactly by the denominator's; a remainder raises NonInvertibleError
+    naming j_{-n}.
     """
     if n == 0:
-        return Series.one("tau", order, bipoly_to_tau(bipoly_one(order)).field)
+        return Series.one(TAU, order, RHO_RING)
     cap = order + 2 * n + 2  # the division by a valuation-(2n+2) series
     lim = solve_limit(cap)
     P, Q = lim.first, lim.second
@@ -332,15 +331,28 @@ def conjectured_tilde_j_graded(n, order) -> Series:
         ta0 * z_const(n, P, Q, "context") + ta1 * Y * Y * z_const(n - 1, P, Q, "context")
     )
     den = tb(cap) * Y ** (2 * n + 1)
-    out = bipoly_to_tau(num).shift(n).divide(bipoly_to_tau(den))
+    try:
+        out = (bipoly_to_tau(num).shift(n) * _RHO_1 ** (2 * n)).divide(bipoly_to_tau(den))
+    except NonInvertibleError as exc:
+        raise NonInvertibleError(f"ladder entry j_{-n}: {exc}") from None
     return out.truncate(order)
+
+
+def conjectured_tilde_j_graded(n, order) -> Series:
+    """Companion coefficient n in the rescaled grading over Q(rho), exact to
+    ``order``: the view of ``_companion_cleared``."""
+    return _rho_view(_companion_cleared(n, order), 2 * n)
 
 
 def conjectured_tilde_j_rescaled_route(n, order) -> Series:
     """Same companion value via (Y_1/Y)(A_0 Zt_n + A_1 Zt_{n-1}) with
-    Zt_k = Z_k / (Q-P)^(2k); an independent arrangement of the divisions."""
+    Zt_k = Z_k / (Q-P)^(2k); an independent arrangement of the divisions.
+
+    Each quotient is cleared over Q[rho] on its own, as (rho - 1) Y_1/Y and
+    (rho - 1)^(2k) Zt_k, so the product is (rho - 1)^(2n+1) times the
+    companion, returned in its Q(rho) view."""
     if n == 0:
-        return Series.one("tau", order, bipoly_to_tau(bipoly_one(order)).field)
+        return Series.one(TAU, order, RHO_FIELD)
     cap = order + 2 * n + 2
     lim = solve_limit(cap)
     P, Q = lim.first, lim.second
@@ -349,16 +361,15 @@ def conjectured_tilde_j_rescaled_route(n, order) -> Series:
     t_tau = bipoly_to_tau(tb(cap))
 
     def zt(k):
-        # tau^k * Zt_k: valuation-0 series
-        return bipoly_to_tau(z_const(k, P, Q, "context")).shift(k).divide(
-            bipoly_to_tau(Y ** (2 * k))
-        )
+        # (rho - 1)^(2k) tau^k Zt_k: valuation-0 series
+        cleared = bipoly_to_tau(z_const(k, P, Q, "context")).shift(k) * _RHO_1 ** (2 * k)
+        return cleared.divide(bipoly_to_tau(Y ** (2 * k)))
 
     a0 = bipoly_to_tau(ta0).divide(t_tau)
     a1 = bipoly_to_tau(ta1).divide(t_tau)
-    yy = bipoly_to_tau(y1_series(cap)).divide(bipoly_to_tau(Y))
-    out = yy * (a0 * zt(n) + a1 * zt(n - 1).shift(1))
-    return out.truncate(order)
+    yy = (bipoly_to_tau(y1_series(cap)) * _RHO_1).divide(bipoly_to_tau(Y))
+    out = yy * (a0 * zt(n) + a1 * (zt(n - 1) * _RHO_1 ** 2).shift(1))
+    return _rho_view(out.truncate(order), 2 * n + 1)
 
 
 def newtype_rungs_from_solver_inputs(N, i_max):

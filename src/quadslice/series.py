@@ -13,18 +13,19 @@ information degrades explicitly rather than silently.
 The tau grading: substituting tb -> tau, tw -> rho*tau turns a bivariate
 polynomial of total degree d into a tau-series of order d whose
 coefficients are polynomials in rho of degree bounded by the tau power.
-Total degree becomes plain valuation, and leading coefficients live in the
-field of rational functions of rho, so quantities that are exactly
-divisible in the bivariate ring can be divided as series (valuation
-shift plus field division) and converted back.  The conversion back
-verifies the degree bound, which is exactly the condition for the series
-to be the image of a genuine polynomial in the two weights.
+Total degree becomes plain valuation, so quantities that are exactly
+divisible in the bivariate ring can be divided as series (valuation shift
+plus exact division of the coefficients) and converted back.  The
+conversion back verifies the degree bound, which is exactly the condition
+for the series to be the image of a genuine polynomial in the two weights.
 
-The same image can be held over Q[rho] instead (``RHO_RING``, Poly
-coefficients).  There a product of two series is one big-integer multiply
+The image is held over Q[rho] (``RHO_RING``, Poly coefficients).  A
+product of two such series is one big-integer multiply
 (``exactalg.packed_series_mul``), chosen once per product from the field
 spec, and ``divide`` is exact: each coefficient division must leave
-remainder zero, else NonInvertibleError.  No gcd runs in this form.
+remainder zero, else NonInvertibleError.  Where the quotient over Q(rho)
+is polynomial, every one of those divisions is exact, so no quotient that
+exists as a bivariate polynomial is lost, and no gcd runs in this form.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from fractions import Fraction
 
 from .errors import NonInvertibleError, StructureError
 from .exactalg import BIVARS, MPoly, packed_series_mul, power
-from .ratfunc import QQ, FieldSpec, Poly, RatFunc, _inv_elem, _qq_normal, ratfunc_field
+from .ratfunc import QQ, FieldSpec, Poly, _inv_elem, _qq_normal
 
 TAU, RHO = "tau", "rho"
-RHO_FIELD = ratfunc_field(RHO)
 RHO_RING = FieldSpec(Poly.zero(RHO), Poly.one(RHO), f"QQ[{RHO}]")
 
 
@@ -260,12 +260,9 @@ class Series:
 
 # -------------------------------------------------------------- tau grading
 
-def bipoly_to_tau(p: MPoly, field=RHO_FIELD) -> Series:
-    """Image of tb^a tw^b -> rho^b tau^(a+b); cap becomes the tau order.
-
-    The coefficients are held in Q(rho) (``RHO_FIELD``), where series divide
-    by field division, or in Q[rho] (``RHO_RING``).
-    """
+def bipoly_to_tau(p: MPoly) -> Series:
+    """Image of tb^a tw^b -> rho^b tau^(a+b) over Q[rho]; cap becomes the
+    tau order."""
     if p.vars != BIVARS:
         raise StructureError("tau grading applies to bivariate weight polynomials")
     if p.cap is None:
@@ -273,29 +270,16 @@ def bipoly_to_tau(p: MPoly, field=RHO_FIELD) -> Series:
     slots = [[0] * (k + 1) for k in range(p.cap + 1)]
     for (a, b), c in p.terms.items():
         slots[a + b][b] = c
-    coeffs = [Poly(RHO, s) for s in slots]
-    if field is RHO_FIELD:
-        coeffs = [RatFunc.from_poly(c) for c in coeffs]
-    return Series(TAU, p.cap, coeffs, field)
+    return Series(TAU, p.cap, [Poly(RHO, s) for s in slots], RHO_RING)
 
 
-def tau_to_bipoly(s: Series, cap=None) -> MPoly:
-    """Inverse of bipoly_to_tau (from Q(rho) or Q[rho]); checks each
-    coefficient is a polynomial in rho of degree at most its tau power."""
+def tau_to_bipoly(s: Series) -> MPoly:
+    """Inverse of bipoly_to_tau; checks each coefficient has rho-degree at
+    most its tau power."""
     if s.var != TAU:
         raise StructureError("expected a tau-graded series")
-    cap = s.cap if cap is None else cap
-    if cap > s.cap:
-        raise StructureError("requested cap exceeds series order")
     terms = {}
-    for k in range(cap + 1):
-        c = s.coeffs[k]
-        if isinstance(c, RatFunc):
-            if not c.is_polynomial():
-                raise NonInvertibleError(
-                    f"tau^{k} coefficient is not polynomial in rho: {c!r}"
-                )
-            c = c.num  # over the monic denominator 1
+    for k, c in enumerate(s.coeffs):
         if c.degree() > k:
             raise NonInvertibleError(
                 f"tau^{k} coefficient has rho-degree {c.degree()} > {k}"
@@ -303,11 +287,11 @@ def tau_to_bipoly(s: Series, cap=None) -> MPoly:
         for b, coef in enumerate(c.coeffs):
             if coef != 0:
                 terms[(k - b, b)] = coef
-    return MPoly(BIVARS, terms, cap)
+    return MPoly(BIVARS, terms, s.cap)
 
 
 def graded_div(num: MPoly, den: MPoly) -> MPoly:
-    """Exact bivariate quotient computed in the tau grading.
+    """Exact bivariate quotient computed in the tau grading over Q[rho].
 
     num and den must share a cap; den's valuation shifts out, and the
     result (of cap reduced by that valuation) must convert back to a

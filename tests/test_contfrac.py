@@ -24,11 +24,13 @@ from quadslice.contfrac import (
 )
 from quadslice import contfrac
 from quadslice.errors import NonInvertibleError, StructureError
-from quadslice.exactalg import bipoly_one, det_division_free
-from quadslice.lattice_paths import symbol_table
+from quadslice.exactalg import bipoly_one, det_division_free, tb
+from quadslice.lattice_paths import symbol_table, z_const
 from quadslice.ratfunc import QQ, Poly, RatFunc
-from quadslice.series import RHO_FIELD, RHO_RING, Series, bipoly_to_tau, tau_to_bipoly
-from quadslice.slice_solver import f_n, solve_bw, solve_y, y1_series
+from quadslice.series import RHO_RING, Series
+from quadslice.slice_solver import a0_a1_times_tb, f_n, solve_bw, solve_limit, solve_y, y1_series
+
+from test_series import RHO_FIELD, field_to_bipoly, rho_field_image
 
 
 def rationals(seed, count, bound=7):
@@ -218,6 +220,24 @@ def test_stieltjes_expand_after_extract_identity():
 # ------------------------------------------- the Q(rho) route, kept as the oracle
 
 
+def field_companion(n, order):
+    """Companion coefficient n in the rescaled grading by field division
+    over Q(rho), as the package computed it before its companions were
+    cleared over Q[rho]."""
+    if n == 0:
+        return Series.one("tau", order, RHO_FIELD)
+    cap = order + 2 * n + 2
+    lim = solve_limit(cap)
+    P, Q = lim.first, lim.second
+    ta0, ta1 = a0_a1_times_tb(lim)
+    Y = Q - P
+    num = y1_series(cap) * (
+        ta0 * z_const(n, P, Q, "context") + ta1 * Y * Y * z_const(n - 1, P, Q, "context")
+    )
+    den = tb(cap) * Y ** (2 * n + 1)
+    return rho_field_image(num).shift(n).divide(rho_field_image(den)).truncate(order)
+
+
 def ratfunc_ladder(order, n_hi, n_lo):
     """The graded ladder with every entry over Q(rho): j_{-n} is the
     companion itself, not cleared of its (rho - 1) denominators."""
@@ -225,9 +245,9 @@ def ratfunc_ladder(order, n_hi, n_lo):
     for n in range(0, n_hi + 1):
         cap = order + n
         val = y1_series(cap) * f_n(n - 1, cap) if n >= 1 else bipoly_one(order)
-        j[n] = bipoly_to_tau(val).shift(-n)
+        j[n] = rho_field_image(val).shift(-n)
     for n in range(1, n_lo + 1):
-        j[-n] = conjectured_tilde_j_graded(n, order)
+        j[-n] = field_companion(n, order)
     return j
 
 
@@ -243,7 +263,7 @@ def ratfunc_rungs(H, i_max):
     for i in range(1, i_max + 1):
         Y.append((H[i, 1] * H[i - 1, 0]).divide(H[i - 1, 1] * H[i, 0]))
         Y.append((H[i - 1, 0] * H[i + 1, 1]).divide(H[i, 0] * H[i, 1]))
-    return [tau_to_bipoly(v.shift(1)) for v in Y]
+    return [field_to_bipoly(v.shift(1)) for v in Y]
 
 
 ORACLE_I_MAX = 4
@@ -276,16 +296,27 @@ def test_rungs_match_ratfunc_route(ratfunc_route):
         assert newtype_rungs_from_solver_inputs(N, i_max) == want[: 2 * i_max], (N, i_max)
 
 
-def test_hankel_type_dets_run_without_gcd(monkeypatch):
-    ladder = graded_ladder(4, 3, 1)
+def test_cleared_companion_matches_the_field_route():
+    clear = RatFunc.from_poly(Poly("rho", (-1, 1)))
+    for n in range(1, 4):
+        want = field_companion(n, 4)
+        got = contfrac._companion_cleared(n, 4)
+        assert got.field is RHO_RING and got.cap == want.cap, n
+        assert [RatFunc.from_poly(c) for c in got.coeffs] == [c * clear ** (2 * n) for c in want.coeffs], n
+        assert conjectured_tilde_j_graded(n, 4) == want, n
 
-    def forbidden(*args):
+
+def test_hankel_type_dets_run_without_gcd(monkeypatch):
+    def forbidden(*args, **kwargs):
         raise AssertionError("gcd or Q(rho) arithmetic inside the extraction")
 
     monkeypatch.setattr(Poly, "gcd", forbidden)
-    for op in ("__add__", "__mul__", "inverse"):
+    for op in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "inverse"):
         monkeypatch.setattr(RatFunc, op, forbidden)
+    ladder = graded_ladder(4, 3, 1)
     assert len(newtype_extract(ladder, 2)) == 4
+    assert len(newtype_rungs_from_solver_inputs(5, 3)) == 6
 
 
 def test_perturbed_companion_entry_fails_loudly():
@@ -299,15 +330,11 @@ def test_perturbed_companion_entry_fails_loudly():
 
 
 def test_companion_denominator_beyond_the_clearing_power_fails_loudly(monkeypatch):
-    honest = contfrac.conjectured_tilde_j_graded
-
-    def perturbed(n, order):
-        s = honest(n, order)
-        bump = RatFunc(Poly.one("rho"), Poly("rho", (-1, 1)) ** (2 * n + 1))
-        return Series(s.var, s.cap, [s.coeffs[0], s.coeffs[1] + bump, *s.coeffs[2:]], s.field)
-
-    monkeypatch.setattr(contfrac, "conjectured_tilde_j_graded", perturbed)
-    with pytest.raises(NonInvertibleError, match="j_-1"):
+    # tb^2 added to Y_1 adds rho / (rho - 1)^3 at tau^1 to companion 1, one
+    # power of (rho - 1) beyond what its clearing factor (rho - 1)^2 clears
+    honest = contfrac.y1_series
+    monkeypatch.setattr(contfrac, "y1_series", lambda cap: honest(cap) + tb(cap) ** 2)
+    with pytest.raises(NonInvertibleError, match="j_-1: quotient is not over Q\\[rho\\]"):
         graded_ladder(3, 2, 1)
 
 

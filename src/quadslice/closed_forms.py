@@ -163,16 +163,17 @@ def eval_pqy_closed(i, p: ParamPoint):
         raise StructureError("context closed forms live in the yalpha family")
     g = p.param
     P, Q = eval_limits(p)
-    Yl = eval_y_limit(p)
-    p_i = p.ratio(P, [(1, i), (g, i + 3)], [(1, i + 1), (g, i + 2)])
-    q_i = p.ratio(Q, [(1, i), (g * g, i + 3)], [(g, i + 1), (g, i + 2)])
-    y_even = p_i
-    y_odd = p.ratio(Yl, [(1, i + 1), (g, i + 3)], [(1, i + 2), (g, i + 2)])
-    p_next = p.ratio(P, [(1, i + 1), (g, i + 4)], [(1, i + 2), (g, i + 3)])
-    q_next = p.ratio(Q, [(1, i + 1), (g * g, i + 4)], [(g, i + 2), (g, i + 3)])
+
+    def pq(j):
+        return (p.ratio(P, [(1, j), (g, j + 3)], [(1, j + 1), (g, j + 2)]),
+                p.ratio(Q, [(1, j), (g * g, j + 3)], [(g, j + 1), (g, j + 2)]))
+
+    p_i, q_i = pq(i)
+    p_next, q_next = pq(i + 1)
+    y_odd = p.ratio(eval_y_limit(p), [(1, i + 1), (g, i + 3)], [(1, i + 2), (g, i + 2)])
     if y_odd != q_next - p_next:
         raise VerificationError(f"Y_{2 * i + 1} disagrees with Q_{i + 1} - P_{i + 1}")
-    return p_i, q_i, y_even, y_odd
+    return p_i, q_i, p_i, y_odd
 
 
 # -------------------------------------------------------------- verification
@@ -368,10 +369,16 @@ def section6_algebra() -> CheckReport:
     if Y != (a - 1) * y * (one - a * y ** 2) / D:
         raise VerificationError("merged limit display failed")
     report.add("Y display")
-    tts = eval_tt(ParamPoint("yalpha", 8))
-    # cross-check the closed t display against the series evaluation route
-    if _tower_to_series(T.t_b, 8) != tts[0] or _tower_to_series(T.t_w, 8) != tts[1]:
-        raise VerificationError("vertex weight parametrization display failed")
+    # cross-check the closed t display against the series evaluation route:
+    # with den a unit series, t D^2 = t_series den^2 as polynomials of
+    # y-degree <= 8 means t = t_series to order 8
+    p = ParamPoint("yalpha", 8)
+    den = _denominator(p)
+    if _tower_poly(D, p) != den:
+        raise VerificationError("denominator display failed")
+    for t, t_series in zip((T.t_b, T.t_w), eval_tt(p)):
+        if _tower_poly(t * D ** 2, p) != t_series * den * den:
+            raise VerificationError("vertex weight parametrization display failed")
     report.add("vertex weights match their displays")
     if Y1 != (a - 1) * y * (one - a * y ** 3) / ((one + y) * D):
         raise VerificationError("first merged coefficient display failed")
@@ -405,46 +412,15 @@ def section6_algebra() -> CheckReport:
     return report
 
 
-def _tower_to_series(val: RatFunc, M, slack=12) -> Series:
-    """Expand a nested-field value as a y-series over rational functions of
-    alpha.  Coefficient denominators in y are cleared first, leaving a
-    ratio of genuinely bivariate polynomials to expand and series-divide;
-    the clearing can add valuation, hence the internal slack."""
-    from .ratfunc import Poly
-
-    M, target = M + slack, M
-
-    def clear(apoly):
-        # common multiple of the y-denominators of all alpha-coefficients
-        common = Poly.one("y")
-        for c in apoly.coeffs:
-            if not (c == 0) and c.den.degree() > 0:
-                g = common.gcd(c.den)
-                common = common * c.den.divmod(g)[0]
-        cm = RatFunc.from_poly(common)
-        cleared = [c * cm for c in apoly.coeffs]
-        return cleared, common
-
-    def biv_to_series(cleared) -> Series:
-        out = [ALPHA_FIELD.zero] * (M + 1)
-        agen = RatFunc.gen("alpha")
-        for apow, c in enumerate(cleared):
-            if c == 0:
-                continue
-            for ypow, cy in enumerate(c.num.coeffs):
-                if ypow <= M and cy != 0:
-                    out[ypow] = out[ypow] + agen ** apow * Fraction(cy)
-        return Series("y", M, out, ALPHA_FIELD)
-
-    def ypoly_to_series(p) -> Series:
-        coeffs = [ALPHA_FIELD.one * Fraction(c) for c in p.coeffs[: M + 1]]
-        return Series("y", M, coeffs, ALPHA_FIELD)
-
-    num_cleared, num_den = clear(val.num)
-    den_cleared, den_den = clear(val.den)
-    numerator = biv_to_series(num_cleared) * ypoly_to_series(den_den)
-    denominator = biv_to_series(den_cleared) * ypoly_to_series(num_den)
-    quotient = numerator.divide(denominator)
-    if quotient.cap < target:
-        raise StructureError("tower expansion lost too much order; raise the slack")
-    return quotient.truncate(target)
+def _tower_poly(val: RatFunc, p: ParamPoint) -> Series:
+    """A nested-field value as a series at p, when it is a polynomial in y
+    and alpha of y-degree at most p.cap; anything else fails the check."""
+    if val.den.degree() or any(c.den.degree() for c in val.num.coeffs):
+        raise VerificationError("tower value is not a polynomial in y and alpha")
+    coeffs = {}
+    for apow, c in enumerate(val.num.coeffs):
+        for ypow, cy in enumerate(c.num.coeffs):
+            coeffs[ypow] = coeffs.get(ypow, 0) + p.param ** apow * cy
+    if max(coeffs, default=0) > p.cap:
+        raise VerificationError(f"tower polynomial has y-degree above {p.cap}")
+    return p.poly(coeffs)

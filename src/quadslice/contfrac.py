@@ -3,8 +3,9 @@ extraction through Hankel determinants.
 
 Two fraction shapes appear:
 
-* Stieltjes: 1 / (1 - z c_1 / (1 - z c_2 / ...)); the rung coefficients
-  come back from the series coefficients as ratios of consecutive Hankel
+* Stieltjes: 1 / (1 - z c_1 / (1 - z c_2 / ...)), the two-term fraction
+  below with rungs (0, c_1, 0, c_2, ...); the rung coefficients come back
+  from the series coefficients as ratios of consecutive Hankel
   determinants h_i^(0) = det(F_{n+m}), h_i^(1) = det(F_{n+m+1}).
 * two-term rungs: 1 / (1 - z Y_1 - z Y_2 / (1 - z Y_3 - z Y_4 / ...)).
   Here the plain series underdetermines the rungs; extraction additionally
@@ -19,10 +20,11 @@ For the concrete weight series of the local-maxima ensemble the companion
 coefficients are not polynomials in the two vertex weights (they carry
 inverse powers of Q - P), so the bivariate pipeline works in the tau
 grading throughout and additionally rescales the ladder by tau^(-n).
-That geometric rescaling multiplies each extracted rung by tau^(-1) and
-leaves the bi-ratios otherwise unchanged, and it makes every ladder entry
-a genuine power series: entry n of the ladder has valuation exactly |n|
-before rescaling.  The final shift by tau restores the rung values.
+Entry n of the raw ladder has valuation exactly n on both sides (for
+n < 0 a Laurent series), so that geometric rescaling gives every entry
+valuation 0; it multiplies each extracted rung by tau^(-1) and leaves the
+bi-ratios otherwise unchanged.  The final shift by tau restores the rung
+values.
 
 The tau-coefficients of the main ladder entries are polynomials in rho,
 and those of the companion coefficient n have denominators dividing
@@ -87,31 +89,36 @@ def _ring_field(exemplar) -> FieldSpec:
     return FieldSpec(_ring_zero_of(exemplar), _ring_one_of(exemplar), "ring")
 
 
+def _fold(Y, rungs, one, z, inv):
+    """The two-term fraction 1 / (1 - z Y_1 - z Y_2 / (1 - z Y_3 - ...)) cut
+    after ``rungs`` rungs, evaluated bottom-up; a missing Y_{2 rungs} ends
+    the last rung at 1 - z Y_{2 rungs - 1}."""
+    t = one
+    for i in range(rungs, 0, -1):
+        body = one - z * Y[2 * i - 2]
+        if 2 * i - 1 < len(Y):
+            body = body - z * (t * Y[2 * i - 1])
+        t = inv(body)
+    return t
+
+
 def expand(spec: FractionSpec, L) -> Series:
-    """Evaluate the nested fraction bottom-up, truncated at order L in z."""
-    field = _ring_field(spec.coeffs[0])
+    """Evaluate the nested fraction bottom-up, truncated at order L in z.
+
+    A Stieltjes fraction is the two-term fraction with rungs
+    Y = (0, c_1, 0, c_2, ...), so both kinds share one loop."""
+    Y = spec.coeffs
+    if spec.kind == "stieltjes":
+        zero = _ring_zero_of(Y[0])
+        Y = [v for c in Y for v in (zero, c)]
+    # order L sees the descent weight of rung L
+    if not spec.finite and len(Y) < 2 * L:
+        raise StructureError(f"need coefficients up to index {2 * L} for order {L}")
+    rungs = (len(Y) + 1) // 2
+    field = _ring_field(Y[0])
     one = Series.one("z", L, field)
     z = Series.gen("z", L, field)
-    if spec.kind == "stieltjes":
-        if not spec.finite and len(spec.coeffs) < L:
-            raise StructureError(f"need at least {L} rungs for order {L}")
-        depth = len(spec.coeffs) if spec.finite else L
-        t = one
-        for i in range(depth, 0, -1):
-            t = (one - z * (t * spec.coeffs[i - 1])).inv()
-        return t
-    # two-term rungs: order L sees the descent weight of rung L
-    if not spec.finite and len(spec.coeffs) < 2 * L:
-        raise StructureError(f"need coefficients up to index {2 * L} for order {L}")
-    rungs = (len(spec.coeffs) + 1) // 2
-    depth = rungs if spec.finite else min(rungs, L)
-    t = one
-    for i in range(depth, 0, -1):
-        body = one - z * spec.coeffs[2 * i - 2]
-        if 2 * i - 1 < len(spec.coeffs):
-            body = body - z * (t * spec.coeffs[2 * i - 1])
-        t = body.inv()
-    return t
+    return _fold(Y, rungs if spec.finite else min(rungs, L), one, z, Series.inv)
 
 
 # ----------------------------------------------------------------- division
@@ -141,11 +148,12 @@ def stieltjes_extract(F: Series, i_max):
     if F.coeffs[0] != _ring_one_of(F.coeffs[0]):
         raise StructureError("Stieltjes series must start at 1")
 
+    # h_i^(s) = det(F_{n+m+s}), 0 <= n, m <= i, is H_{i+1}^(i+s) on the
+    # one-sided ladder j_k = F_k
+    ladder = JnLadder(enumerate(F.coeffs), F.coeffs[0])
+
     def h(i, shift):
-        if i < 0:
-            return _ring_one_of(F.coeffs[0])
-        rows = [[F.coeffs[n + m + shift] for m in range(i + 1)] for n in range(i + 1)]
-        return det_division_free(rows)
+        return hankel_type_dets(ladder, i + 1, i + shift)
 
     out = {}
     h0 = {i: h(i, 0) for i in range(-1, i_max + 1)}
@@ -281,9 +289,9 @@ def graded_ladder(order, n_hi, n_lo) -> JnLadder:
 
     Entry n (0 <= n <= n_hi) is tau^(-n) * (Y_1 * J_{n-1}); entry -n
     (1 <= n <= n_lo) is tau^n * (conjectured companion coefficient n).
-    Entry n of the raw ladder has valuation exactly |n|, so every rescaled
-    entry is an honest tau-series; each is built at the internal cap that
-    makes it exact to the requested order.
+    Entry n of the raw ladder has valuation exactly n, the companion side
+    being a Laurent series, so every rescaled entry has valuation 0; each
+    is built at the internal cap that makes it exact to the requested order.
 
     The ladder is held over Q[rho]: the companion coefficient n has every
     denominator dividing (rho - 1)^(2n), so the clearing factor is
@@ -419,16 +427,8 @@ def _random_nonzero_rationals(count, rng, bound=7):
 
 def finite_fraction_ratfunc(coeffs):
     """A finite two-term fraction as an exact rational function of z."""
-    z = RatFunc.gen("z")
-    one = RatFunc.one("z")
     rungs = (len(coeffs) + 1) // 2
-    t = one
-    for i in range(rungs, 0, -1):
-        body = one - z * coeffs[2 * i - 2]
-        if 2 * i - 1 < len(coeffs):
-            body = body - z * coeffs[2 * i - 1] * t
-        t = body.inverse()
-    return t
+    return _fold(coeffs, rungs, RatFunc.one("z"), RatFunc.gen("z"), RatFunc.inverse)
 
 
 def finite_reflection_check(alpha, seed) -> CheckReport:

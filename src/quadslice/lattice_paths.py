@@ -40,40 +40,37 @@ class PathSpec:
 
 
 class WeightTable:
-    """Height-indexed weights with an optional tail value.
+    """Height-indexed weights.
 
     ``first`` and ``second`` are lists indexed by height (index 0 unused,
     by convention zero).  For elongated tables only ``first`` is used and
     it is indexed by the doubled scheme described in the module docstring.
-    A table with tail=None is strict: heights beyond the stored range are
-    an error rather than silently clamped.
+    Tables are strict: heights beyond the stored range are an error rather
+    than silently clamped.
     """
 
-    __slots__ = ("kind", "first", "second", "tail_first", "tail_second")
+    __slots__ = ("kind", "first", "second")
 
-    def __init__(self, kind, first, second=None, tail_first=None, tail_second=None):
+    def __init__(self, kind, first, second=None):
         if kind not in ("bicolored", "context", "elongated"):
             raise StructureError(f"unknown weight table kind {kind!r}")
         self.kind = kind
         self.first = list(first)
         self.second = list(second) if second is not None else None
-        self.tail_first = tail_first
-        self.tail_second = tail_second
 
-    def _lookup(self, seq, tail, idx):
+    @staticmethod
+    def _lookup(seq, idx):
         if idx < len(seq):
             return seq[idx]
-        if tail is None:
-            raise StructureError(f"weight index {idx} beyond stored range (strict table)")
-        return tail
+        raise StructureError(f"weight index {idx} beyond stored range (strict table)")
 
     def a(self, idx):
-        return self._lookup(self.first, self.tail_first, idx)
+        return self._lookup(self.first, idx)
 
     def b(self, idx):
         if self.second is None:
             raise StructureError(f"{self.kind} weight table has no second sequence")
-        return self._lookup(self.second, self.tail_second, idx)
+        return self._lookup(self.second, idx)
 
     def an_element(self):
         for seq in (self.first, self.second or []):

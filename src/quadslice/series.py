@@ -40,11 +40,7 @@ TAU, RHO = "tau", "rho"
 RHO_RING = FieldSpec(Poly.zero(RHO), Poly.one(RHO), f"QQ[{RHO}]")
 
 
-def _elem_inv(field, x):
-    if isinstance(x, Poly):  # the units of Q[rho] are its nonzero constants
-        if x.degree() != 0:
-            raise NonInvertibleError(f"coefficient not a unit of Q[rho]: {x!r}")
-        return Poly.const(x.var, _inv_elem(x.coeffs[0]))
+def _elem_inv(x):
     if isinstance(x, (int, Fraction)) or hasattr(x, "inverse"):
         return _inv_elem(x)
     return x.inv()  # MPoly
@@ -170,27 +166,15 @@ class Series:
 
     def inv(self):
         """Inverse series; needs an invertible order-0 coefficient."""
-        c0 = self.coeffs[0]
-        if c0 == self.field.zero:
-            raise NonInvertibleError("series has zero constant term")
-        inv_c0 = _elem_inv(self.field, c0)
-        z = self.field.zero
-        out = [inv_c0] + [z] * self.cap
-        for k in range(1, self.cap + 1):
-            acc = z
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if cj != z:
-                    acc = acc + cj * out[k - j]
-            out[k] = -(acc * inv_c0)
-        return Series(self.var, self.cap, out, self.field)
+        return Series.one(self.var, self.cap, self.field).divide(self)
 
     def divide(self, other: "Series") -> "Series":
         """Exact series quotient q with other * q = self.
 
         Requires valuation(other) <= valuation(self); the result cap shrinks
-        by valuation(other).  Coefficient divisions happen in the field; over
-        Q[rho] each one must leave remainder zero, else NonInvertibleError.
+        by valuation(other).  Coefficient divisions happen in the field, by
+        one inverse of the leading coefficient; over Q[rho] each one must
+        leave remainder zero, else NonInvertibleError.
         """
         self._check(other)
         vb = other.valuation()
@@ -204,23 +188,25 @@ class Series:
         cap = min(self.cap, other.cap) - vb
         if cap < 0:
             raise NonInvertibleError("divisor valuation exceeds series order")
-        lead = other.coeffs[vb]
+        a, b = self.coeffs, other.coeffs
+        lead = b[vb]
+        inv_lead = None if self.field is RHO_RING else _elem_inv(lead)
         z = self.field.zero
         q = [z] * (cap + 1)
         for k in range(cap + 1):
-            acc = self.coeff(k + vb)
+            acc = a[k + vb]
             for j in range(1, k + 1):
-                bj = other.coeff(vb + j)
+                bj = b[vb + j]
                 if bj != z:
                     acc = acc - bj * q[k - j]
-            if self.field is RHO_RING:
+            if inv_lead is not None:
+                q[k] = acc * inv_lead
+            else:
                 q[k], rem = acc.divmod(lead)
                 if not rem.is_zero():
                     raise NonInvertibleError(
                         f"quotient is not over Q[rho]: nonzero remainder at {self.var}^{k}"
                     )
-            else:
-                q[k] = acc * _elem_inv(self.field, lead)
         return Series(self.var, cap, q, self.field)
 
     def shift(self, k):
@@ -233,14 +219,6 @@ class Series:
         if any(c != z for c in self.coeffs[:-k]):
             raise NonInvertibleError(f"series not divisible by {self.var}^{-k}")
         return Series(self.var, self.cap + k, self.coeffs[-k:], self.field)
-
-    def agrees_with(self, other, order=None):
-        """Coefficient-wise equality up to min(caps) or the given order."""
-        self._check(other)
-        order = min(self.cap, other.cap) if order is None else order
-        if order > min(self.cap, other.cap):
-            raise StructureError("agreement order exceeds available caps")
-        return all(self.coeff(k) == other.coeff(k) for k in range(order + 1))
 
     def __eq__(self, other):
         if not isinstance(other, Series):

@@ -3,6 +3,7 @@ family equivalence, and the rational identity tower."""
 
 import pytest
 
+from quadslice import closed_forms
 from quadslice.closed_forms import (
     ParamPoint,
     eval_bw_closed,
@@ -16,7 +17,7 @@ from quadslice.closed_forms import (
     series_match,
     verify_recursion,
 )
-from quadslice.errors import StructureError
+from quadslice.errors import StructureError, VerificationError
 from quadslice.ratfunc import RatFunc
 
 
@@ -114,6 +115,28 @@ def test_section6_identities():
     report = section6_algebra()
     assert report.passed
     assert any("characteristic" in line for line in report.lines)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_section6_rejects_a_vertex_weight_perturbed_at_y5(monkeypatch, which):
+    def perturbed(p):
+        tts = list(eval_tt(p))
+        tts[which] = tts[which] + p.poly({5: 1})
+        return tuple(tts)
+
+    monkeypatch.setattr(closed_forms, "eval_tt", perturbed)
+    with pytest.raises(VerificationError, match="vertex weight"):
+        section6_algebra()
+
+
+def test_tower_poly_rejects_fractions_and_high_degrees():
+    T = closed_forms._tower()
+    p = ParamPoint("yalpha", 8)
+    with pytest.raises(VerificationError, match="not a polynomial"):
+        closed_forms._tower_poly(T.P, p)
+    with pytest.raises(VerificationError, match="y-degree above 8"):
+        closed_forms._tower_poly(T.D ** 3, p)
+    assert closed_forms._tower_poly(T.D, p) == closed_forms._denominator(p)
 
 
 def test_large_height_collapse():

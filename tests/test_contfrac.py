@@ -191,11 +191,13 @@ def test_underdetermination_witness():
 
 
 def test_graded_ladder_entries_are_series():
-    lad = graded_ladder(3, 2, 1)
-    for n in (-1, 0, 1, 2):
+    # raw entry n has valuation exactly n on both sides, so the tau^(-n)
+    # rescaling leaves every entry at valuation 0
+    lad = graded_ladder(4, 3, 2)
+    for n in range(-2, 4):
         val = lad[n]
         assert isinstance(val, Series)
-        assert val.valuation() in (0, None)
+        assert val.valuation() == 0, n
     assert lad[0].coeffs[0] == RatFunc.one("rho")
 
 
@@ -215,6 +217,65 @@ def test_stieltjes_expand_after_extract_identity():
         rungs.append(got[("b", 2 * i)])
     again = expand(FractionSpec("stieltjes", rungs), 2 * i_max)
     assert again == F
+
+
+# ------------------------- copies folded into shared routines, kept as oracles
+
+
+def stieltjes_expand_oracle(cs, L, finite):
+    """The Stieltjes branch of expand before it became the two-term fraction
+    with rungs (0, c_1, 0, c_2, ...)."""
+    field = contfrac._ring_field(cs[0])
+    one = Series.one("z", L, field)
+    z = Series.gen("z", L, field)
+    t = one
+    for i in range(len(cs) if finite else L, 0, -1):
+        t = (one - z * (t * cs[i - 1])).inv()
+    return t
+
+
+def direct_hankel(F, i, shift):
+    """h_i^(shift) = det(F_{n+m+shift}), 0 <= n, m <= i, built directly as
+    stieltjes_extract did before it used hankel_type_dets; h_{-1} = 1."""
+    if i < 0:
+        return 1
+    return det_division_free([[F.coeffs[n + m + shift] for m in range(i + 1)] for n in range(i + 1)])
+
+
+@pytest.mark.parametrize("finite", [False, True])
+def test_stieltjes_expand_matches_its_old_branch(finite):
+    for seed in range(8):
+        cs = rationals(300 + seed, 6)
+        for L in (1, 3, 6):
+            assert expand(FractionSpec("stieltjes", cs, finite), L) == stieltjes_expand_oracle(cs, L, finite)
+    table, _ = symbol_table("elongated", 4)  # four opaque symbols
+    cs = [table.a(j) for j in range(1, 5)]
+    assert expand(FractionSpec("stieltjes", cs, finite), 4) == stieltjes_expand_oracle(cs, 4, finite)
+
+
+def test_stieltjes_extract_matches_the_direct_hankel_builder():
+    rng = random.Random(31)
+    i_max = 3
+    for _ in range(20):
+        coeffs = [Fraction(1)] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2 * i_max)]
+        F = Series("z", 2 * i_max, coeffs, QQ)
+        h0 = {i: direct_hankel(F, i, 0) for i in range(-1, i_max + 1)}
+        h1 = {i: direct_hankel(F, i, 1) for i in range(-1, i_max)}
+        ladder = contfrac.JnLadder(enumerate(F.coeffs), F.coeffs[0])
+        for i, h in h0.items():
+            assert hankel_type_dets(ladder, i + 1, i) == h
+        for i, h in h1.items():
+            assert hankel_type_dets(ladder, i + 1, i + 1) == h
+        try:
+            want = {}
+            for i in range(1, i_max + 1):
+                want[("w", 2 * i - 1)] = Fraction(h1[i - 1] * h0[i - 2], h1[i - 2] * h0[i - 1])
+                want[("b", 2 * i)] = Fraction(h0[i] * h1[i - 2], h0[i - 1] * h1[i - 1])
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                stieltjes_extract(F, i_max)
+        else:
+            assert stieltjes_extract(F, i_max) == want
 
 
 # ------------------------------------------- the Q(rho) route, kept as the oracle

@@ -71,6 +71,58 @@ def test_inverse_needs_unit():
     assert g.coeffs == tuple(Fraction(1) for _ in range(6))
 
 
+def recurrence_inv(s):
+    """The inverse by the recurrence Series.inv ran before it became the
+    division of 1: out_0 = 1/c_0, out_k = -(c_1 out_{k-1} + ... + c_k out_0)/c_0,
+    over Q[rho] only for a constant c_0."""
+    c0 = s.coeffs[0]
+    if c0 == s.field.zero:
+        raise NonInvertibleError("series has zero constant term")
+    if isinstance(c0, Poly):
+        if c0.degree() != 0:
+            raise NonInvertibleError("coefficient not a unit of Q[rho]")
+        inv_c0 = Poly.const(c0.var, 1 / Fraction(c0.coeffs[0]))
+    else:
+        inv_c0 = c0.inverse() if isinstance(c0, RatFunc) else 1 / Fraction(c0)
+    out = [inv_c0] + [s.field.zero] * s.cap
+    for k in range(1, s.cap + 1):
+        acc = s.field.zero
+        for j in range(1, k + 1):
+            acc = acc + s.coeffs[j] * out[k - j]
+        out[k] = -(acc * inv_c0)
+    return Series(s.var, s.cap, out, s.field)
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+small_polys = st.lists(st.integers(-4, 4), max_size=3).map(lambda c: Poly("rho", c))
+units = st.integers(-4, 4).filter(bool)
+INV_RINGS = {  # ring -> (field, coefficients, leading coefficients)
+    "QQ": (QQ, small_fractions, None),
+    "Q(rho)": (RHO_FIELD, st.builds(RatFunc, small_polys, small_polys.filter(lambda p: not p.is_zero())),
+               None),
+    # constant units, and non-units (zero or of positive degree) that must
+    # raise on both routes
+    "Q[rho]": (RHO_RING, small_polys, st.one_of(units.map(lambda c: Poly.const("rho", c)), small_polys)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(INV_RINGS))
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_inverse_matches_the_recurrence(ring, data):
+    field, coefficient, lead = INV_RINGS[ring]
+    cap = data.draw(st.integers(0, 5))
+    coeffs = [data.draw(coefficient if lead is None else lead)] + [data.draw(coefficient) for _ in range(cap)]
+    s = Series("tau", cap, coeffs, field)
+    try:
+        want = recurrence_inv(s)
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError):
+            s.inv()
+    else:
+        assert s.inv() == want
+
+
 def test_shift_checks_divisibility():
     s = frac_series([0, 0, 3, 1], 5)
     assert s.shift(-2).coeffs[:2] == (Fraction(3), Fraction(1))
@@ -113,11 +165,17 @@ def test_graded_div_exactness():
         graded_div(tw(N), tb(N))  # tw/tb is not a polynomial
 
 
+def agrees(a, b):
+    """Coefficient-wise equality up to the smaller cap."""
+    cap = min(a.cap, b.cap)
+    return a.truncate(cap) == b.truncate(cap)
+
+
 def test_series_equality_is_structural():
     a = frac_series([1, 2], 3)
     b = frac_series([1, 2], 4)
     assert a != b  # caps differ
-    assert a.agrees_with(b)
+    assert agrees(a, b)
 
 
 def test_pow_is_square_and_multiply_and_rejects_negative_exponents():
@@ -241,9 +299,6 @@ def test_series_ring_axioms(ring, data):
     unit = draw(coefficients.filter(bool))
     u = Series("tau", a.cap, [field.one * unit, *a.coeffs[1:]], field)
     assert u * u.inv() == u.ring_one()
-
-
-small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
 
 @st.composite

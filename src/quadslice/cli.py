@@ -7,9 +7,10 @@ range, an extraction height below 1, ``verify --n``, ``--alpha`` or
 ``--draws`` below 1, ``verify --enum-n`` or ``--enum-f`` below 0, ``verify
 --order`` below 3, ``verify bijection`` or ``all`` with ``--enum-n`` below 1,
 ``verify conserved`` or ``all`` with ``--cap`` below 6, ``verify newtype``
-or ``extract --type newtype`` with ``--cap`` below 2, and ``verify --cap``
-or ``extract --cap`` below 1).  An ``extract --internal-cap`` too small for
-``--cap`` exits 1, naming the rung and the cap it reached.  All
+or ``extract --type newtype`` with ``--cap`` below 2, ``extract --type
+newtype`` with ``--internal-cap``, which only ``--type stieltjes`` reads, and
+``verify --cap`` or ``extract --cap`` below 1).  An ``extract --internal-cap``
+too small for ``--cap`` exits 1, naming the rung and the cap it reached.  All
 coefficients are serialized as exact fraction strings.
 """
 
@@ -288,6 +289,8 @@ def cmd_extract(args) -> int:
             tag, seq = ("b", bw.first) if k % 2 == 0 else ("w", bw.second)
             return f"{tag}{k}", got[(tag, k)], seq[k]
     else:
+        if args.internal_cap is not None:
+            raise StructureError("--internal-cap applies only to --type stieltjes")
         _check_newtype_cap(args.cap)
         got = contfrac.newtype_rungs_from_solver_inputs(args.cap - 1, i_max)
         yf = slice_solver.solve_y(args.cap)

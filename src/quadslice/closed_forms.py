@@ -269,38 +269,37 @@ def series_match(N=5) -> CheckReport:
     if N < 3:
         raise StructureError("need order >= 3")
     report = CheckReport(f"solver vs closed forms to order {N}")
+
+    def compare(tt, pairs, line):
+        for weight, closed, failure in pairs:
+            if compose_bipoly(weight, *tt) != closed:
+                raise VerificationError(failure)
+        report.add(line)
+
     px = ParamPoint("xgamma", N)
-    t_b, t_w = eval_tt(px)
+    tt_x = eval_tt(px)
     bw = solve_bw(N)
     for i in range(1, 5):
-        ci = eval_bw_closed(i, px)
-        if compose_bipoly(bw.first[i], t_b, t_w) != ci[0]:
-            raise VerificationError(f"bicolored first weight mismatch at height {i}")
-        if compose_bipoly(bw.second[i], t_b, t_w) != ci[1]:
-            raise VerificationError(f"bicolored second weight mismatch at height {i}")
-        report.add(f"bicolored height {i} matches")
+        b_i, w_i = eval_bw_closed(i, px)
+        compare(tt_x, [(bw.first[i], b_i, f"bicolored first weight mismatch at height {i}"),
+                       (bw.second[i], w_i, f"bicolored second weight mismatch at height {i}")],
+                f"bicolored height {i} matches")
     py = ParamPoint("yalpha", N)
-    t_b, t_w = eval_tt(py)
+    tt_y = eval_tt(py)
     pq = solve_pq(N)
     yfam = solve_y(N)
     for i in range(1, 5):
         p_i, q_i, y_even, y_odd = eval_pqy_closed(i, py)
-        if compose_bipoly(pq.first[i], t_b, t_w) != p_i:
-            raise VerificationError(f"context first weight mismatch at height {i}")
-        if compose_bipoly(pq.second[i], t_b, t_w) != q_i:
-            raise VerificationError(f"context second weight mismatch at height {i}")
-        if compose_bipoly(yfam.first[2 * i], t_b, t_w) != y_even:
-            raise VerificationError(f"merged even weight mismatch at {2 * i}")
-        if compose_bipoly(yfam.first[2 * i + 1], t_b, t_w) != y_odd:
-            raise VerificationError(f"merged odd weight mismatch at {2 * i + 1}")
-        report.add(f"context/merged height {i} matches")
+        compare(tt_y, [(pq.first[i], p_i, f"context first weight mismatch at height {i}"),
+                       (pq.second[i], q_i, f"context second weight mismatch at height {i}"),
+                       (yfam.first[2 * i], y_even, f"merged even weight mismatch at {2 * i}"),
+                       (yfam.first[2 * i + 1], y_odd, f"merged odd weight mismatch at {2 * i + 1}")],
+                f"context/merged height {i} matches")
     # the limits absorb every height beyond the order
     B, W = eval_limits(px)
-    xt_b, xt_w = eval_tt(px)
     lim = solve_limit(N)
-    if compose_bipoly(lim.first, xt_b, xt_w) != B or compose_bipoly(lim.second, xt_b, xt_w) != W:
-        raise VerificationError("limit composition mismatch")
-    report.add("limit pair matches")
+    compare(tt_x, [(lim.first, B, "limit composition mismatch"), (lim.second, W, "limit composition mismatch")],
+            "limit pair matches")
     return report
 
 

@@ -415,11 +415,11 @@ def stieltjes_rungs_from_solver(out_cap, i_max):
 
 # ------------------------------------------------------- finite reflection
 
-def _random_nonzero_rationals(count, rng, bound=7):
+def _random_nonzero_rationals(count, rng):
     vals = []
     while len(vals) < count:
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
+        num = rng.randint(-7, 7)
+        den = rng.randint(1, 7)
         if num != 0:
             vals.append(Fraction(num, den))
     return vals

@@ -343,13 +343,9 @@ class MPoly:
             terms = {e: c for e, c in terms.items() if sum(e) <= cap}
         return _from_terms(self.vars, cap, terms)
 
-    def swap(self, i=0, j=1):
-        """Exchange two variables (used for the black/white symmetry)."""
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            e[i], e[j] = e[j], e[i]
-            out[tuple(e)] = c
+    def swap(self):
+        """Exchange the first two variables (the black/white symmetry)."""
+        out = {(e[1], e[0]) + e[2:]: c for e, c in self.terms.items()}
         return MPoly(self.vars, out, self.cap)
 
     def __eq__(self, other):

@@ -176,6 +176,15 @@ def complementation_check(alpha, seed) -> CheckReport:
     return report
 
 
+def _relation(X, ladder, n):
+    """The alternating hard-piece sum sum_m (-1)^m X_m j_{n-m}."""
+    acc = _ring_zero_of(X[0])
+    for m, x in enumerate(X):
+        term = x * ladder[n - m]
+        acc = acc + (term if m % 2 == 0 else -term)
+    return acc
+
+
 def linear_relation_check(alpha, seed) -> CheckReport:
     """The alternating hard-piece sum annihilates the finite ladder:
     sum_m (-1)^m X_m j_{n-m} = 0 for every n in a two-sided range."""
@@ -187,11 +196,7 @@ def linear_relation_check(alpha, seed) -> CheckReport:
     ladder = finite_ladder(Y, hi, lo + alpha)
     report = CheckReport(f"ladder linear relation alpha={alpha} seed={seed}")
     for n in range(-lo, hi - alpha + 1):
-        acc = Fraction(0)
-        for m in range(alpha + 1):
-            term = X[m] * ladder[n - m]
-            acc = acc + (term if m % 2 == 0 else -term)
-        if acc != 0:
+        if _relation(X, ladder, n) != 0:
             raise VerificationError(f"linear relation failed at n={n}")
     report.add(f"relation holds for -{lo} <= n <= {hi - alpha}")
     return report
@@ -236,12 +241,9 @@ def linear_relation_specialized_check(i) -> CheckReport:
     ladder = constant_ladder(i + 1, i - 1)
     report = CheckReport(f"constant-weight linear relations i={i}")
 
-    def lhs(n):
-        acc = 0 * one
-        for m in range(i):
-            term = (x[i - 1 - m] / x[i - 1]) * ladder[n - i + m]
-            acc = acc + (term if m % 2 == 0 else -term)
-        return acc
+    def lhs(n):  # sum_m (-1)^m (x_{i-1-m} / x_{i-1}) k_{n-i+m}
+        rel = _relation(x, ladder, n - 1) / x[i - 1]
+        return rel if i % 2 == 1 else -rel
 
     for n in range(2, i + 1):
         if not lhs(n).is_zero():
@@ -272,20 +274,13 @@ def linear_relation_gprime_check(i) -> CheckReport:
     ladder = constant_ladder(i + 1, i - 2)
     report = CheckReport(f"primed-graph linear relations i={i}")
 
-    def lhs(n):
-        acc = 0 * one
-        for m in range(i):
-            term = xp[m] * ladder[n - m]
-            acc = acc + (term if m % 2 == 0 else -term)
-        return acc
-
     for n in range(2, i + 1):
-        if not lhs(n).is_zero():
+        if not _relation(xp, ladder, n).is_zero():
             raise VerificationError(f"primed interior relation failed at n={n}")
     report.add(f"interior relations vanish for 2 <= n <= {i}")
-    if lhs(1) != (-1) ** (i - 1) * Pc ** (i - 1) / Yc ** (i - 2):
+    if _relation(xp, ladder, 1) != (-1) ** (i - 1) * Pc ** (i - 1) / Yc ** (i - 2):
         raise VerificationError("primed lower boundary failed")
-    if lhs(i + 1) != Yc * Pc ** (i - 1) * (Yc + Pc):
+    if _relation(xp, ladder, i + 1) != Yc * Pc ** (i - 1) * (Yc + Pc):
         raise VerificationError("primed upper boundary failed")
     report.add("both boundary values match")
     return report

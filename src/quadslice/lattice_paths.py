@@ -16,8 +16,10 @@ four weighting variants:
 
 An optional restriction forces the last k steps to descend.  Weights may
 be any ring elements (truncated bivariate polynomials from the slice
-solver, or opaque symbols for identity checking), and the computation is
-dynamic programming over (position, height, last step direction).
+solver, or opaque symbols for identity checking).  All variants run one
+dynamic programme over positions (``_run_dp``): a flat step lands two
+positions on, and the state is the height, together with the last step
+direction only for the context weighting, the one weighting that reads it.
 """
 
 from __future__ import annotations
@@ -79,31 +81,40 @@ class WeightTable:
         raise StructureError("empty weight table")
 
 
-def _run_dp(n2, d, k, hmax, descent_weight, exemplar):
-    """Sum over +-1 paths of length n2 from d to d staying >= d.
+def _run_dp(n2, d, k, hmax, exemplar, descent, flat=None, by_last=False):
+    """Sum over paths of horizontal length n2 from d to d staying >= d.
 
-    descent_weight(height, last_dir) gives the weight of a descent from
-    ``height``; a step at horizontal position t may only be non-descending
-    when t + 1 <= n2 - k.  Returns a ring element.
+    Steps are ascents, descents and, when ``flat`` is given, flat steps of
+    horizontal length 2 that land two positions on.  descent(h, last)
+    weights a descent from height h and flat(h) a flat step at height h.
+    The state at each position is the height, plus the direction of the
+    last step (+1 or -1, 0 at the start) when ``by_last`` is set; otherwise
+    ``last`` is always 0, and paths that differ only in their last step share
+    one state.  An ascent or flat step must end by position n2 - k, so the
+    path ends with k descents.  Returns a ring element.
     """
     one = _ring_one_of(exemplar)
     zero = _ring_zero_of(one)
-    # state: (height, last_dir) -> accumulated weight; last_dir 0 at the start
-    states = {(d, 0): one}
+    up, down = (+1, -1) if by_last else (0, 0)
+    # position -> {(height, last): accumulated weight}
+    layers = [{(d, 0): one}] + [{} for _ in range(n2)]
+
+    def put(t, key, val):
+        layers[t][key] = layers[t].get(key, zero) + val
+
     for t in range(n2):
-        nxt = {}
-        for (h, last), val in states.items():
+        for (h, last), val in layers[t].items():
             if h - d > n2 - t:  # cannot return to the base height in time
                 continue
             if t + 1 <= n2 - k and h + 1 <= hmax:
-                key = (h + 1, +1)
-                nxt[key] = nxt.get(key, zero) + val
+                put(t + 1, (h + 1, up), val)
             if h > d:
-                key = (h - 1, -1)
-                nxt[key] = nxt.get(key, zero) + val * descent_weight(h, last)
-        states = nxt
+                put(t + 1, (h - 1, down), val * descent(h, last))
+            if flat is not None and t + 2 <= n2 - k:
+                put(t + 2, (h, 0), val * flat(h))
+        layers[t] = None  # free the weights no later step reads
     total = zero
-    for (h, _last), val in states.items():
+    for (h, _last), val in layers[n2].items():
         if h == d:
             total = total + val
     return total
@@ -114,14 +125,12 @@ def z_bicolored(spec: PathSpec, table: WeightTable):
     sequence when i = d (mod 2), the second otherwise."""
     if table.kind != "bicolored":
         raise StructureError("bicolored table required")
-    if spec.n == 0:
-        return _ring_one_of(table.an_element())
     d = spec.d
 
     def w(h, _last):
         return table.a(h) if (h - d) % 2 == 0 else table.b(h)
 
-    return _run_dp(2 * spec.n, d, spec.k, d + spec.n, w, table.an_element())
+    return _run_dp(2 * spec.n, d, spec.k, d + spec.n, table.an_element(), w)
 
 
 def z_context(spec: PathSpec, table: WeightTable):
@@ -129,13 +138,11 @@ def z_context(spec: PathSpec, table: WeightTable):
     after an ascent and the first after a descent."""
     if table.kind != "context":
         raise StructureError("context table required")
-    if spec.n == 0:
-        return _ring_one_of(table.an_element())
 
     def w(h, last):
         return table.b(h) if last >= 0 else table.a(h)
 
-    return _run_dp(2 * spec.n, spec.d, spec.k, spec.d + spec.n, w, table.an_element())
+    return _run_dp(2 * spec.n, spec.d, spec.k, spec.d + spec.n, table.an_element(), w, by_last=True)
 
 
 def z_elongated(spec: PathSpec, table: WeightTable):
@@ -144,29 +151,8 @@ def z_elongated(spec: PathSpec, table: WeightTable):
         raise StructureError("elongated table required")
     if spec.d != 0:
         raise StructureError("elongated paths are defined at base height 0")
-    n2, k = 2 * spec.n, spec.k
-    if spec.n == 0:
-        return _ring_one_of(table.an_element())
-    one = _ring_one_of(table.an_element())
-    zero = _ring_zero_of(one)
-    hmax = spec.n
-    # position t -> {height: value}; flat steps advance t by 2
-    layers = [dict() for _ in range(n2 + 1)]
-    layers[0][0] = one
-    for t in range(n2):
-        cur = layers[t]
-        if not cur:
-            continue
-        for h, val in cur.items():
-            if h > n2 - t:
-                continue
-            if t + 1 <= n2 - k and h + 1 <= hmax:
-                layers[t + 1][h + 1] = layers[t + 1].get(h + 1, zero) + val
-            if h > 0:
-                layers[t + 1][h - 1] = layers[t + 1].get(h - 1, zero) + val * table.a(2 * h)
-            if t + 2 <= n2 - k:
-                layers[t + 2][h] = layers[t + 2].get(h, zero) + val * table.a(2 * h + 1)
-    return layers[n2].get(0, zero)
+    return _run_dp(2 * spec.n, 0, spec.k, spec.n, table.an_element(),
+                   lambda h, _last: table.a(2 * h), lambda h: table.a(2 * h + 1))
 
 
 def z_const(n, first, second, kind="bicolored", k=0):
@@ -188,7 +174,7 @@ def z_const(n, first, second, kind="bicolored", k=0):
 
 # ------------------------------------------------------- symbolic utilities
 
-def symbol_table(kind, max_height, cap=None):
+def symbol_table(kind, max_height):
     """Weight table whose entries are opaque indeterminates.
 
     Returns (table, vars): for bicolored the symbols are B1..B_h, W1..W_h;
@@ -197,12 +183,12 @@ def symbol_table(kind, max_height, cap=None):
     """
     if kind == "elongated":
         names = tuple(f"Y{j}" for j in range(1, 2 * max_height + 1))
-        gens = [None] + [MPoly.gen(names, nm, cap) for nm in names]
+        gens = [None] + [MPoly.gen(names, nm) for nm in names]
         return WeightTable(kind, gens), names
     pre_a, pre_b = ("B", "W") if kind == "bicolored" else ("P", "Q")
     names = tuple(
         f"{p}{i}" for i in range(1, max_height + 1) for p in (pre_a, pre_b)
     )
-    a = [None] + [MPoly.gen(names, f"{pre_a}{i}", cap) for i in range(1, max_height + 1)]
-    b = [None] + [MPoly.gen(names, f"{pre_b}{i}", cap) for i in range(1, max_height + 1)]
+    a = [None] + [MPoly.gen(names, f"{pre_a}{i}") for i in range(1, max_height + 1)]
+    b = [None] + [MPoly.gen(names, f"{pre_b}{i}") for i in range(1, max_height + 1)]
     return WeightTable(kind, a, b), names

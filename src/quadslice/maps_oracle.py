@@ -59,7 +59,7 @@ import os
 from collections import Counter
 from functools import lru_cache
 
-from .errors import ResourceGuardError, StructureError, VerificationError
+from .errors import CheckReport, ResourceGuardError, StructureError, VerificationError
 from .exactalg import BIVARS, MPoly
 
 MAX_DARTS_DEFAULT = 20
@@ -94,13 +94,12 @@ def _bfs_distances(neighbours, root):
 class RootedMap:
     __slots__ = ("n_darts", "sigma", "alpha", "root")
 
-    def __init__(self, sigma, alpha, root=0, check=True):
+    def __init__(self, sigma, alpha, root=0):
         self.sigma = tuple(sigma)
         self.alpha = tuple(alpha)
         self.n_darts = len(self.sigma)
         self.root = root
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         n = self.n_darts
@@ -658,13 +657,11 @@ def angular_inverse(q: LabeledQuad) -> RootedMap:
     return _join_corners(q.map, lambda d: black(q.vertex_of[d]), black, "black")[0]
 
 
-def bijection_check(n, f) -> "CheckReport":
+def bijection_check(n, f) -> CheckReport:
     """Full bijection suite at exact size (n, f): the label local-rule map
     is a bijection onto the independently enumerated bridgeless maps with
     the weight transport and oriented distances; the white-vertex map is a
     bijection the other way, pointwise inverted by the black-corner map."""
-    from .errors import CheckReport
-
     report = CheckReport(f"bijection suite n={n} f={f}")
     quads = [q for q in enumerate_quads(n, f) if q.f == f]
     codomain = {m.canonical_key(): m for m in enumerate_bridgeless_maps(n, n + f)}

@@ -76,7 +76,8 @@ class Series:
 
     @classmethod
     def gen(cls, var, cap, field):
-        return cls(var, cap, [field.zero, field.one], field)
+        # z vanishes mod z^1, so at cap 0 this is the zero series
+        return cls(var, cap, [field.zero, field.one][: cap + 1], field)
 
     def ring_zero(self):
         return Series.zero(self.var, self.cap, self.field)

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import StructureError, VerificationError
+from .errors import CheckReport, StructureError, VerificationError
 from .exactalg import MPoly, bipoly_one, bipoly_zero, tb, tw
 from .lattice_paths import PathSpec, WeightTable, symbol_table, z_bicolored, z_const, z_context
 from .series import graded_div
@@ -368,8 +368,6 @@ def conserved_symbolic_display_check(d_range=range(0, 5)):
     and the hatted analogs with P, Q.  Both sides are compared as
     many-variable polynomials (index 0 symbols are zero).
     """
-    from .errors import CheckReport
-
     report = CheckReport("symbolic invariant displays")
     hmax = max(d_range) + 4
     table_bw, _ = symbol_table("bicolored", hmax)
@@ -391,28 +389,23 @@ def conserved_symbolic_display_check(d_range=range(0, 5)):
 
     for d in d_range:
         i = d + 1
-        if z_bicolored(PathSpec(1, d), table_bw) != W(i):
-            raise VerificationError(f"first-weighting n=1 main term failed at level {d}")
-        corr = z_bicolored(PathSpec(2, d, k=2), table_bw) * B(d)
-        if corr != B(i + 1) * W(i) * B(i - 1):
-            raise VerificationError(f"first-weighting n=1 correction failed at level {d}")
-        if z_bicolored(PathSpec(2, d), table_bw) != W(i) * W(i) + B(i + 1) * W(i):
-            raise VerificationError(f"first-weighting n=2 main term failed at level {d}")
-        corr = z_bicolored(PathSpec(3, d, k=2), table_bw) * B(d)
-        want = (W(i) + B(i + 1) + W(i + 2)) * B(i + 1) * W(i) * B(i - 1)
-        if corr != want:
-            raise VerificationError(f"first-weighting n=2 correction failed at level {d}")
-
-        if z_context(PathSpec(1, d), table_pq) != Q(i):
-            raise VerificationError(f"second-weighting n=1 main term failed at level {d}")
-        corr = z_context(PathSpec(2, d, k=2), table_pq) * P(d)
-        if corr != Q(i + 1) * P(i) * P(i - 1):
-            raise VerificationError(f"second-weighting n=1 correction failed at level {d}")
-        if z_context(PathSpec(2, d), table_pq) != Q(i) * Q(i) + Q(i + 1) * P(i):
-            raise VerificationError(f"second-weighting n=2 main term failed at level {d}")
-        corr = z_context(PathSpec(3, d, k=2), table_pq) * P(d)
-        want = ((Q(i) + Q(i + 1)) * Q(i + 1) + Q(i + 2) * P(i + 1)) * P(i) * P(i - 1)
-        if corr != want:
-            raise VerificationError(f"second-weighting n=2 correction failed at level {d}")
+        # weighting -> (path sum, table, corrective weight, [(main, correction) for n = 1, 2])
+        displays = {
+            "first": (z_bicolored, table_bw, B(d), [
+                (W(i), B(i + 1) * W(i) * B(i - 1)),
+                (W(i) * W(i) + B(i + 1) * W(i), (W(i) + B(i + 1) + W(i + 2)) * B(i + 1) * W(i) * B(i - 1)),
+            ]),
+            "second": (z_context, table_pq, P(d), [
+                (Q(i), Q(i + 1) * P(i) * P(i - 1)),
+                (Q(i) * Q(i) + Q(i + 1) * P(i),
+                 ((Q(i) + Q(i + 1)) * Q(i + 1) + Q(i + 2) * P(i + 1)) * P(i) * P(i - 1)),
+            ]),
+        }
+        for name, (z, table, low, wants) in displays.items():
+            for n, (main, corr) in enumerate(wants, start=1):
+                if z(PathSpec(n, d), table) != main:
+                    raise VerificationError(f"{name}-weighting n={n} main term failed at level {d}")
+                if z(PathSpec(n + 1, d, k=2), table) * low != corr:
+                    raise VerificationError(f"{name}-weighting n={n} correction failed at level {d}")
         report.add(f"level {d}: all four displays hold")
     return report

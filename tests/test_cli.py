@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 from fractions import Fraction
 
@@ -93,6 +94,13 @@ def test_extract_newtype_agrees():
     got = solve_y(4)
     assert got.first[1] is not None  # solver reachable; CLI compared equal
     assert "DIFFERENT" not in out
+
+
+def test_newtype_internal_cap_is_usage_error():
+    # only the Stieltjes extraction reads a fixed internal cap
+    rc, out, err = run(["extract", "--type", "newtype", "--i", "1..1", "--cap", "3", "--internal-cap", "1"])
+    assert rc == 2 and out == ""
+    assert "--internal-cap" in err and "--type stieltjes" in err
 
 
 def test_extract_cap_too_small_diagnostic():
@@ -198,3 +206,15 @@ def test_newtype_cap_below_two_is_usage_error():
         assert "newtype extraction needs --cap >= 2, got 1" in err, argv
     rc, out, _ = run(["extract", "--type", "newtype", "--i", "1..1", "--cap", "2"])
     assert rc == 0 and out.startswith("y1: equal")
+
+
+# sha256 of `quadslice verify all` stdout with the default options, recorded
+# before the path DP, heaps relations and display checks were each folded
+# into one loop
+VERIFY_ALL_GOLDEN = "4ddd802ad841d2af43232f15e949a5325b21f57c54a6bffb1210fa158da1f0ff"
+
+
+def test_verify_all_stdout_matches_golden():
+    rc, out, _ = run(["verify", "all"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_GOLDEN

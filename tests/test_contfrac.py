@@ -66,6 +66,13 @@ def test_expand_zero_rungs():
     assert expand(spec, 3).coeffs == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
 
+@pytest.mark.parametrize("kind", ["stieltjes", "newtype"])
+@pytest.mark.parametrize("finite", [False, True])
+def test_expand_at_order_zero_is_one(kind, finite):
+    got = expand(FractionSpec(kind, [Fraction(1)] * 3, finite), 0)
+    assert got == Series.one("z", 0, QQ)
+
+
 def test_expand_depth_guard():
     with pytest.raises(StructureError):
         expand(FractionSpec("stieltjes", [Fraction(1)] * 2), 4)

@@ -8,6 +8,8 @@ import pytest
 
 from quadslice.errors import StructureError
 from quadslice.heaps import (
+    _relation,
+    _tower_consts,
     complementation_check,
     constant_ladder,
     h_ladder,
@@ -104,6 +106,66 @@ def test_specialized_relations_and_boundaries():
     for i in range(2, 5):
         assert linear_relation_specialized_check(i).passed
         assert linear_relation_gprime_check(i).passed
+
+
+def plain_sum(X, ladder, n, alpha):
+    """The relation sum as linear_relation_check wrote it before _relation."""
+    acc = Fraction(0)
+    for m in range(alpha + 1):
+        term = X[m] * ladder[n - m]
+        acc = acc + (term if m % 2 == 0 else -term)
+    return acc
+
+
+def primed_sum(xp, ladder, n, i, zero):
+    """The relation sum as linear_relation_gprime_check wrote it."""
+    acc = zero
+    for m in range(i):
+        term = xp[m] * ladder[n - m]
+        acc = acc + (term if m % 2 == 0 else -term)
+    return acc
+
+
+def specialized_sum(x, ladder, n, i, zero):
+    """The normalized, reversed sum of linear_relation_specialized_check:
+    sum_m (-1)^m (x_{i-1-m} / x_{i-1}) k_{n-i+m}, one division per term."""
+    acc = zero
+    for m in range(i):
+        term = (x[i - 1 - m] / x[i - 1]) * ladder[n - i + m]
+        acc = acc + (term if m % 2 == 0 else -term)
+    return acc
+
+
+def specialized_lhs(x, ladder, n, i):
+    """The specialized sum as the checks now take it from _relation."""
+    rel = _relation(x, ladder, n - 1) / x[i - 1]
+    return rel if i % 2 == 1 else -rel
+
+
+def test_relation_matches_the_old_sums_on_random_ladders():
+    rng = random.Random(17)
+    for _ in range(30):
+        i = rng.randint(2, 6)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(i)]
+        x[-1] = x[-1] or Fraction(1)
+        ladder = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in range(-2 * i, 2 * i + 1)}
+        for n in range(-i, i + 1):
+            assert _relation(x, ladder, n) == plain_sum(x, ladder, n, i - 1), (i, n)
+            assert _relation(x, ladder, n) == primed_sum(x, ladder, n, i, Fraction(0)), (i, n)
+            assert specialized_lhs(x, ladder, n, i) == specialized_sum(x, ladder, n, i, Fraction(0)), (i, n)
+
+
+@pytest.mark.parametrize("i", range(2, 6))
+def test_relation_matches_the_old_sums_on_the_constant_ladder(i):
+    Yc, Pc, one = _tower_consts()
+    zero = 0 * one
+    alpha = i - 1
+    x = hard_pieces(alpha, [Yc if k % 2 == 0 else Pc for k in range(2 * alpha - 1)])
+    xp = hard_pieces(alpha, [Yc if k % 2 == 0 else Pc for k in range(2 * alpha)], variant="gprime")
+    ladder = constant_ladder(i + 1, i - 1)
+    for n in range(1, i + 2):
+        assert specialized_lhs(x, ladder, n, i) == specialized_sum(x, ladder, n, i, zero), n
+        assert _relation(xp, ladder, n) == primed_sum(xp, ladder, n, i, zero), n
 
 
 def test_constant_ladder_values():

@@ -1,10 +1,13 @@
 """Weighted lattice path generating functions against a brute-force oracle."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import StructureError
+from quadslice.exactalg import _ring_one_of, _ring_zero_of
 from quadslice.lattice_paths import (
     PathSpec,
     WeightTable,
@@ -66,6 +69,44 @@ def brute_elongated(n, table, one):
 
     rec(0, 0, one)
     return total
+
+
+def layered_elongated(spec, table):
+    """z_elongated's own layered loop from before it ran on the shared path
+    DP: position t -> {height: value}, flat steps advance t by 2."""
+    n2, k = 2 * spec.n, spec.k
+    one = _ring_one_of(table.an_element())
+    if spec.n == 0:
+        return one
+    zero = _ring_zero_of(one)
+    layers = [dict() for _ in range(n2 + 1)]
+    layers[0][0] = one
+    for t in range(n2):
+        for h, val in layers[t].items():
+            if h > n2 - t:
+                continue
+            if t + 1 <= n2 - k and h + 1 <= spec.n:
+                layers[t + 1][h + 1] = layers[t + 1].get(h + 1, zero) + val
+            if h > 0:
+                layers[t + 1][h - 1] = layers[t + 1].get(h - 1, zero) + val * table.a(2 * h)
+            if t + 2 <= n2 - k:
+                layers[t + 2][h] = layers[t + 2].get(h, zero) + val * table.a(2 * h + 1)
+    return layers[n2].get(0, zero)
+
+
+rational_elongated = st.lists(
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), min_size=13, max_size=13
+).map(lambda ys: WeightTable("elongated", [None] + ys))
+solver_elongated = st.integers(4, 5).map(lambda cap: solve_y(cap).weight_table())
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(table=st.one_of(rational_elongated, solver_elongated))
+def test_elongated_matches_its_layered_loop(table):
+    for n in range(0, 7):
+        for k in range(0, 2 * n + 1):
+            spec = PathSpec(n, 0, k)
+            assert z_elongated(spec, table) == layered_elongated(spec, table), (n, k)
 
 
 @pytest.fixture(scope="module")

@@ -71,6 +71,14 @@ def test_inverse_needs_unit():
     assert g.coeffs == tuple(Fraction(1) for _ in range(6))
 
 
+def test_gen_at_cap_zero_is_the_zero_series():
+    # z vanishes mod z^1
+    for field in (QQ, RHO_FIELD, RHO_RING):
+        g = Series.gen("z", 0, field)
+        assert g.cap == 0 and g.is_zero() and g == Series.zero("z", 0, field)
+    assert Series.gen("z", 1, QQ).coeffs == (0, 1)
+
+
 def recurrence_inv(s):
     """The inverse by the recurrence Series.inv ran before it became the
     division of 1: out_0 = 1/c_0, out_k = -(c_1 out_{k-1} + ... + c_k out_0)/c_0,

@@ -8,10 +8,12 @@ range, an extraction height below 1, ``verify --n``, ``--alpha`` or
 --order`` below 3, ``verify bijection`` or ``all`` with ``--enum-n`` below 1,
 ``verify conserved`` or ``all`` with ``--cap`` below 6, ``verify newtype``
 or ``extract --type newtype`` with ``--cap`` below 2, ``extract --type
-newtype`` with ``--internal-cap``, which only ``--type stieltjes`` reads, and
-``verify --cap`` or ``extract --cap`` below 1).  An ``extract --internal-cap``
-too small for ``--cap`` exits 1, naming the rung and the cap it reached.  All
-coefficients are serialized as exact fraction strings.
+newtype`` with ``--internal-cap``, which only ``--type stieltjes`` reads,
+and ``verify --cap``, ``extract --cap`` or ``extract --internal-cap`` below
+1).  ``verify stieltjes|newtype`` and ``extract`` share one rung comparison:
+a rung exact only below ``--cap``, as from an ``extract --internal-cap`` too
+small for it, fails with exit 1, naming the rung and the cap it reached.
+All coefficients are serialized as exact fraction strings.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import NonInvertibleError, ResourceGuardError, StructureError, VerificationError
-from .exactalg import MPoly, bipoly_to_text
+from .exactalg import MPoly, bipoly, bipoly_to_text
 from . import closed_forms, contfrac, heaps, maps_oracle, slice_solver
 
 
@@ -83,14 +85,6 @@ def _table_json(what, cap, entries):
     return '{\n  "what": %s,\n  "cap": %d,\n  "entries": %s\n}' % (_json_str(what), cap, entries)
 
 
-def _entry_poly(entry, cap) -> MPoly:
-    return MPoly(
-        ("tb", "tw"),
-        {(m["tb"], m["tw"]): Fraction(m["coeff"]) for m in entry["monomials"]},
-        cap,
-    )
-
-
 def _emit_table(what, cap, entries, fmt, out):
     if fmt == "json":
         out.write(_table_json(what, cap, entries))
@@ -101,16 +95,17 @@ def _emit_table(what, cap, entries, fmt, out):
         for entry in entries:
             for mono in entry["monomials"]:
                 writer.writerow([entry["index"], mono["tb"], mono["tw"], mono["coeff"]])
-    else:
+    else:  # the lines of bipoly_to_text
         for entry in entries:
             out.write(f"# index {entry['index']}\n")
-            out.write(bipoly_to_text(_entry_poly(entry, cap)) + "\n")
+            out.write("".join(f"{m['tb']} {m['tw']} {m['coeff']}\n" for m in entry["monomials"]) or "\n")
 
 
 def parse_table_json(text):
     """Round-trip reader for the JSON table schema."""
     data = json.loads(text)
-    entries = {entry["index"]: _entry_poly(entry, data["cap"]) for entry in data["entries"]}
+    entries = {e["index"]: bipoly({(m["tb"], m["tw"]): m["coeff"] for m in e["monomials"]}, data["cap"])
+               for e in data["entries"]}
     return data["what"], data["cap"], entries
 
 
@@ -133,12 +128,8 @@ def cmd_table(args) -> int:
             if i > fam.i_max:
                 raise StructureError(f"index {i} beyond solved range {fam.i_max}")
             entries.append(_poly_entry(i, getattr(fam, side)[i]))
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         _emit_table(args.what, cap, entries, args.format, out)
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -168,24 +159,17 @@ def _run_suite(name, args, log):
                 if maps_oracle.bf_F(n, f) != slice_solver.f_n(n, n + f):
                     raise VerificationError(f"enumeration disagrees with solver at ({n},{f})")
         log(f"enumeration route: bf_F = bf_J = f_n for n <= {args.enum_n}, f <= {args.enum_f}")
-    elif name == "stieltjes":
-        got = contfrac.stieltjes_rungs_from_solver(args.cap, 2)
-        bw = slice_solver.solve_bw(args.cap + 2)
-        for (tag, idx), val in got.items():
-            seq = bw.first if tag == "b" else bw.second
-            if val.with_cap(args.cap) != seq[idx].with_cap(args.cap):
-                raise VerificationError(f"extracted {tag}_{idx} disagrees with the solver")
-        log(f"Hankel extraction reproduces B_2, B_4, W_1, W_3 at cap {args.cap}")
-    elif name == "newtype":
-        got = contfrac.newtype_rungs_from_solver_inputs(args.cap - 1, 4)
-        yf = slice_solver.solve_y(args.cap)
-        for j, val in enumerate(got, start=1):
-            if val.with_cap(args.cap) != yf.first[j].with_cap(args.cap):
-                raise VerificationError(f"extracted Y_{j} disagrees with the solver")
-        log(f"Hankel-type extraction reproduces Y_1..Y_8 at cap {args.cap}")
-        rep = contfrac.underdetermination_witness(args.seed)
-        for line in rep.lines:
-            log("witness: " + line)
+    elif name in ("stieltjes", "newtype"):
+        stieltjes = name == "stieltjes"
+        for rung, extracted, solver_val in _rungs(name, args.cap, range(1, 3 if stieltjes else 5)):
+            if extracted != solver_val:
+                raise VerificationError(f"extracted {rung} disagrees with the solver")
+        if stieltjes:
+            log(f"Hankel extraction reproduces B_2, B_4, W_1, W_3 at cap {args.cap}")
+        else:
+            log(f"Hankel-type extraction reproduces Y_1..Y_8 at cap {args.cap}")
+            for line in contfrac.underdetermination_witness(args.seed).lines:
+                log("witness: " + line)
     elif name == "closedforms":
         for system in ("bw", "pq", "y"):
             closed_forms.verify_recursion(system, range(1, 7), args.order)
@@ -198,15 +182,13 @@ def _run_suite(name, args, log):
         log("rational identities of the constructive route")
     elif name == "conserved":
         for n in range(1, 4):
-            base = None
+            fn = slice_solver.f_n(n, args.cap).with_cap(args.cap - 1)
+            jn = slice_solver.j_n(n, args.cap).with_cap(args.cap - 1)
             for d in range(0, 5):
-                val = slice_solver.conserved_f(n, d, args.cap)
-                base = val if base is None else base
-                if val != base:
-                    raise VerificationError(f"level dependence in the bicolored invariant n={n}")
-                val = slice_solver.conserved_j(n, d, args.cap)
-                if val != slice_solver.j_n(n, args.cap).with_cap(args.cap - 1):
-                    raise VerificationError(f"level dependence in the context invariant n={n}")
+                if slice_solver.conserved_f(n, d, args.cap) != fn:
+                    raise VerificationError(f"the bicolored invariant differs from f_n at n={n}, level {d}")
+                if slice_solver.conserved_j(n, d, args.cap) != jn:
+                    raise VerificationError(f"the context invariant differs from j_n at n={n}, level {d}")
         log(f"invariants level-independent for n <= 3, levels 0..4, cap {args.cap}")
         slice_solver.conserved_symbolic_display_check(range(0, 5))
         log("symbolic displays of the first two invariants hold at every level")
@@ -271,45 +253,47 @@ def _check_newtype_cap(cap):
         raise StructureError(f"the newtype extraction needs --cap >= 2, got {cap}")
 
 
-def cmd_extract(args) -> int:
-    wanted = _parse_range(args.i)
-    if wanted[0] < 1:
-        raise StructureError("extraction heights start at 1")
-    i_max = wanted[-1]
-    if args.type == "stieltjes":
-        if args.internal_cap is not None:
+def _rungs(kind, cap, heights, internal_cap=None):
+    """(name, extracted, solver) for rungs 2 heights[0] - 1 .. 2 heights[-1]
+    of the Stieltjes (bicolored) or two-term (merged) fraction, both values
+    cut to cap; NonInvertibleError names the first rung exact only below cap."""
+    i_max = heights[-1]
+    if kind == "stieltjes":
+        if internal_cap is not None:
             # fixed internal cap: divisions fail loudly when it is too small
-            F = contfrac.boundary_series(2 * i_max, args.internal_cap)
-            got = contfrac.stieltjes_extract(F, i_max)
+            got = contfrac.stieltjes_extract(contfrac.boundary_series(2 * i_max, internal_cap), i_max)
         else:
-            got = contfrac.stieltjes_rungs_from_solver(args.cap, i_max)
-        bw = slice_solver.solve_bw(args.cap + 2)
+            got = contfrac.stieltjes_rungs_from_solver(cap, i_max)
+        bw = slice_solver.solve_bw(cap + 2)
 
         def rung(k):  # odd rungs are the white weights, even rungs the black
             tag, seq = ("b", bw.first) if k % 2 == 0 else ("w", bw.second)
             return f"{tag}{k}", got[(tag, k)], seq[k]
     else:
-        if args.internal_cap is not None:
+        if internal_cap is not None:
             raise StructureError("--internal-cap applies only to --type stieltjes")
-        _check_newtype_cap(args.cap)
-        got = contfrac.newtype_rungs_from_solver_inputs(args.cap - 1, i_max)
-        yf = slice_solver.solve_y(args.cap)
+        _check_newtype_cap(cap)
+        got = contfrac.newtype_rungs_from_solver_inputs(cap - 1, i_max)
+        yf = slice_solver.solve_y(cap)
 
         def rung(k):
             return f"y{k}", got[k - 1], yf.first[k]
-    rungs = [rung(k) for k in range(2 * wanted[0] - 1, 2 * i_max + 1)]
+    rungs = [rung(k) for k in range(2 * heights[0] - 1, 2 * i_max + 1)]
     for name, val, _ in rungs:
-        if val.cap < args.cap:
-            raise NonInvertibleError(
-                f"{name} is exact only to cap {val.cap}, below --cap {args.cap}"
-            )
+        if val.cap < cap:
+            raise NonInvertibleError(f"{name} is exact only to cap {val.cap}, below --cap {cap}")
+    return [(name, val.with_cap(cap), solver_val.with_cap(cap)) for name, val, solver_val in rungs]
+
+
+def cmd_extract(args) -> int:
+    wanted = _parse_range(args.i)
+    if wanted[0] < 1:
+        raise StructureError("extraction heights start at 1")
     all_equal = True
-    for name, val, solver_val in rungs:
-        solver_val = solver_val.with_cap(args.cap)
-        extracted = val.with_cap(args.cap)
-        verdict = "equal" if extracted == solver_val else "DIFFERENT"
-        all_equal = all_equal and extracted == solver_val
-        print(f"{name}: {verdict}")
+    for name, extracted, solver_val in _rungs(args.type, args.cap, wanted, args.internal_cap):
+        equal = extracted == solver_val
+        all_equal = all_equal and equal
+        print(f"{name}: {'equal' if equal else 'DIFFERENT'}")
         print("  extracted: " + (bipoly_to_text(extracted).replace("\n", " | ") or "0"))
         print("  solver   : " + (bipoly_to_text(solver_val).replace("\n", " | ") or "0"))
     return 0 if all_equal else 1
@@ -347,7 +331,7 @@ def build_parser():
     p_extract.add_argument("--type", required=True, choices=["stieltjes", "newtype"])
     p_extract.add_argument("--i", default="1..2")
     p_extract.add_argument("--cap", type=_positive_int, default=6)
-    p_extract.add_argument("--internal-cap", type=int, default=None,
+    p_extract.add_argument("--internal-cap", type=_positive_int, default=None,
                            help="fixed internal series cap (no adaptation); too small a value surfaces the non-exact division diagnostic")
     p_extract.set_defaults(func=cmd_extract)
     return parser

@@ -12,9 +12,11 @@ parametrized rationally:
 Values are truncated series in the parametrization variable over the field
 of rational functions of the remaining parameter; the parameter must live
 in a field because the odd-index formulas carry inverse powers of gamma.
-Every displayed formula is a prefactor times a ratio of factors
-(1 - c * v^k), and all of them are built by one shared table so a
-transcription slip cannot hit a single branch silently.
+Every displayed formula is a prefactor times a product of factors
+(1 - c * v^k) and their inverses.  The height-dependent weights are built
+by one routine, ``ParamPoint.ratio``, from (c, k) lists; the vertex weights
+and the large-height limits (``eval_tt``, ``eval_limits``, ``eval_y_limit``)
+multiply their few factors directly.
 
 Verification routines substitute the closed forms back into the recursion
 systems (zero residual to a requested order, identically in the
@@ -60,9 +62,6 @@ class ParamPoint:
 
     def gen(self):
         return Series.gen(self.var, self.cap, self.field)
-
-    def one(self):
-        return Series.one(self.var, self.cap, self.field)
 
     def factor(self, c, k):
         """The series 1 - c * v^k (c a rational function of the parameter)."""

@@ -38,7 +38,6 @@ have zero divisors, so elimination with division is not available.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -233,15 +232,6 @@ class MPoly:
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((0,) * len(self.vars), 0))
 
-    def valuation(self):
-        """Minimal total degree of a term; None for the zero polynomial."""
-        if self.is_zero():
-            return None
-        return min(sum(e) for e in self.terms)
-
-    def coeff(self, exp) -> Fraction:
-        return Fraction(self.terms.get(tuple(exp), 0))
-
     def _check_compat(self, other):
         if self.vars != other.vars or self.cap != other.cap:
             raise StructureError(
@@ -312,16 +302,14 @@ class MPoly:
         Exists iff the constant term is a nonzero rational; computed as a
         geometric series in (1 - self/c0), degree by degree up to cap.
         """
-        if self.cap is None:
-            c0 = self.constant_term()
-            if len(self.terms) > (0 if c0 == 0 else 1):
-                raise NonInvertibleError("cannot invert a non-constant untruncated polynomial")
         c0 = self.constant_term()
         if c0 == 0:
             raise NonInvertibleError("constant term is zero")
-        if self.cap is None:
-            return MPoly.const(self.vars, Fraction(1, 1) / c0)
         inv_c0 = Fraction(1) / c0
+        if self.cap is None:
+            if len(self.terms) > 1:
+                raise NonInvertibleError("cannot invert a non-constant untruncated polynomial")
+            return MPoly.const(self.vars, inv_c0)
         u = self.ring_one() - self * inv_c0  # valuation >= 1
         out = self.ring_one()
         power = self.ring_one()
@@ -331,6 +319,8 @@ class MPoly:
                 break
             out = out + power
         return out * inv_c0
+
+    inverse = inv  # the name field elements invert by
 
     # ------------------------------------------------------------- utilities
 
@@ -418,14 +408,12 @@ def _dict_mul(p, q):
     """Schoolbook product over the term dicts (any number of variables)."""
     cap = p.cap
     a, b = (q._terms, p._terms) if len(p._terms) > len(q._terms) else (p._terms, q._terms)
-    row = list(b.items())
-    if cap is not None:  # b by total degree, so each a-term takes a prefix
-        row.sort(key=lambda t: sum(t[0]))
-        degrees = [sum(e) for e, _ in row]
     out = {}
     for ea, ca in a.items():
-        for eb, cb in (row if cap is None else row[:bisect_right(degrees, cap - sum(ea))]):
+        for eb, cb in b.items():
             e = tuple(map(add, ea, eb))
+            if cap is not None and sum(e) > cap:
+                continue
             s = out.get(e, 0) + ca * cb
             if s == 0:
                 del out[e]

@@ -150,12 +150,11 @@ class RootedMap:
 
     def face_of_root(self):
         """The external face: the face cycle through the root dart."""
-        phi = [self.sigma[self.alpha[d]] for d in range(self.n_darts)]
         cyc = [self.root]
-        e = phi[self.root]
+        e = self.sigma[self.alpha[self.root]]
         while e != self.root:
             cyc.append(e)
-            e = phi[e]
+            e = self.sigma[self.alpha[e]]
         return tuple(cyc)
 
     def inner_faces(self):
@@ -331,31 +330,20 @@ def glue_polygons(sizes):
         set_arr(match, t, s)
         touched[poly_of[s]] += 1
         touched[poly_of[t]] += 1
-        # splice s and t out of the walk structure
+        # splice s and t out of the walk structure; when s and t are
+        # neighbours some writes land on s or t themselves, which no
+        # unmatched side points at
         ns, ps_ = wnext[s], wprev[s]
         nt, pt_ = wnext[t], wprev[t]
-        if ns == t and nt == s:
-            pass  # the 2-walk vanishes
-        elif ns == t:
-            set_arr(wnext, ps_, nt)
-            set_arr(wprev, nt, ps_)
-        elif nt == s:
-            set_arr(wnext, pt_, ns)
-            set_arr(wprev, ns, pt_)
-        else:
-            set_arr(wnext, ps_, nt)
-            set_arr(wprev, nt, ps_)
-            set_arr(wnext, pt_, ns)
-            set_arr(wprev, ns, pt_)
-        # components and their open side counts
+        set_arr(wnext, ps_, nt)
+        set_arr(wprev, nt, ps_)
+        set_arr(wnext, pt_, ns)
+        set_arr(wprev, ns, pt_)
+        # components and their open side counts; rs stays a root
         if rs != rt:
             set_arr(parent, rt, rs)
-            new_open = open_count[rs] + open_count[rt] - 2
-            set_arr(open_count, rs, new_open)
-        else:
-            set_arr(open_count, rs, open_count[rs] - 2)
-        root_now = find(poly_of[s])
-        sealed = open_count[root_now] == 0
+        set_arr(open_count, rs, open_count[rs] + (open_count[rt] if rs != rt else 0) - 2)
+        sealed = open_count[rs] == 0
         remaining = any(m == -1 for m in match)
         if not (sealed and remaining):
             choose()
@@ -500,12 +488,11 @@ class AbImage:
     """Result of the forward local-rule construction: the general map plus,
     for each of its vertices, the original vertex it came from."""
 
-    __slots__ = ("map", "vertex_origin", "n")
+    __slots__ = ("map", "vertex_origin")
 
-    def __init__(self, m, vertex_origin, n):
+    def __init__(self, m, vertex_origin):
         self.map = m
         self.vertex_origin = vertex_origin
-        self.n = n
 
 
 def _join_corners(m: RootedMap, picked, kept, kind):
@@ -576,7 +563,7 @@ def ab_forward(q: LabeledQuad) -> AbImage:
         raise VerificationError("image boundary must be bridgeless")
     if len(new_map.inner_faces()) != sum(q.local_max):
         raise VerificationError("inner faces must correspond to local maxima")
-    return AbImage(new_map, vertex_origin, q.n)
+    return AbImage(new_map, vertex_origin)
 
 
 def ab_inverse(m: RootedMap) -> LabeledQuad:

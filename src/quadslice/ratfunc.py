@@ -239,12 +239,6 @@ class Poly:
     def scale(self, c):
         return Poly(self.var, [a * c for a in self.coeffs], self.field)
 
-    def shift(self, k):
-        """Multiply by var^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.var, (self.field.zero,) * k + self.coeffs, self.field)
-
     def divmod(self, other):
         self._check(other)
         if other.is_zero():

@@ -30,20 +30,12 @@ exists as a bivariate polynomial is lost, and no gcd runs in this form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NonInvertibleError, StructureError
 from .exactalg import BIVARS, MPoly, packed_series_mul, power
 from .ratfunc import QQ, FieldSpec, Poly, _inv_elem, _qq_normal
 
 TAU, RHO = "tau", "rho"
 RHO_RING = FieldSpec(Poly.zero(RHO), Poly.one(RHO), f"QQ[{RHO}]")
-
-
-def _elem_inv(x):
-    if isinstance(x, (int, Fraction)) or hasattr(x, "inverse"):
-        return _inv_elem(x)
-    return x.inv()  # MPoly
 
 
 class Series:
@@ -84,9 +76,6 @@ class Series:
 
     def ring_one(self):
         return Series.one(self.var, self.cap, self.field)
-
-    def coeff(self, k):
-        return self.coeffs[k] if 0 <= k <= self.cap else self.field.zero
 
     def is_zero(self):
         z = self.field.zero
@@ -191,7 +180,7 @@ class Series:
             raise NonInvertibleError("divisor valuation exceeds series order")
         a, b = self.coeffs, other.coeffs
         lead = b[vb]
-        inv_lead = None if self.field is RHO_RING else _elem_inv(lead)
+        inv_lead = None if self.field is RHO_RING else _inv_elem(lead)
         z = self.field.zero
         q = [z] * (cap + 1)
         for k in range(cap + 1):

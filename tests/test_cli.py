@@ -6,8 +6,9 @@ import hashlib
 import json
 from fractions import Fraction
 
+from quadslice import contfrac, slice_solver
 from quadslice.cli import _poly_entry, _table_json, main, parse_table_json
-from quadslice.exactalg import MPoly
+from quadslice.exactalg import MPoly, tb
 from quadslice.slice_solver import f_n, solve_y
 
 
@@ -157,6 +158,10 @@ def test_cap_below_one_is_usage_error():
                  ["extract", "--type", "newtype", "--cap", "-1"]):
         rc, out, _ = run(argv)
         assert rc == 2 and out == "", argv
+    for value in ("0", "-1"):
+        rc, out, err = run(["extract", "--type", "stieltjes", "--i", "1..1", "--cap", "2", "--internal-cap", value])
+        assert rc == 2 and out == "", value
+        assert f"argument --internal-cap: must be >= 1, got {value}" in err
 
 
 def test_negative_enumeration_bounds_are_usage_errors():
@@ -194,6 +199,28 @@ def test_extract_internal_cap_shortfall_is_reported():
     assert rc == 1
     assert out == ""
     assert "w3" in err and "cap 5" in err and "--cap 6" in err
+
+
+def test_verify_stieltjes_names_a_rung_short_of_cap(monkeypatch):
+    # one cap short: the old comparison zero-padded the values and reported
+    # a disagreement instead of the precision shortfall
+    real = contfrac.stieltjes_rungs_from_solver
+    monkeypatch.setattr(contfrac, "stieltjes_rungs_from_solver",
+                        lambda cap, i_max: {k: v.with_cap(cap - 1) for k, v in real(cap, i_max).items()})
+    rc, out, _ = run(["verify", "stieltjes", "--cap", "4"])
+    assert rc == 1
+    assert out == "FAIL stieltjes: w1 is exact only to cap 3, below --cap 4\n"
+
+
+def test_verify_conserved_compares_with_f_n(monkeypatch):
+    # wrong at every level alike, so a check of level independence alone passes
+    def wrong(n, d, N):
+        return f_n(n, N).with_cap(N - 1) + tb(N - 1) ** (N - 1)
+
+    monkeypatch.setattr(slice_solver, "conserved_f", wrong)
+    rc, out, _ = run(["verify", "conserved", "--cap", "6"])
+    assert rc == 1
+    assert out.startswith("FAIL conserved: the bicolored invariant differs from f_n at n=1, level 0")
 
 
 def test_newtype_cap_below_two_is_usage_error():

@@ -9,6 +9,7 @@ from quadslice.errors import ResourceGuardError, StructureError
 from quadslice.exactalg import BIVARS, MPoly, bipoly_to_text, tw
 from quadslice.maps_oracle import (
     RootedMap,
+    _partitions,
     ab_forward,
     ab_inverse,
     angular_inverse,
@@ -200,6 +201,22 @@ def test_face_gluing_matches_vertex_star_oracle(b, E):
         assert m.n_darts == 2 * E
         assert len(m.face_of_root()) == b
         assert m.boundary_is_bridgeless()
+
+
+# the raw gluings of the quadrangulation size lists [2n] + [4]*f and of the
+# bridgeless size lists [n, partition of n + 2f] for n <= 3 and f <= 3:
+# (lists, matchings, sha256 of their repr), recorded before the walk splice
+# lost its special cases; the canonical-key dedupe would hide a splice that
+# only duplicated gluings
+GLUINGS_GOLDEN = (133, 9045, "9f2c2c884e9fd6405a69d789069d9bedb90f44fc756458396531097b5762bdbf")
+
+
+def test_raw_gluings_match_golden():
+    lists = [[2 * n] + [4] * f for n in range(1, 4) for f in range(4)]
+    lists += [[n, *p] for n in range(1, 4) for f in range(4) for p in _partitions(n + 2 * f, n + 2 * f)]
+    glued = [(sizes, glue_polygons(sizes)[0]) for sizes in lists]
+    digest = hashlib.sha256(repr(glued).encode()).hexdigest()
+    assert (len(glued), sum(len(m) for _, m in glued), digest) == GLUINGS_GOLDEN
 
 
 def test_resource_guard(monkeypatch):

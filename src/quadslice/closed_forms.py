@@ -9,14 +9,18 @@ parametrized rationally:
   pair and the merged sequence.  The parametrizations agree under
   alpha = 1/gamma^2, y = gamma * x.
 
-Values are truncated series in the parametrization variable over the field
-of rational functions of the remaining parameter; the parameter must live
-in a field because the odd-index formulas carry inverse powers of gamma.
-Every displayed formula is a prefactor times a product of factors
-(1 - c * v^k) and their inverses.  The height-dependent weights are built
-by one routine, ``ParamPoint.ratio``, from (c, k) lists; the vertex weights
-and the large-height limits (``eval_tt``, ``eval_limits``, ``eval_y_limit``)
-multiply their few factors directly.
+Values are truncated series over polynomial rings, so no gcd runs in
+their arithmetic.  A yalpha value is a series in y over Q[alpha]: every
+factor is polynomial in alpha and the denominator has constant term 1.  In
+x the odd-index formulas carry inverse powers of gamma, so an xgamma value
+is a series in u = x/gamma over Q[gamma]: a factor 1 - gamma^e x^k (e >= -1)
+is 1 - gamma^(e + k) u^k, and the denominator is gamma times D(u), whose
+constant term is 1.  The x^k coefficient is the u^k coefficient over
+gamma^k.  Every displayed formula is a prefactor times a product of
+factors (1 - param^e v^k) and their inverses.  The height-dependent weights
+are built by one routine, ``ParamPoint.ratio``, from (e, k) lists; the
+vertex weights and the large-height limits (``eval_tt``, ``eval_limits``,
+``eval_y_limit``) multiply their few factors directly.
 
 Verification routines substitute the closed forms back into the recursion
 systems (zero residual to a requested order, identically in the
@@ -34,18 +38,19 @@ from types import SimpleNamespace
 
 from .errors import CheckReport, StructureError, VerificationError
 from .exactalg import MPoly
-from .ratfunc import RatFunc, ratfunc_field
+from .ratfunc import FieldSpec, Poly, RatFunc, ratfunc_field
 from .series import Series
 from .slice_solver import SYSTEMS, solve_bw, solve_limit, solve_pq, solve_y
 
-GAMMA_FIELD = ratfunc_field("gamma")
-ALPHA_FIELD = ratfunc_field("alpha")
+GAMMA_RING = FieldSpec(Poly.zero("gamma"), Poly.one("gamma"), "QQ[gamma]")
+ALPHA_RING = FieldSpec(Poly.zero("alpha"), Poly.one("alpha"), "QQ[alpha]")
 
 
 class ParamPoint:
-    """family "xgamma" or "yalpha" with a series order cap."""
+    """family "xgamma" or "yalpha" with a series order cap; x^k is gamma^k
+    u^k, so ``shift`` is 1 for xgamma and 0 for yalpha."""
 
-    __slots__ = ("family", "cap", "var", "field", "param")
+    __slots__ = ("family", "cap", "var", "field", "param", "shift", "den_inv")
 
     def __init__(self, family, cap):
         if family not in ("xgamma", "yalpha"):
@@ -54,25 +59,25 @@ class ParamPoint:
             raise StructureError("need cap >= 1")
         self.family = family
         self.cap = cap
-        self.var = "x" if family == "xgamma" else "y"
-        self.field = GAMMA_FIELD if family == "xgamma" else ALPHA_FIELD
-        self.param = RatFunc.gen("gamma" if family == "xgamma" else "alpha")
+        self.shift = int(family == "xgamma")
+        self.var = "u" if self.shift else "y"
+        self.field = GAMMA_RING if self.shift else ALPHA_RING
+        self.param = Poly.gen("gamma" if self.shift else "alpha")
+        self.den_inv = _denominator(self).inv()
 
     # building blocks ------------------------------------------------------
 
-    def gen(self):
-        return Series.gen(self.var, self.cap, self.field)
-
-    def factor(self, c, k):
-        """The series 1 - c * v^k (c a rational function of the parameter)."""
+    def factor(self, e, k):
+        """The series 1 - param^e v^k, v = x or y; in u that is
+        1 - gamma^(e + k) u^k."""
         coeffs = [self.field.zero] * (self.cap + 1)
         coeffs[0] = self.field.one
         if k <= self.cap:
-            coeffs[k] = coeffs[k] - c
+            coeffs[k] = coeffs[k] - self.param ** (e + self.shift * k)
         return Series(self.var, self.cap, coeffs, self.field)
 
     def poly(self, coeffs_by_power):
-        """Series with the given {power: RatFunc-or-int} coefficients."""
+        """Series with the given {power: Poly-or-int} coefficients."""
         coeffs = [self.field.zero] * (self.cap + 1)
         for k, c in coeffs_by_power.items():
             if k <= self.cap:
@@ -81,51 +86,46 @@ class ParamPoint:
 
     def ratio(self, prefactor, num_factors, den_factors):
         out = prefactor
-        for c, k in num_factors:
-            out = out * self.factor(c, k)
-        for c, k in den_factors:
-            out = out * self.factor(c, k).inv()
+        for e, k in num_factors:
+            out = out * self.factor(e, k)
+        for e, k in den_factors:
+            out = out * self.factor(e, k).inv()
         return out
 
 
 def _denominator(p: ParamPoint) -> Series:
-    g = p.param
-    if p.family == "xgamma":
-        # x + x^3 + gamma - 6 x^2 gamma + x^4 gamma + x gamma^2 + x^3 gamma^2
-        return p.poly({0: g, 1: 1 + g * g, 2: -6 * g, 3: 1 + g * g, 4: g})
-    # 1 + y + alpha y - 6 alpha y^2 + alpha y^3 + alpha^2 y^3 + alpha^2 y^4
-    return p.poly({0: 1, 1: 1 + g, 2: -6 * g, 3: g + g * g, 4: g * g})
+    """1 + y + alpha y - 6 alpha y^2 + alpha y^3 + alpha^2 y^3 + alpha^2 y^4.
+    The xgamma denominator x + x^3 + gamma - 6 x^2 gamma + x^4 gamma +
+    x gamma^2 + x^3 gamma^2 is gamma times this at alpha = gamma^2, y = u."""
+    a = p.param ** (1 + p.shift)
+    return p.poly({0: 1, 1: 1 + a, 2: -6 * a, 3: a + a * a, 4: a * a})
+
+
+def _over_den(p: ParamPoint, m, n) -> Series:
+    """v param^m / denominator^n, v = x or y: for xgamma, with x = gamma u,
+    that is gamma^(m + 1 - n) u / D(u)^n."""
+    return Series.gen(p.var, p.cap, p.field) * p.param ** (m + p.shift * (1 - n)) * p.den_inv ** n
 
 
 def eval_tt(p: ParamPoint):
     """The two vertex weights as series at the parametrization point."""
-    g = p.param
-    den = _denominator(p)
-    c0 = den.coeffs[0]
-    if c0 == p.field.zero:
-        raise StructureError("denominator constant term vanished (transcription error)")
-    inv2 = (den * den).inv()
-    v = p.gen()
     if p.family == "xgamma":
-        t_b = v * p.factor(1 / g, 1) ** 3 * (g ** 3) * p.factor(g, 3) * inv2
-        t_w = v * p.factor(1 / g, 3) * g * p.factor(g, 1) ** 3 * inv2
+        t_b = _over_den(p, 3, 2) * p.factor(-1, 1) ** 3 * p.factor(1, 3)
+        t_w = _over_den(p, 1, 2) * p.factor(-1, 3) * p.factor(1, 1) ** 3
     else:
-        t_b = v * p.factor(g, 1) ** 3 * p.factor(g, 3) * inv2
-        t_w = v * g * p.factor(1, 1) ** 3 * p.factor(g * g, 3) * inv2
+        t_b = _over_den(p, 0, 2) * p.factor(1, 1) ** 3 * p.factor(1, 3)
+        t_w = _over_den(p, 1, 2) * p.factor(0, 1) ** 3 * p.factor(2, 3)
     return t_b, t_w
 
 
 def eval_limits(p: ParamPoint):
     """Large-height limit pair: (B, W) for xgamma, (P, Q) for yalpha."""
-    g = p.param
-    inv = _denominator(p).inv()
-    v = p.gen()
     if p.family == "xgamma":
-        first = v * (g ** 2) * p.factor(1 / g, 1) ** 2 * inv
-        second = v * p.factor(g, 1) ** 2 * inv
+        first = _over_den(p, 2, 1) * p.factor(-1, 1) ** 2
+        second = _over_den(p, 0, 1) * p.factor(1, 1) ** 2
     else:
-        first = v * p.factor(g, 1) ** 2 * inv
-        second = v * g * p.factor(1, 1) ** 2 * inv
+        first = _over_den(p, 0, 1) * p.factor(1, 1) ** 2
+        second = _over_den(p, 1, 1) * p.factor(0, 1) ** 2
     return first, second
 
 
@@ -133,22 +133,20 @@ def eval_y_limit(p: ParamPoint) -> Series:
     """Q - P in closed form: (alpha - 1) y (1 - alpha y^2) / denominator."""
     if p.family != "yalpha":
         raise StructureError("merged limit lives in the yalpha family")
-    g = p.param
-    return p.gen() * (g - 1) * p.factor(g, 2) * _denominator(p).inv()
+    return _over_den(p, 0, 1) * (p.param - 1) * p.factor(1, 2)
 
 
 def eval_bw_closed(i, p: ParamPoint):
     """Closed forms of the bicolored weights at height i >= 0."""
     if p.family != "xgamma":
         raise StructureError("bicolored closed forms live in the xgamma family")
-    g = p.param
     B, W = eval_limits(p)
     if i % 2 == 0:
-        b_i = p.ratio(B, [(1, i), (g, i + 3)], [(g, i + 1), (1, i + 2)])
-        w_i = p.ratio(W, [(1, i), (1 / g, i + 3)], [(1 / g, i + 1), (1, i + 2)])
+        b_i = p.ratio(B, [(0, i), (1, i + 3)], [(1, i + 1), (0, i + 2)])
+        w_i = p.ratio(W, [(0, i), (-1, i + 3)], [(-1, i + 1), (0, i + 2)])
     else:
-        b_i = p.ratio(B, [(1 / g, i), (1, i + 3)], [(1, i + 1), (1 / g, i + 2)])
-        w_i = p.ratio(W, [(g, i), (1, i + 3)], [(1, i + 1), (g, i + 2)])
+        b_i = p.ratio(B, [(-1, i), (0, i + 3)], [(0, i + 1), (-1, i + 2)])
+        w_i = p.ratio(W, [(1, i), (0, i + 3)], [(0, i + 1), (1, i + 2)])
     return b_i, w_i
 
 
@@ -160,16 +158,15 @@ def eval_pqy_closed(i, p: ParamPoint):
     """
     if p.family != "yalpha":
         raise StructureError("context closed forms live in the yalpha family")
-    g = p.param
     P, Q = eval_limits(p)
 
     def pq(j):
-        return (p.ratio(P, [(1, j), (g, j + 3)], [(1, j + 1), (g, j + 2)]),
-                p.ratio(Q, [(1, j), (g * g, j + 3)], [(g, j + 1), (g, j + 2)]))
+        return (p.ratio(P, [(0, j), (1, j + 3)], [(0, j + 1), (1, j + 2)]),
+                p.ratio(Q, [(0, j), (2, j + 3)], [(1, j + 1), (1, j + 2)]))
 
     p_i, q_i = pq(i)
     p_next, q_next = pq(i + 1)
-    y_odd = p.ratio(eval_y_limit(p), [(1, i + 1), (g, i + 3)], [(1, i + 2), (g, i + 2)])
+    y_odd = p.ratio(eval_y_limit(p), [(0, i + 1), (1, i + 3)], [(0, i + 2), (1, i + 2)])
     if y_odd != q_next - p_next:
         raise VerificationError(f"Y_{2 * i + 1} disagrees with Q_{i + 1} - P_{i + 1}")
     return p_i, q_i, p_i, y_odd
@@ -211,17 +208,19 @@ def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
     return report
 
 
-def _subst_to_x(series: Series, M) -> Series:
-    """Substitute alpha = 1/gamma^2, y = gamma x into a yalpha series."""
-    gamma = RatFunc.gen("gamma")
-    sub = 1 / (gamma * gamma)
+def _subst_to_x(series: Series) -> Series:
+    """Substitute alpha = 1/gamma^2, y = gamma x = gamma^2 u into a yalpha
+    series: alpha^j y^k goes to gamma^(2k - 2j) u^k, a polynomial map while
+    the alpha-degree of each y^k coefficient is at most k."""
     out = []
-    scale = RatFunc.one("gamma")
-    for k in range(M + 1):
-        c = series.coeffs[k]
-        out.append(c.eval(sub) * scale if not c.is_zero() else GAMMA_FIELD.zero)
-        scale = scale * gamma
-    return Series("x", M, out, GAMMA_FIELD)
+    for k, c in enumerate(series.coeffs):
+        if c.degree() > k:
+            raise VerificationError(f"alpha-degree {c.degree()} above {k} at y^{k}")
+        cs = [0] * (2 * k + 1)
+        for j, a in enumerate(c.coeffs):
+            cs[2 * k - 2 * j] = a
+        out.append(Poly("gamma", cs))
+    return Series("u", series.cap, out, GAMMA_RING)
 
 
 def param_equivalence(M=6) -> CheckReport:
@@ -232,13 +231,13 @@ def param_equivalence(M=6) -> CheckReport:
     tx = eval_tt(px)
     ty = eval_tt(py)
     for name, a, b in (("tb", tx[0], ty[0]), ("tw", tx[1], ty[1])):
-        if a != _subst_to_x(b, M):
+        if a != _subst_to_x(b):
             raise VerificationError(f"substituted {name} disagrees between families")
         report.add(f"{name} matches after substitution")
     BW = eval_limits(px)
     PQ = eval_limits(py)
     for name, a, b in (("P=B", BW[0], PQ[0]), ("Q=W", BW[1], PQ[1])):
-        if a != _subst_to_x(b, M):
+        if a != _subst_to_x(b):
             raise VerificationError(f"substituted limit {name} failed")
         report.add(f"limit {name} after substitution")
     return report
@@ -248,17 +247,16 @@ def compose_bipoly(poly: MPoly, t_b: Series, t_w: Series) -> Series:
     """Evaluate a bivariate weight polynomial on two valuation-1 series."""
     if t_b.valuation() is None or t_b.valuation() < 1 or t_w.valuation() < 1:
         raise StructureError("composition needs valuation >= 1 substituends")
-    max_a = max((e[0] for e in poly.terms), default=0)
     max_b = max((e[1] for e in poly.terms), default=0)
-    pb = [t_b.ring_one()]
-    for _ in range(max_a):
-        pb.append(pb[-1] * t_b)
     pw = [t_w.ring_one()]
     for _ in range(max_b):
         pw.append(pw[-1] * t_w)
-    out = t_b.ring_zero()
-    for (a, b), c in poly.terms.items():
-        out = out + pb[a] * pw[b] * (t_b.field.one * c)
+    rows = [t_b.ring_zero()] * (1 + max((e[0] for e in poly.terms), default=0))
+    for (a, b), c in poly.terms.items():  # row a: the coefficient of t_b^a
+        rows[a] = rows[a] + pw[b] * (t_b.field.one * c)
+    out = rows[-1]
+    for row in reversed(rows[:-1]):  # Horner in t_b
+        out = out * t_b + row
     return out
 
 

@@ -312,12 +312,31 @@ class Poly:
         return " + ".join(bits)
 
 
+def _exact_quo(p, u, g):
+    """p divided by the monic associate of g: p's cleared primitive part u
+    divided over base[v] by g, each coefficient division exact, and scaled
+    back to the leading coefficient of p."""
+    r, dg = list(u), len(g) - 1
+    q = [None] * (len(u) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + dg].divmod(g[-1])[0]
+        for j, c in enumerate(g[:-1]):
+            r[k + j] = r[k + j] - q[k] * c
+    m = p.lead() / RatFunc.from_poly(q[-1])
+    return Poly(p.var, [m * c for c in q], p.field)
+
+
 def _cancel(a: Poly, b: Poly):
-    """a and b divided by their monic gcd."""
+    """a and b divided by their monic gcd; over base(v) that runs on the
+    cleared primitive parts over base[v], with no division over base(v)."""
     if a.degree() > 0 and b.degree() > 0:
-        g = a.gcd(b)
-        if g.degree() > 0:
-            return a.divmod(g)[0], b.divmod(g)[0]
+        if a.field is QQ:
+            g = a.gcd(b)
+            return (a.divmod(g)[0], b.divmod(g)[0]) if g.degree() > 0 else (a, b)
+        ca, cb = _cleared(a), _cleared(b)
+        g = _prs_last(ca, cb, _poly_primitive)
+        if len(g) > 1:
+            return _exact_quo(a, ca, g), _exact_quo(b, cb, g)
     return a, b
 
 

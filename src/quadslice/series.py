@@ -2,8 +2,9 @@
 
 One generic type serves every series shape in the package: series in the
 boundary-length variable z with truncated-bivariate-polynomial
-coefficients, series in a parametrization variable x or y with
-rational-function coefficients, and the internal tau grading below.
+coefficients, series in a parametrization variable with coefficients in
+Q[alpha] or Q[gamma], series over Q(rho), and the internal tau grading
+below.
 
 A Series knows its variable tag, its order bound ``cap`` and a FieldSpec
 (or ring exemplar pair) for its coefficients; coeffs always has length
@@ -19,13 +20,14 @@ plus exact division of the coefficients) and converted back.  The
 conversion back verifies the degree bound, which is exactly the condition
 for the series to be the image of a genuine polynomial in the two weights.
 
-The image is held over Q[rho] (``RHO_RING``, Poly coefficients).  A
-product of two such series is one big-integer multiply
-(``exactalg.packed_series_mul``), chosen once per product from the field
-spec, and ``divide`` is exact: each coefficient division must leave
-remainder zero, else NonInvertibleError.  Where the quotient over Q(rho)
-is polynomial, every one of those divisions is exact, so no quotient that
-exists as a bivariate polynomial is lost, and no gcd runs in this form.
+The image is held over Q[rho] (``RHO_RING``, Poly coefficients).  Over
+any one-variable polynomial ring Q[v] (a field spec whose zero is a Poly:
+Q[rho] here, Q[alpha] and Q[gamma] in ``closed_forms``) a product of two
+series is one big-integer multiply (``exactalg.packed_series_mul``), and
+``divide`` is exact: each coefficient division must leave remainder zero,
+else NonInvertibleError.  Where the quotient over Q(v) is polynomial,
+every one of those divisions is exact, so no quotient that exists over
+Q[v] is lost, and no gcd runs in this form.
 """
 
 from __future__ import annotations
@@ -132,10 +134,10 @@ class Series:
             cap = min(self.cap, other.cap)
             a = self if self.cap == cap else self.truncate(cap)
             b = other if other.cap == cap else other.truncate(cap)
-            if a.field is RHO_RING:  # one big-int product for the whole series
-                rows = packed_series_mul([c.coeffs for c in a.coeffs], [c.coeffs for c in b.coeffs], cap)
-                return Series(a.var, cap, [Poly(RHO, r) for r in rows], a.field)
             z = a.field.zero
+            if isinstance(z, Poly):  # over Q[v]: one big-int product for the whole series
+                rows = packed_series_mul([c.coeffs for c in a.coeffs], [c.coeffs for c in b.coeffs], cap)
+                return Series(a.var, cap, [Poly(z.var, r) for r in rows], a.field)
             out = [z] * (cap + 1)
             for i, ca in enumerate(a.coeffs):
                 if ca == z:
@@ -163,8 +165,8 @@ class Series:
 
         Requires valuation(other) <= valuation(self); the result cap shrinks
         by valuation(other).  Coefficient divisions happen in the field, by
-        one inverse of the leading coefficient; over Q[rho] each one must
-        leave remainder zero, else NonInvertibleError.
+        one inverse of the leading coefficient; over Q[v], unless that is a
+        constant, each one must leave remainder zero, else NonInvertibleError.
         """
         self._check(other)
         vb = other.valuation()
@@ -180,8 +182,9 @@ class Series:
             raise NonInvertibleError("divisor valuation exceeds series order")
         a, b = self.coeffs, other.coeffs
         lead = b[vb]
-        inv_lead = None if self.field is RHO_RING else _inv_elem(lead)
         z = self.field.zero
+        ring = isinstance(z, Poly)  # over Q[v] only a constant lead is a unit
+        inv_lead = None if ring and lead.degree() else _inv_elem(lead.coeffs[0] if ring else lead)
         q = [z] * (cap + 1)
         for k in range(cap + 1):
             acc = a[k + vb]
@@ -195,7 +198,7 @@ class Series:
                 q[k], rem = acc.divmod(lead)
                 if not rem.is_zero():
                     raise NonInvertibleError(
-                        f"quotient is not over Q[rho]: nonzero remainder at {self.var}^{k}"
+                        f"quotient is not over Q[{z.var}]: nonzero remainder at {self.var}^{k}"
                     )
         return Series(self.var, cap, q, self.field)
 

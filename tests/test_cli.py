@@ -4,7 +4,11 @@ import io
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from quadslice import contfrac, slice_solver
 from quadslice.cli import _poly_entry, _table_json, main, parse_table_json
@@ -245,3 +249,18 @@ def test_verify_all_stdout_matches_golden():
     rc, out, _ = run(["verify", "all"])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_GOLDEN
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module_run(*argv):
+        return subprocess.run([sys.executable, "-m", "quadslice", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    ok = module_run("verify", "reflection", "--seed", "1")
+    assert ok.returncode == 0 and ok.stdout.startswith("PASS reflection"), ok.stderr
+    usage = module_run("verify", "closedforms", "--order", "2")
+    assert usage.returncode == 2
+    assert "--order" in usage.stderr and "Traceback" not in usage.stderr

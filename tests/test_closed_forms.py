@@ -1,6 +1,8 @@
 """Parametrized closed forms: transcription anchors, recursion residuals,
 family equivalence, and the rational identity tower."""
 
+from collections import Counter
+
 import pytest
 
 from quadslice import closed_forms
@@ -18,17 +20,161 @@ from quadslice.closed_forms import (
     verify_recursion,
 )
 from quadslice.errors import StructureError, VerificationError
-from quadslice.ratfunc import RatFunc
+from quadslice.ratfunc import Poly, RatFunc, ratfunc_field
+from quadslice.series import Series
 
+# ------------------------------------------------ the Q(gamma)/Q(alpha) oracle
+#
+# The closed forms as they were computed before they moved to Q[gamma] and
+# Q[alpha]: series in x or y over the fields of rational functions of the
+# parameter, each coefficient product reduced by a gcd.  ``to_field`` maps a
+# ParamPoint value into this representation: the yalpha coefficients as they
+# stand, and for xgamma the x^k coefficient is the u^k one over gamma^k.
+
+GAMMA_FIELD = ratfunc_field("gamma")
+ALPHA_FIELD = ratfunc_field("alpha")
+
+
+def to_field(s):
+    if s.var == "y":
+        return Series("y", s.cap, [RatFunc.from_poly(c) for c in s.coeffs], ALPHA_FIELD)
+    gamma = Poly.gen("gamma")
+    return Series("x", s.cap, [RatFunc(c, gamma ** k) for k, c in enumerate(s.coeffs)], GAMMA_FIELD)
+
+
+class FieldPoint:
+    """family "xgamma" or "yalpha" with a series order cap."""
+
+    def __init__(self, family, cap):
+        self.family = family
+        self.cap = cap
+        self.var = "x" if family == "xgamma" else "y"
+        self.field = GAMMA_FIELD if family == "xgamma" else ALPHA_FIELD
+        self.param = RatFunc.gen("gamma" if family == "xgamma" else "alpha")
+
+    def gen(self):
+        return Series.gen(self.var, self.cap, self.field)
+
+    def factor(self, c, k):
+        """The series 1 - c * v^k (c a rational function of the parameter)."""
+        coeffs = [self.field.zero] * (self.cap + 1)
+        coeffs[0] = self.field.one
+        if k <= self.cap:
+            coeffs[k] = coeffs[k] - c
+        return Series(self.var, self.cap, coeffs, self.field)
+
+    def poly(self, coeffs_by_power):
+        coeffs = [self.field.zero] * (self.cap + 1)
+        for k, c in coeffs_by_power.items():
+            if k <= self.cap:
+                coeffs[k] = self.field.one * c
+        return Series(self.var, self.cap, coeffs, self.field)
+
+    def ratio(self, prefactor, num_factors, den_factors):
+        out = prefactor
+        for c, k in num_factors:
+            out = out * self.factor(c, k)
+        for c, k in den_factors:
+            out = out * self.factor(c, k).inv()
+        return out
+
+
+def field_denominator(p):
+    g = p.param
+    if p.family == "xgamma":
+        # x + x^3 + gamma - 6 x^2 gamma + x^4 gamma + x gamma^2 + x^3 gamma^2
+        return p.poly({0: g, 1: 1 + g * g, 2: -6 * g, 3: 1 + g * g, 4: g})
+    # 1 + y + alpha y - 6 alpha y^2 + alpha y^3 + alpha^2 y^3 + alpha^2 y^4
+    return p.poly({0: 1, 1: 1 + g, 2: -6 * g, 3: g + g * g, 4: g * g})
+
+
+def field_tt(p):
+    g = p.param
+    den = field_denominator(p)
+    inv2 = (den * den).inv()
+    v = p.gen()
+    if p.family == "xgamma":
+        t_b = v * p.factor(1 / g, 1) ** 3 * (g ** 3) * p.factor(g, 3) * inv2
+        t_w = v * p.factor(1 / g, 3) * g * p.factor(g, 1) ** 3 * inv2
+    else:
+        t_b = v * p.factor(g, 1) ** 3 * p.factor(g, 3) * inv2
+        t_w = v * g * p.factor(1, 1) ** 3 * p.factor(g * g, 3) * inv2
+    return t_b, t_w
+
+
+def field_limits(p):
+    g = p.param
+    inv = field_denominator(p).inv()
+    v = p.gen()
+    if p.family == "xgamma":
+        first = v * (g ** 2) * p.factor(1 / g, 1) ** 2 * inv
+        second = v * p.factor(g, 1) ** 2 * inv
+    else:
+        first = v * p.factor(g, 1) ** 2 * inv
+        second = v * g * p.factor(1, 1) ** 2 * inv
+    return first, second
+
+
+def field_y_limit(p):
+    g = p.param
+    return p.gen() * (g - 1) * p.factor(g, 2) * field_denominator(p).inv()
+
+
+def field_bw_closed(i, p):
+    g = p.param
+    B, W = field_limits(p)
+    if i % 2 == 0:
+        b_i = p.ratio(B, [(1, i), (g, i + 3)], [(g, i + 1), (1, i + 2)])
+        w_i = p.ratio(W, [(1, i), (1 / g, i + 3)], [(1 / g, i + 1), (1, i + 2)])
+    else:
+        b_i = p.ratio(B, [(1 / g, i), (1, i + 3)], [(1, i + 1), (1 / g, i + 2)])
+        w_i = p.ratio(W, [(g, i), (1, i + 3)], [(1, i + 1), (g, i + 2)])
+    return b_i, w_i
+
+
+def field_pqy_closed(i, p):
+    """(P_i, Q_i, Y_{2i+1})."""
+    g = p.param
+    P, Q = field_limits(p)
+    p_i = p.ratio(P, [(1, i), (g, i + 3)], [(1, i + 1), (g, i + 2)])
+    q_i = p.ratio(Q, [(1, i), (g * g, i + 3)], [(g, i + 1), (g, i + 2)])
+    y_odd = p.ratio(field_y_limit(p), [(1, i + 1), (g, i + 3)], [(1, i + 2), (g, i + 2)])
+    return p_i, q_i, y_odd
+
+
+@pytest.mark.parametrize("order", [4, 7])
+def test_polynomial_rings_match_the_field_oracle(order):
+    px, fx = ParamPoint("xgamma", order), FieldPoint("xgamma", order)
+    py, fy = ParamPoint("yalpha", order), FieldPoint("yalpha", order)
+    assert px.field.name == "QQ[gamma]" and py.field.name == "QQ[alpha]"
+    pairs = [
+        (eval_tt(px), field_tt(fx)),
+        (eval_tt(py), field_tt(fy)),
+        (eval_limits(px), field_limits(fx)),
+        (eval_limits(py), field_limits(fy)),
+        ((eval_y_limit(py),), (field_y_limit(fy),)),
+    ]
+    pairs += [(eval_bw_closed(i, px), field_bw_closed(i, fx)) for i in range(6)]
+    for i in range(5):
+        p_i, q_i, _, y_odd = eval_pqy_closed(i, py)
+        pairs.append(((p_i, q_i, y_odd), field_pqy_closed(i, fy)))
+    for new, old in pairs:
+        assert len(new) == len(old)
+        for s, want in zip(new, old):
+            assert all(isinstance(c, Poly) for c in s.coeffs)
+            assert to_field(s) == want
+
+
+# ---------------------------------------------------------------- anchors
 
 def test_leading_coefficients():
     p = ParamPoint("xgamma", 3)
-    t_b, t_w = eval_tt(p)
+    t_b, t_w = (to_field(t) for t in eval_tt(p))
     g = RatFunc.gen("gamma")
     assert t_b.coeffs[0].is_zero() and t_w.coeffs[0].is_zero()
     assert t_b.coeffs[1] == g
     q = ParamPoint("yalpha", 3)
-    t_b, t_w = eval_tt(q)
+    t_b, t_w = (to_field(t) for t in eval_tt(q))
     a = RatFunc.gen("alpha")
     assert t_b.coeffs[1] == RatFunc.one("alpha")
     assert t_w.coeffs[1] == a
@@ -46,15 +192,16 @@ def test_height_zero_vanishes():
 def test_even_formula_anchor():
     """B_2 must be the displayed ratio with the explicit factor exponents."""
     p = ParamPoint("xgamma", 6)
-    g = p.param
-    B, _ = eval_limits(p)
+    f = FieldPoint("xgamma", 6)
+    g = f.param
+    B = to_field(eval_limits(p)[0])
     manual = (
         B
-        * p.factor(1, 2)
-        * p.factor(g, 5)
-        * (p.factor(g, 3) * p.factor(1, 4)).inv()
+        * f.factor(1, 2)
+        * f.factor(g, 5)
+        * (f.factor(g, 3) * f.factor(1, 4)).inv()
     )
-    assert eval_bw_closed(2, p)[0] == manual
+    assert to_field(eval_bw_closed(2, p)[0]) == manual
 
 
 def test_swap_symmetry_between_colors():
@@ -68,27 +215,28 @@ def test_swap_symmetry_between_colors():
         return [c.eval(inv_g) for c in series.coeffs]
 
     for i in range(1, 5):
-        b_i, w_i = eval_bw_closed(i, p)
+        b_i, w_i = (to_field(s) for s in eval_bw_closed(i, p))
         assert flip(b_i) == list(w_i.coeffs), i
         assert flip(w_i) == list(b_i.coeffs), i
 
 
 def test_context_formula_anchors():
     q = ParamPoint("yalpha", 5)
-    g = q.param
-    P, Q = eval_limits(q)
+    f = FieldPoint("yalpha", 5)
+    g = f.param
+    P, Q = (to_field(s) for s in eval_limits(q))
     i = 2
-    manual_p = P * q.factor(1, i) * q.factor(g, i + 3) * (
-        q.factor(1, i + 1) * q.factor(g, i + 2)
+    manual_p = P * f.factor(1, i) * f.factor(g, i + 3) * (
+        f.factor(1, i + 1) * f.factor(g, i + 2)
     ).inv()
     p_i, q_i, y_even, y_odd = eval_pqy_closed(i, q)
-    assert p_i == manual_p
+    assert to_field(p_i) == manual_p
     assert y_even == p_i
-    Y = eval_y_limit(q)
-    manual_y = Y * q.factor(1, i + 1) * q.factor(g, i + 3) * (
-        q.factor(1, i + 2) * q.factor(g, i + 2)
+    Y = to_field(eval_y_limit(q))
+    manual_y = Y * f.factor(1, i + 1) * f.factor(g, i + 3) * (
+        f.factor(1, i + 2) * f.factor(g, i + 2)
     ).inv()
-    assert y_odd == manual_y
+    assert to_field(y_odd) == manual_y
 
 
 def test_recursion_residuals_two_orders():
@@ -142,3 +290,39 @@ def test_tower_poly_rejects_fractions_and_high_degrees():
 def test_large_height_collapse():
     assert large_height_collapse(4).passed
     assert large_height_collapse(4, i_from=9).passed
+
+
+def test_substitution_is_the_monomial_map():
+    # alpha^j y^k -> gamma^(2k - 2j) u^k; alpha above y-degree has no image
+    y_series = Series("y", 2, [Poly("alpha", [3]), Poly("alpha", [0, 1]), Poly("alpha", [1, 0, 2])],
+                      closed_forms.ALPHA_RING)
+    u_series = closed_forms._subst_to_x(y_series)
+    assert u_series.var == "u" and u_series.field is closed_forms.GAMMA_RING
+    assert [c.coeffs for c in u_series.coeffs] == [(3,), (1,), (2, 0, 0, 0, 1)]
+    with pytest.raises(VerificationError, match="alpha-degree 1 above 0"):
+        closed_forms._subst_to_x(Series("y", 1, [Poly("alpha", [0, 1])], closed_forms.ALPHA_RING))
+
+
+def test_series_checks_run_no_gcd_and_no_ratfunc(monkeypatch):
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    names = ["Poly.gcd"]
+    monkeypatch.setattr(Poly, "gcd", counting("Poly.gcd", Poly.gcd))
+    for op in ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+               "__truediv__", "__rtruediv__", "__pow__", "inverse"):
+        names.append(f"RatFunc.{op}")
+        monkeypatch.setattr(RatFunc, op, counting(names[-1], getattr(RatFunc, op)))
+    for system in ("bw", "pq", "y"):
+        assert verify_recursion(system, range(1, 7), 8).passed
+    assert param_equivalence(8).passed
+    assert series_match(8).passed
+    assert large_height_collapse(8).passed
+    assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
+    section6_algebra()  # the tower keeps RatFunc, so the counters do see it
+    assert calls["Poly.gcd"] > 0 and calls["RatFunc.__mul__"] > 0

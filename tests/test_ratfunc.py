@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError
-from quadslice.ratfunc import QQ, Poly, RatFunc, _cleared, _poly_primitive, _prs_last, ratfunc_field
+from quadslice.ratfunc import QQ, Poly, RatFunc, _cancel, _cleared, _poly_primitive, _prs_last, ratfunc_field
 from quadslice.series import Series
 
 
@@ -245,6 +245,38 @@ def test_nested_gcd_edge_cases():
     assert coprime[0].gcd(coprime[1]).coeffs == (field.one,)
     assert shared[0].gcd(shared[1]) == sq
     assert (sq * poly(-y, 1)).gcd(sq) == sq
+
+
+# ------------------------------------ nested-field cancellation (divmod oracle)
+#
+# _cancel over base(v) divides the cleared primitive parts exactly over
+# base[v].  The oracle is the route it replaced: divmod over base(v) by the
+# monic gcd.
+
+def _divmod_cancel(a, b):
+    if a.degree() > 0 and b.degree() > 0:
+        g = a.gcd(b)
+        if g.degree() > 0:
+            return a.divmod(g)[0], b.divmod(g)[0]
+    return a, b
+
+
+def _check_cancel_against_divmod(a, b):
+    assert _cancel(a, b) == _divmod_cancel(a, b)
+    if not b.is_zero():
+        _assert_canonical_and_equal(RatFunc(a, b), RatFunc(*_divmod_cancel(a, b), reduce=False))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.one_of(gcd_pairs(YA_TOWER), gcd_pairs(YP_TOWER)))
+def test_nested_cancel_matches_divmod_oracle(pair):
+    _check_cancel_against_divmod(*pair)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(gcd_pairs(YBA_TOWER))
+def test_three_level_cancel_matches_divmod_oracle(pair):
+    _check_cancel_against_divmod(*pair)
 
 
 def test_reciprocal_substitution_stays_canonical():

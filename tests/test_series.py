@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quadslice.closed_forms import ALPHA_RING, GAMMA_RING
 from quadslice.errors import NonInvertibleError
 from quadslice.exactalg import bipoly, tb, tw
 from quadslice.ratfunc import QQ, Poly, RatFunc, ratfunc_field
@@ -278,6 +279,93 @@ def test_grading_into_the_rho_ring():
     bad = Series("tau", 2, [Poly.zero("rho"), Poly("rho", (0, 0, 1))], RHO_RING)
     with pytest.raises(NonInvertibleError):
         tau_to_bipoly(bad)  # rho-degree 2 at tau^1
+
+
+# ------------------------------------------ series over Q[v], v other than rho
+#
+# Any ring whose zero is a Poly takes the packed product and the exact
+# division.  The oracle is the schoolbook Series over the field Q(v).
+
+V_RINGS = {"Q[alpha]": ALPHA_RING, "Q[gamma]": GAMMA_RING}
+wide_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**80), 2**80),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 10**6)),
+)
+
+
+def v_series(ring, cap, rows):
+    return Series("u", cap, [Poly(ring.zero.var, r) for r in rows], ring)
+
+
+def over_field(s):
+    """s as a series over Q(v), where the schoolbook routines run."""
+    field = ratfunc_field(s.field.zero.var)
+    return Series(s.var, s.cap, [RatFunc.from_poly(c) for c in s.coeffs], field)
+
+
+@st.composite
+def v_operand(draw, ring, coefficient=wide_coefficients, max_degree=4, unit=False):
+    """Zero, dense or sparse series of cap 0..8; unit=True puts 1 at u^0."""
+    cap = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["dense", "sparse"] if unit else ["zero", "dense", "sparse"]))
+    degree = draw(st.integers(0, max_degree))
+    rows = [] if shape == "zero" else [
+        [draw(coefficient) if shape == "dense" or draw(st.booleans()) else 0 for _ in range(degree + 1)]
+        for _ in range(cap + 1)
+    ]
+    return v_series(ring, cap, [[1]] + rows[1:] if unit else rows)
+
+
+@pytest.mark.parametrize("ring", sorted(V_RINGS))
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_series_over_a_polynomial_ring_matches_the_field(ring, data):
+    ring = V_RINGS[ring]
+    a, b = data.draw(v_operand(ring)), data.draw(v_operand(ring))
+    u = data.draw(v_operand(ring, unit=True))
+    product = a * b
+    assert product.field is ring and all(isinstance(c, Poly) and c.var == ring.zero.var for c in product.coeffs)
+    assert over_field(product) == over_field(a) * over_field(b)
+    assert over_field(u.inv()) == over_field(u).inv()
+    vb = b.valuation()
+    if vb is not None and vb <= product.cap:
+        assert over_field(product.divide(b)) == over_field(product).divide(over_field(b))
+
+
+@pytest.mark.parametrize("ring", sorted(V_RINGS))
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_inexact_division_over_a_polynomial_ring_raises(ring, data):
+    # the field quotient grows in degree wherever it is not polynomial, so
+    # the operands here are small; where it is polynomial the ring route
+    # must return it, and raise where it is not
+    ring = V_RINGS[ring]
+    a, b = (data.draw(v_operand(ring, small_fractions, 2)) for _ in range(2))
+    u = data.draw(v_operand(ring, small_fractions, 2, unit=True))
+    for num, den in ((a, b), (a, u), (u, b)):
+        try:
+            want = over_field(num).divide(over_field(den))
+        except NonInvertibleError:
+            with pytest.raises(NonInvertibleError):
+                num.divide(den)
+            continue
+        if all(c.is_polynomial() for c in want.coeffs):
+            assert over_field(num.divide(den)) == want
+        else:
+            with pytest.raises(NonInvertibleError, match="quotient is not over Q\\["):
+                num.divide(den)
+
+
+def test_divide_over_a_polynomial_ring_needs_exact_quotients():
+    gamma = Poly.gen("gamma")
+    b = Series("u", 3, [gamma + 1, gamma], GAMMA_RING)
+    q = Series("u", 3, [gamma ** 2, Poly.const("gamma", Fraction(-1, 3)), gamma], GAMMA_RING)
+    assert (b * q).divide(b) == q
+    with pytest.raises(NonInvertibleError, match="not over Q\\[gamma\\]: nonzero remainder at u\\^0"):
+        Series.one("u", 3, GAMMA_RING).divide(b)
+    with pytest.raises(NonInvertibleError, match="u\\^1"):
+        (b * q + Series.gen("u", 3, GAMMA_RING)).divide(b)
 
 
 # ------------------------------------------------------------- ring axioms

@@ -104,7 +104,7 @@ def _denominator(p: ParamPoint) -> Series:
 def _over_den(p: ParamPoint, m, n) -> Series:
     """v param^m / denominator^n, v = x or y: for xgamma, with x = gamma u,
     that is gamma^(m + 1 - n) u / D(u)^n."""
-    return Series.gen(p.var, p.cap, p.field) * p.param ** (m + p.shift * (1 - n)) * p.den_inv ** n
+    return p.poly({1: p.param ** (m + p.shift * (1 - n))}) * p.den_inv ** n
 
 
 def eval_tt(p: ParamPoint):

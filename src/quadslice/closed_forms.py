@@ -48,9 +48,10 @@ ALPHA_RING = FieldSpec(Poly.zero("alpha"), Poly.one("alpha"), "QQ[alpha]")
 
 class ParamPoint:
     """family "xgamma" or "yalpha" with a series order cap; x^k is gamma^k
-    u^k, so ``shift`` is 1 for xgamma and 0 for yalpha."""
+    u^k, so ``shift`` is 1 for xgamma and 0 for yalpha; ``built`` keeps the
+    limit pair and the context heights, so each is built once."""
 
-    __slots__ = ("family", "cap", "var", "field", "param", "shift", "den_inv")
+    __slots__ = ("family", "cap", "var", "field", "param", "shift", "den_inv", "built")
 
     def __init__(self, family, cap):
         if family not in ("xgamma", "yalpha"):
@@ -64,6 +65,7 @@ class ParamPoint:
         self.field = GAMMA_RING if self.shift else ALPHA_RING
         self.param = Poly.gen("gamma" if self.shift else "alpha")
         self.den_inv = _denominator(self).inv()
+        self.built = {}
 
     # building blocks ------------------------------------------------------
 
@@ -120,13 +122,15 @@ def eval_tt(p: ParamPoint):
 
 def eval_limits(p: ParamPoint):
     """Large-height limit pair: (B, W) for xgamma, (P, Q) for yalpha."""
-    if p.family == "xgamma":
-        first = _over_den(p, 2, 1) * p.factor(-1, 1) ** 2
-        second = _over_den(p, 0, 1) * p.factor(1, 1) ** 2
-    else:
-        first = _over_den(p, 0, 1) * p.factor(1, 1) ** 2
-        second = _over_den(p, 1, 1) * p.factor(0, 1) ** 2
-    return first, second
+    if "limits" not in p.built:
+        if p.family == "xgamma":
+            first = _over_den(p, 2, 1) * p.factor(-1, 1) ** 2
+            second = _over_den(p, 0, 1) * p.factor(1, 1) ** 2
+        else:
+            first = _over_den(p, 0, 1) * p.factor(1, 1) ** 2
+            second = _over_den(p, 1, 1) * p.factor(0, 1) ** 2
+        p.built["limits"] = first, second
+    return p.built["limits"]
 
 
 def eval_y_limit(p: ParamPoint) -> Series:
@@ -159,13 +163,11 @@ def eval_pqy_closed(i, p: ParamPoint):
     if p.family != "yalpha":
         raise StructureError("context closed forms live in the yalpha family")
     P, Q = eval_limits(p)
-
-    def pq(j):
-        return (p.ratio(P, [(0, j), (1, j + 3)], [(0, j + 1), (1, j + 2)]),
-                p.ratio(Q, [(0, j), (2, j + 3)], [(1, j + 1), (1, j + 2)]))
-
-    p_i, q_i = pq(i)
-    p_next, q_next = pq(i + 1)
+    for j in (i, i + 1):
+        if j not in p.built:
+            p.built[j] = (p.ratio(P, [(0, j), (1, j + 3)], [(0, j + 1), (1, j + 2)]),
+                          p.ratio(Q, [(0, j), (2, j + 3)], [(1, j + 1), (1, j + 2)]))
+    (p_i, q_i), (p_next, q_next) = p.built[i], p.built[i + 1]
     y_odd = p.ratio(eval_y_limit(p), [(0, i + 1), (1, i + 3)], [(0, i + 2), (1, i + 2)])
     if y_odd != q_next - p_next:
         raise VerificationError(f"Y_{2 * i + 1} disagrees with Q_{i + 1} - P_{i + 1}")

@@ -23,13 +23,12 @@ terms, since b1 + b2 <= cap, so a product is one big-integer multiply
 (Kronecker substitution) cut by one mask, and a sum is one integer sum.
 Changing the cap re-lays the degree rows.  Each value also records a bound
 ``fit`` on its slots, exact after every product, from which the next
-product picks its slot width; widths only grow, and an operand narrower
-than its partner is widened in place, once.  The term dict is decoded only
+product picks its slot width; it re-lays each operand in place at that
+width, wider or narrower, and a sum widens.  The term dict is decoded only
 when ``terms`` is read.  Every other polynomial (uncapped, or in another number
 of variables) is held as its term dict, and its products run over the
-dicts.  The same packing codec multiplies truncated series whose
-coefficients are polynomials (``packed_series_mul``, used for series over
-Q[rho]).
+dicts.  The packing codec is shared with ``series``, whose series over a
+polynomial ring Q[v] are held packed the same way.
 
 Determinants over any of the rings in this package are computed by the
 Berkowitz recurrence, which uses ring operations only.  Truncated rings
@@ -82,9 +81,10 @@ def _encode(slots, width, n):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _digits(num, width, n):
-    """The bytes of the low n slots of num, each slot biased by 2^(width-1)."""
-    biased = num + (_ones(width, n) << (width - 1))
+def _digits(num, width, n, bias=None):
+    """The bytes of the low n slots of num, each slot biased by 2^(bias-1)
+    (bias defaults to the width; every slot must fit ``bias`` bits)."""
+    biased = num + (_ones(width, n) << ((bias or width) - 1))
     return (biased & ((1 << n * width) - 1)).to_bytes(n * width // 8, "little")
 
 
@@ -102,14 +102,15 @@ def _truncate(num, bits):
     return num - (1 << bits) if num >> (bits - 1) else num
 
 
-def _widen(num, width, new, n):
-    """num with its n slots re-laid from ``width`` to ``new`` bits."""
-    k, wide = width // 8, new // 8
-    digits = _digits(num, width, n)
+def _rewidth(num, width, new, n):
+    """num with its n slots re-laid from ``width`` to ``new`` bits; every
+    slot must fit the narrower of the two."""
+    k, wide, bias = width // 8, new // 8, min(width, new)
+    digits = _digits(num, width, n, bias)
     out = bytearray(n * wide)
-    for j in range(k):  # byte j of every slot in one strided copy
+    for j in range(min(k, wide)):  # byte j of every slot in one strided copy
         out[j::wide] = digits[j::k]
-    return int.from_bytes(out, "little") - (_ones(new, n) << (width - 1))
+    return int.from_bytes(out, "little") - (_ones(new, n) << (bias - 1))
 
 
 def _restride(num, width, stride, rows, new_stride):
@@ -269,7 +270,7 @@ class MPoly:
     def __neg__(self):
         if self._num is None:
             return _from_terms(self.vars, self.cap, {e: -c for e, c in self._terms.items()})
-        zero = _packed(self.vars, self.cap, 0, self._den, 8, 0)  # over our denominator
+        zero = _reduced(self.vars, self.cap, 0, 1, 8, 0)
         return _packed_sum(zero, self, -1)
 
     def __sub__(self, other):
@@ -349,8 +350,8 @@ class MPoly:
             return self._terms == other._terms
         if not self._num or not other._num or self._den != other._den:
             return self._num == other._num and self._den == other._den
-        _align(max(self._width, other._width), self, other)
-        return self._num == other._num
+        width = max(self._width, other._width)
+        return _align(self, width) == _align(other, width)
 
     def __hash__(self):
         return hash((self.vars, self.cap, frozenset(self.terms.items())))
@@ -369,15 +370,19 @@ class MPoly:
 
 
 def power(one, base, n):
-    """base ** n by square-and-multiply; n must be a non-negative int."""
+    """base ** n by square-and-multiply from the lowest set bit of n, with
+    no product by ``one``; n must be a non-negative int."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a non-negative integer")
-    result = one
-    while n:
+    if not n:
+        return one
+    while not n & 1:
+        base, n = base * base, n >> 1
+    result = base
+    while n > 1:
+        base, n = base * base, n >> 1
         if n & 1:
             result = result * base
-        base = base * base if n > 1 else base
-        n >>= 1
     return result
 
 
@@ -427,33 +432,56 @@ def _dict_mul(p, q):
 
 # ------------------------------------------------------------- packed values
 
-def _packed(vars, cap, num, den, width, fit):
-    p = MPoly.__new__(MPoly)
-    p.vars, p.cap, p._terms = vars, cap, None
-    p._num, p._den, p._width, p._fit = num, den, width, fit
-    return p
+def _lowest(num, den, width, n, fit):
+    """(num, den, fit) with the n slots of num over den in lowest terms."""
+    if not num:
+        return 0, 1, 0
+    if den != 1:
+        slots = _decode(num, width, n, range(n))
+        g = gcd(den, *slots)
+        if g != 1:  # num // g is exact: g divides every slot
+            return num // g, den // g, max(_bits(c // g) for c in slots)
+    return num, den, fit
 
 
 def _reduced(vars, cap, num, den, width, fit):
     """A packed value with num / den brought to lowest terms."""
-    if not num:
-        return _packed(vars, cap, 0, 1, width, 0)
-    if den != 1:
-        n = (cap + 1) ** 2
-        slots = _decode(num, width, n, range(n))
-        g = gcd(den, *slots)
-        if g != 1:  # num // g is exact: g divides every slot
-            num, den, fit = num // g, den // g, max(_bits(c // g) for c in slots)
-    return _packed(vars, cap, num, den, width, fit)
+    p = MPoly.__new__(MPoly)
+    p.vars, p.cap, p._terms, p._width = vars, cap, None, width
+    p._num, p._den, p._fit = _lowest(num, den, width, (cap + 1) ** 2, fit)
+    return p
 
 
-def _align(width, *polys):
-    """Widen, in place, every nonzero packed value narrower than ``width``
-    bits (0 reads the same at every width)."""
-    for p in polys:
-        if p._num and p._width < width:
-            p._num = _widen(p._num, p._width, width, (p.cap + 1) ** 2)
-            p._width = width
+def _align(p, width):
+    """The numerator of p, re-laid in place at ``width`` bits, which must
+    hold its fit (0 reads the same at every width)."""
+    if p._num and p._width != width:
+        p._num, p._width = _rewidth(p._num, p._width, width, (p.cap + 1) ** 2), width
+    return p._num
+
+
+def _sum_parts(p, q, sign, lay):
+    """(num, den, width, fit) of p + q (sign 1) or p - q (sign -1) over the
+    common denominator, for packed values of one layout; ``lay(v, width)``
+    re-lays v in place at ``width`` bits and returns its numerator."""
+    den = lcm(p._den, q._den)
+    sp, sq = den // p._den, den // q._den  # a scale s <= 2^bitlen(s - 1) widens the fit that much
+    fit = max(p._fit + (sp - 1).bit_length() if p._num else 0, q._fit + (sq - 1).bit_length()) + 1
+    width = max(p._width, q._width, _bytes_width(fit))
+    a, b = lay(p, width), lay(q, width)
+    a, b = a if sp == 1 else a * sp, b if sq == 1 else b * sq
+    return a + b if sign > 0 else a - b, den, width, fit
+
+
+def _product_parts(p, q, pairs, n, lay):
+    """(num, width, fit) of one big-int multiply of two nonzero packed values
+    of one layout (``lay`` as in ``_sum_parts``), cut to its n slots.  At most
+    ``pairs`` pairs meet in a kept slot, each bounded by 2^(fit_p - 1) 2^(fit_q - 1);
+    the width holds that with a sign bit to spare, and the exact fit is found after."""
+    bound = pairs << (p._fit + q._fit - 2)
+    width = _bytes_width(bound.bit_length() + 1)
+    num = _truncate(lay(p, width) * lay(q, width), n * width)
+    return num, width, _fit(num, width, n, bound.bit_length() + 1)
 
 
 def _packed_sum(p, q, sign):
@@ -462,34 +490,18 @@ def _packed_sum(p, q, sign):
         return p
     if not p._num and sign > 0:
         return q
-    den = lcm(p._den, q._den)
-    sp, sq = den // p._den, den // q._den  # a scale s <= 2^bitlen(s - 1) widens the fit that much
-    fit = max(p._fit + (sp - 1).bit_length(), q._fit + (sq - 1).bit_length()) + 1
-    width = max(p._width, q._width, _bytes_width(fit))
-    _align(width, p, q)
-    a = p._num if sp == 1 else p._num * sp
-    b = q._num if sq == 1 else q._num * sq
-    return _reduced(p.vars, p.cap, a + b if sign > 0 else a - b, den, width, fit)
+    return _reduced(p.vars, p.cap, *_sum_parts(p, q, sign, _align))
 
 
 def _packed_product(p, q):
-    """One big-int multiply in the graded layout, cut to total degree <= cap.
-
-    At most (cap + 1)(cap + 2) / 2 pairs of terms, one operand's worth, meet
-    in a product slot, so a product coefficient is bounded by that count
-    times 2^(fit_p - 1) 2^(fit_q - 1); the width holds the bound with a sign
-    bit to spare, and the exact fit of the cut product is found after.
-    """
+    """One big-int multiply in the graded layout, cut to total degree <= cap;
+    at most (cap + 1)(cap + 2) / 2 pairs of terms, one operand's worth, meet
+    in a product slot."""
     cap = p.cap
     if not p._num or not q._num:
-        return _packed(p.vars, cap, 0, 1, max(p._width, q._width), 0)
-    n = (cap + 1) ** 2
-    bound = ((cap + 1) * (cap + 2) // 2) << (p._fit + q._fit - 2)
-    width = max(_bytes_width(bound.bit_length() + 1), p._width, q._width)
-    _align(width, p, q)
-    num = _truncate(p._num * q._num, n * width)
-    return _reduced(p.vars, cap, num, p._den * q._den, width,
-                    _fit(num, width, n, bound.bit_length() + 1))
+        return _reduced(p.vars, cap, 0, 1, max(p._width, q._width), 0)
+    num, width, fit = _product_parts(p, q, (cap + 1) * (cap + 2) // 2, (cap + 1) ** 2, _align)
+    return _reduced(p.vars, cap, num, p._den * q._den, width, fit)
 
 
 def _packed_with_cap(p, cap):
@@ -497,41 +509,10 @@ def _packed_with_cap(p, cap):
         return p
     num = _restride(p._num, p._width, p.cap + 1, min(cap, p.cap) + 1, cap + 1)
     if cap > p.cap:
-        out = _packed(p.vars, cap, num, p._den, p._width, p._fit)
+        out = _reduced(p.vars, cap, num, p._den, p._width, p._fit)
         out._terms = p._terms
         return out
     return _reduced(p.vars, cap, num, p._den, p._width, p._fit)
-
-
-def packed_series_mul(p, q, cap):
-    """Truncated product of two series with polynomial coefficients.
-
-    p and q list the coefficients of var^0, var^1, ... as coefficient
-    sequences of the inner polynomial, lowest degree first.  Exponent
-    (a, b) of var^a inner^b goes to slot a * stride + b with stride one more
-    than the product's inner degree, so slots never collide; every slot
-    with a <= cap is read back.  A slot holds the signed bound on a product
-    coefficient, min(#terms) * max|p| * max|q|, with a sign bit to spare.
-    Returns cap + 1 coefficient lists.
-    """
-    tp = {(a, b): c for a, cs in enumerate(p[:cap + 1]) for b, c in enumerate(cs) if c}
-    tq = {(a, b): c for a, cs in enumerate(q[:cap + 1]) for b, c in enumerate(cs) if c}
-    if not tp or not tq:
-        return [[] for _ in range(cap + 1)]
-    stride = max(b for _, b in tp) + max(b for _, b in tq) + 1
-    den_p, ints_p = _integral(tp.values())
-    den_q, ints_q = _integral(tq.values())
-    bound = min(len(ints_p), len(ints_q)) * max(map(abs, ints_p)) * max(map(abs, ints_q))
-    width, n = _bytes_width(bound.bit_length() + 1), (cap + 1) * stride
-
-    def pack(terms, ints):
-        return _encode({a * stride + b: c for (a, b), c in zip(terms, ints)}, width, n)
-
-    vals = _decode(pack(tp, ints_p) * pack(tq, ints_q), width, n, range(n))
-    den = den_p * den_q
-    if den != 1:
-        vals = [_norm_coeff(Fraction(c, den)) if c else 0 for c in vals]
-    return [vals[a * stride:(a + 1) * stride] for a in range(cap + 1)]
 
 
 # ------------------------------------------------------------------ bivariate

@@ -22,18 +22,26 @@ for the series to be the image of a genuine polynomial in the two weights.
 
 The image is held over Q[rho] (``RHO_RING``, Poly coefficients).  Over
 any one-variable polynomial ring Q[v] (a field spec whose zero is a Poly:
-Q[rho] here, Q[alpha] and Q[gamma] in ``closed_forms``) a product of two
-series is one big-integer multiply (``exactalg.packed_series_mul``), and
-``divide`` is exact: each coefficient division must leave remainder zero,
-else NonInvertibleError.  Where the quotient over Q(v) is polynomial,
-every one of those divisions is exact, so no quotient that exists over
-Q[v] is lost, and no gcd runs in this form.
+Q[rho] here, Q[alpha] and Q[gamma] in ``closed_forms``) a series is held
+packed by the codec of ``exactalg``: row k, coefficient v^b is slot
+k * stride + b of one integer over one positive denominator in lowest
+terms.  Each value bounds its rows' degree d and excess e >= deg(row k) - k,
+and a product at cap c takes a stride above min(d_a + d_b, c + e_a + e_b):
+one big-integer multiply cut by one mask.  Sums, negation, truncation,
+shifts and == stay packed; ``coeffs`` decodes the rows on first read, and
+``divide`` runs on them, exactly: each coefficient division must leave
+remainder zero, else NonInvertibleError.  Where the quotient over Q(v) is
+polynomial, every one of those divisions is exact, so no quotient that
+exists over Q[v] is lost, and no gcd runs in this form.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NonInvertibleError, StructureError
-from .exactalg import BIVARS, MPoly, packed_series_mul, power
+from .exactalg import (BIVARS, MPoly, _bits, _bytes_width, _decode, _encode, _integral, _lowest, _product_parts,
+                       _reduced, _restride, _rewidth, _sum_parts, _truncate, power)
 from .ratfunc import QQ, FieldSpec, Poly, _inv_elem, _qq_normal
 
 TAU, RHO = "tau", "rho"
@@ -41,7 +49,9 @@ RHO_RING = FieldSpec(Poly.zero(RHO), Poly.one(RHO), f"QQ[{RHO}]")
 
 
 class Series:
-    __slots__ = ("var", "cap", "coeffs", "field")
+    # over Q[v] packed in slots of _width bits bounded by _fit, _coeffs None
+    # until read; over any other field _num is None
+    __slots__ = ("var", "cap", "field", "_coeffs", "_num", "_den", "_stride", "_width", "_fit", "_deg", "_exc")
 
     def __init__(self, var, cap, coeffs, field):
         if cap < 0:
@@ -53,8 +63,21 @@ class Series:
             raise StructureError("more coefficients than cap allows")
         self.var = var
         self.cap = cap
-        self.coeffs = tuple(coeffs)
+        self._coeffs = tuple(coeffs)
         self.field = field
+        self._num = None
+        if isinstance(field.zero, Poly):
+            _pack(self)
+
+    @property
+    def coeffs(self):
+        """The coefficients of var^0..var^cap; over Q[v] decoded on first read."""
+        if self._coeffs is None:
+            s, n, den = self._stride, (self.cap + 1) * self._stride, self._den
+            vals = _decode(self._num, self._width, n, range(n))
+            vals = vals if den == 1 else [Fraction(c, den) for c in vals]
+            self._coeffs = tuple(Poly(self.field.zero.var, vals[k:k + s]) for k in range(0, n, s))
+        return self._coeffs
 
     @classmethod
     def zero(cls, var, cap, field):
@@ -93,7 +116,11 @@ class Series:
     def truncate(self, cap):
         if cap > self.cap:
             raise StructureError(f"cannot extend series cap {self.cap} to {cap}")
-        return Series(self.var, cap, self.coeffs[: cap + 1], self.field)
+        if self._num is None:
+            return Series(self.var, cap, self.coeffs[: cap + 1], self.field)
+        num = _truncate(self._num, (cap + 1) * self._stride * self._width)
+        return _packed(self.var, self.field, cap, num, self._den, self._stride, self._width, self._fit,
+                       min(self._deg, cap + self._exc), self._exc)
 
     def _check(self, other):
         if self.var != other.var:
@@ -113,12 +140,17 @@ class Series:
         other = a._coerce(other, cap)
         if other is None:
             return NotImplemented
+        if a._num is not None:
+            return _sum(a, other, 1)
         return Series(a.var, cap, [x + y for x, y in zip(a.coeffs, other.coeffs)], a.field)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.var, self.cap, [-c for c in self.coeffs], self.field)
+        if self._num is None:
+            return Series(self.var, self.cap, [-c for c in self.coeffs], self.field)
+        zero = _packed(self.var, self.field, self.cap, 0, 1, self._stride, 8, 0, -1, -1 - self.cap)
+        return _sum(zero, self, -1)
 
     def __sub__(self, other):
         if isinstance(other, Series):
@@ -134,10 +166,9 @@ class Series:
             cap = min(self.cap, other.cap)
             a = self if self.cap == cap else self.truncate(cap)
             b = other if other.cap == cap else other.truncate(cap)
+            if a._num is not None:
+                return _product(a, b)
             z = a.field.zero
-            if isinstance(z, Poly):  # over Q[v]: one big-int product for the whole series
-                rows = packed_series_mul([c.coeffs for c in a.coeffs], [c.coeffs for c in b.coeffs], cap)
-                return Series(a.var, cap, [Poly(z.var, r) for r in rows], a.field)
             out = [z] * (cap + 1)
             for i, ca in enumerate(a.coeffs):
                 if ca == z:
@@ -149,6 +180,8 @@ class Series:
                     out[i + j] = out[i + j] + ca * cb
             return Series(a.var, cap, out, a.field)
         # scalar from the coefficient domain
+        if self._num is not None:
+            return _product(self, Series.const(self.var, self.cap, self.field.one * other, self.field))
         return Series(self.var, self.cap, [c * other for c in self.coeffs], self.field)
 
     __rmul__ = __mul__
@@ -204,6 +237,15 @@ class Series:
 
     def shift(self, k):
         """Multiply by var^k; negative k demands (and checks) divisibility."""
+        if self._num is not None:
+            bits = abs(k) * self._stride * self._width
+            if k < 0 and self._num & ((1 << bits) - 1):
+                raise NonInvertibleError(f"series not divisible by {self.var}^{-k}")
+            if self.cap + k < 0:
+                raise StructureError("series cap must be >= 0")
+            num = self._num << bits if k >= 0 else self._num >> bits
+            return _packed(self.var, self.field, self.cap + k, num, self._den, self._stride, self._width,
+                           self._fit, self._deg, self._exc - k)
         if k >= 0:
             return Series(
                 self.var, self.cap + k, (self.field.zero,) * k + self.coeffs, self.field
@@ -216,9 +258,12 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.var == other.var and self.cap == other.cap and self.coeffs == other.coeffs
-        )
+        if self.var != other.var or self.cap != other.cap:
+            return False
+        if self._num is None or other._num is None or self.field is not other.field:
+            return self.coeffs == other.coeffs
+        stride, width = max(self._stride, other._stride), max(self._width, other._width)
+        return self._den == other._den and _laid(self, stride, width) == _laid(other, stride, width)
 
     def __hash__(self):
         return hash((self.var, self.cap, self.coeffs))
@@ -227,6 +272,70 @@ class Series:
         bits = [f"({c})*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c != self.field.zero]
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O({self.var}^{self.cap + 1})"
+
+
+# ------------------------------------------------------ packed series over Q[v]
+
+def _pack(s):
+    """Fill the packed fields of s from its rows, at stride degree + 1."""
+    rows = [c.coeffs for c in s._coeffs]
+    s._deg = max(map(len, rows)) - 1
+    s._exc = max((len(r) - 1 - k for k, r in enumerate(rows) if r), default=-1 - s.cap)
+    s._stride = stride = max(s._deg + 1, 1)
+    s._den, ints = _integral([c for r in rows for c in r])
+    at = [k * stride + b for k, r in enumerate(rows) for b in range(len(r))]
+    slots = {i: c for i, c in zip(at, ints) if c}
+    s._fit = max(map(_bits, slots.values()), default=0)
+    s._width = _bytes_width(s._fit)
+    s._num = _encode(slots, s._width, (s.cap + 1) * stride)
+
+
+def _packed(var, field, cap, num, den, stride, width, fit, deg, exc):
+    """A packed series with num / den brought to lowest terms."""
+    s = Series.__new__(Series)
+    s.var, s.field, s.cap, s._coeffs = var, field, cap, None
+    s._num, s._den, s._fit = _lowest(num, den, width, (cap + 1) * stride, fit)
+    s._stride, s._width, s._deg, s._exc = stride, width, deg, exc
+    return s
+
+
+def _laid(s, stride, width):
+    """The numerator of s re-laid in place at ``stride`` slots a row of ``width``
+    bits, which must hold its rows and its fit (0 reads the same in every layout)."""
+    if not s._num:
+        return 0
+    if s._stride != stride:
+        s._num, s._stride = _restride(s._num, s._width, s._stride, s.cap + 1, stride), stride
+    if s._width != width:
+        s._num, s._width = _rewidth(s._num, s._width, width, (s.cap + 1) * stride), width
+    return s._num
+
+
+def _sum(a, b, sign):
+    """a + b (sign 1) or a - b (sign -1) of packed series at one cap."""
+    if not b._num:
+        return a
+    if not a._num and sign > 0:
+        return b
+    stride = max(a._stride, b._stride)
+    num, den, width, fit = _sum_parts(a, b, sign, lambda v, w: _laid(v, stride, w))
+    return _packed(a.var, a.field, a.cap, num, den, stride, width, fit,
+                   max(a._deg, b._deg), max(a._exc, b._exc))
+
+
+def _product(a, b):
+    """Product of packed series at one cap c.  Row k of it has degree at most
+    min(d_a + d_b, k + e_a + e_b), so at a stride above that for k = c, and
+    above each operand's degree bound, no two kept pairs of terms share a
+    slot; a kept slot receives at most (c + 1)(min(d_a, d_b) + 1) pairs."""
+    c, exc = a.cap, a._exc + b._exc
+    deg = min(a._deg + b._deg, c + exc)
+    if not a._num or not b._num or deg < 0:
+        return _packed(a.var, a.field, c, 0, 1, 1, 8, 0, -1, -1 - c)
+    stride = max(deg, a._deg, b._deg) + 1
+    num, width, fit = _product_parts(a, b, (c + 1) * (min(a._deg, b._deg) + 1), (c + 1) * stride,
+                                     lambda v, w: _laid(v, stride, w))
+    return _packed(a.var, a.field, c, num, a._den * b._den, stride, width, fit, deg, exc)
 
 
 # -------------------------------------------------------------- tau grading
@@ -238,10 +347,8 @@ def bipoly_to_tau(p: MPoly) -> Series:
         raise StructureError("tau grading applies to bivariate weight polynomials")
     if p.cap is None:
         raise StructureError("tau grading needs a capped polynomial")
-    slots = [[0] * (k + 1) for k in range(p.cap + 1)]
-    for (a, b), c in p.terms.items():
-        slots[a + b][b] = c
-    return Series(TAU, p.cap, [Poly(RHO, s) for s in slots], RHO_RING)
+    # the MPoly's graded slot (a + b)(cap + 1) + b is row a + b, rho^b: excess 0
+    return _packed(TAU, RHO_RING, p.cap, p._num, p._den, p.cap + 1, p._width, p._fit, p.cap, 0)
 
 
 def tau_to_bipoly(s: Series) -> MPoly:
@@ -249,16 +356,11 @@ def tau_to_bipoly(s: Series) -> MPoly:
     most its tau power."""
     if s.var != TAU:
         raise StructureError("expected a tau-graded series")
-    terms = {}
     for k, c in enumerate(s.coeffs):
         if c.degree() > k:
-            raise NonInvertibleError(
-                f"tau^{k} coefficient has rho-degree {c.degree()} > {k}"
-            )
-        for b, coef in enumerate(c.coeffs):
-            if coef != 0:
-                terms[(k - b, b)] = coef
-    return MPoly(BIVARS, terms, s.cap)
+            raise NonInvertibleError(f"tau^{k} coefficient has rho-degree {c.degree()} > {k}")
+    s._deg, s._exc = min(s._deg, s.cap), min(s._exc, 0)  # so stride cap + 1, the MPoly's, holds it
+    return _reduced(BIVARS, s.cap, _laid(s, s.cap + 1, s._width), s._den, s._width, s._fit)
 
 
 def graded_div(num: MPoly, den: MPoly) -> MPoly:

@@ -10,7 +10,9 @@ height i >= 1 (index 0 is identically zero):
 * merged sequence:  Y_{2i}   = tb        + Y_{2i}   (Y_{2i-2} + Y_{2i-1} + Y_{2i} + Y_{2i+1} + Y_{2i+2})
                     Y_{2i-1} = (tw - tb) + Y_{2i-1} (Y_{2i-2} + Y_{2i-1} + Y_{2i})
   which is the context system rewritten through Y_{2i-1} = Q_i - P_i,
-  Y_{2i} = P_i (cross-checked against the context solution).
+  Y_{2i} = P_i.  So ``solve_y`` rewrites the context solution and confirms
+  it by one sweep of the merged rule: with zero constant terms that rule
+  fixes degree c from the degrees below c, so its fixed point is unique.
 
 Each system is stated once, as a rule ``rule(x, y, i, t_b, t_w)`` giving
 the two right-hand sides at height i from height accessors x and y over any
@@ -40,8 +42,8 @@ stored heights, padded by repeating the last one (exact, since every
 height above c0 + 1 agrees at the stored cap c0), are the input of sweep
 c0 + 1, and only sweeps c0 + 1..N run.  Sweep c fixes degree c from
 inputs exact to degree c - 1, so the warm result equals the cold one.  The
-confirming sweep, the clamp assertion and the cross-checks of ``solve_y``
-and ``y1_series`` run at every solve at a new top cap.  A cut-down result
+confirming sweeps, the clamp assertion and the cross-check of
+``y1_series`` run at every solve at a new top cap.  A cut-down result
 needs none of them again: truncation is a ring homomorphism and the clamp
 is exact, so it is the truncation of a checked value.
 
@@ -217,17 +219,17 @@ def solve_pq(N, top) -> SliceFamily:
 
 
 @_top_cap_store
-def solve_y(N, top) -> SliceFamily:
-    """Merged sequence solver, cross-checked against the context solution."""
-    # the stored sequence interleaves the pairs: Y_{2i} = even[i], Y_{2i-1} = odd[i]
-    start = None if top is None else (top.cap, top.first[::2], top.first[:1] + top.first[1::2])
-    even, odd = _solve("y", N, N + 3, start)
+def solve_y(N, _top) -> SliceFamily:
+    """Merged sequence: the context solution rewritten, confirmed by one
+    sweep of the merged rule (its unique zero-constant-term fixed point)."""
     pq = solve_pq(N)
-    for i in range(1, pq.i_max + 1):
-        if even[i] != pq.first[i]:
-            raise VerificationError(f"Y_{2 * i} disagrees with context weight P_{i}")
-        if odd[i] != pq.second[i] - pq.first[i]:
-            raise VerificationError(f"Y_{2 * i - 1} disagrees with Q_{i} - P_{i}")
+    even, odd = pq.first, pq.first[:1] + [q - p for p, q in zip(pq.first[1:], pq.second[1:])]
+    if any(v.constant_term() for v in even + odd):
+        raise VerificationError("a merged weight has a nonzero constant term")
+    # started at cap N, only the confirming sweep runs; the padding from the
+    # context clamp N + 2 to the pair clamp N + 3 repeats the last height,
+    # exact as every height above N + 1 agrees at cap N
+    even, odd = _solve("y", N, N + 3, (N, even, odd))
     Y = [even[0]]
     for i in range(1, N + 4):
         Y += [odd[i], even[i]]

@@ -326,3 +326,41 @@ def test_series_checks_run_no_gcd_and_no_ratfunc(monkeypatch):
     assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
     section6_algebra()  # the tower keeps RatFunc, so the counters do see it
     assert calls["Poly.gcd"] > 0 and calls["RatFunc.__mul__"] > 0
+
+
+def counting_series_products(monkeypatch):
+    """A list that grows by one at every Series product."""
+    seen = []
+    mul = Series.__mul__
+
+    def counted(a, b):
+        seen.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "__rmul__", counted)
+    return seen
+
+
+def test_power_starts_from_the_base(monkeypatch):
+    den_inv = ParamPoint("yalpha", 4).den_inv
+    seen = counting_series_products(monkeypatch)
+    want = den_inv.ring_one()
+    for k, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        seen.clear()
+        value = den_inv ** k
+        assert len(seen) == products, k
+        assert value == want
+        want = want * den_inv
+
+
+def test_series_checks_build_each_limit_pair_and_height_once(monkeypatch):
+    # 1,599 products when the limit pair was rebuilt at every height and
+    # every context height was built twice
+    seen = counting_series_products(monkeypatch)
+    for system in ("bw", "pq", "y"):
+        assert verify_recursion(system, range(1, 7), 4).passed
+    assert param_equivalence(4).passed
+    assert series_match(4).passed
+    assert large_height_collapse(4).passed
+    assert len(seen) < 1599

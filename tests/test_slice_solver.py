@@ -325,3 +325,37 @@ def test_warm_extension_runs_only_the_new_sweeps(monkeypatch):
     sweep_caps.clear()
     solve_bw(8)  # sweeps 6..8 from the stored cap-5 family, then the confirming sweep
     assert sweep_caps == [6, 7, 8, 8]
+
+
+# --------------------------------- the merged sequence against its own solve
+
+def rising_merged(N):
+    """The merged rule solved by itself on the rising schedule, interleaved;
+    kept as the oracle for solve_y, which reads the context solution."""
+    even, odd = slice_solver._solve("y", N, N + 3)
+    return [even[0]] + [v for i in range(1, N + 4) for v in (odd[i], even[i])]
+
+
+def test_solve_y_matches_the_rising_merged_solve():
+    want = {N: rising_merged(N) for N in range(1, 13)}
+    for N in range(1, 13):  # cold
+        clear_stores()
+        assert solve_y(N).first == want[N], N
+    clear_stores()
+    for N in range(1, 13):  # each cap a warm extension of the one below
+        assert solve_y(N).first == want[N], N
+        assert solve_y.cache_info().misses == N
+
+
+@pytest.mark.parametrize("side, height", [("first", 1), ("second", 3), ("first", 8)])
+def test_solve_y_rejects_a_tampered_context_height(monkeypatch, side, height):
+    N = 6
+    clear_stores()
+    pq = solve_pq(N)
+    heights = {"first": list(pq.first), "second": list(pq.second)}
+    heights[side][height] = heights[side][height] + tb(N) ** N
+    tampered = slice_solver.SliceFamily("pq", N, pq.i_max, heights["first"], heights["second"])
+    monkeypatch.setattr(slice_solver, "solve_pq", lambda M: tampered)
+    with pytest.raises(VerificationError, match="failed to become stationary"):
+        solve_y(N)
+    assert solve_y.cache_info().currsize == 0

@@ -2,16 +2,17 @@
 extraction runs.
 
 Exit codes: 0 all good, 1 a mathematical verification failed, 2 usage or
-I/O error (including an empty or negative range, an index beyond the solved
-range, an extraction height below 1, ``verify --n``, ``--alpha`` or
-``--draws`` below 1, ``verify --enum-n`` or ``--enum-f`` below 0, ``verify
---order`` below 3, ``verify bijection`` or ``all`` with ``--enum-n`` below 1,
-``verify conserved`` or ``all`` with ``--cap`` below 6, ``verify newtype``
-or ``extract --type newtype`` with ``--cap`` below 2, ``extract --type
-newtype`` with ``--internal-cap``, which only ``--type stieltjes`` reads,
-and ``verify --cap``, ``extract --cap`` or ``extract --internal-cap`` below
-1).  ``verify stieltjes|newtype`` and ``extract`` share one rung comparison:
-a rung exact only below ``--cap``, as from an ``extract --internal-cap`` too
+I/O error (including an empty, negative or non-integer range, an index
+beyond the solved range, an extraction height below 1, ``verify --n``,
+``--alpha`` or ``--draws`` below 1, ``verify --enum-n`` or ``--enum-f``
+below 0, ``verify --order`` below 3, ``verify bijection`` or ``all``
+with ``--enum-n`` below 1, ``verify conserved`` or ``all`` with
+``--cap`` below 6, ``verify newtype`` or ``extract --type newtype`` with
+``--cap`` below 2, ``extract --type newtype`` with ``--internal-cap``,
+which only ``--type stieltjes`` reads, and ``verify --cap``, ``extract
+--cap`` or ``extract --internal-cap`` below 1).  ``verify
+stieltjes|newtype`` and ``extract`` share one rung comparison: a rung
+exact only below ``--cap``, as from an ``extract --internal-cap`` too
 small for it, fails with exit 1, naming the rung and the cap it reached.
 All coefficients are serialized as exact fraction strings.
 """
@@ -31,11 +32,11 @@ from . import closed_forms, contfrac, heaps, maps_oracle, slice_solver
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    parts = text.split("..", 1)
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ValueError(f"non-integer range {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     if lo < 0:

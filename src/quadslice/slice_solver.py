@@ -26,21 +26,24 @@ exact to total degree c whenever the weights it reads are exact to degree
 c - 1.  So the solver raises the precision one degree per sweep: starting
 from zero, sweep c = 1..N runs at cap c on the previous values cut to cap
 c, and fixes every coefficient of degree <= c.  One confirming sweep at cap
-N must then reproduce its input, or the solve fails as not stationary.
-Heights are clamped at i_max = N + 2: a slice counted at height i but not
-at i - 1 carries at least i weighted vertices, so at cap N all heights
-above N + 1 agree and the clamp is exact.  Stabilization is asserted after
-solving and any failure aborts.
+N, over every height, must then reproduce its input, or the solve fails as
+not stationary.  Heights are clamped: a slice counted at height i but not
+at i - 1 carries at least i weighted vertices, so at cap c all heights
+above c + 1 agree.  The solve at cap N keeps i_max = N + 2, and sweep c
+runs the rule only at heights 1..c + 2 (c + i_max - N in general), reading
+the height above them as a repeat of the top one; at cap c that repeat is
+exact, so the clamped sweep gives the values of a full-height one.
+Stabilization at i_max is asserted after solving and any failure aborts.
 
 Each of ``solve_bw``, ``solve_pq``, ``solve_y``, ``solve_limit`` and
 ``y1_series`` keeps one store: the result at the highest cap asked for so
 far.  A request at or below that cap is answered by cutting the stored
 result down, its values to the lower cap and its heights to that cap's
 clamp, so ``i_max`` and the strict weight table read exactly as after a
-solve at the lower cap.  A request above it re-solves, warm-started: the
-stored heights, padded by repeating the last one (exact, since every
-height above c0 + 1 agrees at the stored cap c0), are the input of sweep
-c0 + 1, and only sweeps c0 + 1..N run.  Sweep c fixes degree c from
+solve at the lower cap; each lower cap is cut once and kept until a higher
+cap replaces the store.  A request above it re-solves, warm-started: the
+stored heights 0..c0 + 2, exact at the stored cap c0, are the input of
+sweep c0 + 1, and only sweeps c0 + 1..N run.  Sweep c fixes degree c from
 inputs exact to degree c - 1, so the warm result equals the cold one.  The
 confirming sweeps, the clamp assertion and the cross-check of
 ``y1_series`` run at every solve at a new top cap.  A cut-down result
@@ -140,28 +143,32 @@ def _top_cap_store(solve):
     """Serve ``solve(N, top)`` from the highest-cap result seen so far.
 
     A cap at or below the stored one is a hit, answered by the stored
-    result's ``with_cap``.  A higher cap is a miss: ``solve`` runs with the
-    stored result (None when empty) to warm-start from, and its result
-    becomes the store.  As on a ``functools.lru_cache``, ``cache_clear``
-    empties the store and resets the counts, and ``cache_info`` reports them.
+    result's ``with_cap``, cut once per cap and kept until the store
+    changes.  A higher cap is a miss: ``solve`` runs with the stored result
+    (None when empty) to warm-start from, and its result becomes the store.
+    As on a ``functools.lru_cache``, ``cache_clear`` empties the store and
+    resets the counts, and ``cache_info`` reports them.
     """
-    top = None
+    top, cuts = None, {}
     hits = misses = 0
 
     def stored(N):
-        nonlocal top, hits, misses
+        nonlocal top, cuts, hits, misses
         if N < 1:
             raise StructureError("cap must be >= 1")
         if top is not None and N <= top.cap:
             hits += 1
-            return top if N == top.cap else top.with_cap(N)
+            if N not in cuts:
+                cuts[N] = top.with_cap(N)
+            return cuts[N]
         misses += 1
         top = solve(N, top)
+        cuts = {N: top}
         return top
 
     def cache_clear():
-        nonlocal top, hits, misses
-        top, hits, misses = None, 0, 0
+        nonlocal top, cuts, hits, misses
+        top, cuts, hits, misses = None, {}, 0, 0
 
     stored.cache_clear = cache_clear
     stored.cache_info = lambda: StoreInfo(hits, misses, int(top is not None))
@@ -173,29 +180,37 @@ def _top_cap_store(solve):
 def _rising(step, size, N, start=None):
     """Fixed point of ``step(X, Y, t_b, t_w) -> (X, Y)`` on two lists of
     ``size`` weights, by the rising-precision schedule: sweep c = c0+1..N
-    runs at cap c on the values cut to cap c, then one confirming sweep at
-    cap N must reproduce its input.  ``start = (c0, X, Y)`` holds values
-    exact at cap c0, padded to ``size`` by repeating the last height; the
+    runs at cap c on the values cut to cap c, filled to size - (N - c) of
+    them (at least one) by repeating the top one, then one confirming sweep
+    at cap N must reproduce its input.  ``step`` returns as many values as
+    it is given.  ``start = (c0, X, Y)`` holds values exact at cap c0; the
     default starts from zero at c0 = 0."""
     c0, X, Y = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
-    X, Y = (v + v[-1:] * (size - len(v)) for v in (X, Y))
     for c in range(c0 + 1, N + 1):
-        X, Y = step([v.with_cap(c) for v in X], [v.with_cap(c) for v in Y], tb(c), tw(c))
+        n = max(1, size - N + c)
+        X, Y = ([v.with_cap(c) for v in w] for w in (X, Y))
+        X, Y = step(_filled(X, n), _filled(Y, n), tb(c), tw(c))
+    X, Y = _filled(X, size), _filled(Y, size)
     if step(X, Y, tb(N), tw(N)) != (X, Y):
         raise VerificationError("fixed point iteration failed to become stationary")
     return X, Y
 
 
+def _filled(v, n):
+    """v padded to n entries by repeating its last one."""
+    return v + v[-1:] * (n - len(v))
+
+
 def _solve(kind, N, i_max, start=None):
-    """A system's rule solved at cap N with heights clamped at i_max,
+    """A system's rule solved at cap N with heights clamped at i_max >= N + 2,
     warm-started from ``start`` as in ``_rising``; returns the two lists of
-    heights 0..i_max."""
+    heights 0..i_max.  Sweep c runs on heights 0..c + i_max - N only."""
     rule, name, _ = SYSTEMS[kind]
 
     def step(X, Y, t_b, t_w):
-        # one extra entry repeats height i_max: that is the clamp
-        x, y = (X + [X[i_max]]).__getitem__, (Y + [Y[i_max]]).__getitem__
-        new = [rule(x, y, i, t_b, t_w) for i in range(1, i_max + 1)]
+        # one extra entry repeats the top height: that is the clamp
+        x, y = (X + X[-1:]).__getitem__, (Y + Y[-1:]).__getitem__
+        new = [rule(x, y, i, t_b, t_w) for i in range(1, len(X))]
         return X[:1] + [a for a, _ in new], Y[:1] + [b for _, b in new]
 
     X, Y = _rising(step, i_max + 1, N, start)

@@ -141,6 +141,16 @@ def test_negative_range_is_usage_error():
     assert rc == 2 and out == ""
 
 
+def test_non_integer_range_is_usage_error_naming_the_range():
+    for argv, bad in ((["table", "--what", "b", "--i", "a..3", "--cap", "3"], "'a..3'"),
+                      (["table", "--what", "fn", "--n", "1..x", "--cap", "3"], "'1..x'"),
+                      (["table", "--what", "p", "--i", "2.5", "--cap", "3"], "'2.5'"),
+                      (["extract", "--type", "newtype", "--i", "1..2..3", "--cap", "3"], "'1..2..3'")):
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "", argv
+        assert err == f"error: non-integer range {bad}\n", argv
+
+
 def test_verify_n_below_one_is_usage_error():
     # --enum-n 0 alone stays legal for the equality suite
     rc, out, _ = run(["verify", "equality", "--n", "0", "--enum-n", "0"])

@@ -1,9 +1,11 @@
 """Fixed-point slice solvers: frozen low-order values, stabilization,
 the fundamental boundary-series equality, and conserved quantities."""
 
+import sys
+
 import pytest
 
-from quadslice import slice_solver
+from quadslice import exactalg, slice_solver
 from quadslice.errors import StructureError, VerificationError
 from quadslice.exactalg import bipoly, bipoly_one, bipoly_zero, tb, tw
 from quadslice.slice_solver import (
@@ -325,6 +327,148 @@ def test_warm_extension_runs_only_the_new_sweeps(monkeypatch):
     sweep_caps.clear()
     solve_bw(8)  # sweeps 6..8 from the stored cap-5 family, then the confirming sweep
     assert sweep_caps == [6, 7, 8, 8]
+
+
+# ------------------------- the clamped schedule against the full-height one
+
+def full_height_rising(step, size, N, start=None):
+    """The rising schedule with every sweep over all ``size`` heights, kept
+    as the oracle for the schedule whose sweep c stops at height
+    c + i_max - N."""
+    c0, X, Y = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
+    X, Y = (v + v[-1:] * (size - len(v)) for v in (X, Y))
+    for c in range(c0 + 1, N + 1):
+        X, Y = step([v.with_cap(c) for v in X], [v.with_cap(c) for v in Y], tb(c), tw(c))
+    if step(X, Y, tb(N), tw(N)) != (X, Y):
+        raise VerificationError("fixed point iteration failed to become stationary")
+    return X, Y
+
+
+def full_height_solve(kind, N, i_max):
+    rule = slice_solver.SYSTEMS[kind][0]
+
+    def step(X, Y, t_b, t_w):
+        x, y = (X + [X[i_max]]).__getitem__, (Y + [Y[i_max]]).__getitem__
+        new = [rule(x, y, i, t_b, t_w) for i in range(1, i_max + 1)]
+        return X[:1] + [a for a, _ in new], Y[:1] + [b for _, b in new]
+
+    X, Y = full_height_rising(step, i_max + 1, N)
+    assert X[i_max] == X[i_max - 1] and Y[i_max] == Y[i_max - 1]
+    return X, Y
+
+
+def full_height_families(N):
+    even, odd = full_height_solve("y", N, N + 3)
+    (B,), (W,) = full_height_rising(limit_step, 1, N)
+    return {"bw": full_height_solve("bw", N, N + 2), "pq": full_height_solve("pq", N, N + 2),
+            "y": [even[0]] + [v for i in range(1, N + 4) for v in (odd[i], even[i])], "limit": (B, W)}
+
+
+@pytest.fixture(scope="module")
+def full_height():
+    return {N: full_height_families(N) for N in range(1, 15)}
+
+
+def assert_full_height(N, want):
+    for kind, solver in (("bw", solve_bw), ("pq", solve_pq)):
+        fam = solver(N)
+        assert (fam.first, fam.second) == want[kind], (kind, N)
+    assert solve_y(N).first == want["y"], N
+    lim = solve_limit(N)
+    assert (lim.first, lim.second) == want["limit"], N
+
+
+def test_clamped_schedule_matches_full_height_cold(full_height):
+    for N in range(1, 15):
+        clear_stores()
+        assert_full_height(N, full_height[N])
+
+
+def test_clamped_schedule_matches_full_height_warm(full_height):
+    clear_stores()
+    for N in (3, 7, 11, 14):
+        assert_full_height(N, full_height[N])
+    assert [stored.cache_info().misses for stored in STORED[:4]] == [4, 4, 4, 4]
+
+
+def test_clamped_schedule_matches_full_height_at_cap_20():
+    clear_stores()
+    fam = solve_bw(20)
+    assert (fam.first, fam.second) == full_height_solve("bw", 20, 22)
+
+
+def count_products(monkeypatch):
+    products = []
+    packed = exactalg._packed_product
+    monkeypatch.setattr(exactalg, "_packed_product", lambda p, q: products.append(1) or packed(p, q))
+    return products
+
+
+def test_cold_solves_take_the_clamped_product_counts(monkeypatch):
+    # sweep c of a cold solve at cap 11 evaluates heights 1..c + 2, the
+    # confirming sweep all 13; two products a height for the bicolored
+    # rule, three for the context rule
+    products = count_products(monkeypatch)
+    for solver, kind, clamped, full in ((solve_bw, "bw", 202, 312), (solve_pq, "pq", 303, 468)):
+        clear_stores()
+        products.clear()
+        solver(11)
+        assert len(products) == clamped, kind
+        products.clear()
+        full_height_solve(kind, 11, 13)
+        assert len(products) == full, kind
+
+
+# ------------------------------------------------------ the store's cut memo
+
+def test_store_cuts_each_lower_cap_once(monkeypatch):
+    clear_stores()
+    for stored in STORED:
+        stored(9)
+    cuts = []
+    for cls in (slice_solver.SliceFamily, slice_solver.LimitPair, exactalg.MPoly):
+        with_cap = cls.with_cap
+        monkeypatch.setattr(cls, "with_cap", lambda self, N, _cut=with_cap: cuts.append(type(self)) or _cut(self, N))
+    for stored in STORED:
+        cuts.clear()
+        hits, misses, _ = stored.cache_info()
+        first, second = stored(5), stored(5)
+        assert second is first, stored.__name__
+        assert cuts.count(type(first)) == 1, stored.__name__
+        assert stored.cache_info() == (hits + 2, misses, 1), stored.__name__
+
+
+def test_store_memo_follows_the_top():
+    clear_stores()
+    solve_bw(9)
+    stale = solve_bw(5)
+    solve_bw(12)  # a new top empties the memo
+    fresh = solve_bw(5)
+    assert fresh is not stale
+    assert (fresh.cap, fresh.i_max, fresh.first, fresh.second) == (5, 7, *full_height_solve("bw", 5, 7))
+    assert (fresh.first, fresh.second) == (stale.first, stale.second)
+    held = sys.getrefcount(fresh)
+    solve_bw.cache_clear()  # lets go of the cut it kept
+    assert sys.getrefcount(fresh) == held - 1
+    assert solve_bw.cache_info() == (0, 0, 0)
+    solve_bw(12)
+    assert solve_bw(5) is not fresh
+    assert solve_bw.cache_info() == (1, 1, 1)
+
+
+def test_store_counts_of_a_scripted_run():
+    # (hits, misses) of solve_bw, solve_pq, solve_y, solve_limit and
+    # y1_series, as recorded before hits were memoized per cap
+    clear_stores()
+    for N in (4, 2, 2, 7, 3, 7, 5):
+        solve_bw(N)
+    for n in range(1, 4):
+        f_n(n, 6), j_n(n, 6)
+        for d in range(0, 3):
+            conserved_f(n, d, 6), conserved_j(n, d, 6)
+    y1_two_routes(6)
+    solve_y(3), solve_y(8), solve_pq(5), f_n_closed(2, 7), y1_series(4)
+    assert [tuple(stored.cache_info()[:2]) for stored in STORED] == [(17, 2), (13, 2), (1, 2), (1, 2), (1, 1)]
 
 
 # --------------------------------- the merged sequence against its own solve

@@ -13,22 +13,26 @@ quotient ring (truncation commutes with + and *).  When ``cap`` is None the
 value is an ordinary polynomial; this is used for opaque symbolic weights.
 Values are immutable and all operations are pure.
 
-A capped polynomial in two variables -- the weight series in (tb, tw), the
-workhorse of the package, with dedicated constructors ``bipoly_*`` -- is
-held packed: one integer numerator over one positive denominator in lowest
-terms.  The coefficient of tb^a tw^b is slot (a + b)(cap + 1) + b of the
-numerator, a signed field of ``width`` bits.  In this graded layout a
-product slot of total degree <= cap receives exactly its own pairs of
-terms, since b1 + b2 <= cap, so a product is one big-integer multiply
-(Kronecker substitution) cut by one mask, and a sum is one integer sum.
-Changing the cap re-lays the degree rows.  Each value also records a bound
-``fit`` on its slots, exact after every product, from which the next
-product picks its slot width; it re-lays each operand in place at that
-width, wider or narrower, and a sum widens.  The term dict is decoded only
-when ``terms`` is read.  Every other polynomial (uncapped, or in another number
-of variables) is held as its term dict, and its products run over the
-dicts.  The packing codec is shared with ``series``, whose series over a
-polynomial ring Q[v] are held packed the same way.
+The graded packed layout.  A packed value at cap c is one integer over
+one positive denominator in lowest terms; row k <= c, slot b is a signed
+field of ``width`` bits at slot position k * stride + b.  The value bounds
+its slots (``fit`` bits, exact after a product) and its rows (slot b is 0
+above ``deg`` and, in row k, above k + ``exc``).  Row k of a product has
+degree at most min(deg_a + deg_b, k + exc_a + exc_b), so at a stride above
+that for k = c no two kept pairs of terms share a slot: a product is one
+big-integer multiply (Kronecker substitution) cut to c + 1 rows by one
+mask, at the wider stride of its operands unless it needs more, and at a
+slot width from their fits and a bound on the pairs that meet in a slot;
+it re-lays each operand in place.  A sum is one integer sum, and a cut to
+a lower cap one mask.  A capped polynomial in two variables -- the weight
+series in (tb, tw), the workhorse of the package, with constructors
+``bipoly_*`` -- is such a value with tb^a tw^b in row a + b, slot b, so
+deg <= cap and exc <= 0, built and cut at stride cap + 1.  ``series``
+holds its series over Q[v] in the same layout (v^b var^k in row k, slot
+b), so the tau image of a bivariate value is the same integer.  The term
+dict is decoded only when ``terms`` is read.  Every other polynomial
+(uncapped, or in another number of variables) is held as its term dict,
+and its products run over the dicts.
 
 Determinants over any of the rings in this package are computed by the
 Berkowitz recurrence, which uses ring operations only.  Truncated rings
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 from operator import add
 
@@ -165,20 +170,12 @@ def _bytes_width(bits):
     return 8 * max(1, -(-bits // 8))
 
 
-@lru_cache(maxsize=64)
-def _layout(cap):
-    """(slots, exponents, their slots) of the graded layout at a cap, whose
-    stride is cap + 1."""
-    exps = [(d - b, b) for d in range(cap + 1) for b in range(d + 1)]
-    return (cap + 1) ** 2, exps, [(a + b) * (cap + 1) + b for a, b in exps]
-
-
 # ---------------------------------------------------------------------- MPoly
 
 class MPoly:
     # _num is None for a term-dict value; otherwise the value is packed and
     # _terms caches its decoded dict (None until read)
-    __slots__ = ("vars", "cap", "_terms", "_num", "_den", "_width", "_fit")
+    __slots__ = ("vars", "cap", "_terms", "_num", "_den", "_stride", "_width", "_fit", "_deg", "_exc")
 
     def __init__(self, vars, terms, cap=None):
         vars = tuple(vars)
@@ -195,14 +192,14 @@ class MPoly:
     def terms(self):
         """{exponent tuple: nonzero coefficient}; decoded on first read."""
         if self._terms is None:
-            n, exps, at = _layout(self.cap)
-            den = self._den
-            vals = _decode(self._num, self._width, n, at)
-            if den == 1:
-                self._terms = {e: c for e, c in zip(exps, vals) if c}
-            else:
-                self._terms = {e: _norm_coeff(Fraction(c, den)) for e, c in zip(exps, vals) if c}
+            self._terms = {(k - b, b): c for k, row in enumerate(_rows(self)) for b, c in enumerate(row) if c}
         return self._terms
+
+    def _blank(self):
+        """A packed value over the same variables, its packed fields unset."""
+        p = MPoly.__new__(MPoly)
+        p.vars, p._terms = self.vars, None
+        return p
 
     # ---------------------------------------------------------------- basics
 
@@ -254,7 +251,7 @@ class MPoly:
         if other is None:
             return NotImplemented
         if self._num is not None:
-            return _packed_sum(self, other, 1)
+            return _sum(self, other, 1)
         big, small = sorted((self._terms, other._terms), key=len, reverse=True)
         out = dict(big)
         for exp, c in small.items():
@@ -270,15 +267,14 @@ class MPoly:
     def __neg__(self):
         if self._num is None:
             return _from_terms(self.vars, self.cap, {e: -c for e, c in self._terms.items()})
-        zero = _reduced(self.vars, self.cap, 0, 1, 8, 0)
-        return _packed_sum(zero, self, -1)
+        return _neg(self)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self._num is not None:
-            return _packed_sum(self, other, -1)
+            return _sum(self, other, -1)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -289,7 +285,7 @@ class MPoly:
         if other is None:
             return NotImplemented
         if self._num is not None:
-            return _packed_product(self, other)
+            return _product(self, other)
         return _dict_mul(self, other)
 
     __rmul__ = __mul__
@@ -328,7 +324,9 @@ class MPoly:
     def with_cap(self, cap):
         """Reinterpret with a new cap; terms above it are dropped."""
         if self._num is not None and cap is not None:
-            return _packed_with_cap(self, cap)
+            out = _cut(self, cap)
+            _laid(out, cap + 1, out._width)  # the stride it is built and multiplied at
+            return out
         terms = self.terms
         if cap is not None and (self.cap is None or cap < self.cap):
             terms = {e: c for e, c in terms.items() if sum(e) <= cap}
@@ -348,10 +346,7 @@ class MPoly:
             return False
         if self._num is None:
             return self._terms == other._terms
-        if not self._num or not other._num or self._den != other._den:
-            return self._num == other._num and self._den == other._den
-        width = max(self._width, other._width)
-        return _align(self, width) == _align(other, width)
+        return _equal(self, other)
 
     def __hash__(self):
         return hash((self.vars, self.cap, frozenset(self.terms.items())))
@@ -394,12 +389,7 @@ def _set_terms(p, vars, cap, terms):
     if cap is None or len(vars) != 2:
         p._num = None
         return
-    den, nums = _integral(terms.values())
-    fit = max(map(_bits, nums), default=0)
-    p._width = _bytes_width(fit)
-    p._num = _encode({(a + b) * (cap + 1) + b: c for (a, b), c in zip(terms, nums)},
-                     p._width, (cap + 1) ** 2)
-    p._den, p._fit = den, fit
+    _pack(p, {(a + b, b): c for (a, b), c in terms.items()}, cap + 1)
 
 
 def _from_terms(vars, cap, terms):
@@ -430,89 +420,144 @@ def _dict_mul(p, q):
     return _from_terms(p.vars, cap, out)
 
 
-# ------------------------------------------------------------- packed values
+# --------------------------------------------------- the graded packed kernel
+#
+# One kernel serves every packed value, a capped bivariate MPoly or a
+# packed Series over Q[v]: each holds ``cap`` and the packed fields _num,
+# _den, _stride, _width, _fit, _deg and _exc, and makes a value of its own
+# kind, packed fields unset, by ``_blank``.
 
-def _lowest(num, den, width, n, fit):
-    """(num, den, fit) with the n slots of num over den in lowest terms."""
-    if not num:
-        return 0, 1, 0
+def _at(cells, stride):
+    """The slot positions of (row k, slot b) cells."""
+    return [k * stride + b for k, b in cells]
+
+
+def _pack(v, cells, stride=None):
+    """Fill the packed fields of v, whose cap is set, from {(row k, slot b):
+    nonzero coefficient}, at ``stride`` (by default deg + 1)."""
+    v._deg = max((b for _, b in cells), default=-1)
+    v._exc = max((b - k for k, b in cells), default=-1 - v.cap)
+    v._stride = stride or max(v._deg + 1, 1)
+    v._den, ints = _integral(cells.values())
+    v._fit = max(map(_bits, ints), default=0)
+    v._width = _bytes_width(v._fit)
+    v._num = _encode(dict(zip(_at(cells, v._stride), ints)), v._width, (v.cap + 1) * v._stride)
+
+
+def _rows(v):
+    """Row k of packed v as the coefficients of its slots 0..min(deg, k + exc),
+    the slots its bounds leave open."""
+    lens = [max(0, min(v._deg, k + v._exc) + 1) for k in range(v.cap + 1)]
+    vals = _decode(v._num, v._width, (v.cap + 1) * v._stride,
+                   _at([(k, b) for k, m in enumerate(lens) for b in range(m)], v._stride))
+    den = v._den
     if den != 1:
-        slots = _decode(num, width, n, range(n))
-        g = gcd(den, *slots)
+        vals = [_norm_coeff(Fraction(c, den)) if c else 0 for c in vals]
+    vals = iter(vals)
+    return [list(islice(vals, m)) for m in lens]
+
+
+def _packed(v, cap, num, den, stride, width, fit, deg, exc):
+    """v, a blank value, given packed fields at ``cap``; num / den is in
+    lowest terms, or is brought there by ``_lowest``."""
+    v.cap, v._num, v._den, v._stride, v._width, v._fit, v._deg, v._exc = cap, num, den, stride, width, fit, deg, exc
+    return v
+
+
+def _lowest(v):
+    """v with num / den brought to lowest terms, in place."""
+    if not v._num:
+        v._den, v._fit = 1, 0
+    elif v._den != 1:
+        n = (v.cap + 1) * v._stride
+        slots = _decode(v._num, v._width, n, range(n))
+        g = gcd(v._den, *slots)
         if g != 1:  # num // g is exact: g divides every slot
-            return num // g, den // g, max(_bits(c // g) for c in slots)
-    return num, den, fit
+            v._num, v._den, v._fit = v._num // g, v._den // g, max(_bits(c // g) for c in slots)
+    return v
 
 
-def _reduced(vars, cap, num, den, width, fit):
-    """A packed value with num / den brought to lowest terms."""
-    p = MPoly.__new__(MPoly)
-    p.vars, p.cap, p._terms, p._width = vars, cap, None, width
-    p._num, p._den, p._fit = _lowest(num, den, width, (cap + 1) ** 2, fit)
-    return p
+def _laid(v, stride, width):
+    """The numerator of v re-laid in place at ``stride`` slots a row of
+    ``width`` bits, which must hold its rows and its fit (0 reads the same
+    in every layout)."""
+    if not v._num:
+        return 0
+    if v._stride != stride:
+        v._num, v._stride = _restride(v._num, v._width, v._stride, v.cap + 1, stride), stride
+    if v._width != width:
+        v._num, v._width = _rewidth(v._num, v._width, width, (v.cap + 1) * stride), width
+    return v._num
 
 
-def _align(p, width):
-    """The numerator of p, re-laid in place at ``width`` bits, which must
-    hold its fit (0 reads the same at every width)."""
-    if p._num and p._width != width:
-        p._num, p._width = _rewidth(p._num, p._width, width, (p.cap + 1) ** 2), width
-    return p._num
+def _sum(a, b, sign):
+    """a + b (sign 1) or a - b (sign -1) at one cap, over the common denominator."""
+    if not b._num:
+        return a
+    if not a._num and sign > 0:
+        return b
+    den = a._den
+    if den == b._den:
+        sa = sb = 1
+        fit = max(a._fit, b._fit) + 1
+    else:
+        den = lcm(den, b._den)
+        sa, sb = den // a._den, den // b._den  # a scale s <= 2^bitlen(s - 1) widens the fit that much
+        fit = max(a._fit + (sa - 1).bit_length() if a._num else 0, b._fit + (sb - 1).bit_length()) + 1
+    stride, width = max(a._stride, b._stride), max(a._width, b._width, _bytes_width(fit))
+    x, y = _laid(a, stride, width), _laid(b, stride, width)
+    x, y = x if sa == 1 else x * sa, y if sb == 1 else y * sb
+    return _lowest(_packed(a._blank(), a.cap, x + y if sign > 0 else x - y, den, stride, width, fit,
+                           max(a._deg, b._deg), max(a._exc, b._exc)))
 
 
-def _sum_parts(p, q, sign, lay):
-    """(num, den, width, fit) of p + q (sign 1) or p - q (sign -1) over the
-    common denominator, for packed values of one layout; ``lay(v, width)``
-    re-lays v in place at ``width`` bits and returns its numerator."""
-    den = lcm(p._den, q._den)
-    sp, sq = den // p._den, den // q._den  # a scale s <= 2^bitlen(s - 1) widens the fit that much
-    fit = max(p._fit + (sp - 1).bit_length() if p._num else 0, q._fit + (sq - 1).bit_length()) + 1
-    width = max(p._width, q._width, _bytes_width(fit))
-    a, b = lay(p, width), lay(q, width)
-    a, b = a if sp == 1 else a * sp, b if sq == 1 else b * sq
-    return a + b if sign > 0 else a - b, den, width, fit
+def _neg(a):
+    """-a: a slot at the bottom of its range needs one bit more."""
+    if not a._num:
+        return a
+    width = max(a._width, _bytes_width(a._fit + 1))
+    return _packed(a._blank(), a.cap, -_laid(a, a._stride, width), a._den, a._stride, width, a._fit + 1,
+                   a._deg, a._exc)
 
 
-def _product_parts(p, q, pairs, n, lay):
-    """(num, width, fit) of one big-int multiply of two nonzero packed values
-    of one layout (``lay`` as in ``_sum_parts``), cut to its n slots.  At most
-    ``pairs`` pairs meet in a kept slot, each bounded by 2^(fit_p - 1) 2^(fit_q - 1);
-    the width holds that with a sign bit to spare, and the exact fit is found after."""
-    bound = pairs << (p._fit + q._fit - 2)
-    width = _bytes_width(bound.bit_length() + 1)
-    num = _truncate(lay(p, width) * lay(q, width), n * width)
-    return num, width, _fit(num, width, n, bound.bit_length() + 1)
+def _product(a, b):
+    """a * b at one cap c, at the stride the module docstring gives.  The
+    width holds the pairs that meet in a kept slot (``_pairs``), each
+    bounded by 2^(fit_a - 1) 2^(fit_b - 1), with a sign bit to spare, and the
+    exact fit is found after."""
+    c, exc = a.cap, a._exc + b._exc
+    deg = min(a._deg + b._deg, c + exc)
+    if not a._num or not b._num or deg < 0:
+        return _packed(a._blank(), c, 0, 1, 1, 8, 0, -1, -1 - c)
+    stride = max(deg + 1, a._stride, b._stride)
+    bits = (_pairs(c, min(a._deg, b._deg), a._exc, b._exc) << (a._fit + b._fit - 2)).bit_length() + 1
+    width, n = _bytes_width(bits), (c + 1) * stride
+    num = _truncate(_laid(a, stride, width) * _laid(b, stride, width), n * width)
+    return _lowest(_packed(a._blank(), c, num, a._den * b._den, stride, width, _fit(num, width, n, bits), deg, exc))
 
 
-def _packed_sum(p, q, sign):
-    """p + q (sign 1) or p - q (sign -1) over the common denominator."""
-    if not q._num:
-        return p
-    if not p._num and sign > 0:
-        return q
-    return _reduced(p.vars, p.cap, *_sum_parts(p, q, sign, _align))
+@lru_cache(maxsize=1024)
+def _pairs(c, d, e_a, e_b):
+    """A bound on the pairs of terms that meet in a kept slot of row k <= c
+    of a product at cap c, d the smaller of its operands' degree bounds and
+    e_a, e_b their excess bounds: for each row i of a, at most
+    min(d, i + e_a, c - i + e_b) + 1 of them."""
+    return sum(max(0, min(d, i + e_a, c - i + e_b) + 1) for i in range(c + 1))
 
 
-def _packed_product(p, q):
-    """One big-int multiply in the graded layout, cut to total degree <= cap;
-    at most (cap + 1)(cap + 2) / 2 pairs of terms, one operand's worth, meet
-    in a product slot."""
-    cap = p.cap
-    if not p._num or not q._num:
-        return _reduced(p.vars, cap, 0, 1, max(p._width, q._width), 0)
-    num, width, fit = _product_parts(p, q, (cap + 1) * (cap + 2) // 2, (cap + 1) ** 2, _align)
-    return _reduced(p.vars, cap, num, p._den * q._den, width, fit)
+def _cut(a, cap):
+    """a at another cap: the rows above it dropped, or zero rows added."""
+    if cap == a.cap:
+        return a
+    num = _truncate(a._num, (cap + 1) * a._stride * a._width)
+    return _lowest(_packed(a._blank(), cap, num, a._den, a._stride, a._width, a._fit, min(a._deg, cap + a._exc),
+                           a._exc))
 
 
-def _packed_with_cap(p, cap):
-    if cap == p.cap:
-        return p
-    num = _restride(p._num, p._width, p.cap + 1, min(cap, p.cap) + 1, cap + 1)
-    if cap > p.cap:
-        out = _reduced(p.vars, cap, num, p._den, p._width, p._fit)
-        out._terms = p._terms
-        return out
-    return _reduced(p.vars, cap, num, p._den, p._width, p._fit)
+def _equal(a, b):
+    """a == b for packed values at one cap."""
+    stride, width = max(a._stride, b._stride), max(a._width, b._width)
+    return a._den == b._den and _laid(a, stride, width) == _laid(b, stride, width)
 
 
 # ------------------------------------------------------------------ bivariate

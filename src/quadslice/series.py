@@ -23,25 +23,23 @@ for the series to be the image of a genuine polynomial in the two weights.
 The image is held over Q[rho] (``RHO_RING``, Poly coefficients).  Over
 any one-variable polynomial ring Q[v] (a field spec whose zero is a Poly:
 Q[rho] here, Q[alpha] and Q[gamma] in ``closed_forms``) a series is held
-packed by the codec of ``exactalg``: row k, coefficient v^b is slot
-k * stride + b of one integer over one positive denominator in lowest
-terms.  Each value bounds its rows' degree d and excess e >= deg(row k) - k,
-and a product at cap c takes a stride above min(d_a + d_b, c + e_a + e_b):
-one big-integer multiply cut by one mask.  Sums, negation, truncation,
-shifts and == stay packed; ``coeffs`` decodes the rows on first read, and
-``divide`` runs on them, exactly: each coefficient division must leave
-remainder zero, else NonInvertibleError.  Where the quotient over Q(v) is
-polynomial, every one of those divisions is exact, so no quotient that
-exists over Q[v] is lost, and no gcd runs in this form.
+in the graded packed layout of ``exactalg`` (v^b var^k in row k, slot b),
+where sums, negation, products, truncation and == run; shifts stay packed
+too.  A capped (tb, tw) value is the same layout, so the tau grading hands
+the packed fields across; the way back checks the degree bound on the
+integer, reading by one mask the slots above the diagonal, and only when
+the excess bound is positive.  ``coeffs`` decodes the rows on first read,
+and ``divide`` runs on them, exactly: each coefficient division must
+leave remainder zero, else NonInvertibleError.  Where the quotient over
+Q(v) is polynomial, every one of those divisions is exact, so no quotient
+that exists over Q[v] is lost, and no gcd runs in this form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NonInvertibleError, StructureError
-from .exactalg import (BIVARS, MPoly, _bits, _bytes_width, _decode, _encode, _integral, _lowest, _product_parts,
-                       _reduced, _restride, _rewidth, _sum_parts, _truncate, power)
+from .exactalg import (BIVARS, MPoly, _cut, _equal, _neg, _ones, _pack, _packed, _product, _rows, _sum,
+                       power)
 from .ratfunc import QQ, FieldSpec, Poly, _inv_elem, _qq_normal
 
 TAU, RHO = "tau", "rho"
@@ -67,17 +65,18 @@ class Series:
         self.field = field
         self._num = None
         if isinstance(field.zero, Poly):
-            _pack(self)
+            _pack(self, {(k, b): c for k, r in enumerate(self._coeffs) for b, c in enumerate(r.coeffs) if c})
 
     @property
     def coeffs(self):
         """The coefficients of var^0..var^cap; over Q[v] decoded on first read."""
         if self._coeffs is None:
-            s, n, den = self._stride, (self.cap + 1) * self._stride, self._den
-            vals = _decode(self._num, self._width, n, range(n))
-            vals = vals if den == 1 else [Fraction(c, den) for c in vals]
-            self._coeffs = tuple(Poly(self.field.zero.var, vals[k:k + s]) for k in range(0, n, s))
+            self._coeffs = tuple(Poly(self.field.zero.var, row) for row in _rows(self))
         return self._coeffs
+
+    def _blank(self):
+        """A packed series in the same variable and ring, its packed fields unset."""
+        return _blank_series(self.var, self.field)
 
     @classmethod
     def zero(cls, var, cap, field):
@@ -118,9 +117,7 @@ class Series:
             raise StructureError(f"cannot extend series cap {self.cap} to {cap}")
         if self._num is None:
             return Series(self.var, cap, self.coeffs[: cap + 1], self.field)
-        num = _truncate(self._num, (cap + 1) * self._stride * self._width)
-        return _packed(self.var, self.field, cap, num, self._den, self._stride, self._width, self._fit,
-                       min(self._deg, cap + self._exc), self._exc)
+        return _cut(self, cap)
 
     def _check(self, other):
         if self.var != other.var:
@@ -149,8 +146,7 @@ class Series:
     def __neg__(self):
         if self._num is None:
             return Series(self.var, self.cap, [-c for c in self.coeffs], self.field)
-        zero = _packed(self.var, self.field, self.cap, 0, 1, self._stride, 8, 0, -1, -1 - self.cap)
-        return _sum(zero, self, -1)
+        return _neg(self)
 
     def __sub__(self, other):
         if isinstance(other, Series):
@@ -244,8 +240,8 @@ class Series:
             if self.cap + k < 0:
                 raise StructureError("series cap must be >= 0")
             num = self._num << bits if k >= 0 else self._num >> bits
-            return _packed(self.var, self.field, self.cap + k, num, self._den, self._stride, self._width,
-                           self._fit, self._deg, self._exc - k)
+            return _packed(self._blank(), self.cap + k, num, self._den, self._stride, self._width, self._fit,
+                           self._deg, self._exc - k)
         if k >= 0:
             return Series(
                 self.var, self.cap + k, (self.field.zero,) * k + self.coeffs, self.field
@@ -262,8 +258,7 @@ class Series:
             return False
         if self._num is None or other._num is None or self.field is not other.field:
             return self.coeffs == other.coeffs
-        stride, width = max(self._stride, other._stride), max(self._width, other._width)
-        return self._den == other._den and _laid(self, stride, width) == _laid(other, stride, width)
+        return _equal(self, other)
 
     def __hash__(self):
         return hash((self.var, self.cap, self.coeffs))
@@ -274,68 +269,10 @@ class Series:
         return f"{body} + O({self.var}^{self.cap + 1})"
 
 
-# ------------------------------------------------------ packed series over Q[v]
-
-def _pack(s):
-    """Fill the packed fields of s from its rows, at stride degree + 1."""
-    rows = [c.coeffs for c in s._coeffs]
-    s._deg = max(map(len, rows)) - 1
-    s._exc = max((len(r) - 1 - k for k, r in enumerate(rows) if r), default=-1 - s.cap)
-    s._stride = stride = max(s._deg + 1, 1)
-    s._den, ints = _integral([c for r in rows for c in r])
-    at = [k * stride + b for k, r in enumerate(rows) for b in range(len(r))]
-    slots = {i: c for i, c in zip(at, ints) if c}
-    s._fit = max(map(_bits, slots.values()), default=0)
-    s._width = _bytes_width(s._fit)
-    s._num = _encode(slots, s._width, (s.cap + 1) * stride)
-
-
-def _packed(var, field, cap, num, den, stride, width, fit, deg, exc):
-    """A packed series with num / den brought to lowest terms."""
+def _blank_series(var, field):
     s = Series.__new__(Series)
-    s.var, s.field, s.cap, s._coeffs = var, field, cap, None
-    s._num, s._den, s._fit = _lowest(num, den, width, (cap + 1) * stride, fit)
-    s._stride, s._width, s._deg, s._exc = stride, width, deg, exc
+    s.var, s.field, s._coeffs = var, field, None
     return s
-
-
-def _laid(s, stride, width):
-    """The numerator of s re-laid in place at ``stride`` slots a row of ``width``
-    bits, which must hold its rows and its fit (0 reads the same in every layout)."""
-    if not s._num:
-        return 0
-    if s._stride != stride:
-        s._num, s._stride = _restride(s._num, s._width, s._stride, s.cap + 1, stride), stride
-    if s._width != width:
-        s._num, s._width = _rewidth(s._num, s._width, width, (s.cap + 1) * stride), width
-    return s._num
-
-
-def _sum(a, b, sign):
-    """a + b (sign 1) or a - b (sign -1) of packed series at one cap."""
-    if not b._num:
-        return a
-    if not a._num and sign > 0:
-        return b
-    stride = max(a._stride, b._stride)
-    num, den, width, fit = _sum_parts(a, b, sign, lambda v, w: _laid(v, stride, w))
-    return _packed(a.var, a.field, a.cap, num, den, stride, width, fit,
-                   max(a._deg, b._deg), max(a._exc, b._exc))
-
-
-def _product(a, b):
-    """Product of packed series at one cap c.  Row k of it has degree at most
-    min(d_a + d_b, k + e_a + e_b), so at a stride above that for k = c, and
-    above each operand's degree bound, no two kept pairs of terms share a
-    slot; a kept slot receives at most (c + 1)(min(d_a, d_b) + 1) pairs."""
-    c, exc = a.cap, a._exc + b._exc
-    deg = min(a._deg + b._deg, c + exc)
-    if not a._num or not b._num or deg < 0:
-        return _packed(a.var, a.field, c, 0, 1, 1, 8, 0, -1, -1 - c)
-    stride = max(deg, a._deg, b._deg) + 1
-    num, width, fit = _product_parts(a, b, (c + 1) * (min(a._deg, b._deg) + 1), (c + 1) * stride,
-                                     lambda v, w: _laid(v, stride, w))
-    return _packed(a.var, a.field, c, num, a._den * b._den, stride, width, fit, deg, exc)
 
 
 # -------------------------------------------------------------- tau grading
@@ -347,20 +284,33 @@ def bipoly_to_tau(p: MPoly) -> Series:
         raise StructureError("tau grading applies to bivariate weight polynomials")
     if p.cap is None:
         raise StructureError("tau grading needs a capped polynomial")
-    # the MPoly's graded slot (a + b)(cap + 1) + b is row a + b, rho^b: excess 0
-    return _packed(TAU, RHO_RING, p.cap, p._num, p._den, p.cap + 1, p._width, p._fit, p.cap, 0)
+    # tb^a tw^b sits in row a + b, slot b of both: the same integer
+    return _packed(_blank_series(TAU, RHO_RING), p.cap, p._num, p._den, p._stride, p._width, p._fit, p._deg, p._exc)
 
 
 def tau_to_bipoly(s: Series) -> MPoly:
     """Inverse of bipoly_to_tau; checks each coefficient has rho-degree at
-    most its tau power."""
+    most its tau power, on the integer: only a value whose excess bound is
+    positive is looked at, and only its slots above the diagonal."""
     if s.var != TAU:
         raise StructureError("expected a tau-graded series")
-    for k, c in enumerate(s.coeffs):
-        if c.degree() > k:
-            raise NonInvertibleError(f"tau^{k} coefficient has rho-degree {c.degree()} > {k}")
-    s._deg, s._exc = min(s._deg, s.cap), min(s._exc, 0)  # so stride cap + 1, the MPoly's, holds it
-    return _reduced(BIVARS, s.cap, _laid(s, s.cap + 1, s._width), s._den, s._width, s._fit)
+    if s._exc > 0 and _above_diagonal(s):
+        k, c = next((k, c) for k, c in enumerate(s.coeffs) if c.degree() > k)
+        raise NonInvertibleError(f"tau^{k} coefficient has rho-degree {c.degree()} > {k}")
+    p = MPoly.__new__(MPoly)
+    p.vars, p._terms = BIVARS, None
+    return _packed(p, s.cap, s._num, s._den, s._stride, s._width, s._fit, min(s._deg, s.cap), min(s._exc, 0))
+
+
+def _above_diagonal(s):
+    """Whether a slot b > k of some row k of packed s is nonzero.  Biased by
+    2^(width-1), each slot is an unsigned field with no borrow between
+    slots, and reads 2^(width-1) iff it is zero."""
+    stride, k8, n = s._stride, s._width // 8, (s.cap + 1) * s._stride
+    mask = int.from_bytes(b"".join(bytes(min(k + 1, stride) * k8) + b"\xff" * (max(stride - k - 1, 0) * k8)
+                                   for k in range(s.cap + 1)), "little")
+    half = _ones(s._width, n) << (s._width - 1)
+    return bool((s._num + half ^ half) & mask)
 
 
 def graded_div(num: MPoly, den: MPoly) -> MPoly:

@@ -230,6 +230,7 @@ def capped_operands(draw):
 @example((MPoly(BIVARS, {}, 0), MPoly(BIVARS, {(0, 0): 5}, 0)))
 @example((MPoly(BIVARS, {(0, 0): -(2**80)}, 0), MPoly(BIVARS, {(0, 0): 2**80 + 1}, 0)))
 @example((MPoly(BIVARS, {(3, 0): Fraction(-1, 3)}, 3), MPoly(BIVARS, {(0, 3): 3}, 3)))
+@example((MPoly(BIVARS, {(a, b): -(2**70) for a in range(10) for b in range(10 - a)}, 9),) * 2)
 def test_packed_product_matches_dict_oracle(operands):
     p, q = operands
     want = exact_form(dict_product(p, q))

@@ -7,6 +7,7 @@ deleted ``exactalg.packed_series_mul``) and added, negated, cut, shifted and
 divided row by row.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,68 @@ def test_tau_image_is_the_packed_bivariate_value(drawn):
     v = x.valuation()
     if v is not None:
         same(x.shift(-v) * y, rows_mul(rows_shift(rx, -v, "rho"), ry, "rho"), "rho")
+
+
+def test_degree_check_reads_the_integer():
+    # an excess bound above 0 whose rows stay on or below the diagonal: the
+    # rho^2 of row 1 cancels, but the sum keeps the larger bound
+    rho = Poly.gen("rho")
+    zero = RHO_RING.zero
+    s = Series("tau", 2, [zero, rho * rho + rho], RHO_RING) + Series("tau", 2, [zero, -rho * rho], RHO_RING)
+    assert s._exc > 0
+    p = tau_to_bipoly(s)
+    assert s._coeffs is None and p._terms is None
+    assert p == bipoly({(0, 1): 1}, 2)
+    # a round trip hands the packed fields across, decoding no row either way
+    q = bipoly({(1, 0): 3, (0, 1): Fraction(-1, 2)}, 4) * bipoly({(0, 0): 1, (1, 1): 5, (0, 3): 2}, 4)
+    image = bipoly_to_tau(q)
+    back = tau_to_bipoly(image)
+    assert image._exc <= 0 and back == q
+    assert q._terms is None and image._coeffs is None and back._terms is None
+
+
+def row_wise_bipoly(rows):
+    """The terms tau_to_bipoly must give, or the message it must raise with."""
+    for k, c in enumerate(rows):
+        if c.degree() > k:
+            return f"tau^{k} coefficient has rho-degree {c.degree()} > {k}"
+    return {(k - b, b): c for k, r in enumerate(rows) for b, c in enumerate(r.coeffs) if c}
+
+
+def tau_series(terms):
+    """A tau-series at cap 5 from (row k, t, c): c rho^(k + t) in row k."""
+    rows = [[0] * 8 for _ in range(6)]
+    for k, t, c in terms:
+        rows[k][max(k + t, 0)] += c
+    return Series("tau", 5, [Poly("rho", r) for r in rows], RHO_RING)
+
+
+tau_terms = st.lists(st.tuples(st.integers(0, 5), st.integers(-2, 2), coefficient), max_size=8)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(tau_terms, tau_terms, st.sampled_from(["sum", "product"]))
+def test_degree_check_matches_the_row_wise_check(first, second, op):
+    # rows up to two above or below the diagonal: the excess bound of the
+    # result is positive or not, and exact or not
+    combine = (lambda x, y: x + y) if op == "sum" else (lambda x, y: x * y)
+    a, b = tau_series(first), tau_series(second)
+    want = row_wise_bipoly(combine(a, b).coeffs)
+    value = combine(a, b)
+    if isinstance(want, str):
+        with pytest.raises(NonInvertibleError, match=re.escape(want)):
+            tau_to_bipoly(value)
+    else:
+        held = value._coeffs  # None unless the value is an operand, built from its rows
+        assert tau_to_bipoly(value).terms == want and value._coeffs is held
+
+
+def test_degree_check_rejects_a_product_above_the_diagonal():
+    rho = Poly.gen("rho")
+    a = Series("tau", 3, [RHO_RING.one, rho * rho], RHO_RING)
+    b = Series("tau", 3, [RHO_RING.one, RHO_RING.zero, rho], RHO_RING)
+    with pytest.raises(NonInvertibleError, match=r"tau\^1 coefficient has rho-degree 2 > 1"):
+        tau_to_bipoly(a * b)
 
 
 @pytest.mark.parametrize("ring", sorted(RINGS))

@@ -398,9 +398,16 @@ def test_clamped_schedule_matches_full_height_at_cap_20():
 
 
 def count_products(monkeypatch):
+    """Count the bivariate products that run through the packed kernel."""
     products = []
-    packed = exactalg._packed_product
-    monkeypatch.setattr(exactalg, "_packed_product", lambda p, q: products.append(1) or packed(p, q))
+    product = exactalg._product
+
+    def counted(p, q):
+        if isinstance(p, exactalg.MPoly):
+            products.append(1)
+        return product(p, q)
+
+    monkeypatch.setattr(exactalg, "_product", counted)
     return products
 
 

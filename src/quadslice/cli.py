@@ -9,8 +9,8 @@ below 0, ``verify --order`` below 3, ``verify bijection`` or ``all``
 with ``--enum-n`` below 1, ``verify conserved`` or ``all`` with
 ``--cap`` below 6, ``verify newtype`` or ``extract --type newtype`` with
 ``--cap`` below 2, ``extract --type newtype`` with ``--internal-cap``,
-which only ``--type stieltjes`` reads, and ``verify --cap``, ``extract
---cap`` or ``extract --internal-cap`` below 1).  ``verify
+which only ``--type stieltjes`` reads, and ``table --cap``, ``verify
+--cap``, ``extract --cap`` or ``extract --internal-cap`` below 1).  ``verify
 stieltjes|newtype`` and ``extract`` share one rung comparison: a rung
 exact only below ``--cap``, as from an ``extract --internal-cap`` too
 small for it, fails with exit 1, naming the rung and the cap it reached.
@@ -311,7 +311,7 @@ def build_parser():
     p_table.add_argument("--what", required=True, choices=["fn", "jn", "b", "w", "p", "q", "y"])
     p_table.add_argument("--n", default="1..3", help="range like 1..3 (for fn/jn)")
     p_table.add_argument("--i", default="1..4", help="range like 1..4 (for weights)")
-    p_table.add_argument("--cap", type=int, default=4)
+    p_table.add_argument("--cap", type=_positive_int, default=4)
     p_table.add_argument("--format", default="text", choices=["json", "csv", "text"])
     p_table.add_argument("--output", default=None)
     p_table.set_defaults(func=cmd_table)

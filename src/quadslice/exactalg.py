@@ -228,7 +228,9 @@ class MPoly:
         return not (self._terms if self._num is None else self._num)
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.terms.get((0,) * len(self.vars), 0))
+        if self._num is not None:  # slot 0, without decoding the others
+            return Fraction(_truncate(self._num, self._width), self._den)
+        return Fraction(self._terms.get((0,) * len(self.vars), 0))
 
     def _check_compat(self, other):
         if self.vars != other.vars or self.cap != other.cap:

@@ -8,7 +8,10 @@ vertex), a fixed-point-free involution alpha (the two darts of each edge),
 and a distinguished root dart.  Faces are the cycles of sigma o alpha, and
 the external face is the face cycle through the root dart.  Connectedness
 means <sigma, alpha> acts transitively; genus 0 is Euler's relation
-V - E + F = 2.
+V - E + F = 2.  Validation computes the vertex and face cycles once, with
+the cycle label of every dart, and the map keeps them: the labeled
+quadrangulations, the corner joins, the white-vertex construction and the
+oriented distances all read them instead of walking the permutations again.
 
 Enumeration glues polygons: the faces of a quadrangulation with boundary
 2n and f inner faces are one 2n-gon plus f squares, and a complete
@@ -26,7 +29,9 @@ and polygons of a class are entered in index order.  Rooted maps have no
 automorphisms fixing the root dart, so each rooted map appears exactly
 once per surviving labeled gluing; a canonical breadth-first relabeling
 deduplicates the handful of symmetric copies the orderly rule cannot see
-(a fresh polygon first contacted by one of its own side pairs).
+(a fresh polygon first contacted by one of its own side pairs).  The
+quadrangulations with at most f inner faces extend the cached list with at
+most f - 1, so each face count is glued once per boundary length.
 
 General maps with a bridgeless boundary of length b and E edges (the
 image side of the bijection) are glued from the root face [b] plus inner
@@ -92,7 +97,12 @@ def _bfs_distances(neighbours, root):
 
 
 class RootedMap:
-    __slots__ = ("n_darts", "sigma", "alpha", "root")
+    """A rooted combinatorial map, validated on construction.  Validation
+    walks the vertex and face cycles once and keeps them: vertices() and
+    faces() return them, and vertex_of[d] and face_of[d] are the indices of
+    the cycles through dart d."""
+
+    __slots__ = ("n_darts", "sigma", "alpha", "root", "_vertices", "_faces", "vertex_of", "face_of")
 
     def __init__(self, sigma, alpha, root=0):
         self.sigma = tuple(sigma)
@@ -110,9 +120,9 @@ class RootedMap:
                 raise StructureError("alpha must be a fixed-point-free involution")
         if len(self._orbit(self.root)) != n:
             raise StructureError("map is not connected")
-        V = len(self.vertices())
-        F = len(self.faces())
-        E = n // 2
+        self._vertices, self.vertex_of = self._cycles(self.sigma)
+        self._faces, self.face_of = self._cycles([self.sigma[a] for a in self.alpha])
+        V, E, F = len(self._vertices), n // 2, len(self._faces)
         if V - E + F != 2:
             raise StructureError(f"map is not planar: V-E+F = {V - E + F}")
 
@@ -128,50 +138,43 @@ class RootedMap:
         return seen
 
     def _cycles(self, perm):
-        seen = [False] * self.n_darts
+        """The cycles of perm, each from its least dart, and the index of
+        the cycle through every dart."""
+        label = [-1] * self.n_darts
         out = []
         for d in range(self.n_darts):
-            if seen[d]:
+            if label[d] >= 0:
                 continue
             cyc = []
             e = d
-            while not seen[e]:
-                seen[e] = True
+            while label[e] < 0:
+                label[e] = len(out)
                 cyc.append(e)
                 e = perm[e]
             out.append(tuple(cyc))
-        return out
+        return tuple(out), bytes(label) if len(out) <= 256 else tuple(label)  # a byte a label while they fit
 
     def vertices(self):
-        return self._cycles(self.sigma)
+        return self._vertices
 
     def faces(self):
-        return self._cycles([self.sigma[self.alpha[d]] for d in range(self.n_darts)])
+        return self._faces
 
     def face_of_root(self):
-        """The external face: the face cycle through the root dart."""
-        cyc = [self.root]
-        e = self.sigma[self.alpha[self.root]]
-        while e != self.root:
-            cyc.append(e)
-            e = self.sigma[self.alpha[e]]
-        return tuple(cyc)
+        """The external face: the face cycle through the root dart, from the root."""
+        face = self._faces[self.face_of[self.root]]
+        k = face.index(self.root)
+        return face[k:] + face[:k]
 
     def inner_faces(self):
         """Every face cycle but the external one, in faces() order."""
-        return [face for face in self.faces() if self.root not in face]
+        ext = self.face_of[self.root]
+        return self._faces[:ext] + self._faces[ext + 1:]
 
     def boundary_is_bridgeless(self):
         """No edge has both of its darts on the external face."""
-        ext = set(self.face_of_root())
-        return not any(self.alpha[d] in ext for d in ext)
-
-    def vertex_of_darts(self):
-        out = [0] * self.n_darts
-        for i, cyc in enumerate(self.vertices()):
-            for d in cyc:
-                out[d] = i
-        return out
+        ext = self.face_of[self.root]
+        return not any(self.face_of[self.alpha[d]] == ext for d in self._faces[ext])
 
     def canonical_key(self):
         """Breadth-first relabeling from the root dart; unique because only
@@ -362,21 +365,20 @@ class LabeledQuad:
     """A rooted quadrangulation with boundary 2n, distance labels from the
     root vertex, the canonical bicoloring, and local-maximum flags."""
 
-    __slots__ = ("map", "n", "f", "dist", "color", "local_max", "vertex_of", "adj")
+    __slots__ = ("map", "n", "f", "dist", "color", "local_max")
 
     def __init__(self, m: RootedMap, n):
         self.map = m
         self.n = n
         self.f = (m.n_darts // 2 - n) // 2
-        self.vertex_of = m.vertex_of_darts()
+        vertex_of = m.vertex_of
         V = len(m.vertices())
         adj = [set() for _ in range(V)]
         for d in range(m.n_darts):
-            a, b = self.vertex_of[d], self.vertex_of[m.alpha[d]]
+            a, b = vertex_of[d], vertex_of[m.alpha[d]]
             adj[a].add(b)
             adj[b].add(a)
-        self.adj = adj
-        root_vertex = self.vertex_of[m.root]
+        root_vertex = vertex_of[m.root]
         self.dist = dist = _bfs_distances(adj, root_vertex)
         self.color = ["black" if d % 2 == 0 else "white" for d in dist]
         self.local_max = [
@@ -393,10 +395,10 @@ class LabeledQuad:
             if len(face) != 4:
                 raise VerificationError("inner face of degree != 4")
         for d in range(m.n_darts):
-            a, b = self.vertex_of[d], self.vertex_of[m.alpha[d]]
+            a, b = m.vertex_of[d], m.vertex_of[m.alpha[d]]
             if abs(self.dist[a] - self.dist[b]) != 1:
                 raise VerificationError("edge endpoints must differ by 1 in distance")
-        if self.local_max[self.vertex_of[m.root]]:
+        if self.local_max[m.vertex_of[m.root]]:
             raise VerificationError("root vertex can never be a local maximum")
 
     def bicolored_exponents(self):
@@ -438,10 +440,12 @@ def _glued_maps(sizes, keep=lambda m: True):
 @lru_cache(maxsize=None)
 def enumerate_quads(n, f_max):
     """One representative per rooted isomorphism class, all inner-face
-    counts f <= f_max, boundary length 2n."""
+    counts f <= f_max, boundary length 2n: the list at f_max - 1, through
+    this cache, then the maps glued with f_max inner faces."""
     if n < 1 or f_max < 0:
         raise StructureError("need n >= 1, f_max >= 0")
-    return [LabeledQuad(m, n) for f in range(f_max + 1) for m in _glued_maps([2 * n] + [4] * f)]
+    lower = enumerate_quads(n, f_max - 1) if f_max else []
+    return lower + [LabeledQuad(m, n) for m in _glued_maps([2 * n] + [4] * f_max)]
 
 
 def _weight_sum(exponents, n, f_max, cap):
@@ -552,7 +556,7 @@ def ab_forward(q: LabeledQuad) -> AbImage:
     corners followed by a larger label cyclically; keep only vertices that
     are not local maxima."""
     m = q.map
-    label = lambda d: q.dist[q.vertex_of[d]]
+    label = lambda d: q.dist[m.vertex_of[d]]
     rising = lambda d: label(m.sigma[m.alpha[d]]) > label(d)
     if sum(1 for d in m.face_of_root() if rising(d)) != q.n:
         raise VerificationError("external face must have n rising corners")
@@ -576,42 +580,27 @@ def ab_inverse(m: RootedMap) -> LabeledQuad:
     distinct_bijections_witness)."""
     if not m.boundary_is_bridgeless():
         raise StructureError("boundary must be bridgeless")
+    ext = m.face_of[m.root]
     faces = m.inner_faces()
-    face_id = {}
-    for i, f in enumerate(faces):
-        for d in f:
-            face_id[d] = i
-    # new darts: (corner dart, "b") at the black end, (corner dart, "w") at white
-    dart_ids = {}
-    order = []
-    for v_cycle in m.vertices():
-        for d in v_cycle:
-            if d in face_id:
-                order.append((d, "b"))
-    for f in faces:
-        for d in f:
-            order.append((d, "w"))
-    for end in order:
-        dart_ids[end] = len(dart_ids)
-    n_darts = len(dart_ids)
-    sigma = [0] * n_darts
-    for v_cycle in m.vertices():
-        ids = [dart_ids[(d, "b")] for d in v_cycle if d in face_id]
+    # one new edge per inner corner d: its black end numbered in vertex
+    # order, then its white end in face order
+    corners = [[d for d in v_cycle if m.face_of[d] != ext] for v_cycle in m.vertices()]
+    black_id = {d: i for i, d in enumerate(d for cs in corners for d in cs)}
+    white_id = {d: len(black_id) + i for i, d in enumerate(d for f in faces for d in f)}
+    sigma = [0] * (2 * len(black_id))
+    alpha = [0] * (2 * len(black_id))
+    rotations = [[black_id[d] for d in cs] for cs in corners]
+    rotations += [[white_id[d] for d in reversed(f)] for f in faces]
+    for ids in rotations:
         for k, dd in enumerate(ids):
             sigma[dd] = ids[(k + 1) % len(ids)]
-    for f in faces:
-        ids = [dart_ids[(d, "w")] for d in reversed(f)]
-        for k, dd in enumerate(ids):
-            sigma[dd] = ids[(k + 1) % len(ids)]
-    alpha = [0] * n_darts
-    for d in face_id:
-        a, b = dart_ids[(d, "b")], dart_ids[(d, "w")]
-        alpha[a], alpha[b] = b, a
+    for d, a in black_id.items():
+        alpha[a], alpha[white_id[d]] = white_id[d], a
     # the corner just left of the root dart at the root vertex
     root_corner = m.sigma[m.root]
-    if root_corner not in face_id:
+    if m.face_of[root_corner] == ext:
         raise VerificationError("corner left of the root should border an inner face")
-    new_map = RootedMap(sigma, alpha, dart_ids[(root_corner, "b")])
+    new_map = RootedMap(sigma, alpha, black_id[root_corner])
     return LabeledQuad(new_map, len(m.face_of_root()))
 
 
@@ -619,12 +608,11 @@ def oriented_distance_check(image: AbImage, q: LabeledQuad):
     """Breadth-first distances on the image, with boundary edges usable in
     one direction only, reproduce the original labels on kept vertices."""
     m = image.map
-    ext = set(m.face_of_root())
-    vertex_of = m.vertex_of_darts()
+    vertex_of, face_of, ext = m.vertex_of, m.face_of, m.face_of[m.root]
     V = len(m.vertices())
     arcs = [[] for _ in range(V)]
     for d in range(m.n_darts):
-        if d in ext or m.alpha[d] not in ext:  # a boundary edge runs along its external dart
+        if face_of[d] == ext or face_of[m.alpha[d]] != ext:  # a boundary edge runs along its external dart
             arcs[vertex_of[d]].append(vertex_of[m.alpha[d]])
     dist = _bfs_distances(arcs, vertex_of[m.root])
     for new_v in range(V):
@@ -641,7 +629,7 @@ def angular_inverse(q: LabeledQuad) -> RootedMap:
     cyclically, and drop the white vertices.  Root: the edge of the corner
     pair adjacent to the root."""
     black = lambda v: q.color[v] == "black"
-    return _join_corners(q.map, lambda d: black(q.vertex_of[d]), black, "black")[0]
+    return _join_corners(q.map, lambda d: black(q.map.vertex_of[d]), black, "black")[0]
 
 
 def bijection_check(n, f) -> CheckReport:

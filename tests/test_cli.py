@@ -172,6 +172,8 @@ def test_cap_below_one_is_usage_error():
                  ["extract", "--type", "newtype", "--cap", "-1"]):
         rc, out, _ = run(argv)
         assert rc == 2 and out == "", argv
+    rc, out, err = run(["table", "--what", "fn", "--cap", "0"])
+    assert rc == 2 and out == "" and "argument --cap: must be >= 1, got 0" in err
     for value in ("0", "-1"):
         rc, out, err = run(["extract", "--type", "stieltjes", "--i", "1..1", "--cap", "2", "--internal-cap", value])
         assert rc == 2 and out == "", value

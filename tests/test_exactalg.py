@@ -332,7 +332,7 @@ def capped_value(draw, cap):
     return MPoly(BIVARS, terms, cap)
 
 
-OPS = ("add", "sub", "neg", "mul", "square", "cap down", "cap up", "swap", "inv", "eq")
+OPS = ("add", "sub", "neg", "mul", "square", "cap down", "cap up", "swap", "inv", "eq", "constant")
 
 
 @st.composite
@@ -392,6 +392,14 @@ def test_packed_chains_match_dict_oracle(chain):
             if not x[1].get((0, 0)):
                 continue
             p, x = p.inv(), oracle_inv(x)
+        elif op == "constant":
+            fresh = -p  # packed and not decoded, unless p is zero
+            decoded = fresh._terms is not None
+            for value, want in ((p, x[1].get((0, 0), 0)), (fresh, -x[1].get((0, 0), 0))):
+                got = value.constant_term()
+                assert type(got) is Fraction and got == want
+            assert decoded or fresh._terms is None
+            continue
         else:
             assert (p == q) == (oracle_form(x) == oracle_form(y))
             rebuilt = (p + q) - q

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quadslice.errors import ResourceGuardError, StructureError
 from quadslice.exactalg import BIVARS, MPoly, bipoly_to_text, tw
 from quadslice.maps_oracle import (
+    LabeledQuad,
     RootedMap,
     _partitions,
     ab_forward,
@@ -298,6 +299,95 @@ def test_white_vertex_images_match_golden():
 
 def test_codomain_classes_match_golden():
     assert _sha256(_codomain_keys()) == CODOMAIN_KEYS_GOLDEN
+
+
+def _walked_structure(m):
+    """The per-call walks the stored structure replaced, kept as its oracle:
+    the vertex and face cycles from their least darts, the cycle index of
+    every dart (the former vertex_of_darts), and the external face walked
+    from the root (the former face_of_root)."""
+    def cycles(perm):
+        out, seen = [], set()
+        for d in range(m.n_darts):
+            cyc = []
+            e = d
+            while e not in seen:
+                seen.add(e)
+                cyc.append(e)
+                e = perm[e]
+            if cyc:
+                out.append(tuple(cyc))
+        return tuple(out)
+
+    def labels(cycles):
+        out = [0] * m.n_darts
+        for i, cyc in enumerate(cycles):
+            for d in cyc:
+                out[d] = i
+        return out
+
+    phi = [m.sigma[m.alpha[d]] for d in range(m.n_darts)]
+    vertices, faces = cycles(m.sigma), cycles(phi)
+    ext = [m.root]
+    while phi[ext[-1]] != m.root:
+        ext.append(phi[ext[-1]])
+    return vertices, faces, labels(vertices), labels(faces), tuple(ext)
+
+
+def _corpus_and_images():
+    for _, _, q in _corpus():
+        m = angular_inverse(q)
+        yield from (q.map, ab_forward(q).map, m, ab_inverse(m).map)
+
+
+def _star(edges):
+    """A plane tree: one vertex joined to ``edges`` leaves."""
+    sigma = [(d + 1) % edges for d in range(edges)] + list(range(edges, 2 * edges))
+    alpha = list(range(edges, 2 * edges)) + list(range(edges))
+    return RootedMap(sigma, alpha, 0)
+
+
+def test_stored_cycles_and_labels_match_the_walks():
+    # the star has more vertices than a byte can label
+    for m in (*_corpus_and_images(), _star(300)):
+        vertices, faces, vertex_of, face_of, ext = _walked_structure(m)
+        assert m.vertices() == vertices and m.faces() == faces
+        assert list(m.vertex_of) == vertex_of and list(m.face_of) == face_of
+        assert m.face_of_root() == ext
+        assert m.inner_faces() == tuple(f for f in faces if m.root not in f)
+        assert m.boundary_is_bridgeless() == (not any(m.alpha[d] in ext for d in ext))
+
+
+def _counting(monkeypatch, cls, name, counts):
+    orig = getattr(cls, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return orig(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_each_map_walks_its_cycles_once(monkeypatch):
+    # validation walks the vertices and the faces; nothing walks them again
+    counts = {}
+    _counting(monkeypatch, RootedMap, "__init__", counts)
+    _counting(monkeypatch, RootedMap, "_cycles", counts)
+    enumerate_quads.cache_clear()
+    enumerate_bridgeless_maps.cache_clear()
+    assert bijection_check(2, 2).passed
+    assert counts["_cycles"] == 2 * counts["__init__"] > 0
+
+
+def test_each_face_count_is_glued_once(monkeypatch):
+    enumerate_quads.cache_clear()
+    lower = enumerate_quads(3, 1)
+    counts = {}
+    _counting(monkeypatch, LabeledQuad, "__init__", counts)
+    full = enumerate_quads(3, 2)
+    assert counts["__init__"] == 270 == len(full) - len(lower)
+    assert all(a is b for a, b in zip(full, lower))
+    assert all(q.f == 2 for q in full[len(lower):])
 
 
 @settings(max_examples=50, deadline=None, database=None)

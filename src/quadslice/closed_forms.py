@@ -26,8 +26,8 @@ Verification routines substitute the closed forms back into the recursion
 systems (zero residual to a requested order, identically in the
 parameter), check the two parametrizations against each other, match the
 closed forms against the fixed-point solver through composition, and prove
-the purely rational identities of the constructive derivation in the
-nested field of rational functions in y and alpha.
+the purely rational identities of the constructive derivation as
+gcd-free fractions of polynomials in y and alpha.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 
 from .errors import CheckReport, StructureError, VerificationError
 from .exactalg import MPoly
-from .ratfunc import FieldSpec, Poly, RatFunc, ratfunc_field
+from .ratfunc import FieldSpec, Poly, PolyFrac
 from .series import Series
 from .slice_solver import SYSTEMS, solve_bw, solve_limit, solve_pq, solve_y
 
@@ -322,103 +322,85 @@ def large_height_collapse(M=5, i_from=None) -> CheckReport:
     return report
 
 
-# ------------------------------------------------- rational identities tower
+# ------------------------------------------ rational identities in (y, alpha)
 
 @lru_cache(maxsize=None)
-def _tower():
-    """The constructive route's quantities in the nested field Q(y)(alpha):
-    the limits P, Q over their denominator D, the merged limit Y = Q - P,
-    the vertex weights t_b, t_w, the ladder coefficients A_0, A_1, the first
-    merged coefficient Y_1, the hard-piece weight w and d = (Y_1 - Y)/Y_1.
-    Built on first use and shared; callers must not mutate it."""
-    FY = ratfunc_field("y")
-    a = RatFunc.gen("alpha", FY)
-    y = RatFunc.const("alpha", RatFunc.gen("y"), FY)
-    one = RatFunc.one("alpha", FY)
+def _tower(vars=("y", "alpha")):
+    """The constructive route's quantities as gcd-free fractions of
+    polynomials in vars, which begin with y and alpha: the denominator D,
+    the limits P, Q over D, and the displayed forms of the merged limit
+    Y = Q - P, the first merged coefficient Y_1, the ladder coefficients
+    A_0, A_1, the hard-piece weight w and d = (Y_1 - Y)/Y_1, which
+    ``section6_algebra`` proves equal to their definitions.  Built on first
+    use and shared; callers must not mutate it."""
+    y, a = PolyFrac.gen(vars, vars[0]), PolyFrac.gen(vars, vars[1])
+    one = y.ring_one()
     D = one + y + a * y - 6 * a * y ** 2 + a * y ** 3 + a ** 2 * y ** 3 + a ** 2 * y ** 4
-    P = y * (one - a * y) ** 2 / D
-    Q = a * y * (one - y) ** 2 / D
-    Y = Q - P
-    t_b = P * (one - P - 2 * Q)
-    t_w = Q * (one - Q - 2 * P)
-    A0 = P * (one - P - Q) / t_b
-    A1 = -P / t_b
-    Y1 = Y * (one - P - 2 * Q) / (one - 2 * Q)
-    w = A0 * A1 * (Y1 / Y) ** 2 * P
-    d = (Y1 - Y) / Y1
-    return SimpleNamespace(a=a, y=y, one=one, D=D, P=P, Q=Q, Y=Y, t_b=t_b, t_w=t_w,
-                           A0=A0, A1=A1, Y1=Y1, w=w, d=d)
+    ay_ay3 = (one - a * y) * (one - a * y ** 3)
+    return SimpleNamespace(
+        a=a, y=y, one=one, D=D,
+        P=y * (one - a * y) ** 2 / D,
+        Q=a * y * (one - y) ** 2 / D,
+        Y=(a - 1) * y * (one - a * y ** 2) / D,
+        Y1=(a - 1) * y * (one - a * y ** 3) / ((one + y) * D),
+        A0=(one - a * y ** 2) ** 2 / ay_ay3,
+        A1=-D / ay_ay3,
+        w=-one / (y + 1 / y + 2),
+        d=-y * (one - a * y) / (one - a * y ** 3),
+    )
+
+
+def _series_poly(s: Series, vars) -> PolyFrac:
+    """A yalpha series as the polynomial in (y, alpha) of its kept terms."""
+    return PolyFrac(MPoly(vars, {(k, j): c for k, cy in enumerate(s.coeffs) for j, c in enumerate(cy.coeffs)}))
 
 
 def section6_algebra() -> CheckReport:
     """The rational-function identities behind the constructive derivation.
 
-    Everything is verified exactly in the nested field: the displayed
-    (y, alpha) forms of Y, Y_1, A_0, A_1; the hard-piece weight
-    w = A_0 A_1 (Y_1/Y)^2 P = -1/(y + 1/y + 2); d = (Y_1 - Y)/Y_1 and its
-    two displayed forms; the defining relation alpha = (d + y)/(y^2 (1 + d y));
-    the characteristic equation; and the recovery chain expressing Q in
-    terms of P and then pinning P.
+    Everything is verified exactly as fractions of polynomials in y and
+    alpha, with no gcd, as a chain: each definition is proved equal to its
+    display, and the display stands for it from then on.  The chain runs
+    through the displayed (y, alpha) forms of Y, Y_1, A_0, A_1; the
+    hard-piece weight w = A_0 A_1 (Y_1/Y)^2 P = -1/(y + 1/y + 2);
+    d = (Y_1 - Y)/Y_1 and its two displayed forms; the defining relation
+    alpha = (d + y)/(y^2 (1 + d y)); the characteristic equation; and the
+    recovery chain expressing Q in terms of P and then pinning P.
     """
-    report = CheckReport("rational identities of the constructive route")
     T = _tower()
     a, y, one, D, P, Q, Y = T.a, T.y, T.one, T.D, T.P, T.Q, T.Y
     Y1, A0, A1, w, d = T.Y1, T.A0, T.A1, T.w, T.d
-    if Y != (a - 1) * y * (one - a * y ** 2) / D:
-        raise VerificationError("merged limit display failed")
-    report.add("Y display")
-    # cross-check the closed t display against the series evaluation route:
-    # with den a unit series, t D^2 = t_series den^2 as polynomials of
-    # y-degree <= 8 means t = t_series to order 8
+    t_b, t_w = P * (one - P - 2 * Q), Q * (one - Q - 2 * P)
+    # the closed t displays against the series evaluation route: with den a
+    # unit series, t D^2 = t_series den^2 as polynomials of y-degree <= 8
+    # means t = t_series to order 8
     p = ParamPoint("yalpha", 8)
     den = _denominator(p)
-    if _tower_poly(D, p) != den:
-        raise VerificationError("denominator display failed")
-    for t, t_series in zip((T.t_b, T.t_w), eval_tt(p)):
-        if _tower_poly(t * D ** 2, p) != t_series * den * den:
-            raise VerificationError("vertex weight parametrization display failed")
-    report.add("vertex weights match their displays")
-    if Y1 != (a - 1) * y * (one - a * y ** 3) / ((one + y) * D):
-        raise VerificationError("first merged coefficient display failed")
-    report.add("Y_1 display")
-    if A0 != (one - a * y ** 2) ** 2 / ((one - a * y) * (one - a * y ** 3)):
-        raise VerificationError("A_0 display failed")
-    if A1 != -D / ((one - a * y) * (one - a * y ** 3)):
-        raise VerificationError("A_1 display failed")
-    report.add("A_0 and A_1 displays")
-    if w != -one / (y + 1 / y + 2):
-        raise VerificationError("hard-piece weight identity failed")
-    if w != -P * (one - Q - P) / (one - 2 * Q) ** 2:
-        raise VerificationError("hard-piece weight in P, Q failed")
-    report.add("w identity both forms")
-    if (one - 2 * Q) ** 2 - (2 + y + 1 / y) * P * (one - P - Q) != 0 * one:
-        raise VerificationError("characteristic equation failed")
-    report.add("characteristic equation")
-    if d != -y * (one - a * y) / (one - a * y ** 3):
-        raise VerificationError("d display failed")
-    if d != -P / (one - P - 2 * Q):
-        raise VerificationError("d in P, Q failed")
-    if (d + y) / (y ** 2 * (one + d * y)) != a:
-        raise VerificationError("alpha recovery failed")
-    report.add("d displays and alpha recovery")
-    q_rec = -P * (one + y) * (one - a * y ** 2) / (2 * y * (one - a * y)) + Fraction(1, 2) * one
-    if q_rec != Q:
-        raise VerificationError("Q recovery from P failed")
-    if -y * (one - a * y) ** 2 + P * D != 0 * one:
-        raise VerificationError("P determination failed")
-    report.add("recovery chain pins P and Q")
+    chain = [  # (report line, [(lhs, rhs, failure), ...]) in proof order
+        ("Y display", [(Q - P, Y, "merged limit display failed")]),
+        ("vertex weights match their displays", [
+            (D, _series_poly(den, y.vars), "denominator display failed"),
+            *((t * D ** 2, _series_poly(t_series * den * den, y.vars), "vertex weight parametrization display failed")
+              for t, t_series in zip((t_b, t_w), eval_tt(p)))]),
+        ("Y_1 display", [(Y * (one - P - 2 * Q) / (one - 2 * Q), Y1, "first merged coefficient display failed")]),
+        ("A_0 and A_1 displays", [(P * (one - P - Q) / t_b, A0, "A_0 display failed"),
+                                  (-P / t_b, A1, "A_1 display failed")]),
+        ("w identity both forms", [(A0 * A1 * (Y1 / Y) ** 2 * P, w, "hard-piece weight identity failed"),
+                                   (w, -P * (one - Q - P) / (one - 2 * Q) ** 2, "hard-piece weight in P, Q failed")]),
+        ("characteristic equation", [
+            ((one - 2 * Q) ** 2, (2 + y + 1 / y) * P * (one - P - Q), "characteristic equation failed")]),
+        ("d displays and alpha recovery", [((Y1 - Y) / Y1, d, "d display failed"),
+                                           (d, -P / (one - P - 2 * Q), "d in P, Q failed"),
+                                           ((d + y) / (y ** 2 * (one + d * y)), a, "alpha recovery failed")]),
+        ("recovery chain pins P and Q", [
+            (-P * (one + y) * (one - a * y ** 2) / (2 * y * (one - a * y)) + Fraction(1, 2), Q,
+             "Q recovery from P failed"),
+            (P * D, y * (one - a * y) ** 2, "P determination failed")]),
+    ]
+    report = CheckReport("rational identities of the constructive route")
+    for line, identities in chain:
+        for lhs, rhs, failure in identities:
+            if lhs != rhs:
+                raise VerificationError(failure)
+        report.add(line)
     return report
-
-
-def _tower_poly(val: RatFunc, p: ParamPoint) -> Series:
-    """A nested-field value as a series at p, when it is a polynomial in y
-    and alpha of y-degree at most p.cap; anything else fails the check."""
-    if val.den.degree() or any(c.den.degree() for c in val.num.coeffs):
-        raise VerificationError("tower value is not a polynomial in y and alpha")
-    coeffs = {}
-    for apow, c in enumerate(val.num.coeffs):
-        for ypow, cy in enumerate(c.num.coeffs):
-            coeffs[ypow] = coeffs.get(ypow, 0) + p.param ** apow * cy
-    if max(coeffs, default=0) > p.cap:
-        raise VerificationError(f"tower polynomial has y-degree above {p.cap}")
-    return p.poly(coeffs)

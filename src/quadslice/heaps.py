@@ -24,12 +24,13 @@ solution reproduces the closed-form slice weights.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
 import random
+from types import SimpleNamespace
 
 from .errors import CheckReport, StructureError, VerificationError
 from .exactalg import _ring_one_of, _ring_zero_of
-from .ratfunc import QQ, RatFunc, ratfunc_field
+from .ratfunc import QQ, PolyFrac
 from .series import Series
 from .contfrac import (
     FractionSpec,
@@ -167,10 +168,7 @@ def complementation_check(alpha, seed) -> CheckReport:
         if X0[m] != X[alpha] * (Xt[alpha - m] - Xt00[alpha - m]):
             raise VerificationError(f"base-restricted complementation failed at m={m}")
     report.add(f"both identities hold for m = 0..{alpha}")
-    prod_odd = Fraction(1)
-    for k in range(0, 2 * alpha - 1, 2):
-        prod_odd *= Y[k]
-    if X[alpha] != prod_odd:
+    if X[alpha] != prod(Y[::2]):
         raise VerificationError("maximal configuration is not the odd product")
     report.add("maximal hard-piece polynomial is the product of odd weights")
     return report
@@ -204,22 +202,15 @@ def linear_relation_check(alpha, seed) -> CheckReport:
 
 # --------------------------------------------- constant-weight specializations
 
-PF = ratfunc_field("Yc")  # rational functions of the constant level weight
-
-
-def _tower_consts():
-    """Constants of the two-variable tower: level weight Yc, descent Pc."""
-    Yc = RatFunc.const("Pc", RatFunc.gen("Yc"), PF)
-    Pc = RatFunc.gen("Pc", PF)
-    one = RatFunc.one("Pc", PF)
-    return Yc, Pc, one
+# the constant level weight Yc and descent weight Pc, as gcd-free fractions
+YC, PC = (PolyFrac.gen(("Yc", "Pc"), v) for v in ("Yc", "Pc"))
 
 
 def constant_ladder(i_hi, i_lo):
-    """Ladder of the constant-weight fraction over the (Yc, Pc) tower:
+    """Ladder of the constant-weight fraction over fractions in (Yc, Pc):
     k_0 = 1, k_n = Yc * Z_{n-1}, k_{-n} = Z_n / Yc^(2n), with Z_k the
     constant-weight path series coefficient."""
-    Yc, Pc, one = _tower_consts()
+    Yc, Pc, one = YC, PC, YC.ring_one()
     Z = [z_const(k, Pc, Yc + Pc, "context") for k in range(max(i_hi, i_lo) + 1)]
     k = {0: one}
     for n in range(1, i_hi + 1):
@@ -232,10 +223,10 @@ def constant_ladder(i_hi, i_lo):
 def linear_relation_specialized_check(i) -> CheckReport:
     """Constant-weight linear relations with interior zeros and the two
     boundary values P^(i-1)/Y^(2(i-1)) and (-1)^(i-1) P^(i-1)/Y^(i-2),
-    all exact in the two-variable tower."""
+    all exact as gcd-free fractions in Yc and Pc."""
     if i < 2:
         raise StructureError("need i >= 2")
-    Yc, Pc, one = _tower_consts()
+    Yc, Pc, one = YC, PC, YC.ring_one()
     alpha = i - 1
     x = hard_pieces(alpha, [Yc if k % 2 == 0 else Pc for k in range(2 * alpha - 1)])
     ladder = constant_ladder(i + 1, i - 1)
@@ -265,7 +256,7 @@ def linear_relation_gprime_check(i) -> CheckReport:
     Y P^(i-1) (Y + P) at n = i + 1."""
     if i < 2:
         raise StructureError("need i >= 2")
-    Yc, Pc, one = _tower_consts()
+    Yc, Pc, one = YC, PC, YC.ring_one()
     alpha = i - 1
     weights = [Yc if k % 2 == 0 else Pc for k in range(2 * alpha)]
     xp = hard_pieces(alpha, weights, variant="gprime")
@@ -296,15 +287,9 @@ def hh_closed_check(i_max, seed) -> CheckReport:
     for i in range(1, i_max + 1):
         H0 = hankel_type_dets(ladder, i, 0)
         H1 = hankel_type_dets(ladder, i, 1)
-        expect0 = Fraction(1)
-        for k in range(1, i):
-            expect0 *= (Y[2 * k - 1] / Y[2 * k]) ** (i - k)
-        if H0 != expect0:
+        if H0 != prod((Y[2 * k - 1] / Y[2 * k]) ** (i - k) for k in range(1, i)):
             raise VerificationError(f"closed form for H_{i}^(0) failed")
-        odd = Fraction(1)
-        for k in range(i):
-            odd *= Y[2 * k]
-        if H1 != odd * H0:
+        if H1 != prod(Y[0:2 * i:2]) * H0:
             raise VerificationError(f"closed form for H_{i}^(1) failed")
         report.add(f"i={i}: both determinants match")
     return report
@@ -327,16 +312,9 @@ def ladder_stabilization_check(i_max, seed) -> CheckReport:
         for n in range(0, i - 1):
             if big[-n] != small[-n]:
                 raise VerificationError(f"companion side should agree at n={n}, size {i}")
-        tilde_big = tilde_coeffs(Y[: 2 * i - 1])
-        corr_lo = Fraction(1)
-        for k in range(1, i):
-            corr_lo *= tilde_big[2 * k - 1]
-        if big[-(i - 1)] - small[-(i - 1)] != corr_lo:
+        if big[-(i - 1)] - small[-(i - 1)] != prod(tilde_coeffs(Y[: 2 * i - 1])[1:2 * i - 2:2]):
             raise VerificationError(f"companion correction failed at size {i}")
-        corr_hi = Y[0]
-        for k in range(1, i):
-            corr_hi *= Y[2 * k - 1]
-        if big[i] - small[i] != corr_hi:
+        if big[i] - small[i] != Y[0] * prod(Y[1:2 * i - 2:2]):
             raise VerificationError(f"main correction failed at size {i}")
         report.add(f"size {i}: agreement ranges and both corrections")
     return report
@@ -344,92 +322,105 @@ def ladder_stabilization_check(i_max, seed) -> CheckReport:
 
 # --------------------------------------------------- determinant ladder in y
 
-def h_ladder(i_max) -> CheckReport:
-    """The Hankel-type determinant recursion in the (y, alpha) tower.
+LADDER_VARS = ("y", "alpha", "U")  # U stands for y^i at height i
+# opaque symbols: the coefficients, Y^(i-1), P^(i-1), s_(i-1), and L^(0), L^(1) at i - 1
+TIE_VARS = ("A0", "A1", "Y1", "Y", "P", "R", "Pw", "S", "L0", "L1")
 
-    The determinants themselves have degrees growing quadratically, so the
-    closed forms are verified inductively: the rescaled system is checked
-    on the closed-form sequences (which pins them as the unique solution),
-    the rescaling itself is tied out on the first determinants, and the
-    bi-ratios, rewritten through the rescaled sequences, must reproduce
-    the closed-form merged weights."""
+
+def _ladder_forms(T):
+    """The closed forms of the rescaled determinants, L^(0) and L^(1) at
+    height i + k times (1 + y)^i, as functions of k and U = y^i."""
+    a, y, one = T.a, T.y, T.one
+    return (lambda k, U: (one - y ** (k + 1) * U) / ((one - y) * (one + y) ** k),
+            lambda k, U: T.Y1 * (one + T.d * y) * (one - a * y ** (k + 2) * U) / ((one - y) * (one + y) ** k))
+
+
+def _coefficients(T):
+    """The coefficients c00, c01, c10, c11 of the rescaled system."""
+    A0Y1, A1Y1 = T.A0 * T.Y1, T.A1 * T.Y1
+    return A0Y1 / T.Y ** 2, A1Y1, A0Y1 / T.Y, A1Y1 * (T.Y + T.P)
+
+
+def _ladder_identities(T, L0, L1):
+    """The eight ladder identities at height i, as (name, lhs, rhs) in
+    (y, alpha, U) with U = y^i, read at heights i - 1, i and i + 1: the
+    rescaled system, both three-term recursions, the mixed relation, both
+    displays of L^(1) and both bi-ratios.  The factor (1 + y)^i common to
+    every term is taken out."""
+    a, y, one, P, Y, Y1, w = T.a, T.y, T.one, T.P, T.Y, T.Y1, T.w
+    U = PolyFrac.gen(y.vars, "U")
+    c00, c01, c10, c11 = _coefficients(T)
+    l0, l1 = ({k: L(k, U) for k in (-1, 0, 1)} for L in (L0, L1))
+    return [
+        ("rescaled system (first line)", l0[0], c00 * l1[-1] + c01 * l0[-1]),
+        ("rescaled system (second line)", l1[0], c10 * l1[-1] + c11 * l0[-1]),
+        ("three-term recursion for L^(0)", l0[1], l0[0] + w * l0[-1]),
+        ("three-term recursion for L^(1)", l1[1], l1[0] + w * l1[-1]),
+        ("mixed relation", l1[0], Y * l0[0] + (Y1 - Y) * l0[-1]),
+        ("two displays of L^(1)", l1[0], (Y * (one - y * U) + (Y1 - Y) * (one - U) * (one + y)) / (one - y)),
+        ("bi-ratio even weight", P * l0[-1] * l1[1] / (l0[0] * l1[0]),
+         P * (one - U) * (one - a * y ** 3 * U) / ((one - y * U) * (one - a * y ** 2 * U))),
+        ("bi-ratio odd weight", Y * l1[0] * l0[-1] / (l1[-1] * l0[0]),
+         Y * (one - U) * (one - a * y ** 2 * U) / ((one - y * U) * (one - a * y * U))),
+    ]
+
+
+def _tie_out(step):
+    """The determinant recursion for H_i^(0), H_i^(1) from height i - 1,
+    rescaled by s_i = s_(i-1) * step, minus the rescaled system, with every
+    quantity an opaque symbol (``TIE_VARS``): H_(i-1)^(0) = L0/S and
+    H_(i-1)^(1) = L1 Y^(i-2)/S.  Returns the two differences, both zero for
+    the true scale step R/Pw = (Y/P)^(i-1)."""
+    T = SimpleNamespace(**{v: PolyFrac.gen(TIE_VARS, v) for v in TIE_VARS})
+    c00, c01, c10, c11 = _coefficients(T)
+    A0Y1, A1Y1, Y, R, Pw, S = T.A0 * T.Y1, T.A1 * T.Y1, T.Y, T.R, T.Pw, T.S
+    H0, H1, s = T.L0 / S, T.L1 * R / (Y * S), S * step(T)
+    H0_i = A0Y1 * Pw / (R ** 2 * Y) * H1 + A1Y1 * Pw / R * H0
+    H1_i = A0Y1 * Pw / R * H1 + c11 * Pw * H0
+    return s * H0_i - (c00 * T.L1 + c01 * T.L0), s * H1_i / R - (c10 * T.L1 + c11 * T.L0)
+
+
+def h_ladder(i_max=6) -> CheckReport:
+    """The Hankel-type determinant recursion in (y, alpha), at every height.
+
+    The determinants have degrees growing quadratically, so the closed
+    forms are verified inductively, with no gcd.  Each identity at height
+    i is one identity in (y, alpha, U), U = y^i (``_ladder_identities``),
+    so it holds at every height: the rescaled system on the closed-form
+    sequences (which pins them as the unique solution), the three-term
+    recursions, the mixed relation, both displays of L^(1), and the
+    bi-ratios, which reproduce the closed-form merged weights.  The
+    rescaling is tied out at every height on opaque symbols (``_tie_out``);
+    the normalization and the initial values at heights 0 and 1, from
+    H_0 = 1, are finite checks.  The displays of Y, Y_1, A_0, A_1, w and d
+    are those ``closed_forms.section6_algebra`` proves.  i_max is kept for
+    callers; the proof no longer depends on it."""
     from .closed_forms import _tower
 
-    T = _tower()
-    a, y, one, P, Y, Y1, A0, A1, w, d = T.a, T.y, T.one, T.P, T.Y, T.Y1, T.A0, T.A1, T.w, T.d
-    report = CheckReport(f"determinant ladder to i={i_max}")
+    T = _tower(LADDER_VARS)
+    one, P, Y, Y1, A0, A1 = T.one, T.P, T.Y, T.Y1, T.A0, T.A1
+    report = CheckReport("determinant ladder at every height")
 
     if Y1 * (A0 / Y + A1) != one:
         raise VerificationError("normalization Y_1 (A_0/Y + A_1) = 1 failed")
     report.add("ladder normalization")
 
-    # the system's coefficients, fixed over the whole ladder
-    A0Y1, A1Y1 = A0 * Y1, A1 * Y1
-    c00, c01, c10, c11 = A0Y1 / Y ** 2, A1Y1, A0Y1 / Y, A1Y1 * (Y + P)
-
-    def den(i):
-        return (one - y) * (one + y) ** i
-
-    @lru_cache(maxsize=None)
-    def L0(i):
-        return (one - y ** (i + 1)) / den(i)
-
-    @lru_cache(maxsize=None)
-    def L1(i):
-        return Y1 * (one + d * y) * (one - a * y ** (i + 2)) / den(i)
-
-    if L0(0) != one or L0(1) != one:
+    L0, L1 = _ladder_forms(T)
+    if L0(0, one) != one or L0(1, one) != one:
         raise VerificationError("initial values of the first rescaled sequence")
-    if L1(0) != Y or L1(1) != Y1 or L1(1) != Y1 * (A0 + A1 * (Y + P)):
+    if L1(0, one) != Y or L1(1, one) != Y1 or L1(1, one) != Y1 * (A0 + A1 * (Y + P)):
         raise VerificationError("initial values of the second rescaled sequence")
     report.add("initial conditions, including L_1^(1) = Y_1")
 
-    for i in range(1, i_max + 1):
-        if L0(i) != c00 * L1(i - 1) + c01 * L0(i - 1):
-            raise VerificationError(f"rescaled system (first line) failed at i={i}")
-        if L1(i) != c10 * L1(i - 1) + c11 * L0(i - 1):
-            raise VerificationError(f"rescaled system (second line) failed at i={i}")
+    for name, lhs, rhs in _ladder_identities(T, L0, L1):
+        if lhs != rhs:
+            raise VerificationError(f"{name} failed as an identity in U = y^i")
     report.add("rescaled system holds, so the closed forms solve the ladder")
-
-    for i in range(1, i_max):
-        if L0(i + 1) != L0(i) + w * L0(i - 1):
-            raise VerificationError(f"three-term recursion failed for L^(0) at i={i}")
-        if L1(i + 1) != L1(i) + w * L1(i - 1):
-            raise VerificationError(f"three-term recursion failed for L^(1) at i={i}")
-        if L1(i) != Y * L0(i) + (Y1 - Y) * L0(i - 1):
-            raise VerificationError(f"mixed relation failed at i={i}")
     report.add("three-term recursions with the hard-piece weight")
-
-    for i in range(0, i_max + 1):
-        alt = (Y * (one - y ** (i + 1)) + (Y1 - Y) * (one - y ** i) * (one + y)) / den(i)
-        if L1(i) != alt:
-            raise VerificationError(f"two displays of L^(1) disagree at i={i}")
     report.add("both displayed forms of L^(1) agree")
 
-    # tie the rescaling out on the first actual determinants
-    H0 = {0: one}
-    H1 = {0: one}
-    for i in (1, 2):
-        pw = P ** (i - 1)
-        H0[i] = A0Y1 * pw / Y ** (2 * i - 1) * H1[i - 1] + A1Y1 * pw / Y ** (i - 1) * H0[i - 1]
-        H1[i] = A0Y1 * pw / Y ** (i - 1) * H1[i - 1] + c11 * pw * H0[i - 1]
-        scale = (Y / P) ** (i * (i - 1) // 2)
-        if scale * H0[i] != L0(i) or scale * H1[i] / Y ** (i - 1) != L1(i):
-            raise VerificationError(f"rescaling definition failed at i={i}")
-    report.add("rescaling matches the first determinants")
-
-    for i in range(1, i_max):
-        y_even = P * (L0(i - 1) * L1(i + 1)) / (L0(i) * L1(i))
-        y_odd = Y * (L1(i) * L0(i - 1)) / (L1(i - 1) * L0(i))
-        expect_even = P * (one - y ** i) * (one - a * y ** (i + 3)) / (
-            (one - y ** (i + 1)) * (one - a * y ** (i + 2))
-        )
-        expect_odd = Y * (one - y ** i) * (one - a * y ** (i + 2)) / (
-            (one - y ** (i + 1)) * (one - a * y ** (i + 1))
-        )
-        if y_even != expect_even:
-            raise VerificationError(f"bi-ratio even weight failed at i={i}")
-        if y_odd != expect_odd:
-            raise VerificationError(f"bi-ratio odd weight failed at i={i}")
+    if not all(diff.is_zero() for diff in _tie_out(lambda T: T.R / T.Pw)):
+        raise VerificationError("rescaling definition failed")
+    report.add("rescaling matches the determinant recursion at every height")
     report.add("determinant bi-ratios reproduce the closed-form merged weights")
     return report

@@ -113,6 +113,8 @@ class RootedMap:
 
     def validate(self):
         n = self.n_darts
+        if not (isinstance(self.root, int) and 0 <= self.root < n):
+            raise StructureError(f"root {self.root!r} is not a dart of the map (darts 0..{n - 1})")
         if sorted(self.sigma) != list(range(n)) or sorted(self.alpha) != list(range(n)):
             raise StructureError("sigma and alpha must be permutations of the darts")
         for d in range(n):
@@ -212,25 +214,30 @@ class RootedMap:
 
     @classmethod
     def from_line(cls, line: str) -> "RootedMap":
-        n_s, sig_s, alf_s, root_s = [part.strip() for part in line.split(";")]
-        n = int(n_s)
+        """The map of a ``to_line`` line: dart count; vertex cycles; edge
+        pairs; root.  A malformed line raises StructureError."""
+        parts = [part.strip() for part in line.split(";")]
+        if len(parts) != 4:
+            raise StructureError(f"a map line has 4 ';'-separated fields, got {len(parts)}: {line!r}")
 
         def parse_cycles(text):
-            out = []
-            for chunk in text.replace("(", " ").split(")"):
-                chunk = chunk.strip()
-                if chunk:
-                    out.append([int(x) for x in chunk.split()])
-            return out
+            return [[int(x) for x in chunk.split()] for chunk in text.replace("(", " ").split(")") if chunk.strip()]
 
-        sigma = list(range(n))
-        for cyc in parse_cycles(sig_s):
+        try:
+            n, vertices, edges, root = int(parts[0]), parse_cycles(parts[1]), parse_cycles(parts[2]), int(parts[3])
+        except ValueError:
+            raise StructureError(f"a map line has integer fields only: {line!r}") from None
+        for d in (d for cyc in vertices + edges for d in cyc if not 0 <= d < n):
+            raise StructureError(f"dart {d} is not among the {n} darts of {line!r}")
+        if any(len(edge) != 2 for edge in edges):
+            raise StructureError(f"an edge pairs two darts: {line!r}")
+        sigma, alpha = list(range(n)), list(range(n))
+        for cyc in vertices:
             for i, d in enumerate(cyc):
                 sigma[d] = cyc[(i + 1) % len(cyc)]
-        alpha = list(range(n))
-        for a, b in parse_cycles(alf_s):
+        for a, b in edges:
             alpha[a], alpha[b] = b, a
-        return cls(sigma, alpha, int(root_s))
+        return cls(sigma, alpha, root)
 
 
 # ------------------------------------------------------------ gluing engine

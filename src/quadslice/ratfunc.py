@@ -1,106 +1,71 @@
-"""Univariate polynomials and rational functions over a field, stackable.
+"""Univariate polynomials and rational functions over Q, and gcd-free
+fractions of multivariate polynomials.
 
-Poly is a dense coefficient tuple over a coefficient field described by a
-FieldSpec (zero and one exemplars plus a name).  The base field is the
-rationals; since a RatFunc is itself a field element, fields can be nested,
-e.g. rational functions in one parameter whose coefficients are rational
-functions in another.  That tower is how two-parameter identities are
-verified exactly.  Over QQ (zero 0, one 1) a coefficient is stored as an int
-where it is integral and as a Fraction otherwise, so integer inputs stay on
-int arithmetic; the constructor strips trailing zeros and turns an integral
-Fraction back into an int.
+Poly is a dense coefficient tuple over a coefficient ring described by a
+FieldSpec (zero and one exemplars plus a name).  Over QQ (zero 0, one 1) a
+coefficient is stored as an int where it is integral and as a Fraction
+otherwise, so integer inputs stay on int arithmetic; the constructor strips
+trailing zeros and turns an integral Fraction back into an int.  Poly.gcd
+runs over QQ only, as a primitive pseudo-remainder sequence on integer
+polynomials.
 
-Poly.gcd runs a primitive pseudo-remainder sequence: over QQ on integer
-polynomials, and over a rational-function field base(v) on polynomials over
-base[v], after clearing the v-denominators, with each remainder's content
-taken by the gcd over base (recursively for a deeper tower).  Only the last
-remainder is made monic over base(v).
+RatFunc, a rational function over QQ, is kept fully canonical: numerator
+and denominator are coprime and the denominator is monic, so two
+arithmetic routes to the same value produce structurally equal objects and
+== is reliable.  RatFunc says where the gcd runs.
 
-RatFunc is kept fully canonical: numerator and denominator are coprime and
-the denominator is monic, so two arithmetic routes to the same value produce
-structurally equal objects and == is reliable.  RatFunc says where the gcd runs.
+PolyFrac is the tool for identities in several parameters: a fraction of
+two uncapped MPoly values that is never reduced, so it runs no gcd at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 
 from .errors import NonInvertibleError, StructureError
-from .exactalg import power
+from .exactalg import MPoly, power
 
 
 def _int_primitive(ints):
     """Int coefficient list divided by its content."""
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, c)
+    g = gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
 
 
 def _primitive_ints(coeffs):
     """Clear denominators and content: rational coeff list -> primitive ints."""
-    lcm = 1
-    for c in coeffs:
-        if type(c) is Fraction:
-            d = c.denominator
-            lcm = lcm * d // _int_gcd(lcm, d)
-    return _int_primitive([c.numerator * (lcm // c.denominator) for c in coeffs])
+    den = lcm(*(c.denominator for c in coeffs))
+    return _int_primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def _pseudo_rem(u, v):
-    """Pseudo-remainder of little-endian coefficient lists over an integral
-    domain: ints, or Polys over a field."""
+    """Pseudo-remainder of little-endian integer coefficient lists."""
     r = list(u)
     lv = v[-1]
     dv = len(v) - 1
-    zero = lv - lv
     while r and len(r) - 1 >= dv:
         lr = r[-1]
         shift = len(r) - 1 - dv
         r = [lv * c for c in r[:-1]]  # the leading terms cancel
         for j, b in enumerate(v[:-1]):
             r[shift + j] -= lr * b
-        while r and r[-1] == zero:
+        while r and not r[-1]:
             r.pop()
     return r
 
 
-def _prs_last(u, v, primitive):
-    """Last nonzero remainder of the primitive pseudo-remainder sequence of
-    two primitive coefficient lists, a gcd up to a unit (Brown, J. ACM 18,
-    1971; Knuth, TAOCP 2, 4.6.1); primitive divides a list by its content."""
+def _qq_poly_gcd_coeffs(a, b):
+    """Monic gcd coefficients over the rationals: the last nonzero remainder
+    of the primitive pseudo-remainder sequence of the primitive integer
+    parts (Brown, J. ACM 18, 1971; Knuth, TAOCP 2, 4.6.1), made monic."""
+    u, v = _primitive_ints(a), _primitive_ints(b)
     if len(u) < len(v):
         u, v = v, u
     while v:
-        u, v = v, primitive(_pseudo_rem(u, v))
-    return u
-
-
-def _qq_poly_gcd_coeffs(a, b):
-    """Monic gcd coefficients over the rationals via primitive integer PRS."""
-    u = _prs_last(_primitive_ints(a), _primitive_ints(b), _int_primitive)
+        u, v = v, _int_primitive(_pseudo_rem(u, v))
     lead = u[-1]
     return [c * lead for c in u] if lead in (1, -1) else [Fraction(c, lead) for c in u]
-
-
-def _poly_primitive(ps):
-    """Polys over a field divided by their gcd: a primitive list over base[v]."""
-    g = None
-    for p in reversed(ps):
-        g = p if g is None else g.gcd(p)
-        if g.degree() == 0:
-            return ps
-    return [p.divmod(g)[0] for p in ps] if ps else ps
-
-
-def _cleared(p):
-    """A Poly over base(v) times the lcm of its coefficients' denominators,
-    made primitive: a coefficient list of Polys in v over base."""
-    lcm = None
-    for d in {c.den for c in p.coeffs if c.den.degree() > 0}:  # monic, so any order gives one lcm
-        lcm = d if lcm is None else lcm * d.divmod(lcm.gcd(d))[0]
-    return _poly_primitive([c.num if lcm is None else c.num * lcm.divmod(c.den)[0] for c in p.coeffs])
 
 
 class FieldSpec:
@@ -131,6 +96,14 @@ def _inv_elem(x):
             raise NonInvertibleError("division by zero in coefficient field")
         return n * d if n in (1, -1) else Fraction(d, n)
     return x.inverse()
+
+
+def _coerced(op):
+    """A binary operation on self and self._coerce(other), else NotImplemented."""
+    def coerced(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else op(self, other)
+    return coerced
 
 
 class Poly:
@@ -178,9 +151,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
-
     def _check(self, other):
         if self.var != other.var:
             raise StructureError(f"variable mismatch {self.var}/{other.var}")
@@ -193,10 +163,8 @@ class Poly:
             return Poly.const(self.var, self.field.one * other, self.field)
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         out = [x + y for x, y in zip(a, b)]
         out += a[len(out):] or b[len(out):]
@@ -207,19 +175,15 @@ class Poly:
     def __neg__(self):
         return Poly(self.var, [-c for c in self.coeffs], self.field)
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.var, self.field)
         zero = self.field.zero
@@ -263,21 +227,15 @@ class Poly:
         return self.scale(_inv_elem(self.lead()))
 
     def gcd(self, other):
-        """Monic gcd by a primitive pseudo-remainder sequence.  Over the
-        rationals it runs on integer polynomials; over rational functions in
-        v over a base field it runs on polynomials over base[v], taking
-        contents with the base field's gcd, and is made monic once."""
+        """Monic gcd over the rationals, by a primitive pseudo-remainder
+        sequence on integer polynomials."""
+        if self.field is not QQ:
+            raise StructureError(f"no gcd over {self.field.name}")
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
-        if self.field is QQ:
-            return Poly(self.var, _qq_poly_gcd_coeffs(self.coeffs, other.coeffs), QQ)
-        if not isinstance(self.field.zero, RatFunc):
-            raise StructureError(f"no gcd over {self.field.name}")
-        u = _prs_last(_cleared(self), _cleared(other), _poly_primitive)
-        lead = u[-1]
-        return Poly(self.var, [RatFunc(c, lead) for c in u[:-1]] + [self.field.one], self.field)
+        return Poly(self.var, _qq_poly_gcd_coeffs(self.coeffs, other.coeffs), QQ)
 
     def eval(self, x):
         """Horner evaluation at any ring element x (must absorb field coeffs)."""
@@ -312,31 +270,12 @@ class Poly:
         return " + ".join(bits)
 
 
-def _exact_quo(p, u, g):
-    """p divided by the monic associate of g: p's cleared primitive part u
-    divided over base[v] by g, each coefficient division exact, and scaled
-    back to the leading coefficient of p."""
-    r, dg = list(u), len(g) - 1
-    q = [None] * (len(u) - dg)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = r[k + dg].divmod(g[-1])[0]
-        for j, c in enumerate(g[:-1]):
-            r[k + j] = r[k + j] - q[k] * c
-    m = p.lead() / RatFunc.from_poly(q[-1])
-    return Poly(p.var, [m * c for c in q], p.field)
-
-
 def _cancel(a: Poly, b: Poly):
-    """a and b divided by their monic gcd; over base(v) that runs on the
-    cleared primitive parts over base[v], with no division over base(v)."""
+    """a and b divided by their monic gcd."""
     if a.degree() > 0 and b.degree() > 0:
-        if a.field is QQ:
-            g = a.gcd(b)
-            return (a.divmod(g)[0], b.divmod(g)[0]) if g.degree() > 0 else (a, b)
-        ca, cb = _cleared(a), _cleared(b)
-        g = _prs_last(ca, cb, _poly_primitive)
-        if len(g) > 1:
-            return _exact_quo(a, ca, g), _exact_quo(b, cb, g)
+        g = a.gcd(b)
+        if g.degree() > 0:
+            return a.divmod(g)[0], b.divmod(g)[0]
     return a, b
 
 
@@ -352,14 +291,17 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly, reduce=True):
+        for side in (num, den):
+            if side.field is not QQ:
+                raise StructureError(f"no rational functions over {side.field.name}, only over QQ")
         if den.is_zero():
             raise NonInvertibleError("zero denominator")
         if num.is_zero():
-            den = Poly.one(num.var, num.field)
+            den = Poly.one(num.var)
         else:
             if reduce:
                 num, den = _cancel(num, den)
-            if den.lead() != den.field.one:
+            if den.lead() != 1:
                 lead_inv = _inv_elem(den.lead())
                 num = num.scale(lead_inv)
                 den = den.scale(lead_inv)
@@ -370,23 +312,23 @@ class RatFunc:
 
     @classmethod
     def from_poly(cls, p: Poly):
-        return cls(p, Poly.one(p.var, p.field), reduce=False)
+        return cls(p, Poly.one(p.var), reduce=False)
 
     @classmethod
-    def zero(cls, var, field=QQ):
-        return cls.from_poly(Poly.zero(var, field))
+    def zero(cls, var):
+        return cls.from_poly(Poly.zero(var))
 
     @classmethod
-    def one(cls, var, field=QQ):
-        return cls.from_poly(Poly.one(var, field))
+    def one(cls, var):
+        return cls.from_poly(Poly.one(var))
 
     @classmethod
-    def const(cls, var, value, field=QQ):
-        return cls.from_poly(Poly.const(var, value, field))
+    def const(cls, var, value):
+        return cls.from_poly(Poly.const(var, value))
 
     @classmethod
-    def gen(cls, var, field=QQ):
-        return cls.from_poly(Poly.gen(var, field))
+    def gen(cls, var):
+        return cls.from_poly(Poly.gen(var))
 
     @property
     def var(self):
@@ -397,10 +339,10 @@ class RatFunc:
         return self.num.field
 
     def ring_zero(self):
-        return RatFunc.zero(self.var, self.field)
+        return RatFunc.zero(self.var)
 
     def ring_one(self):
-        return RatFunc.one(self.var, self.field)
+        return RatFunc.one(self.var)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -416,13 +358,11 @@ class RatFunc:
         if isinstance(other, Poly):
             return RatFunc.from_poly(other)
         if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.var, self.field.one * other, self.field)
+            return RatFunc.const(self.var, other)
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -432,19 +372,15 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den, reduce=False)
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         # cross-cancel; the parts left of two reduced fractions are coprime
         a_num, b_den = _cancel(self.num, other.den)
         b_num, a_den = _cancel(other.num, self.den)
@@ -452,16 +388,12 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inverse()
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other * self.inverse()
 
     def inverse(self):
@@ -486,11 +418,11 @@ class RatFunc:
 
     def subst_reciprocal(self):
         """The rational function z -> self(1/z), with z = self.var."""
-        z = RatFunc.gen(self.var, self.field)
+        z = RatFunc.gen(self.var)
         p = self.num.degree()
         q = self.den.degree()
-        num_rev = Poly(self.var, tuple(reversed(self.num.coeffs)), self.field)
-        den_rev = Poly(self.var, tuple(reversed(self.den.coeffs)), self.field)
+        num_rev = Poly(self.var, tuple(reversed(self.num.coeffs)))
+        den_rev = Poly(self.var, tuple(reversed(self.den.coeffs)))
         out = RatFunc(num_rev, den_rev, reduce=False)  # reversal keeps coprimality
         return out * z ** (q - p) if q >= p else out / z ** (p - q)
 
@@ -512,10 +444,97 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
-def ratfunc_field(var, base=QQ) -> FieldSpec:
-    """The field of rational functions in var over base, as a FieldSpec."""
-    return FieldSpec(
-        RatFunc.zero(var, base),
-        RatFunc.one(var, base),
-        f"{base.name}({var})",
-    )
+class PolyFrac:
+    """A fraction num / den of two uncapped MPolys over one variable tuple,
+    never reduced.  Sums and products cross-multiply and a/b == c/d tests
+    a d == c b, so no gcd runs; as the parts only grow, a long computation
+    should go on from the short closed form of each proved subexpression."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MPoly, den: MPoly = None):
+        den = num.ring_one() if den is None else den
+        if num.cap is not None or den.cap is not None or num.vars != den.vars:
+            raise StructureError("a PolyFrac needs two uncapped MPolys over one variable tuple")
+        if den.is_zero():
+            raise NonInvertibleError("zero denominator")
+        self.num, self.den = num, den
+
+    @classmethod
+    def gen(cls, vars, name):
+        return cls(MPoly.gen(vars, name))
+
+    @property
+    def vars(self):
+        return self.num.vars
+
+    def ring_zero(self):
+        return PolyFrac(self.num.ring_zero())
+
+    def ring_one(self):
+        return PolyFrac(self.num.ring_one())
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return PolyFrac(MPoly.const(self.vars, other))
+        if isinstance(other, PolyFrac) and other.vars != self.vars:
+            raise StructureError(f"variable mismatch {self.vars}/{other.vars}")
+        return other if isinstance(other, PolyFrac) else None
+
+    @_coerced
+    def __add__(self, other):
+        if self.den == other.den:
+            return PolyFrac(self.num + other.num, self.den)
+        return PolyFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PolyFrac(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    @_coerced
+    def __mul__(self, other):
+        return PolyFrac(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    @_coerced
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    @_coerced
+    def __rtruediv__(self, other):
+        return other * self.inverse()
+
+    def inverse(self):
+        if self.is_zero():
+            raise NonInvertibleError("zero has no inverse")
+        return PolyFrac(self.den, self.num)
+
+    def __pow__(self, n):
+        return self.inverse() ** -n if n < 0 else PolyFrac(self.num ** n, self.den ** n)
+
+    @_coerced
+    def __eq__(self, other):
+        if self.den == other.den:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
+
+    __hash__ = None  # equal values need not have equal parts
+
+    def __repr__(self):
+        return f"({self.num!r})/({self.den!r})"
+
+
+def ratfunc_field(var) -> FieldSpec:
+    """The field of rational functions in var over QQ, as a FieldSpec."""
+    return FieldSpec(RatFunc.zero(var), RatFunc.one(var), f"QQ({var})")

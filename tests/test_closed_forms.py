@@ -2,6 +2,7 @@
 family equivalence, and the rational identity tower."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,9 @@ from quadslice.closed_forms import (
     series_match,
     verify_recursion,
 )
+from quadslice.contfrac import finite_reflection_check
 from quadslice.errors import StructureError, VerificationError
+from quadslice.heaps import h_ladder, linear_relation_gprime_check, linear_relation_specialized_check
 from quadslice.ratfunc import Poly, RatFunc, ratfunc_field
 from quadslice.series import Series
 
@@ -278,13 +281,32 @@ def test_section6_rejects_a_vertex_weight_perturbed_at_y5(monkeypatch, which):
 
 
 def test_tower_poly_rejects_fractions_and_high_degrees():
+    # section6_algebra compares tower values with the polynomial read off a
+    # series at order 8: a fraction, or a polynomial of y-degree above 8,
+    # cannot equal it
     T = closed_forms._tower()
+    vars = T.y.vars
     p = ParamPoint("yalpha", 8)
-    with pytest.raises(VerificationError, match="not a polynomial"):
-        closed_forms._tower_poly(T.P, p)
-    with pytest.raises(VerificationError, match="y-degree above 8"):
-        closed_forms._tower_poly(T.D ** 3, p)
-    assert closed_forms._tower_poly(T.D, p) == closed_forms._denominator(p)
+    den, P_series = closed_forms._denominator(p), eval_limits(p)[0]
+    assert closed_forms._series_poly(den, vars) == T.D
+    assert closed_forms._series_poly(P_series * den, vars) == T.P * T.D
+    assert closed_forms._series_poly(P_series, vars) != T.P
+    assert closed_forms._series_poly(den ** 3, vars) != T.D ** 3  # y-degree 12, cut at 8
+    assert closed_forms._series_poly(closed_forms._denominator(ParamPoint("yalpha", 12)) ** 3, vars) == T.D ** 3
+
+
+@pytest.mark.parametrize("name, change", [
+    ("Q doubled", lambda T: {"Q": 2 * T.Q}),
+    ("P shifted", lambda T: {"P": T.P * T.y}),
+    ("Y_1 display with alpha y^4", lambda T: {"Y1": (T.a - 1) * T.y * (1 - T.a * T.y ** 4) / ((1 + T.y) * T.D)}),
+    ("d display doubled", lambda T: {"d": 2 * T.d}),
+])
+def test_section6_rejects_a_perturbed_tower(monkeypatch, name, change):
+    T = closed_forms._tower()
+    bad = SimpleNamespace(**{**vars(T), **change(T)})
+    monkeypatch.setattr(closed_forms, "_tower", lambda: bad)
+    with pytest.raises(VerificationError):
+        section6_algebra()
 
 
 def test_large_height_collapse():
@@ -324,8 +346,25 @@ def test_series_checks_run_no_gcd_and_no_ratfunc(monkeypatch):
     assert series_match(8).passed
     assert large_height_collapse(8).passed
     assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
-    section6_algebra()  # the tower keeps RatFunc, so the counters do see it
+    assert finite_reflection_check(2, 7).passed  # RatFunc over Q, so the counters do see it
     assert calls["Poly.gcd"] > 0 and calls["RatFunc.__mul__"] > 0
+
+
+def test_tower_identities_run_no_gcd_and_no_ratfunc(monkeypatch):
+    calls = Counter()
+    for cls, name in ((Poly, "gcd"), (RatFunc, "__init__")):
+        def counted(*args, _f=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    assert section6_algebra().passed
+    assert h_ladder(6).passed
+    for i in range(2, 5):
+        assert linear_relation_specialized_check(i).passed
+        assert linear_relation_gprime_check(i).passed
+    assert calls == Counter()
+    RatFunc.gen("y").num.gcd(RatFunc.gen("y").num)  # the counters see both
+    assert calls == Counter({"__init__": 2, "gcd": 1})
 
 
 def counting_series_products(monkeypatch):

@@ -6,10 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from quadslice.errors import StructureError
+from quadslice import heaps
+from quadslice.closed_forms import _tower
+from quadslice.errors import StructureError, VerificationError
 from quadslice.heaps import (
+    LADDER_VARS,
+    PC,
+    YC,
+    _ladder_forms,
+    _ladder_identities,
     _relation,
-    _tower_consts,
+    _tie_out,
     complementation_check,
     constant_ladder,
     h_ladder,
@@ -22,7 +29,7 @@ from quadslice.heaps import (
     linear_relation_gprime_check,
     linear_relation_specialized_check,
 )
-from quadslice.ratfunc import RatFunc, ratfunc_field
+from quadslice.ratfunc import RatFunc
 
 
 def brute_hard_pieces(ws):
@@ -157,7 +164,7 @@ def test_relation_matches_the_old_sums_on_random_ladders():
 
 @pytest.mark.parametrize("i", range(2, 6))
 def test_relation_matches_the_old_sums_on_the_constant_ladder(i):
-    Yc, Pc, one = _tower_consts()
+    Yc, Pc, one = YC, PC, YC.ring_one()
     zero = 0 * one
     alpha = i - 1
     x = hard_pieces(alpha, [Yc if k % 2 == 0 else Pc for k in range(2 * alpha - 1)])
@@ -170,14 +177,44 @@ def test_relation_matches_the_old_sums_on_the_constant_ladder(i):
 
 def test_constant_ladder_values():
     lad = constant_ladder(3, 2)
-    Yc = lad.y1
-    one = Yc.ring_one()
+    Yc, Pc, one = YC, PC, YC.ring_one()
+    assert lad.y1 == Yc
     assert lad[0] == one
-    # k_1 = Yc * Z_0 = Yc
+    # k_1 = Yc * Z_0 = Yc, k_2 = Yc * Z_1 = Yc (Yc + Pc)
     assert lad[1] == Yc
-    # k_{-1} = Z_1 / Yc^2 = (Yc + Pc)/Yc^2
-    Pc = RatFunc.gen("Pc", ratfunc_field("Yc"))
+    assert lad[2] == Yc * (Yc + Pc)
+    # k_{-1} = Z_1 / Yc^2 = (Yc + Pc)/Yc^2, not equal to a neighbour
     assert lad[-1] == (Yc + Pc) / Yc ** 2
+    assert lad[-1] != (Yc + Pc) / Yc and lad[-1] != (Yc + 2 * Pc) / Yc ** 2
+    # k_{-2} = Z_2 / Yc^4 with Z_2 = (Yc + Pc)^2 + Pc (Yc + Pc)
+    assert lad[-2] == (Yc + Pc) * (Yc + 2 * Pc) / Yc ** 4
+
+
+@pytest.mark.parametrize("check, i, n, side", [
+    (linear_relation_specialized_check, 3, -2, "lower"),
+    (linear_relation_specialized_check, 3, 3, "upper"),
+    (linear_relation_specialized_check, 4, -3, "lower"),
+    (linear_relation_specialized_check, 4, 4, "upper"),
+    (linear_relation_gprime_check, 3, -1, "lower"),
+    (linear_relation_gprime_check, 3, 4, "upper"),
+    (linear_relation_gprime_check, 4, -2, "lower"),
+    (linear_relation_gprime_check, 4, 5, "upper"),
+])
+@pytest.mark.parametrize("perturb", [lambda k, Yc: 2 * k, lambda k, Yc: k * Yc])
+def test_constant_ladder_boundary_values_fail_when_perturbed(monkeypatch, check, i, n, side, perturb):
+    # ladder entry n enters the relation at one boundary only, so a perturbed
+    # entry leaves the interior relations at zero and moves that boundary value
+    honest = constant_ladder
+
+    def perturbed(i_hi, i_lo):
+        ladder = honest(i_hi, i_lo)
+        ladder.j[n] = perturb(ladder.j[n], ladder.y1)
+        return ladder
+
+    assert check(i).passed
+    monkeypatch.setattr(heaps, "constant_ladder", perturbed)
+    with pytest.raises(VerificationError, match=f"{side} boundary"):
+        check(i)
 
 
 def test_hh_closed_forms():
@@ -192,6 +229,68 @@ def test_h_ladder_small():
     report = h_ladder(3)
     assert report.passed
     assert any("bi-ratios" in line for line in report.lines)
+    assert h_ladder(1).lines == report.lines  # i_max no longer bounds the proof
+
+
+def _ladder_mutants(T, L0, L1):
+    """Closed forms with one factor doubled or one exponent moved."""
+    a, y, one, Y1, d = T.a, T.y, T.one, T.Y1, T.d
+
+    def l1_with(factor):
+        return lambda k, U: Y1 * (one + d * y) * factor(k, U) / ((one - y) * (one + y) ** k)
+
+    return {
+        "L1 doubled": (L0, lambda k, U: 2 * L1(k, U)),
+        "alpha y^(i+2) -> alpha y^(i+3) in L1": (L0, l1_with(lambda k, U: one - a * y ** (k + 3) * U)),
+        "alpha y^(i+2) -> alpha y^(2i+2) in L1": (L0, l1_with(lambda k, U: one - a * y ** (2 * k + 2) * U ** 2)),
+        "y^(i+1) -> y^(2i+1) in L0": (
+            lambda k, U: (one - y ** (2 * k + 1) * U ** 2) / ((one - y) * (one + y) ** k), L1),
+    }
+
+
+def test_every_height_families_fail_under_perturbed_closed_forms():
+    T = _tower(LADDER_VARS)
+    L0, L1 = _ladder_forms(T)
+    names = [name for name, lhs, rhs in _ladder_identities(T, L0, L1) if lhs == rhs]
+    assert len(names) == 8
+    failed = {}
+    for mutant, (l0, l1) in _ladder_mutants(T, L0, L1).items():
+        failed[mutant] = {name for name, lhs, rhs in _ladder_identities(T, l0, l1) if lhs != rhs}
+    assert set().union(*failed.values()) == set(names)
+    # the three-term recursions hold for any c1 + c2 y^i over (1 - y)(1 + y)^i,
+    # so only a mutant quadratic in U = y^i breaks them
+    assert not any("three-term" in name for name in failed["alpha y^(i+2) -> alpha y^(i+3) in L1"])
+    assert "three-term recursion for L^(1)" in failed["alpha y^(i+2) -> alpha y^(2i+2) in L1"]
+    assert "three-term recursion for L^(0)" in failed["y^(i+1) -> y^(2i+1) in L0"]
+
+
+def test_h_ladder_fails_on_a_mutant_that_keeps_the_initial_values(monkeypatch):
+    # times (1 + (U - 1) y): the same at height 0, where U = 1, so only the
+    # every-height identities can see it
+    honest_forms, honest_tie_out = heaps._ladder_forms, heaps._tie_out
+
+    def mutant(T):
+        L0, L1 = honest_forms(T)
+        return L0, lambda k, U: L1(k, U) * (T.one + (U - T.one) * T.y)
+
+    monkeypatch.setattr(heaps, "_ladder_forms", mutant)
+    with pytest.raises(VerificationError, match="as an identity in U"):
+        h_ladder(6)
+    monkeypatch.setattr(heaps, "_ladder_forms", honest_forms)
+    monkeypatch.setattr(heaps, "_tie_out", lambda step: honest_tie_out(lambda T: T.R ** 2 / T.Pw))
+    with pytest.raises(VerificationError, match="rescaling definition"):
+        h_ladder(6)
+
+
+@pytest.mark.parametrize("step, holds", [
+    (lambda T: T.R / T.Pw, True),
+    (lambda T: T.R ** 2 / T.Pw, False),
+    (lambda T: T.R / T.Pw ** 2, False),
+    (lambda T: T.R * T.Y / (T.Pw * T.P), False),
+    (lambda T: 1, False),
+])
+def test_rescaling_tie_out_fails_with_a_wrong_scale_exponent(step, holds):
+    assert all(diff.is_zero() for diff in _tie_out(step)) == holds
 
 
 def test_l0_value_at_two():

@@ -100,6 +100,30 @@ def test_validation_rejects_bad_maps():
     RootedMap([1, 0, 3, 2], [2, 3, 0, 1], 0)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("2; (0)(1); (0 1); 5", "root 5 is not a dart"),
+    ("2; (0)(1); (0 1); -1", "root -1 is not a dart"),
+    ("2; (0)(1); (0 1)", "4 ';'-separated fields, got 3"),
+    ("2; (0)(1); (0 1); 0; 0", "4 ';'-separated fields, got 5"),
+    ("two; (0)(1); (0 1); 0", "integer fields only"),
+    ("2; (0)(x); (0 1); 0", "integer fields only"),
+    ("2; (0)(1); (0 1); 0.5", "integer fields only"),
+    ("2; (0)(2); (0 1); 0", "dart 2 is not among the 2 darts"),
+    ("2; (0)(1); (0 -1); 0", "dart -1 is not among the 2 darts"),
+    ("2; (0)(1); (0 1 1); 0", "an edge pairs two darts"),
+])
+def test_malformed_lines_name_the_problem(line, message):
+    with pytest.raises(StructureError, match=message):
+        RootedMap.from_line(line)
+    assert RootedMap.from_line("2; (0)(1); (0 1); 1").root == 1
+
+
+def test_root_must_be_a_dart():
+    for root in (2, -1):
+        with pytest.raises(StructureError, match=f"root {root} is not a dart"):
+            RootedMap([1, 0], [1, 0], root)
+
+
 def test_exchange_format_round_trip():
     for q in enumerate_quads(2, 1):
         line = q.map.to_line()

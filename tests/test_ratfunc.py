@@ -1,4 +1,5 @@
-"""Rational function field: canonical forms, gcd reduction, nesting."""
+"""Rational functions over Q (canonical forms, gcd reduction) and gcd-free
+polynomial fractions."""
 
 import random
 from fractions import Fraction
@@ -6,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadslice.errors import NonInvertibleError
-from quadslice.ratfunc import QQ, Poly, RatFunc, _cancel, _cleared, _poly_primitive, _prs_last, ratfunc_field
+from quadslice.errors import NonInvertibleError, StructureError
+from quadslice.exactalg import MPoly
+from quadslice.ratfunc import QQ, FieldSpec, Poly, PolyFrac, RatFunc, ratfunc_field
 from quadslice.series import Series
 
 
@@ -48,18 +50,6 @@ def test_monic_denominator_and_reduction():
     assert v == (y + 1) / (2 * y - 2)
 
 
-def test_nested_tower():
-    FY = ratfunc_field("y")
-    a = RatFunc.gen("alpha", FY)
-    y = RatFunc.const("alpha", RatFunc.gen("y"), FY)
-    one = RatFunc.one("alpha", FY)
-    assert (a * y - 1) * (a * y + 1) == a ** 2 * y ** 2 - 1
-    assert (one / (1 - a * y)) * (1 - a * y) == one
-    # mixed fractions across the tower reduce consistently
-    expr = (a ** 2 - 1) / (a - 1)
-    assert expr == a + 1
-
-
 def test_eval_and_reciprocal_substitution():
     z = RatFunc.gen("z")
     f = (1 + 2 * z) / (1 - z + z ** 2)
@@ -88,7 +78,6 @@ def test_polynomial_flag_and_degrees():
 # denominators handed to the reducing constructor.  Operands are products of
 # a few shared factors, so cross-cancellation happens often.
 
-FY = ratfunc_field("y")
 Y_FACTORS = ((-1, 1), (1, 1), (-3, 2), (0, 1), (1, 0, 1))  # y-1, y+1, 2y-3, y, y^2+1
 nonzero_scalars = st.sampled_from([1, -1, 2, Fraction(-3, 5), Fraction(7, 2)])
 
@@ -108,38 +97,6 @@ def qq_sides(draw, nonzero, var="y"):
 @st.composite
 def qq_ratfuncs(draw, nonzero=False, var="y"):
     return RatFunc(draw(qq_sides(nonzero, var)), draw(qq_sides(True, var)))
-
-
-def _field_tower(var, inner, base, coeffs):
-    """Polynomials in var over base(inner): nonzero coefficients drawn from
-    coeffs, and the factors var - t, t var - 1, var, var + 1 with t = inner."""
-    t, one = RatFunc.gen(inner, base), RatFunc.one(inner, base)
-    return var, ratfunc_field(inner, base), coeffs, ((-t, one), (-one, t), (0 * t, one), (one, one))
-
-
-YA_TOWER = _field_tower("alpha", "y", QQ, qq_ratfuncs(nonzero=True))  # Q(y)(alpha), as in closed_forms
-YP_TOWER = _field_tower("Pc", "Yc", QQ, qq_ratfuncs(nonzero=True, var="Yc"))  # Q(Yc)(Pc), as in heaps
-
-
-@st.composite
-def tower_sides(draw, nonzero, tower=YA_TOWER):
-    """Products of a nonzero coefficient and up to two of the tower's factors."""
-    var, field, coeffs, factors = tower
-    p = Poly(var, [draw(coeffs)], field)
-    for f in draw(st.lists(st.sampled_from(factors), max_size=2)):
-        p = p * Poly(var, f, field)
-    if not nonzero and draw(st.integers(0, 5)) == 0:
-        return Poly.zero(var, field)
-    return p
-
-
-@st.composite
-def tower_ratfuncs(draw, tower=YA_TOWER):
-    return RatFunc(draw(tower_sides(False, tower)), draw(tower_sides(True, tower)))
-
-
-YB_TOWER = _field_tower("b", "y", QQ, qq_ratfuncs(nonzero=True))
-YBA_TOWER = _field_tower("alpha", "b", FY, tower_ratfuncs(YB_TOWER).filter(lambda c: not c.is_zero()))  # Q(y)(b)(alpha)
 
 
 def _assert_canonical_and_equal(got, want):
@@ -165,118 +122,6 @@ def _check_ops_against_reducing_constructor(a, b, n):
 @given(qq_ratfuncs(), qq_ratfuncs(), st.integers(-3, 4))
 def test_ops_match_reducing_constructor_over_qq(a, b, n):
     _check_ops_against_reducing_constructor(a, b, n)
-
-
-@settings(max_examples=25, deadline=None, database=None)
-@given(tower_ratfuncs(), tower_ratfuncs(), st.integers(-3, 4))
-def test_ops_match_reducing_constructor_in_tower(a, b, n):
-    _check_ops_against_reducing_constructor(a, b, n)
-
-
-# --------------------------------------------- nested-field gcd (Euclid oracle)
-#
-# Poly.gcd over a rational-function field runs a primitive pseudo-remainder
-# sequence over base[v].  The oracle is the Euclid loop it replaced: divmod
-# over the field, then monic, at every step.
-
-def _euclid_gcd(a, b):
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1].monic()
-    return a.monic()
-
-
-@st.composite
-def gcd_pairs(draw, tower):
-    """Two sides (zero, constant or not) times one shared nonzero side."""
-    shared = draw(tower_sides(True, tower))
-    return draw(tower_sides(False, tower)) * shared, draw(tower_sides(False, tower)) * shared
-
-
-def _is_primitive(cs):
-    g = Poly.zero(cs[0].var, cs[0].field)
-    for c in cs:
-        g = g.gcd(c)
-    return g.degree() == 0
-
-
-def _check_gcd_against_euclid(a, b):
-    got = a.gcd(b)
-    assert got.coeffs == _euclid_gcd(a, b).coeffs
-    assert got.coeffs == b.gcd(a).coeffs
-    if not got.is_zero():
-        assert got.lead() == got.field.one
-    if a.degree() > 0 and b.degree() > 0:  # the sequence runs on primitive polynomials over base[v]
-        u, v = _cleared(a), _cleared(b)
-        assert _is_primitive(u) and _is_primitive(v)
-        assert _is_primitive(_prs_last(u, v, _poly_primitive))
-
-
-@settings(max_examples=120, deadline=None, database=None)
-@given(st.one_of(gcd_pairs(YA_TOWER), gcd_pairs(YP_TOWER)))
-def test_nested_gcd_matches_euclid_oracle(pair):
-    _check_gcd_against_euclid(*pair)
-
-
-@settings(max_examples=25, deadline=None, database=None)
-@given(gcd_pairs(YBA_TOWER))
-def test_three_level_gcd_matches_euclid_oracle(pair):
-    _check_gcd_against_euclid(*pair)
-
-
-def test_nested_gcd_edge_cases():
-    field = YA_TOWER[1]
-    y = RatFunc.gen("y")
-
-    def poly(*coeffs):  # alpha-coefficients in Q(y), constant term first
-        return Poly("alpha", [RatFunc.one("y") * c for c in coeffs], field)
-
-    sq = poly(y ** 2, -2 * y, 1)  # (alpha - y)^2
-    zero = Poly.zero("alpha", field)
-    coprime = (poly(-y / (y ** 2 + 1), 1 / (y ** 2 + 1)), poly(y ** 2, y))  # (alpha - y)/(y^2 + 1), y (alpha + y)
-    shared = (sq * poly(1 / y, 1 / y), sq * poly(-1 / (y - 3), y / (y - 3)))
-    cases = [(zero, zero), (zero, sq), (poly((y - 1) / (y + 2)), sq), coprime, shared, (sq * poly(-y, 1), sq)]
-    for p, q in cases:
-        _check_gcd_against_euclid(p, q)
-    assert zero.gcd(zero).is_zero()
-    assert coprime[0].gcd(coprime[1]).coeffs == (field.one,)
-    assert shared[0].gcd(shared[1]) == sq
-    assert (sq * poly(-y, 1)).gcd(sq) == sq
-
-
-# ------------------------------------ nested-field cancellation (divmod oracle)
-#
-# _cancel over base(v) divides the cleared primitive parts exactly over
-# base[v].  The oracle is the route it replaced: divmod over base(v) by the
-# monic gcd.
-
-def _divmod_cancel(a, b):
-    if a.degree() > 0 and b.degree() > 0:
-        g = a.gcd(b)
-        if g.degree() > 0:
-            return a.divmod(g)[0], b.divmod(g)[0]
-    return a, b
-
-
-def _check_cancel_against_divmod(a, b):
-    assert _cancel(a, b) == _divmod_cancel(a, b)
-    if not b.is_zero():
-        _assert_canonical_and_equal(RatFunc(a, b), RatFunc(*_divmod_cancel(a, b), reduce=False))
-
-
-@settings(max_examples=120, deadline=None, database=None)
-@given(st.one_of(gcd_pairs(YA_TOWER), gcd_pairs(YP_TOWER)))
-def test_nested_cancel_matches_divmod_oracle(pair):
-    _check_cancel_against_divmod(*pair)
-
-
-@settings(max_examples=25, deadline=None, database=None)
-@given(gcd_pairs(YBA_TOWER))
-def test_three_level_cancel_matches_divmod_oracle(pair):
-    _check_cancel_against_divmod(*pair)
 
 
 def test_reciprocal_substitution_stays_canonical():
@@ -461,3 +306,176 @@ def test_qq_ratfunc_eval_matches_fraction_oracle(a, d, x):
     got = f.eval(x)
     assert got == _old_eval(f.num.coeffs, x) / den
     _assert_qq_coeffs([got], strict_tail=False)
+
+
+def test_no_rational_functions_over_a_rational_function_field():
+    field = ratfunc_field("y")
+    p = Poly("alpha", [RatFunc.gen("y"), RatFunc.one("y")], field)
+    with pytest.raises(StructureError, match=r"over QQ\(y\)"):
+        RatFunc.from_poly(p)
+    with pytest.raises(StructureError, match=r"over QQ\(y\)"):
+        RatFunc(Poly.one("alpha"), p)
+    with pytest.raises(StructureError, match=r"no gcd over QQ\(y\)"):
+        p.gcd(p)
+    ring = FieldSpec(Poly.zero("rho"), Poly.one("rho"), "QQ[rho]")
+    with pytest.raises(StructureError, match=r"QQ\[rho\]"):
+        RatFunc.from_poly(Poly("z", [Poly.gen("rho")], ring))
+
+
+# ------------------------------------------- gcd-free fractions (Fraction oracle)
+#
+# PolyFrac never reduces, so its values are checked by evaluation: random
+# expression trees over two or three variables, built once as PolyFracs and
+# once in Fraction arithmetic at a random rational point.
+
+def _tree(nvars):
+    leaves = st.one_of(
+        st.sampled_from([("var", k) for k in range(nvars)]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).map(lambda c: ("const", c)),
+    )
+
+    def nodes(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), sub, sub),
+            st.tuples(st.just("**"), sub, st.integers(-2, 2)),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=4)
+
+
+def _apply(op, a, b):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
+    return a ** b
+
+
+def _build(tree, leaf):
+    if tree[0] in ("var", "const"):
+        return leaf(tree)
+    rhs = tree[2] if tree[0] == "**" else _build(tree[2], leaf)
+    return _apply(tree[0], _build(tree[1], leaf), rhs)
+
+
+def _mpoly_at(p, point):
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, exp):
+            term *= x ** e
+        total += term
+    return total
+
+
+def _frac_at(f, point):
+    """f at the point, or None where its (unreduced) denominator vanishes."""
+    den = _mpoly_at(f.den, point)
+    return None if den == 0 else _mpoly_at(f.num, point) / den
+
+
+def _symbolic(tree, vars):
+    def leaf(t):
+        return PolyFrac.gen(vars, vars[t[1]]) if t[0] == "var" else PolyFrac(MPoly.const(vars, t[1]))
+
+    return _build(tree, leaf)
+
+
+def _numeric(tree, point):
+    try:
+        return _build(tree, lambda t: point[t[1]] if t[0] == "var" else t[1])
+    except ZeroDivisionError:
+        return None
+
+
+points = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def polyfrac_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    vars = ("x", "y", "z")[:n]
+    return vars, draw(_tree(n)), draw(_tree(n)), tuple(draw(points) for _ in range(n)), draw(points)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(polyfrac_cases())
+def test_polyfrac_matches_fraction_arithmetic(case):
+    vars, ta, tb, point, c = case
+    built = []
+    for tree in (ta, tb):
+        try:
+            built.append(_symbolic(tree, vars))
+        except NonInvertibleError:  # a division by an identically zero value
+            assert _numeric(tree, point) is None
+            return
+    fa, fb = built
+    va, vb = _frac_at(fa, point), _frac_at(fb, point)
+    for v, tree in ((va, ta), (vb, tb)):
+        want = _numeric(tree, point)
+        if None not in (v, want):  # else the point is a pole of a fraction on the way
+            assert v == want
+    for op in "+-*/":
+        if op == "/" and fb.is_zero():
+            with pytest.raises(NonInvertibleError):
+                fa / fb
+            continue
+        got = _frac_at(_apply(op, fa, fb), point)
+        if None not in (got, va, vb):
+            assert got == _apply(op, va, vb)
+    for op in "+-*/":  # with a rational on either side
+        for lhs, rhs, x, y in ((fa, c, va, c), (c, fa, c, va)):
+            if op == "/" and rhs == 0:
+                with pytest.raises(NonInvertibleError):
+                    lhs / rhs
+                continue
+            got = _frac_at(_apply(op, lhs, rhs), point)
+            if None not in (got, va):
+                assert got == _apply(op, x, y)
+    for n in range(-2, 3):
+        if n < 0 and fa.is_zero():
+            with pytest.raises(NonInvertibleError):
+                fa ** n
+            continue
+        got = _frac_at(fa ** n, point)
+        if None not in (got, va):
+            assert got == _apply("**", va, n)
+    diff = fa - fb
+    assert (fa == fb) == diff.is_zero() == (fb == fa)
+    at = _frac_at(diff, point)
+    if fa == fb and at is not None:
+        assert at == 0
+    if at not in (None, 0):
+        assert fa != fb and not diff.is_zero()
+    # routes that must meet again, with no gcd to bring them together
+    assert (fa + fb) - fb == fa and fa * 1 == fa and -(-fa) == fa
+    if not fb.is_zero():
+        assert fa * fb / fb == fa and fb * fb.inverse() == 1 and fb ** -2 == 1 / (fb * fb)
+
+
+def test_polyfrac_zero_denominators_raise():
+    vars = ("x", "y")
+    x, y = PolyFrac.gen(vars, "x"), PolyFrac.gen(vars, "y")
+    zero = x - x
+    assert zero.is_zero() and zero == 0 and zero == x.ring_zero() and x.ring_one() == 1
+    with pytest.raises(NonInvertibleError):
+        PolyFrac(MPoly.gen(vars, "x"), MPoly.zero(vars))
+    for bad in (lambda: x / zero, lambda: 1 / zero, lambda: zero.inverse(), lambda: zero ** -1, lambda: x / 0):
+        with pytest.raises(NonInvertibleError):
+            bad()
+    assert (x * y - y * x).is_zero() and (x / y) * (y / x) == 1
+
+
+def test_polyfrac_operands_over_different_variables_raise():
+    a = PolyFrac.gen(("x", "y"), "x")
+    b = PolyFrac.gen(("x", "z"), "x")
+    for bad in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b, lambda: a == b,
+                lambda: PolyFrac(MPoly.gen(("x", "y"), "x"), MPoly.const(("x", "z"), 1))):
+        with pytest.raises(StructureError):
+            bad()
+    with pytest.raises(StructureError):
+        PolyFrac(MPoly.gen(("x", "y"), "x", cap=3))

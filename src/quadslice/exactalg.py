@@ -30,9 +30,17 @@ series in (tb, tw), the workhorse of the package, with constructors
 deg <= cap and exc <= 0, built and cut at stride cap + 1.  ``series``
 holds its series over Q[v] in the same layout (v^b var^k in row k, slot
 b), so the tau image of a bivariate value is the same integer.  The term
-dict is decoded only when ``terms`` is read.  Every other polynomial
-(uncapped, or in another number of variables) is held as its term dict,
-and its products run over the dicts.
+dict is decoded only when ``terms`` is read.
+
+The keyed layout.  Every other polynomial (uncapped, or in another number
+of variables) is held as {key: coefficient}, the key packing exponent e_i
+into the ``_B``-bit field at bit i * _B.  A monomial product is then one
+int add, the constant term is key 0, and a term's total degree is its key
+mod 2^_B - 1.  Each such value carries a bound on the total degree of its
+terms; a product adds the bounds, and refuses one that would reach
+2^_B - 1, so no field ever carries into the next and a capped product
+reads each degree off its key.  The exponent tuples are decoded, in one
+``struct`` unpack a key, only when ``terms`` is read.
 
 Determinants over any of the rings in this package are computed by the
 Berkowitz recurrence, which uses ring operations only.  Truncated rings
@@ -41,11 +49,11 @@ have zero divisors, so elimination with division is not available.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
-from operator import add
 
 from .errors import NonInvertibleError, StructureError
 
@@ -173,26 +181,43 @@ def _bytes_width(bits):
 # ---------------------------------------------------------------------- MPoly
 
 class MPoly:
-    # _num is None for a term-dict value; otherwise the value is packed and
-    # _terms caches its decoded dict (None until read)
-    __slots__ = ("vars", "cap", "_terms", "_num", "_den", "_stride", "_width", "_fit", "_deg", "_exc")
+    # _num is None for a keyed value, which holds _keys and _bound; otherwise
+    # the value is packed.  _terms caches the decoded dict (None until read).
+    __slots__ = ("vars", "cap", "_terms", "_keys", "_bound", "_num", "_den", "_stride", "_width", "_fit", "_deg",
+                 "_exc")
 
     def __init__(self, vars, terms, cap=None):
         vars = tuple(vars)
-        clean = {}
+        _check_cap(cap)
+        packed = cap is not None and len(vars) == 2
+        pack, clean, bound = _codec(len(vars)).pack, {}, 0
         for exp, c in terms.items():
-            if len(exp) != len(vars) or min(exp, default=0) < 0:
-                raise StructureError(f"exponent {exp!r} does not fit the variables {vars}")
-            if c == 0 or (cap is not None and sum(exp) > cap):
+            try:  # the key's fields reject a missing, negative, oversized or non-int exponent
+                key = int.from_bytes(pack(*exp), "little")
+            except struct.error:
+                raise StructureError(f"exponent {exp!r} does not fit the variables {vars}") from None
+            deg = sum(exp)
+            if c == 0 or (cap is not None and deg > cap):
                 continue
-            clean[exp] = _norm_coeff(c)
-        _set_terms(self, vars, cap, clean)
+            if packed:
+                clean[exp] = _norm_coeff(c)
+            else:
+                clean[key], bound = _norm_coeff(c), max(bound, deg)
+        self.vars, self.cap = vars, cap
+        if packed:
+            self._terms = clean
+            _pack(self, {(a + b, b): c for (a, b), c in clean.items()}, cap + 1)
+        else:
+            self._terms, self._num, self._keys, self._bound = None, None, clean, bound
 
     @property
     def terms(self):
         """{exponent tuple: nonzero coefficient}; decoded on first read."""
         if self._terms is None:
-            self._terms = {(k - b, b): c for k, row in enumerate(_rows(self)) for b, c in enumerate(row) if c}
+            if self._num is None:
+                self._terms = dict(zip(_exponents(self._keys, len(self.vars)), self._keys.values()))
+            else:
+                self._terms = {(k - b, b): c for k, row in enumerate(_rows(self)) for b, c in enumerate(row) if c}
         return self._terms
 
     def _blank(self):
@@ -225,12 +250,12 @@ class MPoly:
         return MPoly.const(self.vars, 1, self.cap)
 
     def is_zero(self):
-        return not (self._terms if self._num is None else self._num)
+        return not (self._keys if self._num is None else self._num)
 
     def constant_term(self) -> Fraction:
         if self._num is not None:  # slot 0, without decoding the others
             return Fraction(_truncate(self._num, self._width), self._den)
-        return Fraction(self._terms.get((0,) * len(self.vars), 0))
+        return Fraction(self._keys.get(0, 0))
 
     def _check_compat(self, other):
         if self.vars != other.vars or self.cap != other.cap:
@@ -254,21 +279,13 @@ class MPoly:
             return NotImplemented
         if self._num is not None:
             return _sum(self, other, 1)
-        big, small = sorted((self._terms, other._terms), key=len, reverse=True)
-        out = dict(big)
-        for exp, c in small.items():
-            s = out.get(exp, 0) + c
-            if s == 0:
-                del out[exp]
-            else:
-                out[exp] = s if type(s) is int else _norm_coeff(s)
-        return _from_terms(self.vars, self.cap, out)
+        return _key_sum(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._num is None:
-            return _from_terms(self.vars, self.cap, {e: -c for e, c in self._terms.items()})
+            return _keyed(self.vars, self.cap, {k: -c for k, c in self._keys.items()}, self._bound)
         return _neg(self)
 
     def __sub__(self, other):
@@ -288,7 +305,7 @@ class MPoly:
             return NotImplemented
         if self._num is not None:
             return _product(self, other)
-        return _dict_mul(self, other)
+        return _key_mul(self, other)
 
     __rmul__ = __mul__
 
@@ -306,7 +323,7 @@ class MPoly:
             raise NonInvertibleError("constant term is zero")
         inv_c0 = Fraction(1) / c0
         if self.cap is None:
-            if len(self.terms) > 1:
+            if len(self._keys) > 1:
                 raise NonInvertibleError("cannot invert a non-constant untruncated polynomial")
             return MPoly.const(self.vars, inv_c0)
         u = self.ring_one() - self * inv_c0  # valuation >= 1
@@ -325,14 +342,12 @@ class MPoly:
 
     def with_cap(self, cap):
         """Reinterpret with a new cap; terms above it are dropped."""
+        _check_cap(cap)
         if self._num is not None and cap is not None:
             out = _cut(self, cap)
             _laid(out, cap + 1, out._width)  # the stride it is built and multiplied at
             return out
-        terms = self.terms
-        if cap is not None and (self.cap is None or cap < self.cap):
-            terms = {e: c for e, c in terms.items() if sum(e) <= cap}
-        return _from_terms(self.vars, cap, terms)
+        return MPoly(self.vars, self.terms, cap)
 
     def swap(self):
         """Exchange the first two variables (the black/white symmetry)."""
@@ -347,11 +362,12 @@ class MPoly:
         if self.vars != other.vars or self.cap != other.cap:
             return False
         if self._num is None:
-            return self._terms == other._terms
+            return self._keys == other._keys
         return _equal(self, other)
 
     def __hash__(self):
-        return hash((self.vars, self.cap, frozenset(self.terms.items())))
+        items = self._keys if self._num is None else self.terms
+        return hash((self.vars, self.cap, frozenset(items.items())))
 
     def __repr__(self):
         if self.is_zero():
@@ -383,43 +399,99 @@ def power(one, base, n):
     return result
 
 
-# ------------------------------------------------------------ building values
-
-def _set_terms(p, vars, cap, terms):
-    """Fill p from a clean dict: nonzero normalised coefficients within the cap."""
-    p.vars, p.cap, p._terms = vars, cap, terms
-    if cap is None or len(vars) != 2:
-        p._num = None
-        return
-    _pack(p, {(a + b, b): c for (a, b), c in terms.items()}, cap + 1)
+def _check_cap(cap):
+    """Refuse a cap that is neither None nor an int >= 0."""
+    if cap is not None and (type(cap) is not int or cap < 0):
+        raise StructureError(f"cap {cap!r} is neither None nor an int >= 0")
 
 
-def _from_terms(vars, cap, terms):
-    """An MPoly from a clean dict, skipping the constructor's clean-up."""
+# ------------------------------------------------------------ the keyed kernel
+#
+# A keyed value holds _keys, {key: nonzero normalised coefficient} within its
+# cap, and _bound, at least the total degree of every term (see the module
+# docstring).  Fields of _B bits hold any exponent below 2^_B; a product's
+# bound stays below _MASK = 2^_B - 1, the modulus a key's degree is read by.
+
+_B = 32
+_MASK = (1 << _B) - 1
+
+
+@lru_cache(maxsize=None)
+def _codec(n):
+    """The struct that lays out n exponents as the little-endian bytes of a key."""
+    return struct.Struct(f"<{n}I")
+
+
+def _exponents(keys, n):
+    """The exponent tuples of keys over n variables, one unpack a key."""
+    unpack, size = _codec(n).unpack, n * _B // 8
+    return [unpack(k.to_bytes(size, "little")) for k in keys]
+
+
+def _keyed(vars, cap, keys, bound):
+    """A keyed value from a clean key dict, skipping the constructor's clean-up."""
     p = MPoly.__new__(MPoly)
-    _set_terms(p, vars, cap, terms)
+    p.vars, p.cap, p._terms, p._num, p._keys, p._bound = vars, cap, None, None, keys, bound
     return p
 
 
-def _dict_mul(p, q):
-    """Schoolbook product over the term dicts (any number of variables)."""
-    cap = p.cap
-    a, b = (q._terms, p._terms) if len(p._terms) > len(q._terms) else (p._terms, q._terms)
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            if cap is not None and sum(e) > cap:
-                continue
-            s = out.get(e, 0) + ca * cb
-            if s == 0:
-                del out[e]
-            else:
-                out[e] = s
-    for e, c in out.items():
-        if type(c) is not int:
-            out[e] = _norm_coeff(c)
-    return _from_terms(p.vars, cap, out)
+_INT = frozenset((int,))
+
+
+def _normalised(out):
+    """out, with each non-int coefficient normalised in place; the type scan
+    runs in C, so an all-int dict costs no Python loop."""
+    if not _INT.issuperset(map(type, out.values())):
+        for k, c in out.items():
+            if type(c) is not int:
+                out[k] = _norm_coeff(c)
+    return out
+
+
+def _key_sum(p, q):
+    """p + q for keyed values: the two dicts joined, then the coefficients
+    of the keys they share summed."""
+    if not q._keys:
+        return p
+    if not p._keys:
+        return q
+    a, b = p._keys, q._keys
+    out = a | b
+    for k in a.keys() & b.keys():
+        s = a[k] + b[k]
+        if s:
+            out[k] = s if type(s) is int else _norm_coeff(s)
+        else:
+            del out[k]
+    return _keyed(p.vars, p.cap, out, max(p._bound, q._bound))
+
+
+def _key_mul(p, q):
+    """p * q for keyed values: a monomial product is ka + kb, and a capped
+    one keeps the keys whose degree, read off the key, is within the cap."""
+    cap, bound = p.cap, p._bound + q._bound
+    if bound >= _MASK:
+        raise StructureError(f"a product of degree bound {bound} overflows the {_B}-bit exponent fields")
+    a, b = (p._keys, q._keys) if len(p._keys) <= len(q._keys) else (q._keys, p._keys)
+    if len(a) == 1:  # the shift by one key is injective: no two terms meet
+        (ka, ca), = a.items()
+        if cap is None:
+            out = {ka + kb: ca * cb for kb, cb in b.items()}
+        else:
+            out = {ka + kb: ca * cb for kb, cb in b.items() if (ka + kb) % _MASK <= cap}
+    else:
+        out = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                if cap is None or k % _MASK <= cap:
+                    s = get(k, 0) + ca * cb
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+    return _keyed(p.vars, cap, _normalised(out), bound if cap is None else min(bound, cap))
 
 
 # --------------------------------------------------- the graded packed kernel

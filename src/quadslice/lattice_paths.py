@@ -34,7 +34,7 @@ class PathSpec:
     __slots__ = ("n", "d", "k")
 
     def __init__(self, n, d=0, k=0):
-        if n < 0 or d < 0 or k < 0 or k > 2 * n:
+        if any(type(v) is not int for v in (n, d, k)) or n < 0 or d < 0 or k < 0 or k > 2 * n:
             raise StructureError(f"bad path spec n={n} d={d} k={k}")
         self.n = n
         self.d = d
@@ -62,7 +62,7 @@ class WeightTable:
 
     @staticmethod
     def _lookup(seq, idx):
-        if idx < len(seq):
+        if 0 <= idx < len(seq):
             return seq[idx]
         raise StructureError(f"weight index {idx} beyond stored range (strict table)")
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadslice import slice_solver
+from quadslice import exactalg, slice_solver
 
 from quadslice.errors import NonInvertibleError, StructureError
 from quadslice.exactalg import (
@@ -24,7 +24,8 @@ from quadslice.exactalg import (
     tb,
     tw,
 )
-from quadslice.lattice_paths import symbol_table
+from quadslice.heaps import h_ladder
+from quadslice.lattice_paths import PathSpec, symbol_table, z_context
 
 
 def leibniz_det(rows):
@@ -115,12 +116,21 @@ def test_inv_two_sided_on_random_units():
 
 
 def test_malformed_exponents_are_structural():
-    # a negative or missing exponent would alias another slot of the packing
-    for terms in ({(-1, 1): 1}, {(1,): 2}, {(0, 0, 1): 3}):
-        with pytest.raises(StructureError):
-            MPoly(BIVARS, terms, 3)
+    # a negative, missing, fractional or oversized exponent would alias
+    # another slot of the packing or another field of a key
+    for terms in ({(-1, 1): 1}, {(1,): 2}, {(0, 0, 1): 3}, {(1.5, 0): 1}, {(1, 1.0): 1},
+                  {(Fraction(1), 0): 1}, {(1 << exactalg._B, 0): 1}):
+        for vars, cap in ((BIVARS, 3), (BIVARS, None), (("x", "y"), 5)):
+            with pytest.raises(StructureError):
+                MPoly(vars, terms, cap)
     with pytest.raises(StructureError):
         bipoly_from_text("-1 1 1/1", 3)
+    for vars in (BIVARS, ("x",), "xyz"):
+        for cap in (-1, 1.5, "3", Fraction(3)):
+            with pytest.raises(StructureError):
+                MPoly(vars, {}, cap)
+            with pytest.raises(StructureError):
+                MPoly.gen(vars, vars[0], 3).with_cap(cap)
 
 
 def test_det_trivial_examples():
@@ -465,3 +475,111 @@ def test_equal_values_hash_equal_across_representations():
     whole = bipoly({(1, 0): Fraction(1, 2)}, cap) * bipoly({(0, 1): 2}, cap)
     assert whole.terms == {(1, 1): 1} and type(whole.terms[(1, 1)]) is int
     assert hash(whole) == hash(tb(cap) * tw(cap))
+
+
+# -------------------------------------------- keyed values against the oracle
+#
+# Uncapped values, and capped ones in other than two variables, hold their
+# terms under packed exponent keys; the oracle is their decoded term dicts,
+# with dict_product as the product.
+
+
+def oracle_sum(p, q, sign=1):
+    """exact_form of p + sign q, over the term dicts."""
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return exact_form(MPoly(p.vars, out, p.cap))
+
+
+def check_keyed(p):
+    """p is keyed, its bound covers every term, and its coefficients are
+    nonzero and normalised."""
+    assert p._num is None
+    assert all(sum(e) <= p._bound for e in p.terms)
+    assert all(c and (type(c) is int or c.denominator != 1) for c in p.terms.values())
+
+
+@st.composite
+def keyed_operands(draw):
+    n = draw(st.sampled_from([1, 3, 24]))
+    cap = draw(st.one_of(st.none(), st.integers(0, 6)))
+    vars = tuple(f"x{i}" for i in range(n))
+    exponent = st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=3).map(
+        lambda e: tuple(e.get(i, 0) for i in range(n)))
+
+    def operand():
+        shape = draw(st.sampled_from(["zero", "constant", "single", "sparse"]))
+        if shape == "zero":
+            return MPoly(vars, {}, cap)
+        if shape == "constant":
+            keys = [(0,) * n]
+        else:
+            keys = draw(st.lists(exponent, min_size=1, max_size=1 if shape == "single" else 6, unique=True))
+        return MPoly(vars, {e: draw(coefficients) for e in keys}, cap)
+
+    p = operand()
+    # the negative of p makes every sum with it cancel to zero
+    return p, -p if draw(st.booleans()) else operand()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(keyed_operands())
+@example((MPoly("x", {(3,): 2**70}), MPoly("x", {(0,): Fraction(1, 3), (2,): -(2**70)})))
+@example((MPoly("xyz", {(0, 0, 0): 2, (1, 0, 0): Fraction(-1, 2), (0, 2, 1): 3}, 3),) * 2)
+@example((MPoly("xyz", {(0, 0, 0): 1, (0, 0, 1): -1}, 0), MPoly("xyz", {(1, 0, 0): 5}, 6)))
+def test_keyed_ops_match_dict_oracle(operands):
+    p, q = operands
+    if p.cap != q.cap:  # a mixed pair is refused, as for every layout
+        with pytest.raises(StructureError):
+            p * q
+        return
+    zero, one = p.ring_zero(), p.ring_one()
+    want = exact_form(dict_product(p, q))
+    for got in (p * q, q * p, p + q, q + p, p - q, -p):
+        check_keyed(got)
+    assert exact_form(p * q) == want and exact_form(q * p) == want
+    assert exact_form(p + q) == oracle_sum(p, q) == exact_form(q + p)
+    assert exact_form(p - q) == oracle_sum(p, q, -1)
+    assert exact_form(-p) == exact_form(MPoly(p.vars, {e: -c for e, c in p.terms.items()}, p.cap))
+    assert (p - p).is_zero() and p + (-p) == zero and exact_form(p - p) == exact_form(zero)
+    assert (p == q) == (exact_form(p) == exact_form(q))
+    for value in (p, p * q, (p + q) - q):
+        rebuilt = MPoly(p.vars, value.terms, p.cap)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    c0 = p.constant_term()
+    assert type(c0) is Fraction and c0 == p.terms.get((0,) * len(p.vars), 0)
+    if c0 == 0 or (p.cap is None and len(p.terms) > 1):
+        with pytest.raises(NonInvertibleError):
+            p.inv()
+    else:
+        inverse = p.inv()
+        check_keyed(inverse)
+        assert exact_form(dict_product(p, inverse)) == exact_form(one) == exact_form(inverse * p)
+
+
+def test_product_bound_refuses_a_field_carry():
+    top = (1 << exactalg._B) - 1  # the largest exponent a field holds
+    for vars in ("x", "xyz"):
+        x = MPoly.gen(vars, "x")
+        high = MPoly(vars, {(top,) + (0,) * (len(vars) - 1): 1})
+        assert high.terms == {(top,) + (0,) * (len(vars) - 1): 1}
+        for a, b in ((high, x), (x, high), (high, high)):
+            with pytest.raises(StructureError):
+                a * b
+
+
+def test_keys_decode_only_when_terms_are_read(monkeypatch):
+    decoded = []
+
+    def counted(keys, n, _decode=exactalg._exponents):
+        decoded.append(n)
+        return _decode(keys, n)
+
+    monkeypatch.setattr(exactalg, "_exponents", counted)
+    assert h_ladder(6).passed
+    z = z_context(PathSpec(11, 0), symbol_table("context", 11)[0])
+    assert decoded == []
+    assert sum(z.terms.values()) == 58786  # C_11: every Dyck path of half-length 11
+    assert sum(z.terms.values()) == 58786 and decoded == [22]  # decoded once, then cached

@@ -246,6 +246,11 @@ def test_strict_table_raises_beyond_range():
     table = WeightTable("bicolored", [None, lim.first], [None, lim.second])
     with pytest.raises(StructureError):
         z_bicolored(PathSpec(2, 0), table)
+    symbols = symbol_table("context", 3)[0]
+    for idx in (-1, -3, 4):  # a negative index would read from the far end
+        for lookup in (symbols.a, symbols.b):
+            with pytest.raises(StructureError):
+                lookup(idx)
 
 
 def test_elongated_table_has_no_second_sequence():
@@ -260,6 +265,9 @@ def test_path_spec_validation():
         PathSpec(2, 0, 5)
     with pytest.raises(StructureError):
         PathSpec(-1, 0)
+    for args in ((2.5, 0), (2, 1.0), (2, 0, 1.5), ("2", 0)):
+        with pytest.raises(StructureError):
+            PathSpec(*args)
 
 
 def test_constant_weight_functional_equations():

@@ -351,6 +351,8 @@ class MPoly:
 
     def swap(self):
         """Exchange the first two variables (the black/white symmetry)."""
+        if len(self.vars) < 2:
+            raise StructureError(f"swap exchanges the first two variables, but the variables are {self.vars}")
         out = {(e[1], e[0]) + e[2:]: c for e, c in self.terms.items()}
         return MPoly(self.vars, out, self.cap)
 

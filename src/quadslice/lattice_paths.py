@@ -44,9 +44,10 @@ class PathSpec:
 class WeightTable:
     """Height-indexed weights.
 
-    ``first`` and ``second`` are lists indexed by height (index 0 unused,
-    by convention zero).  For elongated tables only ``first`` is used and
-    it is indexed by the doubled scheme described in the module docstring.
+    ``first`` and ``second`` are lists indexed by height; index 0 holds a
+    placeholder that no path reads, and looking it up is an error.  For
+    elongated tables only ``first`` is used and it is indexed by the
+    doubled scheme described in the module docstring.
     Tables are strict: heights beyond the stored range are an error rather
     than silently clamped.
     """
@@ -62,8 +63,10 @@ class WeightTable:
 
     @staticmethod
     def _lookup(seq, idx):
-        if 0 <= idx < len(seq):
+        if 0 < idx < len(seq):
             return seq[idx]
+        if idx == 0:
+            raise StructureError("weight index 0 is unused: heights start at 1")
         raise StructureError(f"weight index {idx} beyond stored range (strict table)")
 
     def a(self, idx):

@@ -12,6 +12,10 @@ V - E + F = 2.  Validation computes the vertex and face cycles once, with
 the cycle label of every dart, and the map keeps them: the labeled
 quadrangulations, the corner joins, the white-vertex construction and the
 oriented distances all read them instead of walking the permutations again.
+Everything runs on flat per-dart arrays: the orbit of the root is a
+bytearray of visited darts with a count, the cycles and the canonical
+breadth-first relabeling keep lists of labels, and the labels of a
+quadrangulation are read off its vertex cycles.
 
 Enumeration glues polygons: the faces of a quadrangulation with boundary
 2n and f inner faces are one 2n-gon plus f squares, and a complete
@@ -30,6 +34,10 @@ automorphisms fixing the root dart, so each rooted map appears exactly
 once per surviving labeled gluing; a canonical breadth-first relabeling
 deduplicates the handful of symmetric copies the orderly rule cannot see
 (a fresh polygon first contacted by one of its own side pairs).  The
+search pairs sides in place: each attempt keeps the cells it overwrites
+in locals and restores them in reverse order, a running count of the
+unmatched sides tells a complete gluing, and the scan for the least
+unmatched side resumes after the side just paired.  The
 quadrangulations with at most f inner faces extend the cached list with at
 most f - 1, so each face count is glued once per boundary length.
 
@@ -53,7 +61,9 @@ _join_corners, with a different corner test and set of kept vertices:
 rising corners with the non-maxima kept, and black corners with the blacks
 kept.  It joins the two picked corners of every inner face and the picked
 corners of the external face cyclically, and orders the new edge ends
-around each kept vertex by the sigma order of their corners.  Orientation
+around each kept vertex by the sigma order of their corners.  An inner
+picked corner holds one end and an external one two, so the ends are
+numbered in one pass over the kept vertex cycles.  Orientation
 conventions were pinned by requiring the round trips and the
 oriented-distance transport to hold on the whole corpus.
 """
@@ -113,31 +123,39 @@ class RootedMap:
 
     def validate(self):
         n = self.n_darts
-        if not (isinstance(self.root, int) and 0 <= self.root < n):
-            raise StructureError(f"root {self.root!r} is not a dart of the map (darts 0..{n - 1})")
-        if sorted(self.sigma) != list(range(n)) or sorted(self.alpha) != list(range(n)):
+        sigma, alpha, root = self.sigma, self.alpha, self.root
+        if not (isinstance(root, int) and 0 <= root < n):
+            raise StructureError(f"root {root!r} is not a dart of the map (darts 0..{n - 1})")
+        darts = list(range(n))
+        if sorted(sigma) != darts or sorted(alpha) != darts:
             raise StructureError("sigma and alpha must be permutations of the darts")
-        for d in range(n):
-            if self.alpha[d] == d or self.alpha[self.alpha[d]] != d:
+        for d, a in enumerate(alpha):
+            if a == d or alpha[a] != d:
                 raise StructureError("alpha must be a fixed-point-free involution")
-        if len(self._orbit(self.root)) != n:
+        # the orbit of the root under <sigma, alpha>
+        seen = bytearray(n)
+        seen[root] = 1
+        reached = 1
+        stack = [root]
+        while stack:
+            d = stack.pop()
+            e = sigma[d]
+            if not seen[e]:
+                seen[e] = 1
+                reached += 1
+                stack.append(e)
+            e = alpha[d]
+            if not seen[e]:
+                seen[e] = 1
+                reached += 1
+                stack.append(e)
+        if reached != n:
             raise StructureError("map is not connected")
-        self._vertices, self.vertex_of = self._cycles(self.sigma)
-        self._faces, self.face_of = self._cycles([self.sigma[a] for a in self.alpha])
+        self._vertices, self.vertex_of = self._cycles(sigma)
+        self._faces, self.face_of = self._cycles([sigma[a] for a in alpha])
         V, E, F = len(self._vertices), n // 2, len(self._faces)
         if V - E + F != 2:
             raise StructureError(f"map is not planar: V-E+F = {V - E + F}")
-
-    def _orbit(self, start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            d = stack.pop()
-            for e in (self.sigma[d], self.alpha[d]):
-                if e not in seen:
-                    seen.add(e)
-                    stack.append(e)
-        return seen
 
     def _cycles(self, perm):
         """The cycles of perm, each from its least dart, and the index of
@@ -147,10 +165,12 @@ class RootedMap:
         for d in range(self.n_darts):
             if label[d] >= 0:
                 continue
-            cyc = []
-            e = d
-            while label[e] < 0:
-                label[e] = len(out)
+            k = len(out)
+            label[d] = k
+            cyc = [d]
+            e = perm[d]
+            while e != d:
+                label[e] = k
                 cyc.append(e)
                 e = perm[e]
             out.append(tuple(cyc))
@@ -181,23 +201,20 @@ class RootedMap:
     def canonical_key(self):
         """Breadth-first relabeling from the root dart; unique because only
         the identity fixes the root of a connected map."""
-        lab = {self.root: 0}
+        sigma, alpha = self.sigma, self.alpha
+        lab = [-1] * self.n_darts
+        lab[self.root] = 0
         order = [self.root]
-        i = 0
-        while i < len(order):
-            d = order[i]
-            i += 1
-            for e in (self.alpha[d], self.sigma[d]):
-                if e not in lab:
-                    lab[e] = len(order)
-                    order.append(e)
-        n = len(order)
-        sig = [0] * n
-        alf = [0] * n
-        for d, l in lab.items():
-            sig[l] = lab[self.sigma[d]]
-            alf[l] = lab[self.alpha[d]]
-        return tuple(sig), tuple(alf)
+        for d in order:  # order grows while it is read
+            e = alpha[d]
+            if lab[e] < 0:
+                lab[e] = len(order)
+                order.append(e)
+            e = sigma[d]
+            if lab[e] < 0:
+                lab[e] = len(order)
+                order.append(e)
+        return tuple([lab[sigma[d]] for d in order]), tuple([lab[alpha[d]] for d in order])
 
     def is_isomorphic(self, other: "RootedMap") -> bool:
         return self.canonical_key() == other.canonical_key()
@@ -296,22 +313,18 @@ def glue_polygons(sizes):
             e = wnext[e]
 
     results = []
+    unmatched = total
 
-    def emit():
-        results.append(list(match))
-
-    def choose():
-        s = -1
-        for d in range(total):
-            if match[d] == -1:
-                s = d
-                break
-        if s == -1:
-            emit()
-            return
+    def choose(s):
+        """Pair the least unmatched side, which is s or above it, in every
+        allowed way; every side below s is matched."""
+        nonlocal unmatched
+        while match[s] != -1:
+            s += 1
         ps = poly_of[s]
         if touched[ps] == 0 and first_fresh_of_class(ps) != ps:
             return  # a lower-index fresh polygon of the class must come first
+        rs = find(ps)
         for t in range(s + 1, total):
             if match[t] != -1:
                 continue
@@ -322,47 +335,54 @@ def glue_polygons(sizes):
                 # polygons, enter the least-index fresh one
                 if t != starts[pt] or first_fresh_of_class(pt) != pt:
                     continue
-            attempt(s, t)
+            rt = find(pt)
+            if rs == rt and not same_walk(s, t):
+                continue  # would attach a handle
+            match[s] = t
+            match[t] = s
+            touched[ps] += 1
+            touched[pt] += 1
+            unmatched -= 2
+            # splice s and t out of the walk structure, keeping each
+            # overwritten cell; when s and t are neighbours some writes land
+            # on s or t themselves, which no unmatched side points at
+            ns, ps_ = wnext[s], wprev[s]
+            nt, pt_ = wnext[t], wprev[t]
+            w1 = wnext[ps_]
+            wnext[ps_] = nt
+            w2 = wprev[nt]
+            wprev[nt] = ps_
+            w3 = wnext[pt_]
+            wnext[pt_] = ns
+            w4 = wprev[ns]
+            wprev[ns] = pt_
+            # components and their open side counts; rs stays a root
+            open_rs = open_count[rs]
+            if rs != rt:
+                parent[rt] = rs
+                open_count[rs] = open_rs + open_count[rt] - 2
+            else:
+                open_count[rs] = open_rs - 2
+            if not unmatched:
+                results.append(match[:])
+            elif open_count[rs]:
+                choose(s + 1)
+            # else the component is sealed while sides remain elsewhere
+            open_count[rs] = open_rs
+            parent[rt] = rt  # rt was a root; a no-op when rt is rs
+            wprev[ns] = w4
+            wnext[pt_] = w3
+            wprev[nt] = w2
+            wnext[ps_] = w1
+            unmatched += 2
+            touched[ps] -= 1
+            touched[pt] -= 1
+            match[s] = match[t] = -1
 
-    def attempt(s, t):
-        # genus rule
-        in_same_walk = same_walk(s, t)
-        rs, rt = find(poly_of[s]), find(poly_of[t])
-        if not in_same_walk and rs == rt:
-            return  # would attach a handle
-        trail = []
-
-        def set_arr(arr, idx, val):
-            trail.append((arr, idx, arr[idx]))
-            arr[idx] = val
-
-        set_arr(match, s, t)
-        set_arr(match, t, s)
-        touched[poly_of[s]] += 1
-        touched[poly_of[t]] += 1
-        # splice s and t out of the walk structure; when s and t are
-        # neighbours some writes land on s or t themselves, which no
-        # unmatched side points at
-        ns, ps_ = wnext[s], wprev[s]
-        nt, pt_ = wnext[t], wprev[t]
-        set_arr(wnext, ps_, nt)
-        set_arr(wprev, nt, ps_)
-        set_arr(wnext, pt_, ns)
-        set_arr(wprev, ns, pt_)
-        # components and their open side counts; rs stays a root
-        if rs != rt:
-            set_arr(parent, rt, rs)
-        set_arr(open_count, rs, open_count[rs] + (open_count[rt] if rs != rt else 0) - 2)
-        sealed = open_count[rs] == 0
-        remaining = any(m == -1 for m in match)
-        if not (sealed and remaining):
-            choose()
-        for arr, idx, val in reversed(trail):
-            arr[idx] = val
-        touched[poly_of[s]] -= 1
-        touched[poly_of[t]] -= 1
-
-    choose()
+    if total:
+        choose(0)
+    else:
+        results.append([])
     return results, nxt
 
 
@@ -378,19 +398,14 @@ class LabeledQuad:
         self.map = m
         self.n = n
         self.f = (m.n_darts // 2 - n) // 2
-        vertex_of = m.vertex_of
-        V = len(m.vertices())
-        adj = [set() for _ in range(V)]
-        for d in range(m.n_darts):
-            a, b = vertex_of[d], vertex_of[m.alpha[d]]
-            adj[a].add(b)
-            adj[b].add(a)
+        vertex_of, alpha = m.vertex_of, m.alpha
+        neighbours = [[vertex_of[alpha[d]] for d in cyc] for cyc in m.vertices()]
         root_vertex = vertex_of[m.root]
-        self.dist = dist = _bfs_distances(adj, root_vertex)
+        self.dist = dist = _bfs_distances(neighbours, root_vertex)
         self.color = ["black" if d % 2 == 0 else "white" for d in dist]
         self.local_max = [
-            all(dist[u] == dist[v] - 1 for u in adj[v]) and v != root_vertex
-            for v in range(V)
+            v != root_vertex and all(dist[u] == dist[v] - 1 for u in nbrs)
+            for v, nbrs in enumerate(neighbours)
         ]
         self.check()
 
@@ -401,11 +416,12 @@ class LabeledQuad:
         for face in m.inner_faces():
             if len(face) != 4:
                 raise VerificationError("inner face of degree != 4")
-        for d in range(m.n_darts):
-            a, b = m.vertex_of[d], m.vertex_of[m.alpha[d]]
-            if abs(self.dist[a] - self.dist[b]) != 1:
-                raise VerificationError("edge endpoints must differ by 1 in distance")
-        if self.local_max[m.vertex_of[m.root]]:
+        dist, vertex_of, alpha = self.dist, m.vertex_of, m.alpha
+        for v, cyc in enumerate(m.vertices()):
+            for d in cyc:
+                if abs(dist[vertex_of[alpha[d]]] - dist[v]) != 1:
+                    raise VerificationError("edge endpoints must differ by 1 in distance")
+        if self.local_max[vertex_of[m.root]]:
             raise VerificationError("root vertex can never be a local maximum")
 
     def bicolored_exponents(self):
@@ -510,51 +526,53 @@ def _join_corners(m: RootedMap, picked, kept, kind):
     """The corner-joining construction behind ab_forward and angular_inverse.
 
     Join the two picked corners of every inner face, and join the picked
-    corners of the external face cyclically; picked(d) tests the corner
-    that starts at dart d.  Only the vertices v with kept(v) stay, and the
-    new edge ends sit around each in sigma order of their corners, the
-    incoming end before the outgoing one within a corner.  Returns the new
-    map, rooted at the end leaving the root corner toward its successor,
-    and the kept original vertex of each of its vertices.  kind names the
-    picked corners in the error messages.
+    corners of the external face cyclically; picked[d] flags the corner
+    that starts at dart d.  Only the vertices v with kept[v] stay, and the
+    new edge ends sit around each in sigma order of their corners.  An
+    inner picked corner holds one end; an external one holds two, the end
+    from its predecessor before the end toward its successor.  So the ends
+    are numbered in one pass over the kept vertex cycles, each corner's
+    ends consecutively.  Returns the new map, rooted at the end leaving the
+    root corner toward its successor, and the kept original vertex of each
+    of its vertices.  kind names the picked corners in the error messages.
     """
-    edges = []  # pairs of ends (corner dart, tag); the tag orders ends within a corner
+    ends = bytearray(m.n_darts)  # the number of new edge ends at each corner
+    pairs = []
     for face in m.inner_faces():
-        corners = [d for d in face if picked(d)]
+        corners = [d for d in face if picked[d]]
         if len(corners) != 2:
             raise VerificationError(f"inner face must have exactly two {kind} corners")
-        edges.append(((corners[0], 0), (corners[1], 0)))
-    ext = [d for d in m.face_of_root() if picked(d)]
-    if m.root not in ext:
+        pairs.append(corners)
+        ends[corners[0]] = ends[corners[1]] = 1
+    ext = [d for d in m.face_of_root() if picked[d]]
+    if not picked[m.root]:
         raise VerificationError(f"root corner must be {kind}")
-    for a, b in zip(ext, ext[1:] + ext[:1]):
-        edges.append(((a, +1), (b, -1)))  # +1: toward successor, -1: from predecessor
+    for d in ext:
+        ends[d] = 2
 
-    ends_at_corner = {}
-    for edge in edges:
-        for end in edge:
-            ends_at_corner.setdefault(end[0], []).append(end)
-    rotations = []
+    first = [0] * m.n_darts  # the number of the first end at each picked corner
+    sigma = []
     origin = []
     for v, v_cycle in enumerate(m.vertices()):
-        if not kept(v):
+        if not kept[v]:
             continue
-        rot = []
-        for corner in v_cycle:
-            rot += sorted(ends_at_corner.get(corner, ()), key=lambda end: end[1])  # -1 before +1
-        rotations.append(rot)
+        start = len(sigma)
+        for d in v_cycle:
+            if ends[d]:
+                first[d] = i = len(sigma)
+                sigma.extend(range(i + 1, i + 1 + ends[d]))
+        if len(sigma) > start:
+            sigma[-1] = start  # close the rotation
         origin.append(v)
-    dart_id = {end: i for i, end in enumerate(end for rot in rotations for end in rot)}
-    if len(dart_id) != 2 * len(edges):
+    if len(sigma) != 2 * (len(pairs) + len(ext)):
         raise VerificationError("an edge end landed on a dropped vertex")
-    sigma = [0] * len(dart_id)
-    alpha = [0] * len(dart_id)
-    for rot in rotations:
-        for k, end in enumerate(rot):
-            sigma[dart_id[end]] = dart_id[rot[(k + 1) % len(rot)]]
-    for a, b in edges:
-        alpha[dart_id[a]], alpha[dart_id[b]] = dart_id[b], dart_id[a]
-    return RootedMap(sigma, alpha, dart_id[(m.root, +1)]), origin
+    alpha = [0] * len(sigma)
+    for a, b in pairs:
+        alpha[first[a]], alpha[first[b]] = first[b], first[a]
+    for a, b in zip(ext, ext[1:] + ext[:1]):
+        out_a, in_b = first[a] + 1, first[b]  # toward the successor, from the predecessor
+        alpha[out_a], alpha[in_b] = in_b, out_a
+    return RootedMap(sigma, alpha, first[m.root] + 1), origin
 
 
 def ab_forward(q: LabeledQuad) -> AbImage:
@@ -563,11 +581,12 @@ def ab_forward(q: LabeledQuad) -> AbImage:
     corners followed by a larger label cyclically; keep only vertices that
     are not local maxima."""
     m = q.map
-    label = lambda d: q.dist[m.vertex_of[d]]
-    rising = lambda d: label(m.sigma[m.alpha[d]]) > label(d)
-    if sum(1 for d in m.face_of_root() if rising(d)) != q.n:
+    label = [q.dist[v] for v in m.vertex_of]
+    sigma = m.sigma
+    rising = [label[sigma[a]] > label[d] for d, a in enumerate(m.alpha)]
+    if sum(rising[d] for d in m.face_of_root()) != q.n:
         raise VerificationError("external face must have n rising corners")
-    new_map, vertex_origin = _join_corners(m, rising, lambda v: not q.local_max[v], "rising")
+    new_map, vertex_origin = _join_corners(m, rising, [not flag for flag in q.local_max], "rising")
     if len(new_map.face_of_root()) != q.n:
         raise VerificationError("image boundary length must be n")
     if not new_map.boundary_is_bridgeless():
@@ -635,8 +654,8 @@ def angular_inverse(q: LabeledQuad) -> RootedMap:
     every inner face, connect the black corners of the external face
     cyclically, and drop the white vertices.  Root: the edge of the corner
     pair adjacent to the root."""
-    black = lambda v: q.color[v] == "black"
-    return _join_corners(q.map, lambda d: black(q.map.vertex_of[d]), black, "black")[0]
+    black = [c == "black" for c in q.color]
+    return _join_corners(q.map, [black[v] for v in q.map.vertex_of], black, "black")[0]
 
 
 def bijection_check(n, f) -> CheckReport:
@@ -665,7 +684,8 @@ def bijection_check(n, f) -> CheckReport:
     report.add(f"label local rules: bijection onto {len(codomain)} maps, "
                "weights transported, oriented distances match")
 
-    quad_keys = {q.map.canonical_key() for q in quads}
+    quad_keys = [q.map.canonical_key() for q in quads]
+    quad_key_set = set(quad_keys)
     seen = set()
     for key, m in codomain.items():
         q2 = ab_inverse(m)
@@ -673,21 +693,20 @@ def bijection_check(n, f) -> CheckReport:
         if k2 in seen:
             raise VerificationError("white-vertex map is not injective")
         seen.add(k2)
-        if k2 not in quad_keys:
+        if k2 not in quad_key_set:
             raise VerificationError("white-vertex image is not a corpus quadrangulation")
         blacks = sum(1 for c in q2.color if c == "black")
         whites = len(q2.color) - blacks
         if blacks != len(m.vertices()) or whites != len(m.faces()) - 1:
             raise VerificationError("color transport failed")
-        m2 = angular_inverse(q2)
-        if not m2.is_isomorphic(m):
+        if angular_inverse(q2).canonical_key() != key:
             raise VerificationError("black-corner map does not invert the white-vertex map")
-    if seen != quad_keys:
+    if seen != quad_key_set:
         raise VerificationError("white-vertex map is not surjective")
     report.add("white-vertex construction: bijection the other way, "
                "pointwise inverted by the black-corner map")
-    for q in quads:
-        if not ab_inverse(angular_inverse(q)).map.is_isomorphic(q.map):
+    for q, key in zip(quads, quad_keys):
+        if ab_inverse(angular_inverse(q)).map.canonical_key() != key:
             raise VerificationError("round trip on the quadrangulation side failed")
     report.add("round trips hold on both sides")
     return report

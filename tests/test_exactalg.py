@@ -172,6 +172,12 @@ def test_swap_symmetry_helper():
     assert p.swap().swap() == p
 
 
+@pytest.mark.parametrize("value", [MPoly.gen("x", "x"), MPoly.const((), 3), MPoly.zero(("x",), 2)])
+def test_swap_needs_two_variables(value):
+    with pytest.raises(StructureError, match=r"first two variables, but the variables are \((('x',)|)\)"):
+        value.swap()
+
+
 def test_canonical_text_round_trip():
     p = bipoly({(0, 1): Fraction(1), (2, 0): Fraction(-3, 2), (1, 1): 4}, 4)
     text = bipoly_to_text(p)

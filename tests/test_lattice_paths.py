@@ -260,6 +260,18 @@ def test_elongated_table_has_no_second_sequence():
         table.b(1)
 
 
+@pytest.mark.parametrize("kind", ["bicolored", "context", "elongated"])
+def test_index_zero_is_not_a_weight(kind):
+    # symbol_table and z_const store a placeholder there that no path reads
+    table, _ = symbol_table(kind, 3)
+    lookups = [table.a] if kind == "elongated" else [table.a, table.b]
+    for lookup in lookups:
+        with pytest.raises(StructureError, match="weight index 0 is unused"):
+            lookup(0)
+        with pytest.raises(StructureError, match="weight index -1 beyond stored range"):
+            lookup(-1)
+
+
 def test_path_spec_validation():
     with pytest.raises(StructureError):
         PathSpec(2, 0, 5)

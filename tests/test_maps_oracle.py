@@ -5,11 +5,13 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadslice.errors import ResourceGuardError, StructureError
+from quadslice.errors import ResourceGuardError, StructureError, VerificationError
 from quadslice.exactalg import BIVARS, MPoly, bipoly_to_text, tw
 from quadslice.maps_oracle import (
     LabeledQuad,
     RootedMap,
+    _bfs_distances,
+    _join_corners,
     _partitions,
     ab_forward,
     ab_inverse,
@@ -91,11 +93,36 @@ def test_map_invariants_hold_on_corpus():
         assert len(m.face_of_root()) == 2 * q.n
 
 
+def _cycle_count(perm):
+    seen, count = set(), 0
+    for d in range(len(perm)):
+        if d not in seen:
+            count += 1
+            while d not in seen:
+                seen.add(d)
+                d = perm[d]
+    return count
+
+
 def test_validation_rejects_bad_maps():
-    with pytest.raises(StructureError):
-        RootedMap([0, 1], [0, 1], 0)  # alpha has fixed points
-    with pytest.raises(StructureError):
-        RootedMap([0, 1, 2, 3], [1, 0, 3, 2], 0)  # two disjoint edges
+    # a one-vertex torus, edges {0, 2} and {1, 3}, beside a one-edge sphere:
+    # V = 3, E = 3, F = 2 satisfy Euler's relation, so only the orbit of the
+    # root can tell that the map is not connected
+    sigma, alpha = [1, 2, 3, 0, 4, 5], [2, 3, 0, 1, 5, 4]
+    assert _cycle_count(sigma) - 3 + _cycle_count([sigma[a] for a in alpha]) == 2
+    cases = [
+        ([0, 0], [1, 0], "sigma and alpha must be permutations of the darts"),
+        ([0, 1], [1, 1], "sigma and alpha must be permutations of the darts"),
+        ([0, 1], [0, 1], "alpha must be a fixed-point-free involution"),  # fixed points
+        ([0, 1, 2, 3, 4], [1, 2, 0, 4, 3], "alpha must be a fixed-point-free involution"),  # a 3-cycle
+        ([0, 1, 2, 3], [1, 0, 3, 2], "map is not connected"),  # two disjoint edges
+        (sigma, alpha, "map is not connected"),
+        ([1, 2, 3, 0], [2, 3, 0, 1], r"map is not planar: V-E\+F = 0"),  # the torus alone
+    ]
+    for sigma, alpha, message in cases:
+        for root in range(len(sigma)):
+            with pytest.raises(StructureError, match=message):
+                RootedMap(sigma, alpha, root)
     # a valid double edge passes validation
     RootedMap([1, 0, 3, 2], [2, 3, 0, 1], 0)
 
@@ -236,10 +263,14 @@ def test_face_gluing_matches_vertex_star_oracle(b, E):
 GLUINGS_GOLDEN = (133, 9045, "9f2c2c884e9fd6405a69d789069d9bedb90f44fc756458396531097b5762bdbf")
 
 
-def test_raw_gluings_match_golden():
+def _raw_gluing_lists():
+    """The 12 quadrangulation size lists, then the 121 bridgeless ones."""
     lists = [[2 * n] + [4] * f for n in range(1, 4) for f in range(4)]
-    lists += [[n, *p] for n in range(1, 4) for f in range(4) for p in _partitions(n + 2 * f, n + 2 * f)]
-    glued = [(sizes, glue_polygons(sizes)[0]) for sizes in lists]
+    return lists + [[n, *p] for n in range(1, 4) for f in range(4) for p in _partitions(n + 2 * f, n + 2 * f)]
+
+
+def test_raw_gluings_match_golden():
+    glued = [(sizes, glue_polygons(sizes)[0]) for sizes in _raw_gluing_lists()]
     digest = hashlib.sha256(repr(glued).encode()).hexdigest()
     assert (len(glued), sum(len(m) for _, m in glued), digest) == GLUINGS_GOLDEN
 
@@ -427,3 +458,327 @@ def test_line_format_round_trips_relabelled_maps(data):
         m = RootedMap(sigma, alpha, data.draw(st.integers(0, darts - 1)))
         again = RootedMap.from_line(m.to_line())
         assert (again.sigma, again.alpha, again.root) == (m.sigma, m.alpha, m.root)
+
+
+# ------------------------------------------------ the former construction code
+#
+# The set-, dict- and closure-based code the flat-array fast paths replaced,
+# kept as their oracles: the gluing search with its write trail, the set
+# orbit of the root, the dict canonical relabeling, the corner join that
+# collects edge ends in a dict and sorts them per corner, and the labels read
+# off adjacency sets.
+
+def _trail_glue_polygons(sizes):
+    total = sum(sizes)
+    starts = []
+    acc = 0
+    for L in sizes:
+        starts.append(acc)
+        acc += L
+    poly_of = [0] * total
+    nxt = [0] * total
+    for p, L in enumerate(sizes):
+        for k in range(L):
+            s = starts[p] + k
+            poly_of[s] = p
+            nxt[s] = starts[p] + (k + 1) % L
+    match = [-1] * total
+    wnext = list(nxt)
+    wprev = [0] * total
+    for s in range(total):
+        wprev[wnext[s]] = s
+    parent = list(range(len(sizes)))
+    open_count = list(sizes)
+    touched = [0] * len(sizes)
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    def first_fresh_of_class(p):
+        if p == 0:
+            return 0
+        return next(r for r in range(1, len(sizes)) if sizes[r] == sizes[p] and touched[r] == 0)
+
+    def same_walk(s, t):
+        e = wnext[s]
+        while True:
+            if e == t:
+                return True
+            if e == s:
+                return False
+            e = wnext[e]
+
+    results = []
+
+    def choose():
+        s = -1
+        for d in range(total):
+            if match[d] == -1:
+                s = d
+                break
+        if s == -1:
+            results.append(list(match))
+            return
+        ps = poly_of[s]
+        if touched[ps] == 0 and first_fresh_of_class(ps) != ps:
+            return
+        for t in range(s + 1, total):
+            if match[t] != -1:
+                continue
+            pt = poly_of[t]
+            if touched[pt] == 0 and pt != ps and pt != 0:
+                if t != starts[pt] or first_fresh_of_class(pt) != pt:
+                    continue
+            attempt(s, t)
+
+    def attempt(s, t):
+        in_same_walk = same_walk(s, t)
+        rs, rt = find(poly_of[s]), find(poly_of[t])
+        if not in_same_walk and rs == rt:
+            return
+        trail = []
+
+        def set_arr(arr, idx, val):
+            trail.append((arr, idx, arr[idx]))
+            arr[idx] = val
+
+        set_arr(match, s, t)
+        set_arr(match, t, s)
+        touched[poly_of[s]] += 1
+        touched[poly_of[t]] += 1
+        ns, ps_ = wnext[s], wprev[s]
+        nt, pt_ = wnext[t], wprev[t]
+        set_arr(wnext, ps_, nt)
+        set_arr(wprev, nt, ps_)
+        set_arr(wnext, pt_, ns)
+        set_arr(wprev, ns, pt_)
+        if rs != rt:
+            set_arr(parent, rt, rs)
+        set_arr(open_count, rs, open_count[rs] + (open_count[rt] if rs != rt else 0) - 2)
+        sealed = open_count[rs] == 0
+        remaining = any(m == -1 for m in match)
+        if not (sealed and remaining):
+            choose()
+        for arr, idx, val in reversed(trail):
+            arr[idx] = val
+        touched[poly_of[s]] -= 1
+        touched[poly_of[t]] -= 1
+
+    choose()
+    return results, nxt
+
+
+def _set_orbit(sigma, alpha, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        d = stack.pop()
+        for e in (sigma[d], alpha[d]):
+            if e not in seen:
+                seen.add(e)
+                stack.append(e)
+    return seen
+
+
+def _dict_canonical_key(m):
+    lab = {m.root: 0}
+    order = [m.root]
+    i = 0
+    while i < len(order):
+        d = order[i]
+        i += 1
+        for e in (m.alpha[d], m.sigma[d]):
+            if e not in lab:
+                lab[e] = len(order)
+                order.append(e)
+    n = len(order)
+    sig = [0] * n
+    alf = [0] * n
+    for d, l in lab.items():
+        sig[l] = lab[m.sigma[d]]
+        alf[l] = lab[m.alpha[d]]
+    return tuple(sig), tuple(alf)
+
+
+def _end_dict_join_corners(m, picked, kept, kind):
+    """picked(d) and kept(v) are predicates here; returns (sigma, alpha,
+    root, origin) of the joined map before its validation."""
+    edges = []
+    for face in m.inner_faces():
+        corners = [d for d in face if picked(d)]
+        if len(corners) != 2:
+            raise VerificationError(f"inner face must have exactly two {kind} corners")
+        edges.append(((corners[0], 0), (corners[1], 0)))
+    ext = [d for d in m.face_of_root() if picked(d)]
+    if m.root not in ext:
+        raise VerificationError(f"root corner must be {kind}")
+    for a, b in zip(ext, ext[1:] + ext[:1]):
+        edges.append(((a, +1), (b, -1)))
+    ends_at_corner = {}
+    for edge in edges:
+        for end in edge:
+            ends_at_corner.setdefault(end[0], []).append(end)
+    rotations = []
+    origin = []
+    for v, v_cycle in enumerate(m.vertices()):
+        if not kept(v):
+            continue
+        rot = []
+        for corner in v_cycle:
+            rot += sorted(ends_at_corner.get(corner, ()), key=lambda end: end[1])
+        rotations.append(rot)
+        origin.append(v)
+    dart_id = {end: i for i, end in enumerate(end for rot in rotations for end in rot)}
+    if len(dart_id) != 2 * len(edges):
+        raise VerificationError("an edge end landed on a dropped vertex")
+    sigma = [0] * len(dart_id)
+    alpha = [0] * len(dart_id)
+    for rot in rotations:
+        for k, end in enumerate(rot):
+            sigma[dart_id[end]] = dart_id[rot[(k + 1) % len(rot)]]
+    for a, b in edges:
+        alpha[dart_id[a]], alpha[dart_id[b]] = dart_id[b], dart_id[a]
+    return tuple(sigma), tuple(alpha), dart_id[(m.root, +1)], origin
+
+
+def _set_adjacency_labels(m):
+    """The distance labels, colors and local-maximum flags of a quadrangulation."""
+    vertex_of = m.vertex_of
+    adj = [set() for _ in m.vertices()]
+    for d in range(m.n_darts):
+        a, b = vertex_of[d], vertex_of[m.alpha[d]]
+        adj[a].add(b)
+        adj[b].add(a)
+    root_vertex = vertex_of[m.root]
+    dist = _bfs_distances(adj, root_vertex)
+    color = ["black" if d % 2 == 0 else "white" for d in dist]
+    local_max = [all(dist[u] == dist[v] - 1 for u in adj[v]) and v != root_vertex for v in range(len(adj))]
+    return dist, color, local_max
+
+
+def _joined(m, picked, kept, kind):
+    """The outcome of a corner join, new and former, as comparable values:
+    (sigma, alpha, root, origin), or the error with its message."""
+    try:
+        new_map, origin = _join_corners(m, [picked(d) for d in range(m.n_darts)],
+                                        [kept(v) for v in range(len(m.vertices()))], kind)
+        new = (new_map.sigma, new_map.alpha, new_map.root, origin)
+    except (StructureError, VerificationError) as exc:
+        new = (type(exc), str(exc))
+    try:
+        old = _end_dict_join_corners(m, picked, kept, kind)
+        RootedMap(*old[:3])
+    except (StructureError, VerificationError) as exc:
+        old = (type(exc), str(exc))
+    return new, old
+
+
+def _assert_quad_matches_oracles(q):
+    """The labels, both corner joins and the canonical keys of q and of its
+    three images agree with the former code."""
+    m = q.map
+    assert (q.dist, q.color, q.local_max) == _set_adjacency_labels(m)
+    label = lambda d: q.dist[m.vertex_of[d]]
+    rising = lambda d: label(m.sigma[m.alpha[d]]) > label(d)
+    black = lambda v: q.color[v] == "black"
+    new, old = _joined(m, rising, lambda v: not q.local_max[v], "rising")
+    assert new == old
+    img = ab_forward(q)
+    assert (img.map.sigma, img.map.alpha, img.map.root, img.vertex_origin) == new
+    new, old = _joined(m, lambda d: black(m.vertex_of[d]), black, "black")
+    assert new == old
+    m2 = angular_inverse(q)
+    assert (m2.sigma, m2.alpha, m2.root) == new[:3]
+    q2 = ab_inverse(m2)
+    assert (q2.dist, q2.color, q2.local_max) == _set_adjacency_labels(q2.map)
+    for x in (m, img.map, m2, q2.map):
+        _assert_map_matches_oracles(x)
+
+
+def _assert_map_matches_oracles(m):
+    assert m.canonical_key() == _dict_canonical_key(m)
+    assert _set_orbit(m.sigma, m.alpha, m.root) == set(range(m.n_darts))
+
+
+def test_gluing_search_matches_the_trail_search():
+    for sizes in _raw_gluing_lists():
+        assert glue_polygons(sizes) == _trail_glue_polygons(sizes), sizes
+
+
+def test_fast_paths_match_the_former_code_on_the_corpus():
+    for _, _, q in _corpus():
+        _assert_quad_matches_oracles(q)
+
+
+def test_fast_paths_match_the_former_code_on_the_bridgeless_lists():
+    # every raw gluing of the bridgeless size lists, and the white-vertex
+    # image of each with a bridgeless boundary
+    for sizes in _raw_gluing_lists()[12:]:
+        matchings, nxt = glue_polygons(sizes)
+        for match in matchings:
+            m = RootedMap([nxt[match[d]] for d in range(len(match))], match, 0)
+            _assert_map_matches_oracles(m)
+            if m.boundary_is_bridgeless():
+                _assert_quad_matches_oracles(ab_inverse(m))
+
+
+def _relabelled(sigma, alpha, p, root):
+    """The map with dart d renamed p[d], rooted at the dart named root."""
+    new_sigma, new_alpha = [0] * len(sigma), [0] * len(sigma)
+    for d in range(len(sigma)):
+        new_sigma[p[d]], new_alpha[p[d]] = p[sigma[d]], p[alpha[d]]
+    return new_sigma, new_alpha, root
+
+
+def _small_corpus():
+    """The quadrangulations with n <= 2 and f <= 2, or n = 3 and f <= 1."""
+    return [q for n in (1, 2, 3) for q in enumerate_quads(n, 2 if n < 3 else 1)]
+
+
+def _some_corners(data, darts, counts):
+    size = data.draw(st.sampled_from(counts))
+    return set(data.draw(st.lists(st.sampled_from(darts), min_size=size, max_size=size, unique=True)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_fast_paths_match_the_former_code_on_relabelled_maps(data):
+    q = data.draw(st.sampled_from(_small_corpus()))
+    darts = q.map.n_darts
+    p = data.draw(st.permutations(range(darts)))
+    # a root anywhere for the map; a root on the boundary for the quadrangulation
+    anywhere = RootedMap(*_relabelled(q.map.sigma, q.map.alpha, p, p[data.draw(st.integers(0, darts - 1))]))
+    _assert_map_matches_oracles(anywhere)
+    root = p[data.draw(st.sampled_from(q.map.face_of_root()))]
+    m = RootedMap(*_relabelled(q.map.sigma, q.map.alpha, p, root))
+    _assert_quad_matches_oracles(LabeledQuad(m, q.n))
+    # drawn picked corners (mostly two an inner face, mostly the root among
+    # them) and kept vertices (mostly all): both joins fail alike or build
+    # the same map
+    picked = set()
+    for face in m.inner_faces():
+        picked |= _some_corners(data, face, [2, 2, 2, 1, 3])
+    boundary = m.face_of_root()
+    picked |= _some_corners(data, boundary, range(1, len(boundary) + 1))
+    if data.draw(st.integers(0, 3)):
+        picked.add(m.root)
+    dropped = _some_corners(data, range(len(m.vertices())), [0, 0, 0, 1])
+    new, old = _joined(m, picked.__contains__, lambda v: v not in dropped, "picked")
+    assert new == old
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_validation_matches_the_set_orbit_on_disjoint_unions(data):
+    # two corpus maps side by side, relabelled together: the set orbit of the
+    # root misses the other map, and validation names the disconnection
+    a, b = (data.draw(st.sampled_from(_small_corpus())).map for _ in range(2))
+    sigma = list(a.sigma) + [a.n_darts + d for d in b.sigma]
+    alpha = list(a.alpha) + [a.n_darts + d for d in b.alpha]
+    p = data.draw(st.permutations(range(len(sigma))))
+    sigma, alpha, root = _relabelled(sigma, alpha, p, data.draw(st.integers(0, len(sigma) - 1)))
+    assert len(_set_orbit(sigma, alpha, root)) < len(sigma)
+    with pytest.raises(StructureError, match="map is not connected"):
+        RootedMap(sigma, alpha, root)

@@ -155,9 +155,10 @@ def _run_suite(name, args, log):
         log(f"slice route: f_n = j_n for n <= {args.n} at cap {args.cap}")
         for n in range(1, args.enum_n + 1):
             for f in range(0, args.enum_f + 1):
-                if maps_oracle.bf_F(n, f) != maps_oracle.bf_J(n, f):
+                F = maps_oracle.bf_F(n, f)
+                if F != maps_oracle.bf_J(n, f):
                     raise VerificationError(f"enumerated weight sums differ at ({n},{f})")
-                if maps_oracle.bf_F(n, f) != slice_solver.f_n(n, n + f):
+                if F != slice_solver.f_n(n, n + f):
                     raise VerificationError(f"enumeration disagrees with solver at ({n},{f})")
         log(f"enumeration route: bf_F = bf_J = f_n for n <= {args.enum_n}, f <= {args.enum_f}")
     elif name in ("stieltjes", "newtype"):

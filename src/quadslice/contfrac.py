@@ -89,21 +89,24 @@ def _ring_field(exemplar) -> FieldSpec:
     return FieldSpec(_ring_zero_of(exemplar), _ring_one_of(exemplar), "ring")
 
 
-def _fold(Y, rungs, one, z, inv):
+def _fold(Y, rungs, one, z):
     """The two-term fraction 1 / (1 - z Y_1 - z Y_2 / (1 - z Y_3 - ...)) cut
-    after ``rungs`` rungs, evaluated bottom-up; a missing Y_{2 rungs} ends
-    the last rung at 1 - z Y_{2 rungs - 1}."""
-    t = one
+    after ``rungs`` rungs, as its convergent pair (num, den) folded bottom-up
+    by ring operations alone: under rung i the tail num/den becomes
+    den / (den - z (den Y_{2i-1} + num Y_{2i})), so den(0) stays 1.  A
+    missing Y_{2 rungs} ends the last rung at 1 - z Y_{2 rungs - 1}."""
+    num = den = one
     for i in range(rungs, 0, -1):
-        body = one - z * Y[2 * i - 2]
+        body = den * Y[2 * i - 2]
         if 2 * i - 1 < len(Y):
-            body = body - z * (t * Y[2 * i - 1])
-        t = inv(body)
-    return t
+            body = body + num * Y[2 * i - 1]
+        num, den = den, den - z * body
+    return num, den
 
 
 def expand(spec: FractionSpec, L) -> Series:
-    """Evaluate the nested fraction bottom-up, truncated at order L in z.
+    """The fraction to order L in z: num / den of its convergent pair over
+    series truncated at L, by one exact series division.
 
     A Stieltjes fraction is the two-term fraction with rungs
     Y = (0, c_1, 0, c_2, ...), so both kinds share one loop."""
@@ -118,7 +121,7 @@ def expand(spec: FractionSpec, L) -> Series:
     field = _ring_field(Y[0])
     one = Series.one("z", L, field)
     z = Series.gen("z", L, field)
-    return _fold(Y, rungs if spec.finite else min(rungs, L), one, z, Series.inv)
+    return Series.divide(*_fold(Y, rungs if spec.finite else min(rungs, L), one, z))
 
 
 # ----------------------------------------------------------------- division
@@ -427,8 +430,7 @@ def _random_nonzero_rationals(count, rng):
 
 def finite_fraction_ratfunc(coeffs):
     """A finite two-term fraction as an exact rational function of z."""
-    rungs = (len(coeffs) + 1) // 2
-    return _fold(coeffs, rungs, RatFunc.one("z"), RatFunc.gen("z"), RatFunc.inverse)
+    return RatFunc(*_fold(coeffs, (len(coeffs) + 1) // 2, Poly.one("z"), Poly.gen("z")))
 
 
 def finite_reflection_check(alpha, seed) -> CheckReport:
@@ -437,28 +439,26 @@ def finite_reflection_check(alpha, seed) -> CheckReport:
     With independent rung values Y_1..Y_{2 alpha - 1}: the fraction J(z) is
     a rational function with numerator degree alpha - 1 and denominator
     degree alpha; the companion built from the transformed weights equals
-    -(Y_1/z) J(1/z); and Y_1 = -1 / lim z J(z) as z grows (ratio of leading
-    coefficients)."""
+    -(Y_1/z) J(1/z) = -Y_1 rev(num) / rev(den), rev reversing coefficients;
+    and Y_1 = -1 / lim z J(z) as z grows (ratio of leading coefficients).
+    All of it runs on the convergent pairs over Q[z], with one gcd to read
+    the reduced degrees and the reflection checked cross-multiplied."""
     rng = random.Random(seed)
     Y = _random_nonzero_rationals(2 * alpha - 1, rng)
     report = CheckReport(f"finite reflection alpha={alpha} seed={seed}")
-    J = finite_fraction_ratfunc(Y)
-    if J.num.degree() != alpha - 1 or J.den.degree() != alpha:
-        raise VerificationError(
-            f"degree check failed: {J.num.degree()}/{J.den.degree()} vs {alpha - 1}/{alpha}"
-        )
+    num, den = _fold(Y, alpha, Poly.one("z"), Poly.gen("z"))
+    g = num.gcd(den).degree()
+    p, q = num.degree() - g, den.degree() - g
+    if (p, q) != (alpha - 1, alpha):
+        raise VerificationError(f"degree check failed: {p}/{q} vs {alpha - 1}/{alpha}")
     report.add(f"degrees {alpha - 1}/{alpha} as expected")
-    Jt = finite_fraction_ratfunc(tilde_coeffs(Y))
-    z = RatFunc.gen("z")
-    # lim z J(z): z J has equal num/den degree alpha; den is monic
-    zJ = z * J
-    limit = Fraction(zJ.num.lead()) / Fraction(zJ.den.lead())
-    y1 = Fraction(-1) / limit
+    tnum, tden = _fold(tilde_coeffs(Y), alpha, Poly.one("z"), Poly.gen("z"))
+    # lim z J(z) = lead(num) / lead(den), as den has degree alpha and num alpha - 1
+    y1 = -Fraction(den.lead()) / Fraction(num.lead())
     if y1 != Y[0]:
         raise VerificationError(f"large-z limit gives Y_1 = {y1}, expected {Y[0]}")
     report.add("Y_1 recovered from the large-z limit")
-    reflected = -(RatFunc.const("z", Y[0]) / z) * J.subst_reciprocal()
-    if reflected != Jt:
+    if Poly("z", num.coeffs[::-1]) * tden * -Y[0] != tnum * Poly("z", den.coeffs[::-1]):
         raise VerificationError("reflection identity failed")
     report.add("companion equals -(Y_1/z) J(1/z)")
     return report

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from quadslice import contfrac, slice_solver
+from quadslice import contfrac, maps_oracle, slice_solver
 from quadslice.cli import _poly_entry, _table_json, main, parse_table_json
 from quadslice.exactalg import MPoly, tb
 from quadslice.slice_solver import f_n, solve_y
@@ -79,6 +79,15 @@ def test_verify_equality_small():
     )
     assert rc == 0
     assert out.startswith("PASS equality")
+
+
+def test_verify_equality_enumerates_each_weight_sum_once(monkeypatch):
+    seen = []
+    real = maps_oracle.bf_F
+    monkeypatch.setattr(maps_oracle, "bf_F", lambda n, f, *rest: seen.append((n, f)) or real(n, f, *rest))
+    rc, out, _ = run(["verify", "equality", "--n", "2", "--cap", "4", "--enum-n", "2", "--enum-f", "1"])
+    assert rc == 0 and out.startswith("PASS equality")
+    assert seen == [(1, 0), (1, 1), (2, 0), (2, 1)]
 
 
 def test_verify_reflection_small():

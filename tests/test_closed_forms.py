@@ -2,6 +2,7 @@
 family equivalence, and the rational identity tower."""
 
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ from quadslice.closed_forms import (
     series_match,
     verify_recursion,
 )
-from quadslice.contfrac import finite_reflection_check
+from quadslice.contfrac import finite_fraction_ratfunc
 from quadslice.errors import StructureError, VerificationError
 from quadslice.heaps import h_ladder, linear_relation_gprime_check, linear_relation_specialized_check
 from quadslice.ratfunc import Poly, RatFunc, ratfunc_field
@@ -346,8 +347,10 @@ def test_series_checks_run_no_gcd_and_no_ratfunc(monkeypatch):
     assert series_match(8).passed
     assert large_height_collapse(8).passed
     assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
-    assert finite_reflection_check(2, 7).passed  # RatFunc over Q, so the counters do see it
+    # control: a product in Q(z) runs a gcd and RatFunc work, and the counters see both
+    zJ = finite_fraction_ratfunc([Fraction(2), Fraction(3), Fraction(5)]) * RatFunc.gen("z")
     assert calls["Poly.gcd"] > 0 and calls["RatFunc.__mul__"] > 0
+    assert zJ == RatFunc(Poly("z", [0, 1, -5]), Poly("z", [1, -10, 10]))
 
 
 def test_tower_identities_run_no_gcd_and_no_ratfunc(monkeypatch):

@@ -1,9 +1,11 @@
 """Continued fraction expansion and Hankel-determinant extraction."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadslice.contfrac import (
     FractionSpec,
@@ -23,7 +25,7 @@ from quadslice.contfrac import (
     underdetermination_witness,
 )
 from quadslice import contfrac
-from quadslice.errors import NonInvertibleError, StructureError
+from quadslice.errors import NonInvertibleError, StructureError, VerificationError
 from quadslice.exactalg import bipoly_one, det_division_free, tb
 from quadslice.lattice_paths import symbol_table, z_const
 from quadslice.ratfunc import QQ, Poly, RatFunc
@@ -191,6 +193,42 @@ def test_finite_fraction_degrees():
         assert J.den.degree() == alpha
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_reflection_check_rejects_a_scaled_companion_rung(monkeypatch, k):
+    real = contfrac.tilde_coeffs
+    monkeypatch.setattr(contfrac, "tilde_coeffs", lambda Y: [2 * v if j == k else v for j, v in enumerate(real(Y))])
+    with pytest.raises(VerificationError, match="reflection identity failed"):
+        finite_reflection_check(3, seed=5)
+
+
+@pytest.mark.parametrize("Y, got", [
+    ([2, 3, 0], "0/1"),  # Y_3 = 0 lowers the degree of den
+    ([2, 0, 5], "0/1"),  # Y_2 = 0 splits off the common factor 1 - 5z, which the gcd finds
+])
+def test_reflection_check_rejects_a_degenerate_fraction_before_the_companion(monkeypatch, Y, got):
+    def not_reached(Y):
+        raise AssertionError("the companion is built after the degree check")
+
+    monkeypatch.setattr(contfrac, "_random_nonzero_rationals", lambda count, rng: [Fraction(v) for v in Y])
+    monkeypatch.setattr(contfrac, "tilde_coeffs", not_reached)
+    with pytest.raises(VerificationError, match=f"degree check failed: {got} vs 1/2"):
+        finite_reflection_check(2, seed=1)
+
+
+def test_reflection_check_runs_one_gcd_and_no_ratfunc(monkeypatch):
+    calls = Counter()
+    ops = ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+           "__truediv__", "__rtruediv__", "__pow__", "inverse", "subst_reciprocal")
+    for cls, name in [(Poly, "gcd")] + [(RatFunc, op) for op in ops]:
+        def counted(*args, _f=getattr(cls, name), _name=f"{cls.__name__}.{name}", **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    assert finite_reflection_check(4, seed=3).passed
+    assert calls["Poly.gcd"] <= 1
+    assert sum(calls[f"RatFunc.{op}"] for op in ops) == 0
+
+
 def test_underdetermination_witness():
     rep = underdetermination_witness(7)
     assert rep.passed
@@ -239,6 +277,62 @@ def stieltjes_expand_oracle(cs, L, finite):
     for i in range(len(cs) if finite else L, 0, -1):
         t = (one - z * (t * cs[i - 1])).inv()
     return t
+
+
+def fold_oracle(Y, rungs, one, z, inv):
+    """_fold before it kept the convergent pair: the value itself, bottom-up,
+    with one inverse per rung."""
+    t = one
+    for i in range(rungs, 0, -1):
+        body = one - z * Y[2 * i - 2]
+        if 2 * i - 1 < len(Y):
+            body = body - z * (t * Y[2 * i - 1])
+        t = inv(body)
+    return t
+
+
+def expand_oracle(spec, L):
+    Y = spec.coeffs
+    if spec.kind == "stieltjes":
+        Y = [v for c in Y for v in (Fraction(0), c)]
+    rungs = (len(Y) + 1) // 2
+    field = contfrac._ring_field(Y[0])
+    one, z = Series.one("z", L, field), Series.gen("z", L, field)
+    return fold_oracle(Y, rungs if spec.finite else min(rungs, L), one, z, Series.inv)
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def fraction_specs(draw):
+    """(spec, L) over Fraction rungs, zero rungs allowed, of either kind and
+    either termination, with L in 0..10."""
+    kind = draw(st.sampled_from(["stieltjes", "newtype"]))
+    finite = draw(st.booleans())
+    L = draw(st.integers(0, 10))
+    if finite:
+        count = draw(st.integers(1, 6))
+        count = 2 * count - 1 if kind == "newtype" else count
+    else:
+        least = max(1, L if kind == "stieltjes" else 2 * L)
+        count = draw(st.integers(least, least + 3))
+    coeffs = draw(st.lists(small_fractions, min_size=count, max_size=count))
+    return FractionSpec(kind, coeffs, finite), L
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(fraction_specs())
+def test_expand_matches_the_inverse_per_rung_fold(case):
+    spec, L = case
+    assert expand(spec, L) == expand_oracle(spec, L)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 5).flatmap(lambda a: st.lists(small_fractions, min_size=2 * a - 1, max_size=2 * a - 1)))
+def test_finite_fraction_ratfunc_matches_the_ratfunc_fold(Y):
+    want = fold_oracle(Y, (len(Y) + 1) // 2, RatFunc.one("z"), RatFunc.gen("z"), RatFunc.inverse)
+    assert finite_fraction_ratfunc(Y) == want
 
 
 def direct_hankel(F, i, shift):

@@ -24,6 +24,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import NonInvertibleError, ResourceGuardError, StructureError, VerificationError
@@ -339,10 +340,16 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process; ``parse_args`` keeps no state
+    from one call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

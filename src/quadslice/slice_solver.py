@@ -17,23 +17,25 @@ height i >= 1 (index 0 is identically zero):
 Each system is stated once, as a rule ``rule(x, y, i, t_b, t_w)`` giving
 the two right-hand sides at height i from height accessors x and y over any
 ring; the solvers, the limit pair and the closed-form residual checks of
-``closed_forms`` all evaluate these rules.  The merged sequence enters its
-rule as the pair x(i) = Y_{2i}, y(i) = Y_{2i-1}, so its parity-respecting
-clamp is the ordinary height clamp of the pair at N + 3.
+``closed_forms`` all evaluate these rules, and the solver reads each
+rule's shape by evaluating it once on opaque symbols (``_form``).  The
+merged sequence enters its rule as the pair x(i) = Y_{2i}, y(i) = Y_{2i-1},
+so its parity-respecting clamp is the ordinary height clamp of the pair at
+N + 3.
 
-Because every slice weight has zero constant term, a right-hand side is
-exact to total degree c whenever the weights it reads are exact to degree
-c - 1.  So the solver raises the precision one degree per sweep: starting
-from zero, sweep c = 1..N runs at cap c on the previous values cut to cap
-c, and fixes every coefficient of degree <= c.  One confirming sweep at cap
-N, over every height, must then reproduce its input, or the solve fails as
-not stationary.  Heights are clamped: a slice counted at height i but not
-at i - 1 carries at least i weighted vertices, so at cap c all heights
-above c + 1 agree.  The solve at cap N keeps i_max = N + 2, and sweep c
-runs the rule only at heights 1..c + 2 (c + i_max - N in general), reading
-the height above them as a repeat of the top one; at cap c that repeat is
-exact, so the clamped sweep gives the values of a full-height one.
-Stabilization at i_max is asserted after solving and any failure aborts.
+Every right-hand side is a t_b, t_w source plus products of two unknowns,
+and every slice weight has zero constant term.  So the total-degree-c part
+of a right-hand side, its row c, is the source's (for c = 1) plus, for each
+product u v, the sum of u_j v_(c-j) over j = 1..c-1: it reads only rows
+below c.  The solver computes rows 1..N in turn, each product of two rows
+once, on ints that pack a row's tw-slots at one slot width (``_solve``).
+Heights are clamped: a slice counted at height i but not at i - 1 carries
+at least i weighted vertices, so rows 0..c of every height from c on agree.
+The solve at cap N keeps i_max = N + 2, reading height i_max + 1 as i_max,
+and computes row c at heights 1..c only, repeating it above.  One
+confirming sweep of the rule at cap N over every height must then give back
+its input, or the solve fails as not stationary, and stabilization at
+i_max is asserted; any failure aborts.
 
 Each of ``solve_bw``, ``solve_pq``, ``solve_y``, ``solve_limit`` and
 ``y1_series`` keeps one store: the result at the highest cap asked for so
@@ -42,17 +44,17 @@ result down, its values to the lower cap and its heights to that cap's
 clamp, so ``i_max`` and the strict weight table read exactly as after a
 solve at the lower cap; each lower cap is cut once and kept until a higher
 cap replaces the store.  A request above it re-solves, warm-started: the
-stored heights 0..c0 + 2, exact at the stored cap c0, are the input of
-sweep c0 + 1, and only sweeps c0 + 1..N run.  Sweep c fixes degree c from
-inputs exact to degree c - 1, so the warm result equals the cold one.  The
-confirming sweeps, the clamp assertion and the cross-check of
-``y1_series`` run at every solve at a new top cap.  A cut-down result
-needs none of them again: truncation is a ring homomorphism and the clamp
-is exact, so it is the truncation of a checked value.
+stored heights 0..c0 + 2, exact at the stored cap c0, give rows 0..c0 of
+every height, and only rows c0 + 1..N are computed.  Row c depends only on
+the rows below it, so the warm result equals the cold one.  The confirming
+sweeps, the clamp assertion and the cross-check of ``y1_series`` run at
+every solve at a new top cap.  A cut-down result needs none of them again:
+truncation is a ring homomorphism and the clamp is exact, so it is the
+truncation of a checked value.
 
 The i -> infinity limits satisfy the bicolored rule with height-independent
 weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles,
-and are solved on the same schedule.
+and are solved the same way as one height-independent pair.
 This module also assembles the fixed-boundary-length series f_n and j_n
 from the path generating functions, evaluates the level-d conserved
 quantities, and computes the first merged coefficient by its two
@@ -62,9 +64,12 @@ independent closed-form routes.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
+from operator import mul
 
 from .errors import CheckReport, StructureError, VerificationError
-from .exactalg import MPoly, bipoly_one, bipoly_zero, tb, tw
+from .exactalg import (MPoly, _bytes_width, _fit, _packed, _rewidth, _truncate, bipoly_one, bipoly_zero, tb,
+                       tw)
 from .lattice_paths import PathSpec, WeightTable, symbol_table, z_bicolored, z_const, z_context
 from .series import graded_div
 
@@ -177,46 +182,186 @@ def _top_cap_store(solve):
     return stored
 
 
-def _rising(step, size, N, start=None):
-    """Fixed point of ``step(X, Y, t_b, t_w) -> (X, Y)`` on two lists of
-    ``size`` weights, by the rising-precision schedule: sweep c = c0+1..N
-    runs at cap c on the values cut to cap c, filled to size - (N - c) of
-    them (at least one) by repeating the top one, then one confirming sweep
-    at cap N must reproduce its input.  ``step`` returns as many values as
-    it is given.  ``start = (c0, X, Y)`` holds values exact at cap c0; the
-    default starts from zero at c0 = 0."""
-    c0, X, Y = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
+# the unknowns a rule reads at height i, then the two sources
+_FORM_VARS = ("x-", "x", "x+", "y-", "y", "y+", "tb", "tw")
+
+
+@lru_cache(maxsize=None)
+def _form(rule, flat=False):
+    """The two right-hand sides of ``rule`` as (source, groups), read by
+    evaluating the rule once at height 1 on opaque symbols for x and y at
+    heights i - 1, i and i + 1 (``flat``: every height reads the one pair at
+    i).  ``source`` holds the coefficients of t_b and t_w; the quadratic part
+    is the sum over ``groups`` of u * (sum of c * v over its members (c, v)),
+    an unknown u or v being (side, height offset), side 0 for x, 1 for y.
+    Factoring out the unknown in the most terms first keeps the groups few.
+    Any other term -- a constant, one linear in the unknowns -- would break
+    the degree-by-degree solve, and is refused."""
+    gens = [MPoly.gen(_FORM_VARS, v) for v in _FORM_VARS]
+
+    def read(side):
+        def at(j):
+            d = 0 if flat else j - 1
+            if d not in (-1, 0, 1):
+                raise StructureError(f"{rule.__name__} reads height i{d:+d}: heights i - 1..i + 1 only")
+            return gens[3 * side + 1 + d]
+        return at
+
+    out = []
+    for rhs in rule(read(0), read(1), 1, gens[6], gens[7]):
+        source, quad = [0, 0], {}
+        for exp, c in rhs.terms.items():
+            unknowns = tuple(k for k in range(6) for _ in range(exp[k]))
+            shape = (len(unknowns), exp[6] + exp[7])
+            if type(c) is not int or shape not in ((2, 0), (0, 1)):
+                what = {(0, 0): "a constant term", (1, 0): "a term linear in the unknowns"}.get(shape, "a term")
+                raise StructureError(f"{rule.__name__} has {what} {c} * {exp}: the solver needs integral"
+                                     " t_b, t_w sources and products of two unknowns")
+            if unknowns:
+                quad[unknowns] = c
+            else:
+                source[exp[7]] = c
+        groups = []
+        while quad:
+            count = {}
+            for pair in quad:
+                for k in set(pair):
+                    count[k] = count.get(k, 0) + 1
+            u = min(count, key=lambda k: (-count[k], k))
+            members = [(c, pair[pair[0] == u]) for pair, c in quad.items() if u in pair]
+            quad = {pair: c for pair, c in quad.items() if u not in pair}
+            groups.append((_unknown(u), [(c, _unknown(v)) for c, v in members]))
+        out.append((tuple(source), groups))
+    return out
+
+
+def _unknown(k):
+    """(side, height offset) of the unknown at index k of ``_FORM_VARS``."""
+    return k // 3, k % 3 - 1
+
+
+_START_WIDTH = 64  # slot bits of a solve's rows until a degree needs more
+
+
+def _row(groups, c):
+    """Row c of a quadratic part, c >= 1: over its ``groups`` (U, members,
+    L), the sum of U_j L_(c-j) for j = 1..c-1, L caching the rows of the
+    sum of c * V over the members."""
+    acc = 0
+    for U, members, L in groups:
+        while len(L) < c:
+            k = len(L)
+            L.append(sum(coef * V[k] for coef, V in members))
+        acc += sum(map(mul, U[1:c], L[c - 1:0:-1]))
+    return acc
+
+
+def _value_rows(v, width):
+    """The rows 0..cap of an integral packed value, row k an int of its
+    k + 1 slots at ``width`` bits (which must hold every slot)."""
+    assert v._den == 1, "solver values are integral"
+    if not v._num:
+        return [0] * (v.cap + 1)
+    num, bits, rows = v._num, v._stride * width, []
+    if v._width != width:
+        num = _rewidth(num, v._width, width, (v.cap + 1) * v._stride)
+    for _ in range(v.cap + 1):
+        rows.append(_truncate(num, bits))
+        num = (num - rows[-1]) >> bits
+    return rows
+
+
+def _value(rows, N, width):
+    """The (tb, tw) value at cap N whose row k is rows[k], laid at stride
+    N + 1 and at its own width."""
+    stride, num = N + 1, 0
+    for row in reversed(rows):
+        num = (num << stride * width) + row
+    if not num:
+        return bipoly_zero(N)
+    n = stride * stride
+    fit = _fit(num, width, n, width)
+    narrow = _bytes_width(fit)
+    if narrow != width:
+        num = _rewidth(num, width, narrow, n)
+    return _packed(bipoly_zero(N)._blank(), N, num, 1, stride, narrow, fit, N, 0)
+
+
+def _solve(kind, N, i_max, start=None, flat=False):
+    """A system's rule solved at cap N with heights clamped at i_max (height
+    i_max + 1 reads i_max), or ``flat`` as one height-independent pair with
+    i_max = 1, one total degree at a time; returns the two lists of values
+    at heights 0..i_max, checked by ``_confirm``.
+
+    Each height keeps its rows, row k an int packing the k + 1 tw-slots of
+    its degree-k part at one slot width.  Row c of a right-hand side is its
+    source for c = 1 plus ``_row``, so each product of two rows is taken
+    once.  Row c is computed at heights 1..c only; above them it repeats
+    height c, exactly (see the module docstring).  Before each degree the
+    rows' fits bound its slots -- a slot of row c is at most the source plus,
+    for each group, sum of |c| times sum over j of (min(j, c - j) + 1)
+    2^(f_j - 1) 2^(f_(c-j) - 1) -- and every row is re-laid at twice the
+    width until that bound fits.  ``start = (c0, X, Y)`` holds values exact
+    at cap c0 at heights 0..len(X) - 1, the clamp repeating the top one; it
+    gives rows 0..c0, and only rows c0 + 1..N are computed."""
+    form = _form(SYSTEMS[kind][0], flat)
+    c0, X0, Y0 = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
+    width = _START_WIDTH
+    while width < max(v._fit for v in X0 + Y0):
+        width *= 2
+    rows = [[None] + [_value_rows(V[min(i, len(V) - 1)], width) for i in range(1, i_max + 1)] for V in (X0, Y0)]
+
+    def at(side, i):  # the rows of an unknown, or None at height 0
+        return rows[side][min(i, i_max)] if i else None
+
+    plans = [[None] + [[(at(us, i + ud), [(coef, at(vs, i + vd)) for coef, (vs, vd) in members if i + vd], [0])
+                        for (us, ud), members in groups if i + ud] for i in range(1, i_max + 1)] for _, groups in form]
+    scale = max(sum(abs(coef) for _, members in groups for coef, _ in members) for _, groups in form)
+    fits = [0] + [max(_fit(r[k], width, k + 1, width) for side in rows for r in side[1:]) for k in range(1, c0 + 1)]
     for c in range(c0 + 1, N + 1):
-        n = max(1, size - N + c)
-        X, Y = ([v.with_cap(c) for v in w] for w in (X, Y))
-        X, Y = step(_filled(X, n), _filled(Y, n), tb(c), tw(c))
-    X, Y = _filled(X, size), _filled(Y, size)
-    if step(X, Y, tb(N), tw(N)) != (X, Y):
-        raise VerificationError("fixed point iteration failed to become stationary")
+        mags = [1 << f >> 1 for f in fits]
+        bound = scale * sum((min(j, c - j) + 1) * mags[j] * mags[c - j] for j in range(1, c))
+        if c == 1:
+            bound += max(abs(a) for source, _ in form for a in source)
+        bits = bound.bit_length() + 1
+        if bits > width:
+            new = width
+            while new < bits:
+                new *= 2
+            for side in rows:
+                for r in side[1:]:
+                    r[:] = [_rewidth(x, width, new, k + 1) if x else 0 for k, x in enumerate(r)]
+            for plan in plans:
+                for groups in plan[1:]:
+                    for _, _, L in groups:
+                        del L[1:]
+            width = new
+        fit, h = 0, min(c, i_max)
+        for side, plan, (source, _) in zip(rows, plans, form):
+            first = source[0] + (source[1] << width) if c == 1 else 0
+            for i in range(1, h + 1):
+                row = first + _row(plan[i], c)
+                side[i].append(row)
+                fit = max(fit, _fit(row, width, c + 1, bits))
+            for i in range(h + 1, i_max + 1):
+                side[i].append(side[h][c])
+        fits.append(fit)
+    X, Y = ([bipoly_zero(N)] + [_value(r, N, width) for r in side[1:]] for side in rows)
+    _confirm(kind, X, Y, N, flat)
     return X, Y
 
 
-def _filled(v, n):
-    """v padded to n entries by repeating its last one."""
-    return v + v[-1:] * (n - len(v))
-
-
-def _solve(kind, N, i_max, start=None):
-    """A system's rule solved at cap N with heights clamped at i_max >= N + 2,
-    warm-started from ``start`` as in ``_rising``; returns the two lists of
-    heights 0..i_max.  Sweep c runs on heights 0..c + i_max - N only."""
+def _confirm(kind, X, Y, N, flat=False):
+    """One sweep of the rule at cap N over every height must give back X and
+    Y (or the one pair of X[1], Y[1] when ``flat``), and the family must
+    repeat its top height."""
     rule, name, _ = SYSTEMS[kind]
-
-    def step(X, Y, t_b, t_w):
-        # one extra entry repeats the top height: that is the clamp
-        x, y = (X + X[-1:]).__getitem__, (Y + Y[-1:]).__getitem__
-        new = [rule(x, y, i, t_b, t_w) for i in range(1, len(X))]
-        return X[:1] + [a for a, _ in new], Y[:1] + [b for _, b in new]
-
-    X, Y = _rising(step, i_max + 1, N, start)
-    if X[i_max] != X[i_max - 1] or Y[i_max] != Y[i_max - 1]:
+    x, y = ((lambda i, V=V: V[1]) if flat else (V + V[-1:]).__getitem__ for V in (X, Y))
+    t_b, t_w = tb(N), tw(N)
+    if any(rule(x, y, i, t_b, t_w) != (X[i], Y[i]) for i in range(1, len(X))):
+        raise VerificationError(f"{name} confirming sweep failed to become stationary")
+    if not flat and (X[-1] != X[-2] or Y[-1] != Y[-2]):
         raise VerificationError(f"{name} family failed to stabilize at the clamp")
-    return X, Y
 
 
 def _resume(top):
@@ -241,10 +386,10 @@ def solve_y(N, _top) -> SliceFamily:
     even, odd = pq.first, pq.first[:1] + [q - p for p, q in zip(pq.first[1:], pq.second[1:])]
     if any(v.constant_term() for v in even + odd):
         raise VerificationError("a merged weight has a nonzero constant term")
-    # started at cap N, only the confirming sweep runs; the padding from the
-    # context clamp N + 2 to the pair clamp N + 3 repeats the last height,
-    # exact as every height above N + 1 agrees at cap N
-    even, odd = _solve("y", N, N + 3, (N, even, odd))
+    # the padding from the context clamp N + 2 to the pair clamp N + 3
+    # repeats the last height, exact as every height above N agrees at cap N
+    even, odd = even + even[-1:], odd + odd[-1:]
+    _confirm("y", even, odd, N)
     Y = [even[0]]
     for i in range(1, N + 4):
         Y += [odd[i], even[i]]
@@ -254,12 +399,8 @@ def solve_y(N, _top) -> SliceFamily:
 @_top_cap_store
 def solve_limit(N, top) -> LimitPair:
     """The bicolored rule on height-independent weights."""
-    def step(X, Y, t_b, t_w):
-        B, W = bicolored_rule(lambda i: X[0], lambda i: Y[0], 1, t_b, t_w)
-        return [B], [W]
-
-    start = None if top is None else (top.cap, [top.first], [top.second])
-    (B,), (W,) = _rising(step, 1, N, start)
+    start = None if top is None else (top.cap, [bipoly_zero(top.cap), top.first], [bipoly_zero(top.cap), top.second])
+    (_, B), (_, W) = _solve("bw", N, 1, start, flat=True)
     return LimitPair(B, W, N)
 
 

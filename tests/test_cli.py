@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from quadslice import contfrac, maps_oracle, slice_solver
+from quadslice import cli, contfrac, maps_oracle, slice_solver
 from quadslice.cli import _poly_entry, _table_json, main, parse_table_json
 from quadslice.exactalg import MPoly, tb
 from quadslice.slice_solver import f_n, solve_y
@@ -22,6 +22,33 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
+
+
+def test_consecutive_calls_run_as_fresh_ones(monkeypatch):
+    # main builds its parser once; a usage error between two good calls
+    # leaves nothing behind for the next call to see
+    argvs = [
+        ["table", "--what", "b", "--i", "1..2", "--cap", "3"],
+        ["table", "--what", "b", "--cap", "0"],
+        ["verify", "nonsense"],
+        ["verify", "reflection", "--alpha", "2", "--draws", "2", "--seed", "5"],
+        ["table", "--what", "b", "--i", "1..2", "--cap", "3"],
+    ]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    consecutive = [run(argv) for argv in argvs]
+    assert len(built) == 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert consecutive == fresh
+    assert [rc for rc, _, _ in consecutive] == [0, 2, 2, 0, 0]
+    assert consecutive[0][1] and consecutive[0] == consecutive[-1]
+    assert "usage: quadslice table" in consecutive[1][2] and "--cap" in consecutive[1][2]
+    assert "invalid choice: 'nonsense'" in consecutive[2][2]
 
 
 def test_table_json_round_trip():

@@ -436,7 +436,8 @@ def test_product_wider_than_either_operand():
 
 
 def oracle_solve(monkeypatch, solver, N):
-    """``solver(N)`` solved afresh with every MPoly product taken over the dicts."""
+    """``solver(N)`` solved afresh with every MPoly product -- those of its
+    confirming sweep, the rows being int products -- taken over the dicts."""
     def product(p, q):
         return dict_product(p, p._coerce(q))
 

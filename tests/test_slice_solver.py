@@ -198,16 +198,37 @@ def test_solvers_match_full_cap_iteration(N):
     assert (solve_limit(N).first, solve_limit(N).second) == limit
 
 
-def test_confirming_sweep_rejects_a_nonzero_constant_term(monkeypatch):
-    # with a constant term the degree-by-degree argument fails, and the
-    # confirming sweep must notice that its input is not a fixed point
+@pytest.mark.parametrize("term, what", [(1, "a constant term"), ("x", "a term linear in the unknowns")])
+def test_solver_refuses_a_constant_or_linear_term(monkeypatch, term, what):
+    # with either term the degree-by-degree solve would not hold: row c of
+    # the right-hand side would read row c itself, or a row 0 that is not 0
     def rule(x, y, i, t_b, t_w):
-        return 1 + t_b + x(i) * x(i), t_w + y(i) * x(i)
+        extra = x(i) if term == "x" else term
+        return extra + t_b + x(i) * x(i), t_w + y(i) * x(i)
 
     monkeypatch.setitem(slice_solver.SYSTEMS, "bad", (rule, "bad", "bicolored"))
     for N in (1, 3):
-        with pytest.raises(VerificationError, match="failed to become stationary"):
+        with pytest.raises(StructureError, match=what):
             slice_solver._solve("bad", N, N + 2)
+
+
+def test_form_is_read_off_the_rules():
+    # (source, groups) of each rule, groups as u * (sum of c * v); an
+    # unknown is (side, height offset), side 0 for x and 1 for y
+    form = slice_solver._form
+    assert form(slice_solver.bicolored_rule) == [
+        ((1, 0), [((0, 0), [(1, (1, -1)), (1, (0, 0)), (1, (1, 1))])]),
+        ((0, 1), [((1, 0), [(1, (0, -1)), (1, (1, 0)), (1, (0, 1))])]),
+    ]
+    assert form(slice_solver.context_rule) == [
+        ((1, 0), [((0, 0), [(1, (0, -1)), (1, (1, 0)), (1, (1, 1))])]),
+        ((0, 1), [((1, 0), [(1, (0, -1)), (1, (1, 0))]), ((0, 0), [(1, (1, 1))])]),
+    ]
+    assert form(slice_solver.merged_rule)[1][0] == (-1, 1)
+    assert form(slice_solver.bicolored_rule, True) == [
+        ((1, 0), [((0, 0), [(2, (1, 0)), (1, (0, 0))])]),
+        ((0, 1), [((1, 0), [(2, (0, 0)), (1, (1, 0))])]),
+    ]
 
 
 # ------------------------------------------ the top-cap store against per-cap solves
@@ -228,7 +249,8 @@ def limit_step(X, Y, t_b, t_w):
 @pytest.fixture(scope="module")
 def per_cap_solves():
     """What a solve at each cap 1..12 alone gives: the zero-started full-cap
-    iteration up to cap 10, a cold rising solve above it."""
+    iteration up to cap 10, a cold row solve above it (the full-height
+    rising schedule for the limit pair)."""
     out = {}
     for N in range(1, 13):
         solve_alone = oracle_family if N <= 10 else slice_solver._solve
@@ -237,7 +259,7 @@ def per_cap_solves():
             zero = bipoly_zero(N)
             limit = full_cap_iteration(lambda v: limit_step(*v, tb(N), tw(N)), ([zero], [zero]), N)
         else:
-            limit = slice_solver._rising(limit_step, 1, N)
+            limit = full_height_rising(limit_step, 1, N)
         merged = [even[0]] + [v for i in range(1, N + 4) for v in (odd[i], even[i])]
         out[N] = {"bw": bw, "pq": pq, "y": (merged, None), "limit": (limit[0][0], limit[1][0])}
     return out
@@ -300,41 +322,48 @@ def test_store_hits_run_no_sweep(monkeypatch):
     for stored in STORED:
         stored(7)
     before = [stored.cache_info() for stored in STORED]
-    sweeps = []
-    monkeypatch.setattr(slice_solver, "_rising", lambda *args: sweeps.append(args))
+    work = []
+    monkeypatch.setattr(slice_solver, "_solve", lambda *args, **kw: work.append(args))
+    monkeypatch.setattr(slice_solver, "_confirm", lambda *args, **kw: work.append(args))
     for stored in STORED:
         for N in (7, 5, 1):
             stored(N)
-    assert sweeps == []
+    assert work == []
     for stored, info in zip(STORED, before):
         assert stored.cache_info() == (info.hits + 3, info.misses, 1), stored.__name__
 
 
+def count_rows_and_sweeps(monkeypatch):
+    """Record the degree of every row the solver computes and the cap of
+    every confirming sweep."""
+    row, confirm = slice_solver._row, slice_solver._confirm
+    rows, sweeps = [], []
+    monkeypatch.setattr(slice_solver, "_row", lambda groups, c: rows.append(c) or row(groups, c))
+    monkeypatch.setattr(slice_solver, "_confirm",
+                        lambda kind, X, Y, N, flat=False: sweeps.append(N) or confirm(kind, X, Y, N, flat))
+    return rows, sweeps
+
+
 def test_warm_extension_runs_only_the_new_sweeps(monkeypatch):
-    rising = slice_solver._rising
-    sweep_caps = []
-
-    def counted(step, size, N, start=None):
-        def counting_step(X, Y, t_b, t_w):
-            sweep_caps.append(t_b.cap)
-            return step(X, Y, t_b, t_w)
-        return rising(counting_step, size, N, start)
-
-    monkeypatch.setattr(slice_solver, "_rising", counted)
+    # row c is computed at heights 1..c of both sides, once each
+    rows, sweeps = count_rows_and_sweeps(monkeypatch)
     clear_stores()
     solve_bw(5)
-    assert sweep_caps == [1, 2, 3, 4, 5, 5]
-    sweep_caps.clear()
-    solve_bw(8)  # sweeps 6..8 from the stored cap-5 family, then the confirming sweep
-    assert sweep_caps == [6, 7, 8, 8]
+    assert rows == [c for c in range(1, 6) for _ in range(2 * c)]
+    assert sweeps == [5]
+    rows.clear(), sweeps.clear()
+    solve_bw(8)  # degrees 6..8 on the stored cap-5 rows, then the confirming sweep
+    assert rows == [c for c in range(6, 9) for _ in range(2 * c)]
+    assert sweeps == [8]
 
 
-# ------------------------- the clamped schedule against the full-height one
+# ------------------------------- the row solver against the full-height sweeps
 
 def full_height_rising(step, size, N, start=None):
     """The rising schedule with every sweep over all ``size`` heights, kept
-    as the oracle for the schedule whose sweep c stops at height
-    c + i_max - N."""
+    as the oracle for the row solver: sweep c = c0+1..N runs at cap c on the
+    values cut to cap c, then one confirming sweep at cap N must reproduce
+    its input."""
     c0, X, Y = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
     X, Y = (v + v[-1:] * (size - len(v)) for v in (X, Y))
     for c in range(c0 + 1, N + 1):
@@ -366,7 +395,7 @@ def full_height_families(N):
 
 @pytest.fixture(scope="module")
 def full_height():
-    return {N: full_height_families(N) for N in range(1, 15)}
+    return {N: full_height_families(N) for N in range(1, 21)}
 
 
 def assert_full_height(N, want):
@@ -378,23 +407,55 @@ def assert_full_height(N, want):
     assert (lim.first, lim.second) == want["limit"], N
 
 
-def test_clamped_schedule_matches_full_height_cold(full_height):
-    for N in range(1, 15):
+def test_row_solver_matches_full_height_cold(full_height):
+    for N in range(1, 21):
         clear_stores()
         assert_full_height(N, full_height[N])
 
 
-def test_clamped_schedule_matches_full_height_warm(full_height):
+@pytest.mark.parametrize("chain", [list(range(1, 9)), [3, 7, 11, 14, 20]])
+def test_row_solver_matches_full_height_warm(full_height, chain):
     clear_stores()
-    for N in (3, 7, 11, 14):
+    for N in chain:
         assert_full_height(N, full_height[N])
-    assert [stored.cache_info().misses for stored in STORED[:4]] == [4, 4, 4, 4]
+    assert [stored.cache_info().misses for stored in STORED[:4]] == [len(chain)] * 4
 
 
-def test_clamped_schedule_matches_full_height_at_cap_20():
+def test_row_solver_matches_full_height_at_cap_24():
     clear_stores()
-    fam = solve_bw(20)
-    assert (fam.first, fam.second) == full_height_solve("bw", 20, 22)
+    fam = solve_bw(24)
+    assert (fam.first, fam.second) == full_height_solve("bw", 24, 26)
+
+
+def test_row_solver_widens_mid_run(monkeypatch, full_height):
+    # from 8-bit slots the rows outgrow their width several times; each
+    # widening re-lays every row before the degree that needs it
+    widened = []
+    rewidth = slice_solver._rewidth
+    monkeypatch.setattr(slice_solver, "_START_WIDTH", 8)
+    monkeypatch.setattr(slice_solver, "_rewidth", lambda num, w, new, n: widened.append(new) or rewidth(num, w, new, n))
+    clear_stores()
+    for N in (4, 20):  # a cold solve, then a warm one starting from 8 bits again
+        assert_full_height(N, full_height[N])
+    assert {16, 32, 64} <= set(widened)
+
+
+def test_a_corrupted_row_fails_the_confirming_sweep(monkeypatch):
+    row = slice_solver._row
+    seen = []
+
+    def corrupted(groups, c):
+        seen.append(c)
+        return row(groups, c) + (len(seen) == 9)  # one slot of one row off by one
+
+    monkeypatch.setattr(slice_solver, "_row", corrupted)
+    for solver in (solve_bw, solve_pq, solve_limit):
+        clear_stores()
+        seen.clear()
+        with pytest.raises(VerificationError, match="confirming sweep failed to become stationary"):
+            solver(6)
+        assert len(seen) > 9
+        assert solver.cache_info().currsize == 0
 
 
 def count_products(monkeypatch):
@@ -412,15 +473,16 @@ def count_products(monkeypatch):
 
 
 def test_cold_solves_take_the_clamped_product_counts(monkeypatch):
-    # sweep c of a cold solve at cap 11 evaluates heights 1..c + 2, the
-    # confirming sweep all 13; two products a height for the bicolored
-    # rule, three for the context rule
+    # the rows are int products, so a cold solve at cap 11 takes only its
+    # confirming sweep's packed products: two a height for the bicolored
+    # rule and three for the context rule over all 13 heights; the
+    # full-height oracle sweeps all 13 at each of the 12 caps
     products = count_products(monkeypatch)
-    for solver, kind, clamped, full in ((solve_bw, "bw", 202, 312), (solve_pq, "pq", 303, 468)):
+    for solver, kind, rows, full in ((solve_bw, "bw", 26, 312), (solve_pq, "pq", 39, 468)):
         clear_stores()
         products.clear()
         solver(11)
-        assert len(products) == clamped, kind
+        assert len(products) == rows, kind
         products.clear()
         full_height_solve(kind, 11, 13)
         assert len(products) == full, kind
@@ -481,8 +543,8 @@ def test_store_counts_of_a_scripted_run():
 # --------------------------------- the merged sequence against its own solve
 
 def rising_merged(N):
-    """The merged rule solved by itself on the rising schedule, interleaved;
-    kept as the oracle for solve_y, which reads the context solution."""
+    """The merged rule row-solved by itself, interleaved; kept as the oracle
+    for solve_y, which reads the context solution."""
     even, odd = slice_solver._solve("y", N, N + 3)
     return [even[0]] + [v for i in range(1, N + 4) for v in (odd[i], even[i])]
 

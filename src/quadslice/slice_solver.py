@@ -260,8 +260,6 @@ def _value_rows(v, width):
     """The rows 0..cap of an integral packed value, row k an int of its
     k + 1 slots at ``width`` bits (which must hold every slot)."""
     assert v._den == 1, "solver values are integral"
-    if not v._num:
-        return [0] * (v.cap + 1)
     num, bits, rows = v._num, v._stride * width, []
     if v._width != width:
         num = _rewidth(num, v._width, width, (v.cap + 1) * v._stride)

@@ -259,9 +259,20 @@ def _check_newtype_cap(cap):
 def _rungs(kind, cap, heights, internal_cap=None):
     """(name, extracted, solver) for rungs 2 heights[0] - 1 .. 2 heights[-1]
     of the Stieltjes (bicolored) or two-term (merged) fraction, both values
-    cut to cap; NonInvertibleError names the first rung exact only below cap."""
+    cut to cap; StructureError names the highest rung the solver reaches at
+    cap, NonInvertibleError the first rung exact only below cap."""
     i_max = heights[-1]
-    if kind == "stieltjes":
+    stieltjes = kind == "stieltjes"
+    if not stieltjes:
+        if internal_cap is not None:
+            raise StructureError("--internal-cap applies only to --type stieltjes")
+        _check_newtype_cap(cap)
+    # the solver's rungs: bicolored heights at cap + 2, merged ones at cap
+    top = slice_solver.i_max_at("bw", cap + 2) if stieltjes else slice_solver.i_max_at("y", cap)
+    if 2 * i_max > top:
+        raise StructureError(f"--cap {cap} reaches rung {top} of the solver, below rung {2 * i_max}"
+                             f" (--i up to {top // 2})")
+    if stieltjes:
         if internal_cap is not None:
             # fixed internal cap: divisions fail loudly when it is too small
             got = contfrac.stieltjes_extract(contfrac.boundary_series(2 * i_max, internal_cap), i_max)
@@ -273,9 +284,6 @@ def _rungs(kind, cap, heights, internal_cap=None):
             tag, seq = ("b", bw.first) if k % 2 == 0 else ("w", bw.second)
             return f"{tag}{k}", got[(tag, k)], seq[k]
     else:
-        if internal_cap is not None:
-            raise StructureError("--internal-cap applies only to --type stieltjes")
-        _check_newtype_cap(cap)
         got = contfrac.newtype_rungs_from_solver_inputs(cap - 1, i_max)
         yf = slice_solver.solve_y(cap)
 

@@ -304,7 +304,7 @@ def graded_ladder(order, n_hi, n_lo) -> JnLadder:
     from n_lo to 1 (companion n solves at cap order + 2n + 2), then the main
     entries from n_hi to 0 (entry n at cap order + n).  So the solvers run
     once, at the top cap, and every later request is served from their
-    store by truncation instead of a warm extension per cap.
+    store by truncation instead of a fresh solve per rising cap.
     """
     j = {-n: _companion_cleared(n, order) for n in range(n_lo, 0, -1)}
     for n in range(n_hi, -1, -1):
@@ -315,9 +315,19 @@ def graded_ladder(order, n_hi, n_lo) -> JnLadder:
 
 
 def _rho_view(s: Series, e) -> Series:
-    """s / (rho - 1)^e over Q(rho), for a series s over Q[rho]."""
-    d = _RHO_1 ** e
-    return Series(s.var, s.cap, [RatFunc(c, d) for c in s.coeffs], RHO_FIELD)
+    """s / (rho - 1)^e over Q(rho), for a series s over Q[rho].  Each
+    coefficient is divided by the irreducible rho - 1 while that leaves no
+    remainder, so what is left of the fraction is coprime and needs no gcd."""
+    out = []
+    for c in s.coeffs:
+        k = e
+        while k and not c.is_zero():
+            q, r = c.divmod(_RHO_1)
+            if not r.is_zero():
+                break
+            c, k = q, k - 1
+        out.append(RatFunc(c, _RHO_1 ** k, reduce=False))
+    return Series(s.var, s.cap, out, RHO_FIELD)
 
 
 def _companion_cleared(n, order) -> Series:

@@ -1,13 +1,12 @@
 """Univariate polynomials and rational functions over Q, and gcd-free
 fractions of multivariate polynomials.
 
-Poly is a dense coefficient tuple over a coefficient ring described by a
-FieldSpec (zero and one exemplars plus a name).  Over QQ (zero 0, one 1) a
-coefficient is stored as an int where it is integral and as a Fraction
-otherwise, so integer inputs stay on int arithmetic; the constructor strips
-trailing zeros and turns an integral Fraction back into an int.  Poly.gcd
-runs over QQ only, as a primitive pseudo-remainder sequence on integer
-polynomials.
+Poly is a dense coefficient tuple over QQ: a coefficient is stored as an
+int where it is integral and as a Fraction otherwise, so integer inputs stay
+on int arithmetic; the constructor strips trailing zeros and turns an
+integral Fraction back into an int.  Poly.gcd runs as a primitive
+pseudo-remainder sequence on integer polynomials.  A FieldSpec (zero and one
+exemplars plus a name) describes the coefficient ring of a Series.
 
 RatFunc, a rational function over QQ, is kept fully canonical: numerator
 and denominator are coprime and the denominator is monic, so two
@@ -109,36 +108,30 @@ def _coerced(op):
 class Poly:
     """Dense univariate polynomial; coeffs has no trailing zeros, () is zero."""
 
-    __slots__ = ("var", "coeffs", "field")
+    __slots__ = ("var", "coeffs")
 
-    def __init__(self, var, coeffs, field=QQ):
+    def __init__(self, var, coeffs):
         self.var = var
-        self.field = field
         cs = list(coeffs)
-        if field is QQ:
-            while cs and not cs[-1]:
-                cs.pop()
-            cs = _qq_normal(cs)
-        else:
-            while cs and cs[-1] == field.zero:
-                cs.pop()
-        self.coeffs = tuple(cs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(_qq_normal(cs))
 
     @classmethod
-    def zero(cls, var, field=QQ):
-        return cls(var, (), field)
+    def zero(cls, var):
+        return cls(var, ())
 
     @classmethod
-    def one(cls, var, field=QQ):
-        return cls(var, (field.one,), field)
+    def one(cls, var):
+        return cls(var, (1,))
 
     @classmethod
-    def const(cls, var, value, field=QQ):
-        return cls(var, (value,), field)
+    def const(cls, var, value):
+        return cls(var, (value,))
 
     @classmethod
-    def gen(cls, var, field=QQ):
-        return cls(var, (field.zero, field.one), field)
+    def gen(cls, var):
+        return cls(var, (0, 1))
 
     def is_zero(self):
         return not self.coeffs
@@ -160,7 +153,7 @@ class Poly:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.const(self.var, self.field.one * other, self.field)
+            return Poly.const(self.var, other)
         return None
 
     @_coerced
@@ -168,12 +161,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         out = [x + y for x, y in zip(a, b)]
         out += a[len(out):] or b[len(out):]
-        return Poly(self.var, out, self.field)
+        return Poly(self.var, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.var, [-c for c in self.coeffs], self.field)
+        return Poly(self.var, [-c for c in self.coeffs])
 
     @_coerced
     def __sub__(self, other):
@@ -185,23 +178,22 @@ class Poly:
     @_coerced
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.var, self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly.zero(self.var)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == zero:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(self.var, out, self.field)
+        return Poly(self.var, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return power(Poly.one(self.var, self.field), self, n)
+        return power(Poly.one(self.var), self, n)
 
     def scale(self, c):
-        return Poly(self.var, [a * c for a in self.coeffs], self.field)
+        return Poly(self.var, [a * c for a in self.coeffs])
 
     def divmod(self, other):
         self._check(other)
@@ -210,16 +202,16 @@ class Poly:
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return Poly.zero(self.var, self.field), self
+            return Poly.zero(self.var), self
         inv_lead = _inv_elem(other.lead())
-        quo = [self.field.zero] * (dq + 1)
+        quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
             c = rem[k + other.degree()] * inv_lead
             quo[k] = c
-            if c != self.field.zero:
+            if c:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] = rem[k + j] - c * b
-        return Poly(self.var, quo, self.field), Poly(self.var, rem, self.field)
+        return Poly(self.var, quo), Poly(self.var, rem)
 
     def monic(self):
         if self.is_zero():
@@ -229,16 +221,14 @@ class Poly:
     def gcd(self, other):
         """Monic gcd over the rationals, by a primitive pseudo-remainder
         sequence on integer polynomials."""
-        if self.field is not QQ:
-            raise StructureError(f"no gcd over {self.field.name}")
         if self.is_zero():
             return other.monic()
         if other.is_zero():
             return self.monic()
-        return Poly(self.var, _qq_poly_gcd_coeffs(self.coeffs, other.coeffs), QQ)
+        return Poly(self.var, _qq_poly_gcd_coeffs(self.coeffs, other.coeffs))
 
     def eval(self, x):
-        """Horner evaluation at any ring element x (must absorb field coeffs)."""
+        """Horner evaluation at any ring element x (must absorb rational coeffs)."""
         if not self.coeffs:
             return x * 0
         acc = None
@@ -260,13 +250,13 @@ class Poly:
             return "0"
         bits = []
         for k, c in enumerate(self.coeffs):
-            if c == self.field.zero:
+            if not c:
                 continue
             if k == 0:
                 bits.append(f"{c}")
             else:
                 v = self.var if k == 1 else f"{self.var}^{k}"
-                bits.append(v if c == self.field.one else f"({c})*{v}")
+                bits.append(v if c == 1 else f"({c})*{v}")
         return " + ".join(bits)
 
 
@@ -291,9 +281,6 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly, reduce=True):
-        for side in (num, den):
-            if side.field is not QQ:
-                raise StructureError(f"no rational functions over {side.field.name}, only over QQ")
         if den.is_zero():
             raise NonInvertibleError("zero denominator")
         if num.is_zero():
@@ -336,7 +323,7 @@ class RatFunc:
 
     @property
     def field(self):
-        return self.num.field
+        return QQ
 
     def ring_zero(self):
         return RatFunc.zero(self.var)
@@ -415,16 +402,6 @@ class RatFunc:
                 raise NonInvertibleError("evaluation hits a pole")
             return _qq_normal([num * _inv_elem(den)])[0]
         return num / den
-
-    def subst_reciprocal(self):
-        """The rational function z -> self(1/z), with z = self.var."""
-        z = RatFunc.gen(self.var)
-        p = self.num.degree()
-        q = self.den.degree()
-        num_rev = Poly(self.var, tuple(reversed(self.num.coeffs)))
-        den_rev = Poly(self.var, tuple(reversed(self.den.coeffs)))
-        out = RatFunc(num_rev, den_rev, reduce=False)  # reversal keeps coprimality
-        return out * z ** (q - p) if q >= p else out / z ** (p - q)
 
     def __eq__(self, other):
         try:

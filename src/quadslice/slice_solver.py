@@ -43,14 +43,13 @@ far.  A request at or below that cap is answered by cutting the stored
 result down, its values to the lower cap and its heights to that cap's
 clamp, so ``i_max`` and the strict weight table read exactly as after a
 solve at the lower cap; each lower cap is cut once and kept until a higher
-cap replaces the store.  A request above it re-solves, warm-started: the
-stored heights 0..c0 + 2, exact at the stored cap c0, give rows 0..c0 of
-every height, and only rows c0 + 1..N are computed.  Row c depends only on
-the rows below it, so the warm result equals the cold one.  The confirming
-sweeps, the clamp assertion and the cross-check of ``y1_series`` run at
-every solve at a new top cap.  A cut-down result needs none of them again:
-truncation is a ring homomorphism and the clamp is exact, so it is the
-truncation of a checked value.
+cap replaces the store.  A request above it solves rows 1..N afresh and
+replaces the store: rows are cheap next to the confirming sweep, so
+restarting from the stored rows would save nothing.  The confirming sweeps,
+the clamp assertion and the cross-check of ``y1_series`` run at every solve
+at a new top cap.  A cut-down result needs none of them again: truncation
+is a ring homomorphism and the clamp is exact, so it is the truncation of a
+checked value.
 
 The i -> infinity limits satisfy the bicolored rule with height-independent
 weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles,
@@ -68,8 +67,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import CheckReport, StructureError, VerificationError
-from .exactalg import (MPoly, _bytes_width, _fit, _packed, _rewidth, _truncate, bipoly_one, bipoly_zero, tb,
-                       tw)
+from .exactalg import MPoly, _bytes_width, _fit, _packed, _rewidth, bipoly_one, bipoly_zero, tb, tw
 from .lattice_paths import PathSpec, WeightTable, symbol_table, z_bicolored, z_const, z_context
 from .series import graded_div
 
@@ -100,6 +98,12 @@ SYSTEMS = {
 }
 
 
+def i_max_at(kind, N):
+    """The top height of a family solved at cap N: the clamp N + 2, or
+    2(N + 3) for the merged sequence, the pair clamped at N + 3 interleaved."""
+    return 2 * (N + 3) if kind == "y" else N + 2
+
+
 class SliceFamily:
     """Solved weight family: kind in {"bw", "pq", "y"}, values by height."""
 
@@ -118,7 +122,7 @@ class SliceFamily:
     def with_cap(self, N):
         """The family a solve at the lower cap N gives: values cut to cap N,
         heights cut to its clamp (the merged sequence has 2(N + 3))."""
-        i_max = 2 * (N + 3) if self.kind == "y" else N + 2
+        i_max = i_max_at(self.kind, N)
 
         def cut(seq):
             return [v.with_cap(N) for v in seq[: i_max + 1]]
@@ -145,12 +149,12 @@ StoreInfo = namedtuple("StoreInfo", "hits misses currsize")
 
 
 def _top_cap_store(solve):
-    """Serve ``solve(N, top)`` from the highest-cap result seen so far.
+    """Serve ``solve(N)`` from the highest-cap result seen so far.
 
     A cap at or below the stored one is a hit, answered by the stored
     result's ``with_cap``, cut once per cap and kept until the store
-    changes.  A higher cap is a miss: ``solve`` runs with the stored result
-    (None when empty) to warm-start from, and its result becomes the store.
+    changes.  A higher cap is a miss: ``solve`` runs at that cap and its
+    result becomes the store.
     As on a ``functools.lru_cache``, ``cache_clear`` empties the store and
     resets the counts, and ``cache_info`` reports them.
     """
@@ -167,7 +171,7 @@ def _top_cap_store(solve):
                 cuts[N] = top.with_cap(N)
             return cuts[N]
         misses += 1
-        top = solve(N, top)
+        top = solve(N)
         cuts = {N: top}
         return top
 
@@ -256,19 +260,6 @@ def _row(groups, c):
     return acc
 
 
-def _value_rows(v, width):
-    """The rows 0..cap of an integral packed value, row k an int of its
-    k + 1 slots at ``width`` bits (which must hold every slot)."""
-    assert v._den == 1, "solver values are integral"
-    num, bits, rows = v._num, v._stride * width, []
-    if v._width != width:
-        num = _rewidth(num, v._width, width, (v.cap + 1) * v._stride)
-    for _ in range(v.cap + 1):
-        rows.append(_truncate(num, bits))
-        num = (num - rows[-1]) >> bits
-    return rows
-
-
 def _value(rows, N, width):
     """The (tb, tw) value at cap N whose row k is rows[k], laid at stride
     N + 1 and at its own width."""
@@ -285,7 +276,7 @@ def _value(rows, N, width):
     return _packed(bipoly_zero(N)._blank(), N, num, 1, stride, narrow, fit, N, 0)
 
 
-def _solve(kind, N, i_max, start=None, flat=False):
+def _solve(kind, N, i_max, flat=False):
     """A system's rule solved at cap N with heights clamped at i_max (height
     i_max + 1 reads i_max), or ``flat`` as one height-independent pair with
     i_max = 1, one total degree at a time; returns the two lists of values
@@ -299,15 +290,10 @@ def _solve(kind, N, i_max, start=None, flat=False):
     rows' fits bound its slots -- a slot of row c is at most the source plus,
     for each group, sum of |c| times sum over j of (min(j, c - j) + 1)
     2^(f_j - 1) 2^(f_(c-j) - 1) -- and every row is re-laid at twice the
-    width until that bound fits.  ``start = (c0, X, Y)`` holds values exact
-    at cap c0 at heights 0..len(X) - 1, the clamp repeating the top one; it
-    gives rows 0..c0, and only rows c0 + 1..N are computed."""
+    width until that bound fits."""
     form = _form(SYSTEMS[kind][0], flat)
-    c0, X0, Y0 = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
     width = _START_WIDTH
-    while width < max(v._fit for v in X0 + Y0):
-        width *= 2
-    rows = [[None] + [_value_rows(V[min(i, len(V) - 1)], width) for i in range(1, i_max + 1)] for V in (X0, Y0)]
+    rows = [[None] + [[0] for _ in range(i_max)] for _ in range(2)]
 
     def at(side, i):  # the rows of an unknown, or None at height 0
         return rows[side][min(i, i_max)] if i else None
@@ -315,8 +301,8 @@ def _solve(kind, N, i_max, start=None, flat=False):
     plans = [[None] + [[(at(us, i + ud), [(coef, at(vs, i + vd)) for coef, (vs, vd) in members if i + vd], [0])
                         for (us, ud), members in groups if i + ud] for i in range(1, i_max + 1)] for _, groups in form]
     scale = max(sum(abs(coef) for _, members in groups for coef, _ in members) for _, groups in form)
-    fits = [0] + [max(_fit(r[k], width, k + 1, width) for side in rows for r in side[1:]) for k in range(1, c0 + 1)]
-    for c in range(c0 + 1, N + 1):
+    fits = [0]
+    for c in range(1, N + 1):
         mags = [1 << f >> 1 for f in fits]
         bound = scale * sum((min(j, c - j) + 1) * mags[j] * mags[c - j] for j in range(1, c))
         if c == 1:
@@ -362,22 +348,20 @@ def _confirm(kind, X, Y, N, flat=False):
         raise VerificationError(f"{name} family failed to stabilize at the clamp")
 
 
-def _resume(top):
-    return None if top is None else (top.cap, top.first, top.second)
+@_top_cap_store
+def solve_bw(N) -> SliceFamily:
+    i_max = i_max_at("bw", N)
+    return SliceFamily("bw", N, i_max, *_solve("bw", N, i_max))
 
 
 @_top_cap_store
-def solve_bw(N, top) -> SliceFamily:
-    return SliceFamily("bw", N, N + 2, *_solve("bw", N, N + 2, _resume(top)))
+def solve_pq(N) -> SliceFamily:
+    i_max = i_max_at("pq", N)
+    return SliceFamily("pq", N, i_max, *_solve("pq", N, i_max))
 
 
 @_top_cap_store
-def solve_pq(N, top) -> SliceFamily:
-    return SliceFamily("pq", N, N + 2, *_solve("pq", N, N + 2, _resume(top)))
-
-
-@_top_cap_store
-def solve_y(N, _top) -> SliceFamily:
+def solve_y(N) -> SliceFamily:
     """Merged sequence: the context solution rewritten, confirmed by one
     sweep of the merged rule (its unique zero-constant-term fixed point)."""
     pq = solve_pq(N)
@@ -395,10 +379,9 @@ def solve_y(N, _top) -> SliceFamily:
 
 
 @_top_cap_store
-def solve_limit(N, top) -> LimitPair:
+def solve_limit(N) -> LimitPair:
     """The bicolored rule on height-independent weights."""
-    start = None if top is None else (top.cap, [bipoly_zero(top.cap), top.first], [bipoly_zero(top.cap), top.second])
-    (_, B), (_, W) = _solve("bw", N, 1, start, flat=True)
+    (_, B), (_, W) = _solve("bw", N, 1, flat=True)
     return LimitPair(B, W, N)
 
 
@@ -475,7 +458,7 @@ def conserved_j(n, d, N) -> MPoly:
 
 
 @_top_cap_store
-def y1_series(N, _top) -> MPoly:
+def y1_series(N) -> MPoly:
     """First merged coefficient at full cap N via the division-free route
     (Q - P)(1 - P - 2Q) / (1 - 2Q); cross-checked against the solver."""
     lim = solve_limit(N)

@@ -287,6 +287,30 @@ def test_newtype_cap_below_two_is_usage_error():
     assert rc == 0 and out.startswith("y1: equal")
 
 
+def test_extract_above_the_solved_heights_is_usage_error():
+    # rung 12 of the merged sequence is beyond its heights 0..10 at cap 2;
+    # this used to end in an IndexError after the extraction had run
+    rc, out, err = run(["extract", "--type", "newtype", "--i", "6..6", "--cap", "2"])
+    assert rc == 2 and out == ""
+    assert "--cap 2 reaches rung 10 of the solver, below rung 12 (--i up to 5)" in err
+    rc, out, err = run(["extract", "--type", "stieltjes", "--i", "1..4", "--cap", "2"])
+    assert rc == 2 and out == ""
+    assert "--cap 2 reaches rung 6 of the solver, below rung 8 (--i up to 3)" in err
+
+
+def test_small_extract_and_verify_grid_ends_in_a_classified_exit():
+    grid = [["extract", "--type", kind, "--i", i, "--cap", cap]
+            for kind in ("stieltjes", "newtype") for i in ("0..1", "1..1", "2..3", "5..5", "6..6")
+            for cap in ("1", "2", "3")]
+    grid += [["extract", "--type", kind, "--i", "1..2", "--cap", "3", "--internal-cap", internal]
+             for kind in ("stieltjes", "newtype") for internal in ("1", "3", "6")]
+    grid += [["verify", suite, "--cap", cap] for suite in ("stieltjes", "newtype", "conserved") for cap in ("1", "2", "3")]
+    grid += [["verify", "equality", "--n", "2", "--cap", cap, "--enum-n", "1", "--enum-f", "1"] for cap in ("1", "2")]
+    for argv in grid:
+        rc, _, _ = run(argv)  # an uncaught exception fails the test here
+        assert rc in (0, 1, 2), argv
+
+
 # sha256 of `quadslice verify all` stdout with the default options, recorded
 # before the path DP, heaps relations and display checks were each folded
 # into one loop

@@ -182,7 +182,7 @@ def test_finite_reflection_alpha_one_algebra():
     assert J == 1 / (1 - 2 * z)
     Jt = finite_fraction_ratfunc(tilde_coeffs([Fraction(2)]))
     assert Jt == 1 / (1 - z / 2)
-    assert Jt == -(RatFunc.const("z", 2) / z) * J.subst_reciprocal()
+    assert Jt == -(RatFunc.const("z", 2) / z) * J.eval(1 / z)
 
 
 def test_finite_fraction_degrees():
@@ -218,7 +218,7 @@ def test_reflection_check_rejects_a_degenerate_fraction_before_the_companion(mon
 def test_reflection_check_runs_one_gcd_and_no_ratfunc(monkeypatch):
     calls = Counter()
     ops = ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
-           "__truediv__", "__rtruediv__", "__pow__", "inverse", "subst_reciprocal")
+           "__truediv__", "__rtruediv__", "__pow__", "inverse")
     for cls, name in [(Poly, "gcd")] + [(RatFunc, op) for op in ops]:
         def counted(*args, _f=getattr(cls, name), _name=f"{cls.__name__}.{name}", **kwargs):
             calls[_name] += 1
@@ -466,6 +466,26 @@ def test_cleared_companion_matches_the_field_route():
         assert got.field is RHO_RING and got.cap == want.cap, n
         assert [RatFunc.from_poly(c) for c in got.coeffs] == [c * clear ** (2 * n) for c in want.coeffs], n
         assert conjectured_tilde_j_graded(n, 4) == want, n
+
+
+@pytest.mark.parametrize("order", [3, 5, 6])
+def test_rho_view_matches_the_reducing_constructor(monkeypatch, order):
+    # the view divides out rho - 1 exactly; the oracle reduces by a gcd
+    rho, rho_1 = Poly.gen("rho"), Poly("rho", (-1, 1))
+    views = [(contfrac._companion_cleared(n, order), e) for n in range(4) for e in (2 * n, 2 * n + 1)]
+    # a zero, a rational constant and a higher power of rho - 1 than e
+    views.append((Series("tau", 3, [Poly.zero("rho"), Poly.const("rho", Fraction(2, 3)),
+                                    rho_1 ** 3 * (rho + 2), rho_1 * rho], RHO_RING), 2))
+    want = [[RatFunc(c, rho_1 ** e) for c in s.coeffs] for s, e in views]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gcd in the companion view")
+
+    monkeypatch.setattr(Poly, "gcd", forbidden)
+    for (s, e), coeffs in zip(views, want):
+        got = contfrac._rho_view(s, e)
+        assert got.field is contfrac.RHO_FIELD and got.cap == s.cap
+        assert [(c.num, c.den) for c in got.coeffs] == [(c.num, c.den) for c in coeffs], (order, e)
 
 
 def test_hankel_type_dets_run_without_gcd(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError, StructureError
 from quadslice.exactalg import MPoly
-from quadslice.ratfunc import QQ, FieldSpec, Poly, PolyFrac, RatFunc, ratfunc_field
+from quadslice.ratfunc import QQ, Poly, PolyFrac, RatFunc
 from quadslice.series import Series
 
 
@@ -57,10 +57,10 @@ def test_eval_and_reciprocal_substitution():
     sub = f.eval(1 / (g * g))
     direct = (1 + 2 / (g * g)) / (1 - 1 / (g * g) + 1 / (g ** 4))
     assert sub == direct
-    refl = f.subst_reciprocal()
-    check = f.eval(1 / g)
+    refl = f.eval(1 / z)
+    assert refl == (z * z + 2 * z) / (z * z - z + 1)
     # rename the variable of refl by evaluating at g
-    assert refl.eval(g) == check
+    assert refl.eval(g) == f.eval(1 / g)
 
 
 def test_polynomial_flag_and_degrees():
@@ -122,12 +122,6 @@ def _check_ops_against_reducing_constructor(a, b, n):
 @given(qq_ratfuncs(), qq_ratfuncs(), st.integers(-3, 4))
 def test_ops_match_reducing_constructor_over_qq(a, b, n):
     _check_ops_against_reducing_constructor(a, b, n)
-
-
-def test_reciprocal_substitution_stays_canonical():
-    z = RatFunc.gen("z")
-    for f in ((z - 1) ** 2 / (z * (2 * z + 3)), z ** 3 / (1 + z), (z ** 2 + 1) / (3 * z ** 2)):
-        _assert_canonical_and_equal(f.subst_reciprocal(), f.eval(1 / z))
 
 
 def test_poly_pow_is_square_and_multiply_and_rejects_negative_exponents():
@@ -306,20 +300,6 @@ def test_qq_ratfunc_eval_matches_fraction_oracle(a, d, x):
     got = f.eval(x)
     assert got == _old_eval(f.num.coeffs, x) / den
     _assert_qq_coeffs([got], strict_tail=False)
-
-
-def test_no_rational_functions_over_a_rational_function_field():
-    field = ratfunc_field("y")
-    p = Poly("alpha", [RatFunc.gen("y"), RatFunc.one("y")], field)
-    with pytest.raises(StructureError, match=r"over QQ\(y\)"):
-        RatFunc.from_poly(p)
-    with pytest.raises(StructureError, match=r"over QQ\(y\)"):
-        RatFunc(Poly.one("alpha"), p)
-    with pytest.raises(StructureError, match=r"no gcd over QQ\(y\)"):
-        p.gcd(p)
-    ring = FieldSpec(Poly.zero("rho"), Poly.one("rho"), "QQ[rho]")
-    with pytest.raises(StructureError, match=r"QQ\[rho\]"):
-        RatFunc.from_poly(Poly("z", [Poly.gen("rho")], ring))
 
 
 # ------------------------------------------- gcd-free fractions (Fraction oracle)

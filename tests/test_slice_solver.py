@@ -293,7 +293,7 @@ def test_store_matches_per_cap_solves(order, per_cap_solves):
         assert y1_series(N) == want["y"][0][1], N
 
 
-def test_store_refuses_caps_below_one_after_a_warm_solve():
+def test_store_refuses_caps_below_one_after_a_solve():
     clear_stores()
     for stored in STORED:
         stored(5)
@@ -309,7 +309,7 @@ def test_store_clear_and_counts():
     assert solve_bw.cache_info() == (0, 1, 1)
     solve_bw(4), solve_bw(2)
     assert solve_bw.cache_info() == (2, 1, 1)
-    solve_bw(6)  # a warm extension is a miss
+    solve_bw(6)  # a higher cap is a miss, solved from row 1
     assert solve_bw.cache_info() == (2, 2, 1)
     solve_bw.cache_clear()
     assert solve_bw.cache_info().currsize == 0
@@ -344,7 +344,7 @@ def count_rows_and_sweeps(monkeypatch):
     return rows, sweeps
 
 
-def test_warm_extension_runs_only_the_new_sweeps(monkeypatch):
+def test_a_miss_above_the_store_solves_every_degree(monkeypatch):
     # row c is computed at heights 1..c of both sides, once each
     rows, sweeps = count_rows_and_sweeps(monkeypatch)
     clear_stores()
@@ -352,21 +352,20 @@ def test_warm_extension_runs_only_the_new_sweeps(monkeypatch):
     assert rows == [c for c in range(1, 6) for _ in range(2 * c)]
     assert sweeps == [5]
     rows.clear(), sweeps.clear()
-    solve_bw(8)  # degrees 6..8 on the stored cap-5 rows, then the confirming sweep
-    assert rows == [c for c in range(6, 9) for _ in range(2 * c)]
+    solve_bw(8)  # degrees 1..8 afresh, then the confirming sweep at cap 8
+    assert rows == [c for c in range(1, 9) for _ in range(2 * c)]
     assert sweeps == [8]
 
 
 # ------------------------------- the row solver against the full-height sweeps
 
-def full_height_rising(step, size, N, start=None):
+def full_height_rising(step, size, N):
     """The rising schedule with every sweep over all ``size`` heights, kept
-    as the oracle for the row solver: sweep c = c0+1..N runs at cap c on the
+    as the oracle for the row solver: sweep c = 1..N runs at cap c on the
     values cut to cap c, then one confirming sweep at cap N must reproduce
     its input."""
-    c0, X, Y = start or (0, [bipoly_zero(0)], [bipoly_zero(0)])
-    X, Y = (v + v[-1:] * (size - len(v)) for v in (X, Y))
-    for c in range(c0 + 1, N + 1):
+    X = Y = [bipoly_zero(0)] * size
+    for c in range(1, N + 1):
         X, Y = step([v.with_cap(c) for v in X], [v.with_cap(c) for v in Y], tb(c), tw(c))
     if step(X, Y, tb(N), tw(N)) != (X, Y):
         raise VerificationError("fixed point iteration failed to become stationary")
@@ -414,7 +413,7 @@ def test_row_solver_matches_full_height_cold(full_height):
 
 
 @pytest.mark.parametrize("chain", [list(range(1, 9)), [3, 7, 11, 14, 20]])
-def test_row_solver_matches_full_height_warm(full_height, chain):
+def test_row_solver_matches_full_height_along_rising_caps(full_height, chain):
     clear_stores()
     for N in chain:
         assert_full_height(N, full_height[N])
@@ -435,7 +434,7 @@ def test_row_solver_widens_mid_run(monkeypatch, full_height):
     monkeypatch.setattr(slice_solver, "_START_WIDTH", 8)
     monkeypatch.setattr(slice_solver, "_rewidth", lambda num, w, new, n: widened.append(new) or rewidth(num, w, new, n))
     clear_stores()
-    for N in (4, 20):  # a cold solve, then a warm one starting from 8 bits again
+    for N in (4, 20):  # a solve, then a miss above it, each from 8 bits
         assert_full_height(N, full_height[N])
     assert {16, 32, 64} <= set(widened)
 
@@ -555,7 +554,7 @@ def test_solve_y_matches_the_rising_merged_solve():
         clear_stores()
         assert solve_y(N).first == want[N], N
     clear_stores()
-    for N in range(1, 13):  # each cap a warm extension of the one below
+    for N in range(1, 13):  # each cap a miss above the one below
         assert solve_y(N).first == want[N], N
         assert solve_y.cache_info().misses == N
 

@@ -9,12 +9,17 @@ below 0, ``verify --order`` below 3, ``verify bijection`` or ``all``
 with ``--enum-n`` below 1, ``verify conserved`` or ``all`` with
 ``--cap`` below 6, ``verify newtype`` or ``extract --type newtype`` with
 ``--cap`` below 2, ``extract --type newtype`` with ``--internal-cap``,
-which only ``--type stieltjes`` reads, and ``table --cap``, ``verify
---cap``, ``extract --cap`` or ``extract --internal-cap`` below 1).  ``verify
-stieltjes|newtype`` and ``extract`` share one rung comparison: a rung
+which only ``--type stieltjes`` reads, ``table --cap``, ``verify
+--cap``, ``extract --cap`` or ``extract --internal-cap`` below 1, and
+``extract --type stieltjes --internal-cap`` below the solver heights the
+boundary series reads, named with the least value that reaches them).
+``verify stieltjes|newtype`` and ``extract`` share one rung comparison: a rung
 exact only below ``--cap``, as from an ``extract --internal-cap`` too
 small for it, fails with exit 1, naming the rung and the cap it reached.
 All coefficients are serialized as exact fraction strings.
+
+A command imports the engine modules it uses on first use, so importing
+this module loads only ``errors`` of the package.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import NonInvertibleError, ResourceGuardError, StructureError, VerificationError
-from .exactalg import MPoly, bipoly, bipoly_to_text
-from . import closed_forms, contfrac, heaps, maps_oracle, slice_solver
 
 
 def _parse_range(text):
@@ -58,7 +61,7 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-def _poly_entry(index, poly: MPoly):
+def _poly_entry(index, poly):
     monomials = [
         {"tb": a, "tw": b, "coeff": f"{c.numerator}/{c.denominator}"}
         for (a, b), c in sorted(poly.terms.items())
@@ -105,6 +108,8 @@ def _emit_table(what, cap, entries, fmt, out):
 
 def parse_table_json(text):
     """Round-trip reader for the JSON table schema."""
+    from .exactalg import bipoly
+
     data = json.loads(text)
     entries = {e["index"]: bipoly({(m["tb"], m["tw"]): m["coeff"] for m in e["monomials"]}, data["cap"])
                for e in data["entries"]}
@@ -117,6 +122,8 @@ _WEIGHTS = {"b": ("solve_bw", "first"), "w": ("solve_bw", "second"), "p": ("solv
 
 
 def cmd_table(args) -> int:
+    from . import slice_solver
+
     cap = args.cap
     entries = []
     if args.what in ("fn", "jn"):
@@ -149,6 +156,8 @@ SUITES = (
 
 
 def _run_suite(name, args, log):
+    from . import closed_forms, contfrac, heaps, maps_oracle, slice_solver
+
     if name == "equality":
         for n in range(1, args.n + 1):
             if slice_solver.f_n(n, args.cap) != slice_solver.j_n(n, args.cap):
@@ -261,6 +270,8 @@ def _rungs(kind, cap, heights, internal_cap=None):
     of the Stieltjes (bicolored) or two-term (merged) fraction, both values
     cut to cap; StructureError names the highest rung the solver reaches at
     cap, NonInvertibleError the first rung exact only below cap."""
+    from . import contfrac, slice_solver
+
     i_max = heights[-1]
     stieltjes = kind == "stieltjes"
     if not stieltjes:
@@ -274,8 +285,13 @@ def _rungs(kind, cap, heights, internal_cap=None):
                              f" (--i up to {top // 2})")
     if stieltjes:
         if internal_cap is not None:
-            # fixed internal cap: divisions fail loudly when it is too small
-            got = contfrac.stieltjes_extract(contfrac.boundary_series(2 * i_max, internal_cap), i_max)
+            # fixed internal cap: divisions fail loudly when it is too small;
+            # the boundary series reads f_n for n <= 2 i_max off solve_bw(internal_cap)
+            top = slice_solver.i_max_at("bw", internal_cap)
+            if 2 * i_max > top:
+                raise StructureError(f"--internal-cap {internal_cap} reaches rung {top} of the solver, below rung"
+                                     f" {2 * i_max} (--internal-cap at least {2 * i_max - 2})")
+            got =contfrac.stieltjes_extract(contfrac.boundary_series(2 * i_max, internal_cap), i_max)
         else:
             got = contfrac.stieltjes_rungs_from_solver(cap, i_max)
         bw = slice_solver.solve_bw(cap + 2)
@@ -297,6 +313,8 @@ def _rungs(kind, cap, heights, internal_cap=None):
 
 
 def cmd_extract(args) -> int:
+    from .exactalg import bipoly_to_text
+
     wanted = _parse_range(args.i)
     if wanted[0] < 1:
         raise StructureError("extraction heights start at 1")

@@ -179,7 +179,11 @@ class Poly:
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.var)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        if len(other.coeffs) == 1:
+            return self.scale(other.coeffs[0])
+        if len(self.coeffs) == 1:
+            return other.scale(self.coeffs[0])
+        out = [0] *(len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue

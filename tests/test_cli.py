@@ -253,6 +253,17 @@ def test_extract_internal_cap_shortfall_is_reported():
     assert "w3" in err and "cap 5" in err and "--cap 6" in err
 
 
+def test_internal_cap_below_the_solved_heights_is_usage_error():
+    # the boundary series to order 4 reads f_4, above solve_bw(1)'s heights 0..3;
+    # this used to report a weight index beyond the stored range
+    rc, out, err = run(["extract", "--type", "stieltjes", "--i", "1..2", "--cap", "3", "--internal-cap", "1"])
+    assert rc == 2 and out == ""
+    assert "--internal-cap 1 reaches rung 3 of the solver, below rung 4 (--internal-cap at least 2)" in err
+    rc, out, err = run(["extract", "--type", "stieltjes", "--i", "1..2", "--cap", "3", "--internal-cap", "2"])
+    assert rc == 1 and out == ""
+    assert "--internal-cap" not in err
+
+
 def test_verify_stieltjes_names_a_rung_short_of_cap(monkeypatch):
     # one cap short: the old comparison zero-padded the values and reported
     # a disagreement instead of the precision shortfall
@@ -323,16 +334,29 @@ def test_verify_all_stdout_matches_golden():
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_GOLDEN
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_python(*argv):
+    """A new interpreter on this checkout's source, its output captured."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
+
+def test_importing_the_cli_loads_no_engine_module():
+    # each command imports the engine modules it uses, so the parser and
+    # the error classes are all a fresh process loads before its command runs
+    probe = _fresh_python("-c", "import sys, quadslice.cli; print(sorted(m for m in sys.modules if m.startswith('quadslice')))")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "['quadslice', 'quadslice.cli', 'quadslice.errors']\n"
+
+
+def test_python_dash_m_runs_the_cli():
     def module_run(*argv):
-        return subprocess.run([sys.executable, "-m", "quadslice", *argv], capture_output=True, text=True,
-                              env=env, timeout=120)
+        return _fresh_python("-m", "quadslice", *argv)
 
     ok = module_run("verify", "reflection", "--seed", "1")
     assert ok.returncode == 0 and ok.stdout.startswith("PASS reflection"), ok.stderr
+    table = module_run("table", "--what", "b", "--i", "1..3", "--cap", "5")
+    assert table.returncode == 0 and table.stdout.startswith("# index 1\n"), table.stderr
     usage = module_run("verify", "closedforms", "--order", "2")
     assert usage.returncode == 2
     assert "--order" in usage.stderr and "Traceback" not in usage.stderr

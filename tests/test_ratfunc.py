@@ -242,6 +242,28 @@ def test_qq_poly_matches_fraction_oracle(a, b, d):
 
 
 @settings(max_examples=100, deadline=None, database=None)
+@given(qq_lists, qq_coeffs)
+def test_poly_times_a_constant_matches_the_double_loop(a, c):
+    pa = Poly("y", a)
+    want = _old_mul(_strip(a), _strip([c]))
+    for got in (pa * c, c * pa, pa * Poly.const("y", c), Poly.const("y", c) * pa):
+        _same(got, want)
+
+
+def test_poly_times_a_constant_edge_cases():
+    p = Poly("y", [Fraction(1, 2), 0, 3])
+    _same(p * 0, [])
+    _same(Fraction(0) * p, [])
+    _same(p * 2, [1, 0, 6])
+    _same(Fraction(2, 3) * p, [Fraction(1, 3), 0, 2])
+    _same(Poly.const("y", 4) * Poly.const("y", Fraction(1, 4)), [1])
+    for const in (Poly.const("z", 2), Poly.const("z", 0)):
+        for left, right in ((p, const), (const, p)):
+            with pytest.raises(StructureError):
+                left * right
+
+
+@settings(max_examples=100, deadline=None, database=None)
 @given(qq_lists, qq_divisors())
 def test_qq_ratfunc_constructor_matches_fraction_oracle(a, d):
     f = RatFunc(Poly("y", a), Poly("y", d))

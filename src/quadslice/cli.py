@@ -156,9 +156,11 @@ SUITES = (
 
 
 def _run_suite(name, args, log):
-    from . import closed_forms, contfrac, heaps, maps_oracle, slice_solver
-
+    # each suite imports the modules it calls, so a suite compiles no other
+    # suite's modules where bytecode is not cached
     if name == "equality":
+        from . import maps_oracle, slice_solver
+
         for n in range(1, args.n + 1):
             if slice_solver.f_n(n, args.cap) != slice_solver.j_n(n, args.cap):
                 raise VerificationError(f"boundary series differ at n={n}")
@@ -172,6 +174,8 @@ def _run_suite(name, args, log):
                     raise VerificationError(f"enumeration disagrees with solver at ({n},{f})")
         log(f"enumeration route: bf_F = bf_J = f_n for n <= {args.enum_n}, f <= {args.enum_f}")
     elif name in ("stieltjes", "newtype"):
+        from . import contfrac
+
         stieltjes = name == "stieltjes"
         for rung, extracted, solver_val in _rungs(name, args.cap, range(1, 3 if stieltjes else 5)):
             if extracted != solver_val:
@@ -183,6 +187,8 @@ def _run_suite(name, args, log):
             for line in contfrac.underdetermination_witness(args.seed).lines:
                 log("witness: " + line)
     elif name == "closedforms":
+        from . import closed_forms
+
         for system in ("bw", "pq", "y"):
             closed_forms.verify_recursion(system, range(1, 7), args.order)
         log(f"recursion residuals vanish to order {args.order}, heights 1..6")
@@ -193,6 +199,8 @@ def _run_suite(name, args, log):
         closed_forms.large_height_collapse(min(args.order, 6))
         log("rational identities of the constructive route")
     elif name == "conserved":
+        from . import slice_solver
+
         for n in range(1, 4):
             fn = slice_solver.f_n(n, args.cap).with_cap(args.cap - 1)
             jn = slice_solver.j_n(n, args.cap).with_cap(args.cap - 1)
@@ -207,11 +215,15 @@ def _run_suite(name, args, log):
         slice_solver.y1_two_routes(args.cap)
         log("first merged coefficient agrees across its routes")
     elif name == "bijection":
+        from . import maps_oracle
+
         for n in range(1, args.enum_n + 1):
             for f in range(0, args.enum_f + 1):
                 maps_oracle.bijection_check(n, f)
         log(f"bijection suite on n <= {args.enum_n}, f <= {args.enum_f}")
     elif name == "heaps":
+        from . import heaps
+
         for a in range(1, args.alpha + 1):
             heaps.heaps_vs_fraction_check(a, args.seed + a)
             heaps.complementation_check(a, args.seed + 10 + a)
@@ -226,6 +238,8 @@ def _run_suite(name, args, log):
         heaps.h_ladder(6)
         log("determinant closed forms, stabilization, and the rescaled ladder")
     elif name == "reflection":
+        from . import contfrac
+
         for a in range(1, args.alpha + 1):
             for k in range(args.draws):
                 contfrac.finite_reflection_check(a, args.seed + 100 * a + k)

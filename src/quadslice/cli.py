@@ -299,13 +299,13 @@ def _rungs(kind, cap, heights, internal_cap=None):
                              f" (--i up to {top // 2})")
     if stieltjes:
         if internal_cap is not None:
-            # fixed internal cap: divisions fail loudly when it is too small;
-            # the boundary series reads f_n for n <= 2 i_max off solve_bw(internal_cap)
+            # fixed internal cap: the boundary series reads f_n for n <= 2 i_max
+            # off solve_bw(internal_cap), and divisions fail loudly when it is too small
             top = slice_solver.i_max_at("bw", internal_cap)
             if 2 * i_max > top:
                 raise StructureError(f"--internal-cap {internal_cap} reaches rung {top} of the solver, below rung"
                                      f" {2 * i_max} (--internal-cap at least {2 * i_max - 2})")
-            got =contfrac.stieltjes_extract(contfrac.boundary_series(2 * i_max, internal_cap), i_max)
+            got = contfrac.stieltjes_extract(contfrac.boundary_series(2 * i_max, internal_cap), i_max)
         else:
             got = contfrac.stieltjes_rungs_from_solver(cap, i_max)
         bw = slice_solver.solve_bw(cap + 2)

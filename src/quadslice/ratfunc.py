@@ -183,7 +183,7 @@ class Poly:
             return self.scale(other.coeffs[0])
         if len(self.coeffs) == 1:
             return other.scale(self.coeffs[0])
-        out = [0] *(len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue

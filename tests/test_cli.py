@@ -344,7 +344,8 @@ def _fresh_python(*argv):
 def test_importing_the_cli_loads_no_engine_module():
     # each command imports the engine modules it uses, so the parser and
     # the error classes are all a fresh process loads before its command runs
-    probe = _fresh_python("-c", "import sys, quadslice.cli; print(sorted(m for m in sys.modules if m.startswith('quadslice')))")
+    probe = _fresh_python("-c", "import sys, quadslice.cli; "
+                                "print(sorted(m for m in sys.modules if m.startswith('quadslice')))")
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout == "['quadslice', 'quadslice.cli', 'quadslice.errors']\n"
 

@@ -18,9 +18,12 @@ is 1 - gamma^(e + k) u^k, and the denominator is gamma times D(u), whose
 constant term is 1.  The x^k coefficient is the u^k coefficient over
 gamma^k.  Every displayed formula is a prefactor times a product of
 factors (1 - param^e v^k) and their inverses.  The height-dependent weights
-are built by one routine, ``ParamPoint.ratio``, from (e, k) lists; the
-vertex weights and the large-height limits (``eval_tt``, ``eval_limits``,
-``eval_y_limit``) multiply their few factors directly.
+are built by one routine, ``ParamPoint.ratio``, from (e, k) lists; each
+inverse factor is its geometric series, written down with no division.
+The vertex weights and the large-height limits (``eval_tt``,
+``eval_limits``, ``eval_y_limit``) multiply their few factors directly.
+A point is built once per (family, cap) in a process (``param_point``)
+and keeps every value it builds, so the checks share them.
 
 Verification routines substitute the closed forms back into the recursion
 systems (zero residual to a requested order, identically in the
@@ -36,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .errors import CheckReport, StructureError, VerificationError
+from .errors import CheckReport, NonInvertibleError, StructureError, VerificationError
 from .exactalg import MPoly
 from .ratfunc import FieldSpec, Poly, PolyFrac
 from .series import Series
@@ -49,15 +52,16 @@ ALPHA_RING = FieldSpec(Poly.zero("alpha"), Poly.one("alpha"), "QQ[alpha]")
 class ParamPoint:
     """family "xgamma" or "yalpha" with a series order cap; x^k is gamma^k
     u^k, so ``shift`` is 1 for xgamma and 0 for yalpha; ``built`` keeps the
-    limit pair and the context heights, so each is built once."""
+    vertex weights, the limits, the closed forms by height and the inverse
+    factors, so each is built once."""
 
     __slots__ = ("family", "cap", "var", "field", "param", "shift", "den_inv", "built")
 
     def __init__(self, family, cap):
         if family not in ("xgamma", "yalpha"):
             raise StructureError(f"unknown family {family!r}")
-        if cap < 1:
-            raise StructureError("need cap >= 1")
+        if type(cap) is not int or cap < 1:
+            raise StructureError(f"cap {cap!r} is not an int >= 1")
         self.family = family
         self.cap = cap
         self.shift = int(family == "xgamma")
@@ -86,13 +90,32 @@ class ParamPoint:
                 coeffs[k] = self.field.one * c
         return Series(self.var, self.cap, coeffs, self.field)
 
+    def geometric(self, e, k):
+        """1 / (1 - param^e v^k) as its geometric series: the coefficient of
+        v^(jk) is param^(j (e + shift k)).  Built once per (e, k)."""
+        if k < 1:
+            raise NonInvertibleError(f"1 - param^{e} is not a unit of the series ring")
+        if (e, k) not in self.built:
+            step, coeffs = e + self.shift * k, [self.field.zero] * (self.cap + 1)
+            for j in range(self.cap // k + 1):
+                coeffs[j * k] = Poly(self.param.var, [0] * (j * step) + [1])
+            self.built[e, k] = Series(self.var, self.cap, coeffs, self.field)
+        return self.built[e, k]
+
     def ratio(self, prefactor, num_factors, den_factors):
         out = prefactor
         for e, k in num_factors:
             out = out * self.factor(e, k)
         for e, k in den_factors:
-            out = out * self.factor(e, k).inv()
+            out = out * self.geometric(e, k)
         return out
+
+
+@lru_cache(maxsize=8, typed=True)
+def param_point(family, cap) -> ParamPoint:
+    """The point of (family, cap), built once per process and shared with
+    every value it keeps; callers must not mutate it."""
+    return ParamPoint(family, cap)
 
 
 def _denominator(p: ParamPoint) -> Series:
@@ -111,13 +134,15 @@ def _over_den(p: ParamPoint, m, n) -> Series:
 
 def eval_tt(p: ParamPoint):
     """The two vertex weights as series at the parametrization point."""
-    if p.family == "xgamma":
-        t_b = _over_den(p, 3, 2) * p.factor(-1, 1) ** 3 * p.factor(1, 3)
-        t_w = _over_den(p, 1, 2) * p.factor(-1, 3) * p.factor(1, 1) ** 3
-    else:
-        t_b = _over_den(p, 0, 2) * p.factor(1, 1) ** 3 * p.factor(1, 3)
-        t_w = _over_den(p, 1, 2) * p.factor(0, 1) ** 3 * p.factor(2, 3)
-    return t_b, t_w
+    if "tt" not in p.built:
+        if p.family == "xgamma":
+            t_b = _over_den(p, 3, 2) * p.factor(-1, 1) ** 3 * p.factor(1, 3)
+            t_w = _over_den(p, 1, 2) * p.factor(-1, 3) * p.factor(1, 1) ** 3
+        else:
+            t_b = _over_den(p, 0, 2) * p.factor(1, 1) ** 3 * p.factor(1, 3)
+            t_w = _over_den(p, 1, 2) * p.factor(0, 1) ** 3 * p.factor(2, 3)
+        p.built["tt"] = t_b, t_w
+    return p.built["tt"]
 
 
 def eval_limits(p: ParamPoint):
@@ -137,21 +162,24 @@ def eval_y_limit(p: ParamPoint) -> Series:
     """Q - P in closed form: (alpha - 1) y (1 - alpha y^2) / denominator."""
     if p.family != "yalpha":
         raise StructureError("merged limit lives in the yalpha family")
-    return _over_den(p, 0, 1) * (p.param - 1) * p.factor(1, 2)
+    if "Y" not in p.built:
+        p.built["Y"] = _over_den(p, 0, 1) * (p.param - 1) * p.factor(1, 2)
+    return p.built["Y"]
 
 
 def eval_bw_closed(i, p: ParamPoint):
     """Closed forms of the bicolored weights at height i >= 0."""
     if p.family != "xgamma":
         raise StructureError("bicolored closed forms live in the xgamma family")
-    B, W = eval_limits(p)
-    if i % 2 == 0:
-        b_i = p.ratio(B, [(0, i), (1, i + 3)], [(1, i + 1), (0, i + 2)])
-        w_i = p.ratio(W, [(0, i), (-1, i + 3)], [(-1, i + 1), (0, i + 2)])
-    else:
-        b_i = p.ratio(B, [(-1, i), (0, i + 3)], [(0, i + 1), (-1, i + 2)])
-        w_i = p.ratio(W, [(1, i), (0, i + 3)], [(0, i + 1), (1, i + 2)])
-    return b_i, w_i
+    if i not in p.built:
+        B, W = eval_limits(p)
+        if i % 2 == 0:
+            p.built[i] = (p.ratio(B, [(0, i), (1, i + 3)], [(1, i + 1), (0, i + 2)]),
+                          p.ratio(W, [(0, i), (-1, i + 3)], [(-1, i + 1), (0, i + 2)]))
+        else:
+            p.built[i] = (p.ratio(B, [(-1, i), (0, i + 3)], [(0, i + 1), (-1, i + 2)]),
+                          p.ratio(W, [(1, i), (0, i + 3)], [(0, i + 1), (1, i + 2)]))
+    return p.built[i]
 
 
 def eval_pqy_closed(i, p: ParamPoint):
@@ -168,22 +196,23 @@ def eval_pqy_closed(i, p: ParamPoint):
             p.built[j] = (p.ratio(P, [(0, j), (1, j + 3)], [(0, j + 1), (1, j + 2)]),
                           p.ratio(Q, [(0, j), (2, j + 3)], [(1, j + 1), (1, j + 2)]))
     (p_i, q_i), (p_next, q_next) = p.built[i], p.built[i + 1]
-    y_odd = p.ratio(eval_y_limit(p), [(0, i + 1), (1, i + 3)], [(0, i + 2), (1, i + 2)])
-    if y_odd != q_next - p_next:
-        raise VerificationError(f"Y_{2 * i + 1} disagrees with Q_{i + 1} - P_{i + 1}")
-    return p_i, q_i, p_i, y_odd
+    if ("Y", i) not in p.built:
+        y_odd = p.ratio(eval_y_limit(p), [(0, i + 1), (1, i + 3)], [(0, i + 2), (1, i + 2)])
+        if y_odd != q_next - p_next:
+            raise VerificationError(f"Y_{2 * i + 1} disagrees with Q_{i + 1} - P_{i + 1}")
+        p.built["Y", i] = y_odd
+    return p_i, q_i, p_i, p.built["Y", i]
 
 
 # -------------------------------------------------------------- verification
 
 def _closed_heights(system, p: ParamPoint):
     """Height accessors (x, y) of a system's closed forms, indexed as its
-    rule reads them; each height is evaluated once."""
+    rule reads them; the point keeps each height it evaluates."""
     closed = eval_bw_closed if system == "bw" else eval_pqy_closed
-    at = lru_cache(maxsize=None)(lambda m: closed(m, p))
     if system == "y":  # x(i) = Y_{2i}, y(i) = Y_{2i-1}
-        return (lambda i: at(i)[2]), (lambda i: at(i - 1)[3])
-    return (lambda i: at(i)[0]), (lambda i: at(i)[1])
+        return (lambda i: closed(i, p)[2]), (lambda i: closed(i - 1, p)[3])
+    return (lambda i: closed(i, p)[0]), (lambda i: closed(i, p)[1])
 
 
 def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
@@ -198,7 +227,7 @@ def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
         raise StructureError(f"unknown system {system!r}")
     rule, name, _ = SYSTEMS[system]
     report = CheckReport(f"closed-form recursion residuals: {system} to order {M}")
-    p = ParamPoint("xgamma" if system == "bw" else "yalpha", M)
+    p = param_point("xgamma" if system == "bw" else "yalpha", M)
     t_b, t_w = eval_tt(p)
     x, y = _closed_heights(system, p)
     where = "pair" if system == "y" else "height"
@@ -228,8 +257,8 @@ def _subst_to_x(series: Series) -> Series:
 def param_equivalence(M=6) -> CheckReport:
     """The two parametrizations agree under alpha = 1/gamma^2, y = gamma x."""
     report = CheckReport(f"parametrization equivalence to order {M}")
-    px = ParamPoint("xgamma", M)
-    py = ParamPoint("yalpha", M)
+    px = param_point("xgamma", M)
+    py = param_point("yalpha", M)
     tx = eval_tt(px)
     ty = eval_tt(py)
     for name, a, b in (("tb", tx[0], ty[0]), ("tw", tx[1], ty[1])):
@@ -246,16 +275,27 @@ def param_equivalence(M=6) -> CheckReport:
 
 
 def compose_bipoly(poly: MPoly, t_b: Series, t_w: Series) -> Series:
-    """Evaluate a bivariate weight polynomial on two valuation-1 series."""
-    if t_b.valuation() is None or t_b.valuation() < 1 or t_w.valuation() < 1:
-        raise StructureError("composition needs valuation >= 1 substituends")
-    max_b = max((e[1] for e in poly.terms), default=0)
-    pw = [t_w.ring_one()]
-    for _ in range(max_b):
-        pw.append(pw[-1] * t_w)
+    """Evaluate a bivariate weight polynomial on two nonzero series of
+    valuation >= 1."""
+    v_b, v_w = t_b.valuation(), t_w.valuation()
+    if v_b is None or v_w is None or min(v_b, v_w) < 1:
+        raise StructureError("composition needs nonzero substituends of valuation >= 1")
+    return _compose(poly, t_b, _powers(t_w, max((e[1] for e in poly.terms), default=0)))
+
+
+def _powers(t: Series, n):
+    """[1, t, ..., t^n]."""
+    pw = [t.ring_one()]
+    for _ in range(n):
+        pw.append(pw[-1] * t)
+    return pw
+
+
+def _compose(poly: MPoly, t_b: Series, pw) -> Series:
+    """poly at (t_b, t_w), given the powers pw of t_w up to poly's tw-degree."""
     rows = [t_b.ring_zero()] * (1 + max((e[0] for e in poly.terms), default=0))
     for (a, b), c in poly.terms.items():  # row a: the coefficient of t_b^a
-        rows[a] = rows[a] + pw[b] * (t_b.field.one * c)
+        rows[a] = rows[a] + pw[b] * c
     out = rows[-1]
     for row in reversed(rows[:-1]):  # Horner in t_b
         out = out * t_b + row
@@ -269,22 +309,24 @@ def series_match(N=5) -> CheckReport:
         raise StructureError("need order >= 3")
     report = CheckReport(f"solver vs closed forms to order {N}")
 
-    def compare(tt, pairs, line):
+    def compare(tt, pairs, line):  # tt: t_b and the powers of t_w
         for weight, closed, failure in pairs:
-            if compose_bipoly(weight, *tt) != closed:
+            if _compose(weight, *tt) != closed:
                 raise VerificationError(failure)
         report.add(line)
 
-    px = ParamPoint("xgamma", N)
-    tt_x = eval_tt(px)
+    px = param_point("xgamma", N)
+    t_b, t_w = eval_tt(px)
+    tt_x = t_b, _powers(t_w, N)
     bw = solve_bw(N)
     for i in range(1, 5):
         b_i, w_i = eval_bw_closed(i, px)
         compare(tt_x, [(bw.first[i], b_i, f"bicolored first weight mismatch at height {i}"),
                        (bw.second[i], w_i, f"bicolored second weight mismatch at height {i}")],
                 f"bicolored height {i} matches")
-    py = ParamPoint("yalpha", N)
-    tt_y = eval_tt(py)
+    py = param_point("yalpha", N)
+    t_b, t_w = eval_tt(py)
+    tt_y = t_b, _powers(t_w, N)
     pq = solve_pq(N)
     yfam = solve_y(N)
     for i in range(1, 5):
@@ -307,13 +349,13 @@ def large_height_collapse(M=5, i_from=None) -> CheckReport:
     closed forms collapse to the limit pair exactly at cap M."""
     i = (M + 1) if i_from is None else i_from
     report = CheckReport(f"large-height collapse at order {M}, height {i}")
-    px = ParamPoint("xgamma", M)
+    px = param_point("xgamma", M)
     B, W = eval_limits(px)
     bi, wi = eval_bw_closed(i, px)
     if bi != B or wi != W:
         raise VerificationError("bicolored closed form did not collapse to the limit")
     report.add("bicolored collapse")
-    py = ParamPoint("yalpha", M)
+    py = param_point("yalpha", M)
     P, Q = eval_limits(py)
     pi, qi, _, _ = eval_pqy_closed(i, py)
     if pi != P or qi != Q:
@@ -374,7 +416,7 @@ def section6_algebra() -> CheckReport:
     # the closed t displays against the series evaluation route: with den a
     # unit series, t D^2 = t_series den^2 as polynomials of y-degree <= 8
     # means t = t_series to order 8
-    p = ParamPoint("yalpha", 8)
+    p = param_point("yalpha", 8)
     den = _denominator(p)
     chain = [  # (report line, [(lhs, rhs, failure), ...]) in proof order
         ("Y display", [(Q - P, Y, "merged limit display failed")]),

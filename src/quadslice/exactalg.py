@@ -23,8 +23,10 @@ that for k = c no two kept pairs of terms share a slot: a product is one
 big-integer multiply (Kronecker substitution) cut to c + 1 rows by one
 mask, at the wider stride of its operands unless it needs more, and at a
 slot width from their fits and a bound on the pairs that meet in a slot;
-it re-lays each operand in place.  A sum is one integer sum, and a cut to
-a lower cap one mask.  A capped polynomial in two variables -- the weight
+it re-lays each operand in place.  A product by a constant (a value whose
+numerator fits slot 0) is one integer multiply of the other numerator, in
+its layout.  A sum is one integer sum, and a cut to a lower cap one mask.
+A capped polynomial in two variables -- the weight
 series in (tb, tw), the workhorse of the package, with constructors
 ``bipoly_*`` -- is such a value with tb^a tw^b in row a + b, slot b, so
 deg <= cap and exc <= 0, built and cut at stride cap + 1.  ``series``
@@ -600,11 +602,19 @@ def _product(a, b):
     """a * b at one cap c, at the stride the module docstring gives.  The
     width holds the pairs that meet in a kept slot (``_pairs``), each
     bounded by 2^(fit_a - 1) 2^(fit_b - 1), with a sign bit to spare, and the
-    exact fit is found after."""
+    exact fit is found after.  A constant operand, one pair a slot, scales
+    the other numerator in its own layout."""
     c, exc = a.cap, a._exc + b._exc
     deg = min(a._deg + b._deg, c + exc)
     if not a._num or not b._num or deg < 0:
         return _packed(a._blank(), c, 0, 1, 1, 8, 0, -1, -1 - c)
+    const, other = (b, a) if b._num >> (b._width - 1) in (0, -1) else (a, b)
+    if const._num >> (const._width - 1) in (0, -1):  # it fits slot 0: one multiply in the other's layout
+        bits, stride = const._fit + other._fit, other._stride
+        width, n = max(other._width, _bytes_width(bits)), (c + 1) * stride
+        num = _laid(other, stride, width) * const._num
+        return _lowest(_packed(a._blank(), c, num, a._den * b._den, stride, width, _fit(num, width, n, bits),
+                               other._deg, other._exc))
     stride = max(deg + 1, a._stride, b._stride)
     bits = (_pairs(c, min(a._deg, b._deg), a._exc, b._exc) << (a._fit + b._fit - 2)).bit_length() + 1
     width, n = _bytes_width(bits), (c + 1) * stride

@@ -37,9 +37,11 @@ that exists over Q[v] is lost, and no gcd runs in this form.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import NonInvertibleError, StructureError
-from .exactalg import (BIVARS, MPoly, _cut, _equal, _neg, _ones, _pack, _packed, _product, _rows, _sum,
-                       power)
+from .exactalg import (BIVARS, MPoly, _bits, _bytes_width, _cut, _equal, _neg, _ones, _pack, _packed, _product,
+                       _rows, _sum, power)
 from .ratfunc import QQ, FieldSpec, Poly, _inv_elem, _qq_normal
 
 TAU, RHO = "tau", "rho"
@@ -175,8 +177,12 @@ class Series:
                         continue
                     out[i + j] = out[i + j] + ca * cb
             return Series(a.var, cap, out, a.field)
-        # scalar from the coefficient domain
+        # scalar from the coefficient domain; a rational one is packed directly
         if self._num is not None:
+            if isinstance(other, (int, Fraction)):
+                num, den = other.numerator, other.denominator
+                return _product(self, _packed(self._blank(), self.cap, num, den, 1, _bytes_width(_bits(num)),
+                                              _bits(num), 0, 0))
             return _product(self, Series.const(self.var, self.cap, self.field.one * other, self.field))
         return Series(self.var, self.cap, [c * other for c in self.coeffs], self.field)
 

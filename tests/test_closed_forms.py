@@ -7,9 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from quadslice import closed_forms
+from quadslice import cli, closed_forms
 from quadslice.closed_forms import (
     ParamPoint,
+    compose_bipoly,
     eval_bw_closed,
     eval_limits,
     eval_pqy_closed,
@@ -17,12 +18,14 @@ from quadslice.closed_forms import (
     eval_y_limit,
     large_height_collapse,
     param_equivalence,
+    param_point,
     section6_algebra,
     series_match,
     verify_recursion,
 )
 from quadslice.contfrac import finite_fraction_ratfunc
-from quadslice.errors import StructureError, VerificationError
+from quadslice.errors import NonInvertibleError, StructureError, VerificationError
+from quadslice.exactalg import bipoly
 from quadslice.heaps import h_ladder, linear_relation_gprime_check, linear_relation_specialized_check
 from quadslice.ratfunc import Poly, RatFunc, ratfunc_field
 from quadslice.series import Series
@@ -406,3 +409,101 @@ def test_series_checks_build_each_limit_pair_and_height_once(monkeypatch):
     assert series_match(4).passed
     assert large_height_collapse(4).passed
     assert len(seen) < 1599
+
+
+# ------------------------------------- geometric inverses and shared points
+
+def inverse_factors(family, cap):
+    """Every (e, k) whose inverse the closed forms take at a fresh point,
+    through every height the checks evaluate and one above the cap."""
+    p = ParamPoint(family, cap)
+    for i in range(cap + 3):
+        if family == "xgamma":
+            eval_bw_closed(i, p)
+        else:
+            eval_pqy_closed(i, p)
+    return [key for key in p.built if type(key) is tuple and all(type(x) is int for x in key)]
+
+
+@pytest.mark.parametrize("family", ["xgamma", "yalpha"])
+def test_geometric_inverses_match_the_series_division(family):
+    for cap in range(1, 11):
+        used = inverse_factors(family, cap)
+        assert {e for e, _ in used} == ({-1, 0, 1} if family == "xgamma" else {0, 1})
+        assert max(k for _, k in used) > cap  # 1 + O(v^(cap + 1)): the series 1
+        p = ParamPoint(family, cap)
+        for e, k in used:
+            assert p.geometric(e, k) == p.factor(e, k).inv(), (cap, e, k)
+        for e in (0, 1):
+            with pytest.raises(NonInvertibleError):
+                p.factor(e, 0).inv()
+            with pytest.raises(NonInvertibleError):
+                p.geometric(e, 0)
+
+
+def point_values(p):
+    """Every value the checks read off a point, through height 6."""
+    closed = eval_bw_closed if p.family == "xgamma" else eval_pqy_closed
+    return p.den_inv, eval_tt(p), eval_limits(p), [closed(i, p) for i in range(7)]
+
+
+@pytest.mark.parametrize("family", ["xgamma", "yalpha"])
+def test_memoized_points_give_the_values_of_fresh_ones(family):
+    seen = {}
+    for cap in (4, 6, 4):
+        p = param_point(family, cap)
+        assert seen.setdefault(cap, p) is p and (p.family, p.cap) == (family, cap)
+        assert point_values(p) == point_values(ParamPoint(family, cap))
+
+
+def test_closed_form_suite_builds_each_point_once_and_divides_only_by_the_denominator(monkeypatch):
+    built, divisors = [], []
+    init, divide = ParamPoint.__init__, Series.divide
+
+    def counted_init(self, family, cap):
+        built.append((family, cap))
+        init(self, family, cap)
+
+    def counted_divide(self, other):
+        if other.var in ("u", "y"):
+            divisors.append(other)
+        return divide(self, other)
+
+    monkeypatch.setattr(ParamPoint, "__init__", counted_init)
+    monkeypatch.setattr(Series, "divide", counted_divide)
+    param_point.cache_clear()
+    for _ in range(2):
+        assert cli.main(["verify", "closedforms", "--order", "4"]) == 0
+    points, dens = list(built), list(divisors)  # the oracle's points below count too
+    assert sorted(points) == [("xgamma", 4), ("yalpha", 4), ("yalpha", 8)]
+    assert dens == [closed_forms._denominator(ParamPoint(f, c)) for f, c in points]
+
+
+@pytest.mark.parametrize("cap", [2.5, True, False, 0, -1, "3", None, Fraction(4)])
+def test_point_refuses_a_cap_that_is_not_an_int_of_at_least_one(cap):
+    param_point("yalpha", 1)  # a cached cap 1 must not answer for True
+    with pytest.raises(StructureError, match="not an int >= 1"):
+        ParamPoint("yalpha", cap)
+    with pytest.raises(StructureError, match="not an int >= 1"):
+        param_point("yalpha", cap)
+
+
+@pytest.mark.parametrize("zero_at", [0, 1])
+def test_composition_refuses_a_zero_series(zero_at):
+    p = param_point("yalpha", 4)
+    tt = list(eval_tt(p))
+    tt[zero_at] = tt[zero_at].ring_zero()
+    with pytest.raises(StructureError, match="nonzero substituends"):
+        compose_bipoly(bipoly({(1, 1): 1}, 4), *tt)
+    tt[zero_at] = tt[zero_at].ring_one()  # valuation 0
+    with pytest.raises(StructureError, match="valuation >= 1"):
+        compose_bipoly(bipoly({(1, 1): 1}, 4), *tt)
+
+
+def test_composition_shares_the_powers_of_t_w():
+    p = param_point("xgamma", 5)
+    t_b, t_w = eval_tt(p)
+    weight = bipoly({(0, 0): 3, (2, 1): Fraction(-1, 2), (0, 4): 7, (1, 3): 2}, 5)
+    want = 3 + t_b * t_b * t_w * Fraction(-1, 2) + t_w ** 4 * 7 + t_b * t_w ** 3 * 2
+    assert compose_bipoly(weight, t_b, t_w) == want
+    assert closed_forms._compose(weight, t_b, closed_forms._powers(t_w, 5)) == want

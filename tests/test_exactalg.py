@@ -26,6 +26,8 @@ from quadslice.exactalg import (
 )
 from quadslice.heaps import h_ladder
 from quadslice.lattice_paths import PathSpec, symbol_table, z_context
+from quadslice.ratfunc import Poly
+from quadslice.series import RHO_RING, Series
 
 
 def leibniz_det(rows):
@@ -590,3 +592,66 @@ def test_keys_decode_only_when_terms_are_read(monkeypatch):
     assert decoded == []
     assert sum(z.terms.values()) == 58786  # C_11: every Dyck path of half-length 11
     assert sum(z.terms.values()) == 58786 and decoded == [22]  # decoded once, then cached
+
+
+# ----------------------------------------- products by a constant operand
+#
+# A packed operand whose numerator fits slot 0 is a constant, and its product
+# is one integer multiply of the other numerator.  The oracle is the general
+# Kronecker product every pair of operands took before.
+
+
+def general_product(a, b):
+    """``exactalg._product`` without its constant branch."""
+    c, exc = a.cap, a._exc + b._exc
+    deg = min(a._deg + b._deg, c + exc)
+    if not a._num or not b._num or deg < 0:
+        return exactalg._packed(a._blank(), c, 0, 1, 1, 8, 0, -1, -1 - c)
+    stride = max(deg + 1, a._stride, b._stride)
+    bits = (exactalg._pairs(c, min(a._deg, b._deg), a._exc, b._exc) << (a._fit + b._fit - 2)).bit_length() + 1
+    width, n = exactalg._bytes_width(bits), (c + 1) * stride
+    num = exactalg._truncate(exactalg._laid(a, stride, width) * exactalg._laid(b, stride, width), n * width)
+    return exactalg._lowest(exactalg._packed(a._blank(), c, num, a._den * b._den, stride, width,
+                                             exactalg._fit(num, width, n, bits), deg, exc))
+
+
+constants = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**90), 2**90),
+    st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 10**22)),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 11).flatmap(lambda cap: st.tuples(capped_value(cap), constants)))
+@example((MPoly(BIVARS, {(1, 0): 3, (0, 2): -(2**63)}, 2), 0))
+@example((MPoly(BIVARS, {(a, b): -(2**70) for a in range(5) for b in range(5 - a)}, 4), -(2**70)))
+@example((MPoly(BIVARS, {(2, 1): Fraction(7, 6)}, 3), Fraction(-12, 7)))
+def test_constant_products_match_the_general_product(drawn):
+    p, k = drawn
+    K = MPoly.const(BIVARS, k, p.cap)
+    loose = (p + K) - p  # K again, with the degree and excess bounds of p
+    want = exact_form(general_product(p, K))
+    assert exact_form(general_product(K, p)) == want
+    for const in (K, loose):
+        for got in (exactalg._product(p, const), exactalg._product(const, p)):
+            assert exact_form(got) == want
+            assert exact_fit(got) == got._fit <= got._width
+    for got in (p * k, k * p, p * K, K * p):
+        assert exact_form(got) == want
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_series_constant_products_match_the_general_product(data):
+    cap = data.draw(st.integers(0, 8))
+    rows = [Poly("rho", data.draw(st.lists(wide_coefficients, max_size=5))) for _ in range(cap + 1)]
+    s = Series("tau", cap, rows, RHO_RING).shift(data.draw(st.integers(0, 2)))
+    k = data.draw(constants)
+    K = Series.const("tau", s.cap, RHO_RING.one * k, RHO_RING)
+    want = general_product(s, K)
+    assert want.coeffs == tuple(c * k for c in s.coeffs)
+    for got in (s * k, k * s, s * K, K * s, exactalg._product(K, s)):
+        assert got.coeffs == want.coeffs and got == want
+        nums = [int(c * got._den) for row in got.coeffs for c in row.coeffs]
+        assert got._fit == max((exactalg._bits(c) for c in nums), default=0)

@@ -344,6 +344,7 @@ def test_series_checks_run_no_gcd_and_no_ratfunc(monkeypatch):
                "__truediv__", "__rtruediv__", "__pow__", "inverse"):
         names.append(f"RatFunc.{op}")
         monkeypatch.setattr(RatFunc, op, counting(names[-1], getattr(RatFunc, op)))
+    param_point.cache_clear()  # count the checks from cold points
     for system in ("bw", "pq", "y"):
         assert verify_recursion(system, range(1, 7), 8).passed
     assert param_equivalence(8).passed
@@ -401,14 +402,17 @@ def test_power_starts_from_the_base(monkeypatch):
 
 def test_series_checks_build_each_limit_pair_and_height_once(monkeypatch):
     # 1,599 products when the limit pair was rebuilt at every height and
-    # every context height was built twice
+    # every context height was built twice, and 1,078 when each check built
+    # its own points and recomputed the powers of t_w for every weight;
+    # counted from cold points
     seen = counting_series_products(monkeypatch)
+    param_point.cache_clear()
     for system in ("bw", "pq", "y"):
         assert verify_recursion(system, range(1, 7), 4).passed
     assert param_equivalence(4).passed
     assert series_match(4).passed
     assert large_height_collapse(4).passed
-    assert len(seen) < 1599
+    assert len(seen) < 1078
 
 
 # ------------------------------------- geometric inverses and shared points

@@ -28,9 +28,12 @@ and keeps every value it builds, so the checks share them.
 Verification routines substitute the closed forms back into the recursion
 systems (zero residual to a requested order, identically in the
 parameter), check the two parametrizations against each other, match the
-closed forms against the fixed-point solver through composition, and prove
-the purely rational identities of the constructive derivation as
-gcd-free fractions of polynomials in y and alpha.
+closed forms against the fixed-point solver by composing its weight
+polynomials with the parametrized vertex weights (``series_match``), and
+prove the purely rational identities of the constructive derivation as
+gcd-free fractions of polynomials in y and alpha.  The closed forms start
+at height 0 and the recursions at height 1; a lower height, like a negative
+power in a factor, is a StructureError.
 """
 
 from __future__ import annotations
@@ -75,7 +78,9 @@ class ParamPoint:
 
     def factor(self, e, k):
         """The series 1 - param^e v^k, v = x or y; in u that is
-        1 - gamma^(e + k) u^k."""
+        1 - gamma^(e + k) u^k; k >= 0."""
+        if k < 0:
+            raise StructureError(f"1 - param^{e} v^{k} has a negative power of v")
         coeffs = [self.field.zero] * (self.cap + 1)
         coeffs[0] = self.field.one
         if k <= self.cap:
@@ -93,7 +98,9 @@ class ParamPoint:
     def geometric(self, e, k):
         """1 / (1 - param^e v^k) as its geometric series: the coefficient of
         v^(jk) is param^(j (e + shift k)).  Built once per (e, k)."""
-        if k < 1:
+        if k < 0:
+            raise StructureError(f"1 - param^{e} v^{k} has a negative power of v")
+        if k == 0:
             raise NonInvertibleError(f"1 - param^{e} is not a unit of the series ring")
         if (e, k) not in self.built:
             step, coeffs = e + self.shift * k, [self.field.zero] * (self.cap + 1)
@@ -171,6 +178,8 @@ def eval_bw_closed(i, p: ParamPoint):
     """Closed forms of the bicolored weights at height i >= 0."""
     if p.family != "xgamma":
         raise StructureError("bicolored closed forms live in the xgamma family")
+    if i < 0:
+        raise StructureError(f"closed forms start at height 0, not {i}")
     if i not in p.built:
         B, W = eval_limits(p)
         if i % 2 == 0:
@@ -190,6 +199,8 @@ def eval_pqy_closed(i, p: ParamPoint):
     """
     if p.family != "yalpha":
         raise StructureError("context closed forms live in the yalpha family")
+    if i < 0:
+        raise StructureError(f"closed forms start at height 0, not {i}")
     P, Q = eval_limits(p)
     for j in (i, i + 1):
         if j not in p.built:
@@ -219,7 +230,8 @@ def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
     """Residuals of the recursion systems under the closed forms.
 
     system in {"bw", "pq", "y"}; each residual value - rule(...) must
-    vanish identically in the parameter up to order M in the series variable.
+    vanish identically in the parameter up to order M in the series variable,
+    at every height of i_range, each at least 1.
     """
     if M < 2:
         raise StructureError("need order >= 2")
@@ -232,6 +244,8 @@ def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
     x, y = _closed_heights(system, p)
     where = "pair" if system == "y" else "height"
     for i in i_range:
+        if i < 1:
+            raise StructureError(f"the recursions start at {where} 1, not {i}")
         rhs_x, rhs_y = rule(x, y, i, t_b, t_w)
         if not (x(i) - rhs_x).is_zero() or not (y(i) - rhs_y).is_zero():
             raise VerificationError(f"{name} residual nonzero at {where} {i}")
@@ -272,15 +286,6 @@ def param_equivalence(M=6) -> CheckReport:
             raise VerificationError(f"substituted limit {name} failed")
         report.add(f"limit {name} after substitution")
     return report
-
-
-def compose_bipoly(poly: MPoly, t_b: Series, t_w: Series) -> Series:
-    """Evaluate a bivariate weight polynomial on two nonzero series of
-    valuation >= 1."""
-    v_b, v_w = t_b.valuation(), t_w.valuation()
-    if v_b is None or v_w is None or min(v_b, v_w) < 1:
-        raise StructureError("composition needs nonzero substituends of valuation >= 1")
-    return _compose(poly, t_b, _powers(t_w, max((e[1] for e in poly.terms), default=0)))
 
 
 def _powers(t: Series, n):
@@ -344,10 +349,11 @@ def series_match(N=5) -> CheckReport:
     return report
 
 
-def large_height_collapse(M=5, i_from=None) -> CheckReport:
+def large_height_collapse(M=5) -> CheckReport:
     """For i > M every height-dependent factor is 1 + O(v^{M+1}), so the
-    closed forms collapse to the limit pair exactly at cap M."""
-    i = (M + 1) if i_from is None else i_from
+    closed forms collapse to the limit pair exactly at cap M; checked at
+    height M + 1."""
+    i = M + 1
     report = CheckReport(f"large-height collapse at order {M}, height {i}")
     px = param_point("xgamma", M)
     B, W = eval_limits(px)

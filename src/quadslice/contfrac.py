@@ -58,31 +58,10 @@ from .exactalg import (
     det_division_free,
     tb,
 )
-from .ratfunc import QQ, FieldSpec, Poly, RatFunc, ratfunc_field
+from .ratfunc import QQ, FieldSpec, Poly, RatFunc
 from .series import RHO, RHO_RING, TAU, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 from .slice_solver import a0_a1_times_tb, f_n, solve_limit, y1_series
 from .lattice_paths import z_const
-
-
-class FractionSpec:
-    """kind in {"stieltjes", "newtype"}; coeffs are the rung values c_1..c_K
-    (Stieltjes) or Y_1..Y_K (two-term rungs).  finite=True means the
-    fraction terminates exactly after the supplied coefficients; a finite
-    two-term fraction has an odd number of them."""
-
-    __slots__ = ("kind", "coeffs", "finite")
-
-    def __init__(self, kind, coeffs, finite=False):
-        if kind not in ("stieltjes", "newtype"):
-            raise StructureError(f"unknown fraction kind {kind!r}")
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise StructureError("need at least one rung coefficient")
-        if finite and kind == "newtype" and len(coeffs) % 2 == 0:
-            raise StructureError("a finite two-term fraction has 2*alpha - 1 coefficients")
-        self.kind = kind
-        self.coeffs = coeffs
-        self.finite = finite
 
 
 def _ring_field(exemplar) -> FieldSpec:
@@ -104,24 +83,34 @@ def _fold(Y, rungs, one, z):
     return num, den
 
 
-def expand(spec: FractionSpec, L) -> Series:
+def expand(coeffs, L, kind="newtype", finite=False) -> Series:
     """The fraction to order L in z: num / den of its convergent pair over
     series truncated at L, by one exact series division.
 
-    A Stieltjes fraction is the two-term fraction with rungs
-    Y = (0, c_1, 0, c_2, ...), so both kinds share one loop."""
-    Y = spec.coeffs
-    if spec.kind == "stieltjes":
+    kind in {"stieltjes", "newtype"}; coeffs are the rung values c_1..c_K
+    (Stieltjes) or Y_1..Y_K (two-term rungs).  finite=True means the
+    fraction terminates exactly after the supplied coefficients; a finite
+    two-term fraction has an odd number of them.  A Stieltjes fraction is
+    the two-term fraction with rungs Y = (0, c_1, 0, c_2, ...), so both
+    kinds share one loop."""
+    if kind not in ("stieltjes", "newtype"):
+        raise StructureError(f"unknown fraction kind {kind!r}")
+    Y = list(coeffs)
+    if not Y:
+        raise StructureError("need at least one rung coefficient")
+    if finite and kind == "newtype" and len(Y) % 2 == 0:
+        raise StructureError("a finite two-term fraction has 2*alpha - 1 coefficients")
+    if kind == "stieltjes":
         zero = _ring_zero_of(Y[0])
         Y = [v for c in Y for v in (zero, c)]
     # order L sees the descent weight of rung L
-    if not spec.finite and len(Y) < 2 * L:
+    if not finite and len(Y) < 2 * L:
         raise StructureError(f"need coefficients up to index {2 * L} for order {L}")
     rungs = (len(Y) + 1) // 2
     field = _ring_field(Y[0])
     one = Series.one("z", L, field)
     z = Series.gen("z", L, field)
-    return Series.divide(*_fold(Y, rungs if spec.finite else min(rungs, L), one, z))
+    return Series.divide(*_fold(Y, rungs if finite else min(rungs, L), one, z))
 
 
 # ----------------------------------------------------------------- division
@@ -283,7 +272,7 @@ def tilde_coeffs(Y):
 
 # ------------------------------------------------- bivariate graded pipeline
 
-RHO_FIELD = ratfunc_field(RHO)  # only for the companions' public view
+RHO_FIELD = FieldSpec(RatFunc.zero(RHO), RatFunc.one(RHO), f"QQ({RHO})")  # only for the companions' public view
 _RHO_1 = Poly(RHO, (-1, 1))
 
 
@@ -481,8 +470,8 @@ def underdetermination_witness(seed) -> CheckReport:
     i_max = 3
     Y = _random_nonzero_rationals(2 * i_max + 3, rng)
     order = i_max + 1
-    J = expand(FractionSpec("newtype", Y, finite=True), order)
-    Jt_true = expand(FractionSpec("newtype", tilde_coeffs(Y), finite=True), order)
+    J = expand(Y, order, finite=True)
+    Jt_true = expand(tilde_coeffs(Y), order, finite=True)
     report = CheckReport(f"underdetermination witness seed={seed}")
     rungs = {"true": newtype_extract(build_jn(J, Y[0], Jt_true), i_max)}
     # an arbitrary different companion with the same constant term; redraw
@@ -506,7 +495,7 @@ def underdetermination_witness(seed) -> CheckReport:
         raise VerificationError("true companion failed to recover the original rungs")
     report.add("true companion recovers the original rungs")
     for tag in ("true", "fake"):
-        re_J = expand(FractionSpec("newtype", rungs[tag], finite=False), i_max)
+        re_J = expand(rungs[tag], i_max)
         if any(re_J.coeffs[k] != J.coeffs[k] for k in range(i_max + 1)):
             raise VerificationError(f"{tag} rungs re-expand to a different main series")
     report.add("both rung sets re-expand to the same main series")

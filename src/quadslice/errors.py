@@ -20,14 +20,18 @@ class ResourceGuardError(RuntimeError):
 class CheckReport:
     """Outcome of a verification routine: a named list of checks that all passed.
 
-    Routines raise VerificationError on the first failing identity, so a
-    returned report always has passed=True; the lines record what was checked.
+    Routines raise VerificationError on the first failing identity, so the
+    lines record what was checked and passed; a report with no line ran no
+    check, and a check that ran nothing is not a pass.
     """
 
-    def __init__(self, name, lines=None):
+    def __init__(self, name):
         self.name = name
-        self.lines = list(lines or [])
-        self.passed = True
+        self.lines = []
+
+    @property
+    def passed(self):
+        return bool(self.lines)
 
     def add(self, line):
         self.lines.append(line)

@@ -674,17 +674,6 @@ def bipoly_to_text(p: MPoly) -> str:
     return "\n".join(lines)
 
 
-def bipoly_from_text(text: str, cap) -> MPoly:
-    terms = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        a, b, frac = line.split()
-        terms[(int(a), int(b))] = Fraction(frac)
-    return bipoly(terms, cap)
-
-
 # ---------------------------------------------------------------- determinant
 
 def _ring_one_of(x):

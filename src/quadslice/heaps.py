@@ -33,7 +33,6 @@ from .exactalg import _ring_one_of, _ring_zero_of
 from .ratfunc import QQ, PolyFrac
 from .series import Series
 from .contfrac import (
-    FractionSpec,
     JnLadder,
     _random_nonzero_rationals,
     _ring_field,
@@ -51,7 +50,7 @@ def hard_pieces(alpha, weights, variant="path"):
     The graph has vertices 1..2 alpha - 1 with edges between consecutive
     vertices and between consecutive even vertices (2k adjacent to 2k + 2).
     The maximal independent set is then the unique all-odd configuration.
-    weights has 2 alpha - 1 entries; the primed variant takes 2 alpha and
+    variant "path" takes 2 alpha - 1 weights; "gprime" takes 2 alpha and
     reduces by replacing the last odd weight with the sum of the last two.
     """
     if alpha < 1:
@@ -61,6 +60,8 @@ def hard_pieces(alpha, weights, variant="path"):
         if len(weights) != 2 * alpha:
             raise StructureError("primed variant needs 2 alpha weights")
         weights = weights[:-2] + [weights[-2] + weights[-1]]
+    elif variant != "path":
+        raise StructureError(f"unknown variant {variant!r}")
     elif len(weights) != 2 * alpha - 1:
         raise StructureError("path variant needs 2 alpha - 1 weights")
     one = _ring_one_of(weights[0])
@@ -124,8 +125,8 @@ def heap_gf(alpha, base, weights, L) -> Series:
 def finite_ladder(Y, order_hi, order_lo) -> JnLadder:
     """Two-sided ladder of a finite fraction with rungs Y_1..Y_{2 alpha - 1}:
     entries n >= 0 from 1 + z Y_1 J(z), entries n < 0 from the companion."""
-    J = expand(FractionSpec("newtype", Y, finite=True), order_hi - 1)
-    Jt = expand(FractionSpec("newtype", tilde_coeffs(Y), finite=True), order_lo)
+    J = expand(Y, order_hi - 1, finite=True)
+    Jt = expand(tilde_coeffs(Y), order_lo, finite=True)
     return build_jn(J, Y[0], Jt)
 
 
@@ -135,13 +136,13 @@ def heaps_vs_fraction_check(alpha, seed) -> CheckReport:
     Y = _random_nonzero_rationals(2 * alpha - 1, rng)
     L = 2 * alpha + 2
     report = CheckReport(f"heap series vs fractions alpha={alpha} seed={seed}")
-    J = expand(FractionSpec("newtype", Y, finite=True), L)
+    J = expand(Y, L, finite=True)
     z = Series.gen("z", L, QQ)
     K = 1 + z * J * Y[0]
     if heap_gf(alpha, {1}, Y, L) != K:
         raise VerificationError("base {1} heap series disagrees with 1 + z Y_1 J")
     report.add("base {1} equals 1 + z Y_1 J(z)")
-    Jt = expand(FractionSpec("newtype", tilde_coeffs(Y), finite=True), L)
+    Jt = expand(tilde_coeffs(Y), L, finite=True)
     if heap_gf(alpha, {1, 2}, tilde_coeffs(Y), L) != Jt:
         raise VerificationError("base {1,2} heap series disagrees with the companion")
     report.add("base {1,2} with transformed weights equals the companion")

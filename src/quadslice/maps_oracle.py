@@ -219,43 +219,6 @@ class RootedMap:
     def is_isomorphic(self, other: "RootedMap") -> bool:
         return self.canonical_key() == other.canonical_key()
 
-    def to_line(self) -> str:
-        """Exchange format: `2E; sigma cycles; alpha pairs; root`."""
-        def cyc_str(cycles):
-            return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-
-        pairs = [(d, self.alpha[d]) for d in range(self.n_darts) if d < self.alpha[d]]
-        return "{}; {}; {}; {}".format(
-            self.n_darts, cyc_str(self.vertices()), cyc_str(pairs), self.root
-        )
-
-    @classmethod
-    def from_line(cls, line: str) -> "RootedMap":
-        """The map of a ``to_line`` line: dart count; vertex cycles; edge
-        pairs; root.  A malformed line raises StructureError."""
-        parts = [part.strip() for part in line.split(";")]
-        if len(parts) != 4:
-            raise StructureError(f"a map line has 4 ';'-separated fields, got {len(parts)}: {line!r}")
-
-        def parse_cycles(text):
-            return [[int(x) for x in chunk.split()] for chunk in text.replace("(", " ").split(")") if chunk.strip()]
-
-        try:
-            n, vertices, edges, root = int(parts[0]), parse_cycles(parts[1]), parse_cycles(parts[2]), int(parts[3])
-        except ValueError:
-            raise StructureError(f"a map line has integer fields only: {line!r}") from None
-        for d in (d for cyc in vertices + edges for d in cyc if not 0 <= d < n):
-            raise StructureError(f"dart {d} is not among the {n} darts of {line!r}")
-        if any(len(edge) != 2 for edge in edges):
-            raise StructureError(f"an edge pairs two darts: {line!r}")
-        sigma, alpha = list(range(n)), list(range(n))
-        for cyc in vertices:
-            for i, d in enumerate(cyc):
-                sigma[d] = cyc[(i + 1) % len(cyc)]
-        for a, b in edges:
-            alpha[a], alpha[b] = b, a
-        return cls(sigma, alpha, root)
-
 
 # ------------------------------------------------------------ gluing engine
 
@@ -511,17 +474,6 @@ def enumerate_bridgeless_maps(boundary_len, n_edges):
 
 # ------------------------------------------------------------- the bijection
 
-class AbImage:
-    """Result of the forward local-rule construction: the general map plus,
-    for each of its vertices, the original vertex it came from."""
-
-    __slots__ = ("map", "vertex_origin")
-
-    def __init__(self, m, vertex_origin):
-        self.map = m
-        self.vertex_origin = vertex_origin
-
-
 def _join_corners(m: RootedMap, picked, kept, kind):
     """The corner-joining construction behind ab_forward and angular_inverse.
 
@@ -575,11 +527,12 @@ def _join_corners(m: RootedMap, picked, kept, kind):
     return RootedMap(sigma, alpha, first[m.root] + 1), origin
 
 
-def ab_forward(q: LabeledQuad) -> AbImage:
+def ab_forward(q: LabeledQuad):
     """Apply the local rules: in every inner face connect the two corners
     followed by a larger label; around the external face connect the
     corners followed by a larger label cyclically; keep only vertices that
-    are not local maxima."""
+    are not local maxima.  Returns the general map and, for each of its
+    vertices, the vertex of q.map it came from."""
     m = q.map
     label = [q.dist[v] for v in m.vertex_of]
     sigma = m.sigma
@@ -593,7 +546,7 @@ def ab_forward(q: LabeledQuad) -> AbImage:
         raise VerificationError("image boundary must be bridgeless")
     if len(new_map.inner_faces()) != sum(q.local_max):
         raise VerificationError("inner faces must correspond to local maxima")
-    return AbImage(new_map, vertex_origin)
+    return new_map, vertex_origin
 
 
 def ab_inverse(m: RootedMap) -> LabeledQuad:
@@ -630,10 +583,10 @@ def ab_inverse(m: RootedMap) -> LabeledQuad:
     return LabeledQuad(new_map, len(m.face_of_root()))
 
 
-def oriented_distance_check(image: AbImage, q: LabeledQuad):
-    """Breadth-first distances on the image, with boundary edges usable in
-    one direction only, reproduce the original labels on kept vertices."""
-    m = image.map
+def oriented_distance_check(m: RootedMap, vertex_origin, q: LabeledQuad):
+    """Breadth-first distances on the image m = ab_forward(q)[0], with
+    boundary edges usable in one direction only, reproduce the original
+    labels on kept vertices; vertex_origin is ab_forward's second value."""
     vertex_of, face_of, ext = m.vertex_of, m.face_of, m.face_of[m.root]
     V = len(m.vertices())
     arcs = [[] for _ in range(V)]
@@ -642,7 +595,7 @@ def oriented_distance_check(image: AbImage, q: LabeledQuad):
             arcs[vertex_of[d]].append(vertex_of[m.alpha[d]])
     dist = _bfs_distances(arcs, vertex_of[m.root])
     for new_v in range(V):
-        want = q.dist[image.vertex_origin[new_v]]
+        want = q.dist[vertex_origin[new_v]]
         if dist[new_v] != want:
             raise VerificationError(
                 f"oriented distance {dist[new_v]} != label {want} at image vertex {new_v}"
@@ -668,17 +621,17 @@ def bijection_check(n, f) -> CheckReport:
     codomain = {m.canonical_key(): m for m in enumerate_bridgeless_maps(n, n + f)}
     images = {}
     for q in quads:
-        img = ab_forward(q)  # internal checks: boundary length, bridgeless, face transport
-        key = img.map.canonical_key()
+        image, origin = ab_forward(q)  # internal checks: boundary length, bridgeless, face transport
+        key = image.canonical_key()
         if key in images:
             raise VerificationError("local-rule map is not injective")
         if key not in codomain:
             raise VerificationError("local-rule image escapes the bridgeless family")
         images[key] = q
         n_max = sum(1 for flag in q.local_max if flag)
-        if len(img.map.vertices()) != len(q.local_max) - n_max:
+        if len(image.vertices()) != len(q.local_max) - n_max:
             raise VerificationError("vertex transport failed")
-        oriented_distance_check(img, q)
+        oriented_distance_check(image, origin, q)
     if set(images) != set(codomain):
         raise VerificationError("local-rule map is not surjective")
     report.add(f"label local rules: bijection onto {len(codomain)} maps, "
@@ -714,13 +667,13 @@ def bijection_check(n, f) -> CheckReport:
 
 def distinct_bijections_witness():
     """The two constructions of the correspondence are different bijections:
-    return (m, q, img) where q = ab_inverse(m) but ab_forward(q) is not m
-    (their vertex counts already differ).  This is why ab_inverse, which
-    realizes the white-vertex construction, is inverted by angular_inverse
-    and not by ab_forward."""
+    return (m, q, image) where q = ab_inverse(m) but the map image =
+    ab_forward(q)[0] is not m (their vertex counts already differ).  This
+    is why ab_inverse, which realizes the white-vertex construction, is
+    inverted by angular_inverse and not by ab_forward."""
     for m in enumerate_bridgeless_maps(2, 3):
         q = ab_inverse(m)
-        img = ab_forward(q)
-        if not img.map.is_isomorphic(m):
-            return m, q, img
+        image = ab_forward(q)[0]
+        if not image.is_isomorphic(m):
+            return m, q, image
     raise VerificationError("expected a witness among the 9 maps at n=2, E=3")

@@ -514,8 +514,3 @@ class PolyFrac:
 
     def __repr__(self):
         return f"({self.num!r})/({self.den!r})"
-
-
-def ratfunc_field(var) -> FieldSpec:
-    """The field of rational functions in var over QQ, as a FieldSpec."""
-    return FieldSpec(RatFunc.zero(var), RatFunc.one(var), f"QQ({var})")

@@ -129,7 +129,7 @@ class Series:
         if isinstance(other, Series):
             self._check(other)
             return other if other.cap == cap else other.truncate(cap)
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return Series.const(self.var, cap, self.field.one * other, self.field)
         return None
 

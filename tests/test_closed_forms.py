@@ -10,7 +10,6 @@ import pytest
 from quadslice import cli, closed_forms
 from quadslice.closed_forms import (
     ParamPoint,
-    compose_bipoly,
     eval_bw_closed,
     eval_limits,
     eval_pqy_closed,
@@ -27,8 +26,10 @@ from quadslice.contfrac import finite_fraction_ratfunc
 from quadslice.errors import NonInvertibleError, StructureError, VerificationError
 from quadslice.exactalg import bipoly
 from quadslice.heaps import h_ladder, linear_relation_gprime_check, linear_relation_specialized_check
-from quadslice.ratfunc import Poly, RatFunc, ratfunc_field
+from quadslice.ratfunc import Poly, RatFunc
 from quadslice.series import Series
+
+from test_series import rational_field
 
 # ------------------------------------------------ the Q(gamma)/Q(alpha) oracle
 #
@@ -38,8 +39,8 @@ from quadslice.series import Series
 # ParamPoint value into this representation: the yalpha coefficients as they
 # stand, and for xgamma the x^k coefficient is the u^k one over gamma^k.
 
-GAMMA_FIELD = ratfunc_field("gamma")
-ALPHA_FIELD = ratfunc_field("alpha")
+GAMMA_FIELD = rational_field("gamma")
+ALPHA_FIELD = rational_field("alpha")
 
 
 def to_field(s):
@@ -196,6 +197,30 @@ def test_height_zero_vanishes():
     assert p0.is_zero() and q0.is_zero() and y0.is_zero()
 
 
+def test_heights_below_the_recursions_are_structural():
+    for system, where in (("bw", "height"), ("pq", "height"), ("y", "pair")):
+        with pytest.raises(StructureError, match=f"start at {where} 1, not 0"):
+            verify_recursion(system, range(0, 2), 4)
+        with pytest.raises(StructureError, match="not -3"):
+            verify_recursion(system, [1, -3], 4)
+    with pytest.raises(StructureError, match="start at height 0, not -1"):
+        eval_bw_closed(-1, param_point("xgamma", 4))
+    with pytest.raises(StructureError, match="start at height 0, not -1"):
+        eval_pqy_closed(-1, param_point("yalpha", 4))
+    for family in ("xgamma", "yalpha"):
+        for build in (ParamPoint(family, 3).factor, ParamPoint(family, 3).geometric):
+            with pytest.raises(StructureError, match="negative power"):
+                build(0, -1)
+        assert ParamPoint(family, 3).factor(0, 0).is_zero()  # 1 - param^0
+
+
+def test_a_report_with_no_check_is_not_a_pass():
+    for system in ("bw", "pq", "y"):
+        report = verify_recursion(system, range(1, 1), 4)
+        assert report.lines == [] and not report.passed
+        assert verify_recursion(system, range(1, 2), 4).passed
+
+
 def test_even_formula_anchor():
     """B_2 must be the displayed ratio with the explicit factor exponents."""
     p = ParamPoint("xgamma", 6)
@@ -315,7 +340,6 @@ def test_section6_rejects_a_perturbed_tower(monkeypatch, name, change):
 
 def test_large_height_collapse():
     assert large_height_collapse(4).passed
-    assert large_height_collapse(4, i_from=9).passed
 
 
 def test_substitution_is_the_monomial_map():
@@ -492,22 +516,9 @@ def test_point_refuses_a_cap_that_is_not_an_int_of_at_least_one(cap):
         param_point("yalpha", cap)
 
 
-@pytest.mark.parametrize("zero_at", [0, 1])
-def test_composition_refuses_a_zero_series(zero_at):
-    p = param_point("yalpha", 4)
-    tt = list(eval_tt(p))
-    tt[zero_at] = tt[zero_at].ring_zero()
-    with pytest.raises(StructureError, match="nonzero substituends"):
-        compose_bipoly(bipoly({(1, 1): 1}, 4), *tt)
-    tt[zero_at] = tt[zero_at].ring_one()  # valuation 0
-    with pytest.raises(StructureError, match="valuation >= 1"):
-        compose_bipoly(bipoly({(1, 1): 1}, 4), *tt)
-
-
-def test_composition_shares_the_powers_of_t_w():
+def test_composition_evaluates_the_weight_polynomial():
     p = param_point("xgamma", 5)
     t_b, t_w = eval_tt(p)
     weight = bipoly({(0, 0): 3, (2, 1): Fraction(-1, 2), (0, 4): 7, (1, 3): 2}, 5)
     want = 3 + t_b * t_b * t_w * Fraction(-1, 2) + t_w ** 4 * 7 + t_b * t_w ** 3 * 2
-    assert compose_bipoly(weight, t_b, t_w) == want
     assert closed_forms._compose(weight, t_b, closed_forms._powers(t_w, 5)) == want

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadslice.contfrac import (
-    FractionSpec,
     build_jn,
     conjectured_tilde_j_graded,
     conjectured_tilde_j_rescaled_route,
@@ -48,7 +47,7 @@ def rationals(seed, count, bound=7):
 def test_expand_examples_symbolic():
     table, _ = symbol_table("elongated", 4)
     Y = [table.a(j) for j in range(1, 5)]
-    J = expand(FractionSpec("newtype", Y), 2)
+    J = expand(Y, 2)
     assert J.coeffs[0] == Y[0].ring_one()
     assert J.coeffs[1] == Y[0] + Y[1]
     assert J.coeffs[2] == (Y[0] + Y[1]) * (Y[0] + Y[1]) + Y[1] * (Y[2] + Y[3])
@@ -58,34 +57,44 @@ def test_expand_stieltjes_matches_solver():
     N = 6
     bw = solve_bw(N)
     rungs = [bw.second[i] if i % 2 == 1 else bw.first[i] for i in range(1, 6)]
-    F = expand(FractionSpec("stieltjes", rungs), 4)
+    F = expand(rungs, 4, "stieltjes")
     for n in range(5):
         assert F.coeffs[n] == f_n(n, N), n
 
 
 def test_expand_zero_rungs():
-    spec = FractionSpec("stieltjes", [Fraction(0)] * 4)
-    assert expand(spec, 3).coeffs == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    assert expand([Fraction(0)] * 4, 3, "stieltjes").coeffs == (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
 
 @pytest.mark.parametrize("kind", ["stieltjes", "newtype"])
 @pytest.mark.parametrize("finite", [False, True])
 def test_expand_at_order_zero_is_one(kind, finite):
-    got = expand(FractionSpec(kind, [Fraction(1)] * 3, finite), 0)
+    got = expand([Fraction(1)] * 3, 0, kind, finite)
     assert got == Series.one("z", 0, QQ)
+
+
+@pytest.mark.parametrize("coeffs, kind, finite, message", [
+    ([Fraction(1)] * 3, "jacobi", False, "unknown fraction kind 'jacobi'"),
+    ([], "stieltjes", True, "at least one rung coefficient"),
+    (iter([]), "newtype", False, "at least one rung coefficient"),
+    ([Fraction(1)] * 4, "newtype", True, r"2\*alpha - 1 coefficients"),
+])
+def test_expand_refuses_a_malformed_fraction(coeffs, kind, finite, message):
+    with pytest.raises(StructureError, match=message):
+        expand(coeffs, 2, kind, finite)
 
 
 def test_expand_depth_guard():
     with pytest.raises(StructureError):
-        expand(FractionSpec("stieltjes", [Fraction(1)] * 2), 4)
+        expand([Fraction(1)] * 2, 4, "stieltjes")
     with pytest.raises(StructureError):
-        expand(FractionSpec("newtype", [Fraction(1)] * 3), 4)
+        expand([Fraction(1)] * 3, 4)
 
 
 def test_stieltjes_extract_round_trip_rationals():
     cs = rationals(3, 8)
     cs = [abs(c) + 1 for c in cs]  # keep Hankel determinants away from zero
-    F = expand(FractionSpec("stieltjes", cs), 8)
+    F = expand(cs, 8, "stieltjes")
     got = stieltjes_extract(F, 4)
     for i in range(1, 5):
         assert got[("w", 2 * i - 1)] == cs[2 * i - 2]
@@ -97,7 +106,7 @@ def test_stieltjes_bi_ratios_symbolic():
     rungs: c_{2i} h0_{i-1} h1_{i-1} = h0_i h1_{i-2} and the odd analog."""
     table, _ = symbol_table("elongated", 6)  # six opaque symbols
     cs = [table.a(j) for j in range(1, 7)]
-    F = expand(FractionSpec("stieltjes", cs, finite=True), 6)
+    F = expand(cs, 6, "stieltjes", finite=True)
 
     def h(i, shift):
         if i < 0:
@@ -124,8 +133,8 @@ def test_stieltjes_extraction_from_solver():
 
 def test_ladder_basics():
     Y = rationals(5, 9)
-    J = expand(FractionSpec("newtype", Y, finite=True), 4)
-    Jt = expand(FractionSpec("newtype", tilde_coeffs(Y), finite=True), 4)
+    J = expand(Y, 4, finite=True)
+    Jt = expand(tilde_coeffs(Y), 4, finite=True)
     lad = build_jn(J, Y[0], Jt)
     assert lad[0] == Fraction(1)
     assert lad[1] == Y[0]
@@ -140,7 +149,7 @@ def test_tilde_examples():
     assert t[0] * Y[0] == 1
     assert t[1] == Y[1] / (Y[0] * Y[2])
     # expansion of the companion fraction starts at (Y_2 + Y_3)/(Y_1 Y_3)
-    Jt = expand(FractionSpec("newtype", t, finite=True), 1)
+    Jt = expand(t, 1, finite=True)
     assert Jt.coeffs[1] == (Y[1] + Y[2]) / (Y[0] * Y[2])
     with pytest.raises(StructureError):
         tilde_coeffs(Y[:4])
@@ -148,8 +157,8 @@ def test_tilde_examples():
 
 def test_newtype_round_trip_rationals():
     Y = rationals(11, 9)
-    J = expand(FractionSpec("newtype", Y, finite=True), 5)
-    Jt = expand(FractionSpec("newtype", tilde_coeffs(Y), finite=True), 4)
+    J = expand(Y, 5, finite=True)
+    Jt = expand(tilde_coeffs(Y), 4, finite=True)
     lad = build_jn(J, Y[0], Jt)
     assert newtype_extract(lad, 4) == Y[:8]
 
@@ -260,7 +269,7 @@ def test_stieltjes_expand_after_extract_identity():
     for i in range(1, i_max + 1):
         rungs.append(got[("w", 2 * i - 1)])
         rungs.append(got[("b", 2 * i)])
-    again = expand(FractionSpec("stieltjes", rungs), 2 * i_max)
+    again = expand(rungs, 2 * i_max, "stieltjes")
     assert again == F
 
 
@@ -291,14 +300,14 @@ def fold_oracle(Y, rungs, one, z, inv):
     return t
 
 
-def expand_oracle(spec, L):
-    Y = spec.coeffs
-    if spec.kind == "stieltjes":
+def expand_oracle(coeffs, L, kind, finite):
+    Y = coeffs
+    if kind == "stieltjes":
         Y = [v for c in Y for v in (Fraction(0), c)]
     rungs = (len(Y) + 1) // 2
     field = contfrac._ring_field(Y[0])
     one, z = Series.one("z", L, field), Series.gen("z", L, field)
-    return fold_oracle(Y, rungs if spec.finite else min(rungs, L), one, z, Series.inv)
+    return fold_oracle(Y, rungs if finite else min(rungs, L), one, z, Series.inv)
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -306,8 +315,8 @@ small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 @st.composite
 def fraction_specs(draw):
-    """(spec, L) over Fraction rungs, zero rungs allowed, of either kind and
-    either termination, with L in 0..10."""
+    """expand's arguments (coeffs, L, kind, finite) over Fraction rungs, zero
+    rungs allowed, of either kind and either termination, with L in 0..10."""
     kind = draw(st.sampled_from(["stieltjes", "newtype"]))
     finite = draw(st.booleans())
     L = draw(st.integers(0, 10))
@@ -318,14 +327,13 @@ def fraction_specs(draw):
         least = max(1, L if kind == "stieltjes" else 2 * L)
         count = draw(st.integers(least, least + 3))
     coeffs = draw(st.lists(small_fractions, min_size=count, max_size=count))
-    return FractionSpec(kind, coeffs, finite), L
+    return coeffs, L, kind, finite
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(fraction_specs())
 def test_expand_matches_the_inverse_per_rung_fold(case):
-    spec, L = case
-    assert expand(spec, L) == expand_oracle(spec, L)
+    assert expand(*case) == expand_oracle(*case)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -348,10 +356,10 @@ def test_stieltjes_expand_matches_its_old_branch(finite):
     for seed in range(8):
         cs = rationals(300 + seed, 6)
         for L in (1, 3, 6):
-            assert expand(FractionSpec("stieltjes", cs, finite), L) == stieltjes_expand_oracle(cs, L, finite)
+            assert expand(cs, L, "stieltjes", finite=finite) == stieltjes_expand_oracle(cs, L, finite)
     table, _ = symbol_table("elongated", 4)  # four opaque symbols
     cs = [table.a(j) for j in range(1, 5)]
-    assert expand(FractionSpec("stieltjes", cs, finite), 4) == stieltjes_expand_oracle(cs, 4, finite)
+    assert expand(cs, 4, "stieltjes", finite=finite) == stieltjes_expand_oracle(cs, 4, finite)
 
 
 def test_stieltjes_extract_matches_the_direct_hankel_builder():

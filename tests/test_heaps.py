@@ -82,6 +82,9 @@ def test_weight_count_guard():
         hard_pieces(2, [Fraction(1)] * 4)
     with pytest.raises(StructureError):
         hard_pieces(2, [Fraction(1)] * 3, variant="gprime")
+    for weights in ([1, 2, 3], [1, 2, 3, 4]):
+        with pytest.raises(StructureError, match="unknown variant 'gprim'"):
+            hard_pieces(2, weights, variant="gprim")
 
 
 def test_heap_gf_alpha_one():

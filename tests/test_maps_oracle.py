@@ -127,37 +127,10 @@ def test_validation_rejects_bad_maps():
     RootedMap([1, 0, 3, 2], [2, 3, 0, 1], 0)
 
 
-@pytest.mark.parametrize("line, message", [
-    ("2; (0)(1); (0 1); 5", "root 5 is not a dart"),
-    ("2; (0)(1); (0 1); -1", "root -1 is not a dart"),
-    ("2; (0)(1); (0 1)", "4 ';'-separated fields, got 3"),
-    ("2; (0)(1); (0 1); 0; 0", "4 ';'-separated fields, got 5"),
-    ("two; (0)(1); (0 1); 0", "integer fields only"),
-    ("2; (0)(x); (0 1); 0", "integer fields only"),
-    ("2; (0)(1); (0 1); 0.5", "integer fields only"),
-    ("2; (0)(2); (0 1); 0", "dart 2 is not among the 2 darts"),
-    ("2; (0)(1); (0 -1); 0", "dart -1 is not among the 2 darts"),
-    ("2; (0)(1); (0 1 1); 0", "an edge pairs two darts"),
-])
-def test_malformed_lines_name_the_problem(line, message):
-    with pytest.raises(StructureError, match=message):
-        RootedMap.from_line(line)
-    assert RootedMap.from_line("2; (0)(1); (0 1); 1").root == 1
-
-
 def test_root_must_be_a_dart():
     for root in (2, -1):
         with pytest.raises(StructureError, match=f"root {root} is not a dart"):
             RootedMap([1, 0], [1, 0], root)
-
-
-def test_exchange_format_round_trip():
-    for q in enumerate_quads(2, 1):
-        line = q.map.to_line()
-        again = RootedMap.from_line(line)
-        assert again.sigma == q.map.sigma
-        assert again.alpha == q.map.alpha
-        assert again.root == q.map.root
 
 
 def test_canonical_key_is_root_sensitive():
@@ -168,20 +141,20 @@ def test_canonical_key_is_root_sensitive():
 
 def test_forward_transport_and_distances():
     for q in enumerate_quads(2, 2):
-        img = ab_forward(q)
+        image, origin = ab_forward(q)
         n_max = sum(q.local_max)
-        assert len(img.map.vertices()) == len(q.local_max) - n_max
-        assert len(img.map.faces()) - 1 == n_max
-        assert len(img.map.face_of_root()) == q.n
-        oriented_distance_check(img, q)
+        assert len(image.vertices()) == len(q.local_max) - n_max
+        assert len(image.faces()) - 1 == n_max
+        assert len(image.face_of_root()) == q.n
+        oriented_distance_check(image, origin, q)
 
 
 def test_loop_image_for_single_edge():
     q = enumerate_quads(1, 0)[0]
-    img = ab_forward(q)
-    assert img.map.n_darts == 2
-    assert len(img.map.vertices()) == 1  # a single loop on one vertex
-    assert len(img.map.face_of_root()) == 1
+    image, _ = ab_forward(q)
+    assert image.n_darts == 2
+    assert len(image.vertices()) == 1  # a single loop on one vertex
+    assert len(image.face_of_root()) == 1
 
 
 def test_bijection_suites():
@@ -206,9 +179,10 @@ def test_angular_pair_round_trips():
 
 
 def test_the_two_constructions_differ():
-    m, q, img = distinct_bijections_witness()
-    assert not img.map.is_isomorphic(m)
-    assert len(img.map.vertices()) != len(m.vertices())
+    m, q, image = distinct_bijections_witness()
+    assert image.is_isomorphic(ab_forward(q)[0]) and ab_inverse(m).map.is_isomorphic(q.map)
+    assert not image.is_isomorphic(m)
+    assert len(image.vertices()) != len(m.vertices())
 
 
 def test_bridgeless_filter():
@@ -288,9 +262,10 @@ def test_resource_guard(monkeypatch):
         enumerate_quads.cache_clear()
 
 
-def test_exchange_format_golden():
+def test_single_edge_quadrangulation_golden():
+    # two one-dart vertices joined by one edge, rooted at dart 0
     q = enumerate_quads(1, 0)[0]
-    assert q.map.to_line() == "2; (0)(1); (0 1); 0"
+    assert (q.map.sigma, q.map.alpha, q.map.root) == ((0, 1), (1, 0), 0)
 
 
 def test_bf_weight_golden():
@@ -316,9 +291,8 @@ def _corpus():
 
 def _forward_and_angular_images():
     for n, f, q in _corpus():
-        img = ab_forward(q)
-        yield ("ab_forward", n, f, img.map.sigma, img.map.alpha, img.map.root,
-               tuple(img.vertex_origin))
+        image, origin = ab_forward(q)
+        yield ("ab_forward", n, f, image.sigma, image.alpha, image.root, tuple(origin))
         m = angular_inverse(q)
         yield ("angular_inverse", n, f, m.sigma, m.alpha, m.root)
 
@@ -392,7 +366,7 @@ def _walked_structure(m):
 def _corpus_and_images():
     for _, _, q in _corpus():
         m = angular_inverse(q)
-        yield from (q.map, ab_forward(q).map, m, ab_inverse(m).map)
+        yield from (q.map, ab_forward(q)[0], m, ab_inverse(m).map)
 
 
 def _star(edges):
@@ -447,17 +421,16 @@ def test_each_face_count_is_glued_once(monkeypatch):
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(data=st.data())
-def test_line_format_round_trips_relabelled_maps(data):
-    # every map of the corpus, its darts relabelled and its root moved
+def test_canonical_key_ignores_dart_labels(data):
+    # every map of the corpus, its darts relabelled, keeps its key at the
+    # image of its root
     for q in (q for n in (1, 2) for q in enumerate_quads(n, 1)):
         darts = q.map.n_darts
         p = data.draw(st.permutations(range(darts)))
         sigma, alpha = [0] * darts, [0] * darts
         for d in range(darts):
             sigma[p[d]], alpha[p[d]] = p[q.map.sigma[d]], p[q.map.alpha[d]]
-        m = RootedMap(sigma, alpha, data.draw(st.integers(0, darts - 1)))
-        again = RootedMap.from_line(m.to_line())
-        assert (again.sigma, again.alpha, again.root) == (m.sigma, m.alpha, m.root)
+        assert RootedMap(sigma, alpha, p[q.map.root]).canonical_key() == q.map.canonical_key()
 
 
 # ------------------------------------------------ the former construction code
@@ -685,15 +658,15 @@ def _assert_quad_matches_oracles(q):
     black = lambda v: q.color[v] == "black"
     new, old = _joined(m, rising, lambda v: not q.local_max[v], "rising")
     assert new == old
-    img = ab_forward(q)
-    assert (img.map.sigma, img.map.alpha, img.map.root, img.vertex_origin) == new
+    image, origin = ab_forward(q)
+    assert (image.sigma, image.alpha, image.root, origin) == new
     new, old = _joined(m, lambda d: black(m.vertex_of[d]), black, "black")
     assert new == old
     m2 = angular_inverse(q)
     assert (m2.sigma, m2.alpha, m2.root) == new[:3]
     q2 = ab_inverse(m2)
     assert (q2.dist, q2.color, q2.local_max) == _set_adjacency_labels(q2.map)
-    for x in (m, img.map, m2, q2.map):
+    for x in (m, image, m2, q2.map):
         _assert_map_matches_oracles(x)
 
 

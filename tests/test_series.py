@@ -9,14 +9,20 @@ from hypothesis import example, given, settings, strategies as st
 from quadslice.closed_forms import ALPHA_RING, GAMMA_RING
 from quadslice.errors import NonInvertibleError
 from quadslice.exactalg import bipoly, tb, tw
-from quadslice.ratfunc import QQ, Poly, RatFunc, ratfunc_field
+from quadslice.ratfunc import QQ, FieldSpec, Poly, RatFunc
 from quadslice.series import RHO_RING, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 
 from test_exactalg import coefficients, random_bipoly
 
+
+def rational_field(var):
+    """The field Q(var) of rational functions, where the schoolbook routines run."""
+    return FieldSpec(RatFunc.zero(var), RatFunc.one(var), f"QQ({var})")
+
+
 # The tau grading over the field Q(rho), the route the package no longer
 # takes, kept as the oracle for the exact division over Q[rho].
-RHO_FIELD = ratfunc_field("rho")
+RHO_FIELD = rational_field("rho")
 
 
 def rho_field_image(p):
@@ -248,6 +254,16 @@ def test_packed_rho_product_matches_schoolbook(operands):
     assert exact_form(b * a) == want
 
 
+@pytest.mark.parametrize("s", [frac_series([1, 2, 0, Fraction(-3, 4)], 3),
+                               rho_series(3, [[0, Fraction(-1, 3)], [], [2, 1]])])
+def test_a_rational_scalar_adds_in_both_orders(s):
+    c = Fraction(-5, 7)
+    for got in (s + c, c + s):
+        assert got.field is s.field and got.cap == s.cap and (got._num is None) == (s._num is None)
+        assert got.coeffs == (s.coeffs[0] + c,) + s.coeffs[1:]
+        assert got == s - (-c) and got - c == s
+
+
 def test_rho_ring_divide_is_exact():
     rho = Poly.gen("rho")
     b = Series("tau", 4, [rho - 1, rho * rho, Poly.const("rho", 3)], RHO_RING)
@@ -300,7 +316,7 @@ def v_series(ring, cap, rows):
 
 def over_field(s):
     """s as a series over Q(v), where the schoolbook routines run."""
-    field = ratfunc_field(s.field.zero.var)
+    field = rational_field(s.field.zero.var)
     return Series(s.var, s.cap, [RatFunc.from_poly(c) for c in s.coeffs], field)
 
 

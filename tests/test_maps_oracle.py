@@ -133,6 +133,22 @@ def test_root_must_be_a_dart():
             RootedMap([1, 0], [1, 0], root)
 
 
+@pytest.mark.parametrize("sigma, alpha, root, message", [
+    ((0, 1), (1, 0), 5, r"root 5 is not a dart of the map \(darts 0..1\)"),
+    ((0, 1), (1, 0), 0.5, "root 0.5 is not a dart"),
+    ((0, 1), (1, 0), "0", "root '0' is not a dart"),
+    ((0, 1), (1, 0), None, "root None is not a dart"),
+    ((), (), 0, r"root 0 is not a dart of the map \(darts 0..-1\)"),
+    ((0, 2), (1, 0), 0, "sigma and alpha must be permutations"),
+    ((0, -1), (1, 0), 0, "sigma and alpha must be permutations"),
+    ((0, 1), (1, 0, 1), 0, "sigma and alpha must be permutations"),
+])
+def test_malformed_maps_name_the_problem(sigma, alpha, root, message):
+    with pytest.raises(StructureError, match=message):
+        RootedMap(sigma, alpha, root)
+    assert RootedMap((0, 1), (1, 0), 1).root == 1
+
+
 def test_canonical_key_is_root_sensitive():
     q = enumerate_quads(2, 0)
     keys = {x.map.canonical_key() for x in q}

@@ -231,7 +231,7 @@ def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
 
     system in {"bw", "pq", "y"}; each residual value - rule(...) must
     vanish identically in the parameter up to order M in the series variable,
-    at every height of i_range, each at least 1.
+    at every height of i_range, each an int of at least 1.
     """
     if M < 2:
         raise StructureError("need order >= 2")
@@ -244,6 +244,8 @@ def verify_recursion(system, i_range=range(1, 7), M=8) -> CheckReport:
     x, y = _closed_heights(system, p)
     where = "pair" if system == "y" else "height"
     for i in i_range:
+        if type(i) is not int:
+            raise StructureError(f"{where} {i!r} is not an int")
         if i < 1:
             raise StructureError(f"the recursions start at {where} 1, not {i}")
         rhs_x, rhs_y = rule(x, y, i, t_b, t_w)

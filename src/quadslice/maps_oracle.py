@@ -8,14 +8,18 @@ vertex), a fixed-point-free involution alpha (the two darts of each edge),
 and a distinguished root dart.  Faces are the cycles of sigma o alpha, and
 the external face is the face cycle through the root dart.  Connectedness
 means <sigma, alpha> acts transitively; genus 0 is Euler's relation
-V - E + F = 2.  Validation computes the vertex and face cycles once, with
-the cycle label of every dart, and the map keeps them: the labeled
-quadrangulations, the corner joins, the white-vertex construction and the
-oriented distances all read them instead of walking the permutations again.
-Everything runs on flat per-dart arrays: the orbit of the root is a
-bytearray of visited darts with a count, the cycles and the canonical
-breadth-first relabeling keep lists of labels, and the labels of a
-quadrangulation are read off its vertex cycles.
+V - E + F = 2.  Validation walks the orbit of the root breadth first,
+alpha before sigma: that walk is the connectivity check, and the order of
+its first visits is the canonical relabeling, whose key the map keeps for
+canonical_key().  Validation also computes the vertex and face cycles
+once, with the cycle label of every dart, and the map keeps them: the
+labeled quadrangulations, the corner joins, the white-vertex construction
+and the oriented distances all read them instead of walking the
+permutations again.  Everything runs on flat per-dart lists: the
+relabeling and the cycles keep lists of labels, the corner joins and the
+white-vertex construction number their new edge ends consecutively around
+each vertex or face, and a quadrangulation takes its edge check and its
+local maxima from one list of label steps, one per dart.
 
 Enumeration glues polygons: the faces of a quadrangulation with boundary
 2n and f inner faces are one 2n-gon plus f squares, and a complete
@@ -43,7 +47,11 @@ most f - 1, so each face count is glued once per boundary length.
 
 General maps with a bridgeless boundary of length b and E edges (the
 image side of the bijection) are glued from the root face [b] plus inner
-faces, one run per partition of 2E - b, keeping bridgeless boundaries.
+faces, one run per partition of 2E - b.  In a glued map the root polygon
+is the external face and the side pairing is alpha, so a bridge on the
+boundary is exactly a pair of root-polygon sides: the codomain search
+never pairs two of them, and the bridgeless filter after it stays as a
+check that rejects nothing.
 
 Two distinct bijections connect the quadrangulations to general maps with
 a bridgeless boundary, and both are implemented: ab_forward applies the
@@ -73,6 +81,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
+from itertools import compress
 
 from .errors import CheckReport, ResourceGuardError, StructureError, VerificationError
 from .exactalg import BIVARS, MPoly
@@ -90,17 +99,21 @@ def _guard_darts(darts):
         raise ResourceGuardError(f"{darts} darts exceed the guard; set QUADSLICE_MAX_DARTS to override")
 
 
-def _bfs_distances(neighbours, root):
-    """Breadth-first distances from vertex root along neighbours[v]; -1 where unreachable."""
-    dist = [-1] * len(neighbours)
+def _bfs_distances(out_darts, far, root):
+    """Breadth-first distances from vertex root, where vertex v reaches
+    far[d] for every dart d of out_darts[v]; -1 where unreachable."""
+    dist = [-1] * len(out_darts)
     dist[root] = 0
     frontier = [root]
+    k = 0
     while frontier:
+        k += 1
         nxt_frontier = []
         for v in frontier:
-            for u in neighbours[v]:
+            for d in out_darts[v]:
+                u = far[d]
                 if dist[u] == -1:
-                    dist[u] = dist[v] + 1
+                    dist[u] = k
                     nxt_frontier.append(u)
         frontier = nxt_frontier
     return dist
@@ -108,11 +121,12 @@ def _bfs_distances(neighbours, root):
 
 class RootedMap:
     """A rooted combinatorial map, validated on construction.  Validation
+    keeps the canonical key of its breadth-first walk from the root, and
     walks the vertex and face cycles once and keeps them: vertices() and
     faces() return them, and vertex_of[d] and face_of[d] are the indices of
     the cycles through dart d."""
 
-    __slots__ = ("n_darts", "sigma", "alpha", "root", "_vertices", "_faces", "vertex_of", "face_of")
+    __slots__ = ("n_darts", "sigma", "alpha", "root", "_key", "_vertices", "_faces", "vertex_of", "face_of")
 
     def __init__(self, sigma, alpha, root=0):
         self.sigma = tuple(sigma)
@@ -124,33 +138,36 @@ class RootedMap:
     def validate(self):
         n = self.n_darts
         sigma, alpha, root = self.sigma, self.alpha, self.root
-        if not (isinstance(root, int) and 0 <= root < n):
+        if not (type(root) is int and 0 <= root < n):
             raise StructureError(f"root {root!r} is not a dart of the map (darts 0..{n - 1})")
+        if {*map(type, sigma), *map(type, alpha)} != {int}:
+            bad = next(d for d in sigma + alpha if type(d) is not int)
+            raise StructureError(f"dart {bad!r} is not an int")
         darts = list(range(n))
         if sorted(sigma) != darts or sorted(alpha) != darts:
             raise StructureError("sigma and alpha must be permutations of the darts")
         for d, a in enumerate(alpha):
             if a == d or alpha[a] != d:
                 raise StructureError("alpha must be a fixed-point-free involution")
-        # the orbit of the root under <sigma, alpha>
-        seen = bytearray(n)
-        seen[root] = 1
-        reached = 1
-        stack = [root]
-        while stack:
-            d = stack.pop()
-            e = sigma[d]
-            if not seen[e]:
-                seen[e] = 1
-                reached += 1
-                stack.append(e)
+        # the orbit of the root under <sigma, alpha>, breadth first with
+        # alpha before sigma: the order of first visits is the canonical
+        # relabeling, unique because only the identity fixes the root of a
+        # connected map
+        lab = [-1] * n
+        lab[root] = 0
+        order = [root]
+        for d in order:  # order grows while it is read
             e = alpha[d]
-            if not seen[e]:
-                seen[e] = 1
-                reached += 1
-                stack.append(e)
-        if reached != n:
+            if lab[e] < 0:
+                lab[e] = len(order)
+                order.append(e)
+            e = sigma[d]
+            if lab[e] < 0:
+                lab[e] = len(order)
+                order.append(e)
+        if len(order) != n:
             raise StructureError("map is not connected")
+        self._key = (tuple([lab[sigma[d]] for d in order]), tuple([lab[alpha[d]] for d in order]))
         self._vertices, self.vertex_of = self._cycles(sigma)
         self._faces, self.face_of = self._cycles([sigma[a] for a in alpha])
         V, E, F = len(self._vertices), n // 2, len(self._faces)
@@ -199,22 +216,9 @@ class RootedMap:
         return not any(self.face_of[self.alpha[d]] == ext for d in self._faces[ext])
 
     def canonical_key(self):
-        """Breadth-first relabeling from the root dart; unique because only
-        the identity fixes the root of a connected map."""
-        sigma, alpha = self.sigma, self.alpha
-        lab = [-1] * self.n_darts
-        lab[self.root] = 0
-        order = [self.root]
-        for d in order:  # order grows while it is read
-            e = alpha[d]
-            if lab[e] < 0:
-                lab[e] = len(order)
-                order.append(e)
-            e = sigma[d]
-            if lab[e] < 0:
-                lab[e] = len(order)
-                order.append(e)
-        return tuple([lab[sigma[d]] for d in order]), tuple([lab[alpha[d]] for d in order])
+        """(sigma, alpha) relabeled in the breadth-first order of validation
+        from the root dart; equal exactly for rooted-isomorphic maps."""
+        return self._key
 
     def is_isomorphic(self, other: "RootedMap") -> bool:
         return self.canonical_key() == other.canonical_key()
@@ -222,12 +226,14 @@ class RootedMap:
 
 # ------------------------------------------------------------ gluing engine
 
-def glue_polygons(sizes):
+def glue_polygons(sizes, bridgeless=False):
     """All connected genus-0 complete side pairings of labeled polygons.
 
     sizes[p] is the side count of polygon p; polygon 0 is pinned (its side
     0 is the eventual root dart), and the other polygons of equal size are
-    interchangeable, factored out by orderly generation.  Returns the match
+    interchangeable, factored out by orderly generation.  With bridgeless,
+    no two sides of polygon 0 are paired: once glued, polygon 0 is the
+    external face and its boundary carries no bridge.  Returns the match
     arrays (involutions on side indices) and the next-side permutation.
     """
     total = sum(sizes)
@@ -288,7 +294,8 @@ def glue_polygons(sizes):
         if touched[ps] == 0 and first_fresh_of_class(ps) != ps:
             return  # a lower-index fresh polygon of the class must come first
         rs = find(ps)
-        for t in range(s + 1, total):
+        # polygon 0 is sides 0..sizes[0] - 1
+        for t in range(sizes[0] if bridgeless and ps == 0 else s + 1, total):
             if match[t] != -1:
                 continue
             pt = poly_of[t]
@@ -362,14 +369,17 @@ class LabeledQuad:
         self.n = n
         self.f = (m.n_darts // 2 - n) // 2
         vertex_of, alpha = m.vertex_of, m.alpha
-        neighbours = [[vertex_of[alpha[d]] for d in cyc] for cyc in m.vertices()]
-        root_vertex = vertex_of[m.root]
-        self.dist = dist = _bfs_distances(neighbours, root_vertex)
+        self.dist = dist = _bfs_distances(m.vertices(), [vertex_of[a] for a in alpha], vertex_of[m.root])
         self.color = ["black" if d % 2 == 0 else "white" for d in dist]
-        self.local_max = [
-            v != root_vertex and all(dist[u] == dist[v] - 1 for u in nbrs)
-            for v, nbrs in enumerate(neighbours)
-        ]
+        # the label step along every dart: each is -1 or +1, and the local
+        # maxima are the vertices with no rising dart (the root rises
+        # along all of its darts)
+        label = [dist[v] for v in vertex_of]
+        steps = [label[a] - x for a, x in zip(alpha, label)]
+        if not {*steps} <= {-1, 1}:
+            raise VerificationError("edge endpoints must differ by 1 in distance")
+        rising = {*compress(vertex_of, [s > 0 for s in steps])}
+        self.local_max = [v not in rising for v in range(len(dist))]
         self.check()
 
     def check(self):
@@ -379,42 +389,37 @@ class LabeledQuad:
         for face in m.inner_faces():
             if len(face) != 4:
                 raise VerificationError("inner face of degree != 4")
-        dist, vertex_of, alpha = self.dist, m.vertex_of, m.alpha
-        for v, cyc in enumerate(m.vertices()):
-            for d in cyc:
-                if abs(dist[vertex_of[alpha[d]]] - dist[v]) != 1:
-                    raise VerificationError("edge endpoints must differ by 1 in distance")
-        if self.local_max[vertex_of[m.root]]:
+        if self.local_max[m.vertex_of[m.root]]:
             raise VerificationError("root vertex can never be a local maximum")
 
     def bicolored_exponents(self):
         """(a, b) of its bicolored weight tb^a tw^b: the black vertices but
         the root, and the white vertices."""
-        blacks = sum(1 for c in self.color if c == "black") - 1
-        whites = sum(1 for c in self.color if c == "white")
+        blacks = self.color.count("black") - 1
+        whites = self.color.count("white")
         return blacks, whites
 
     def local_max_exponents(self):
         """(a, b) of its local-maxima weight tb^a tw^b: the vertices but the
         root that are not local maxima, and the local maxima."""
-        maxima = sum(1 for flag in self.local_max if flag)
+        maxima = self.local_max.count(True)
         others = len(self.local_max) - maxima - 1
         return others, maxima
 
 
-def _glued_maps(sizes, keep=lambda m: True):
+def _glued_maps(sizes, bridgeless=False):
     """One rooted map per isomorphism class among the planar gluings of the
-    polygons sizes that pass keep; the faces of each map are exactly the
-    polygons, polygon 0 being the external face.  The first map in gluing
-    order represents its class."""
+    polygons sizes, with a bridgeless boundary if asked; the faces of each
+    map are exactly the polygons, polygon 0 being the external face.  The
+    first map in gluing order represents its class."""
     _guard_darts(sum(sizes))
-    matchings, nxt = glue_polygons(sizes)
+    matchings, nxt = glue_polygons(sizes, bridgeless)
     out = []
     seen = set()
     for match in matchings:
         m = RootedMap([nxt[match[d]] for d in range(len(match))], match, 0)
-        if not keep(m):
-            continue
+        if bridgeless and not m.boundary_is_bridgeless():
+            continue  # the gluing search pruned these; the filter stays as the check
         key = m.canonical_key()
         if key in seen:
             continue  # symmetry factoring is a pruning aid, not exact
@@ -469,7 +474,7 @@ def enumerate_bridgeless_maps(boundary_len, n_edges):
         raise StructureError("need boundary_len >= 1")
     inner = 2 * n_edges - boundary_len
     return [m for degrees in _partitions(inner, inner)
-            for m in _glued_maps([boundary_len, *degrees], RootedMap.boundary_is_bridgeless)]
+            for m in _glued_maps([boundary_len, *degrees], bridgeless=True)]
 
 
 # ------------------------------------------------------------- the bijection
@@ -544,7 +549,7 @@ def ab_forward(q: LabeledQuad):
         raise VerificationError("image boundary length must be n")
     if not new_map.boundary_is_bridgeless():
         raise VerificationError("image boundary must be bridgeless")
-    if len(new_map.inner_faces()) != sum(q.local_max):
+    if len(new_map.inner_faces()) != q.local_max.count(True):
         raise VerificationError("inner faces must correspond to local maxima")
     return new_map, vertex_origin
 
@@ -559,27 +564,33 @@ def ab_inverse(m: RootedMap) -> LabeledQuad:
     distinct_bijections_witness)."""
     if not m.boundary_is_bridgeless():
         raise StructureError("boundary must be bridgeless")
-    ext = m.face_of[m.root]
-    faces = m.inner_faces()
-    # one new edge per inner corner d: its black end numbered in vertex
-    # order, then its white end in face order
-    corners = [[d for d in v_cycle if m.face_of[d] != ext] for v_cycle in m.vertices()]
-    black_id = {d: i for i, d in enumerate(d for cs in corners for d in cs)}
-    white_id = {d: len(black_id) + i for i, d in enumerate(d for f in faces for d in f)}
-    sigma = [0] * (2 * len(black_id))
-    alpha = [0] * (2 * len(black_id))
-    rotations = [[black_id[d] for d in cs] for cs in corners]
-    rotations += [[white_id[d] for d in reversed(f)] for f in faces]
-    for ids in rotations:
-        for k, dd in enumerate(ids):
-            sigma[dd] = ids[(k + 1) % len(ids)]
-    for d, a in black_id.items():
-        alpha[a], alpha[white_id[d]] = white_id[d], a
+    face_of, ext = m.face_of, m.face_of[m.root]
+    # one new edge per inner corner d: its black end black[d], the ends
+    # numbered consecutively around each vertex in sigma order, then its
+    # white end, numbered consecutively around each inner face in face order
+    black = [0] * m.n_darts
+    sigma = []
+    for v_cycle in m.vertices():
+        start = len(sigma)
+        for d in v_cycle:
+            if face_of[d] != ext:
+                black[d] = i = len(sigma)
+                sigma.append(i + 1)
+        if len(sigma) > start:
+            sigma[-1] = start  # close the rotation
+    alpha = [0] * len(sigma)
+    for face in m.inner_faces():
+        start = len(sigma)
+        sigma.append(start + len(face) - 1)  # a white rotation runs against its face
+        sigma.extend(range(start, start + len(face) - 1))
+        for w, d in enumerate(face, start):
+            alpha[black[d]] = w
+            alpha.append(black[d])
     # the corner just left of the root dart at the root vertex
     root_corner = m.sigma[m.root]
-    if m.face_of[root_corner] == ext:
+    if face_of[root_corner] == ext:
         raise VerificationError("corner left of the root should border an inner face")
-    new_map = RootedMap(sigma, alpha, black_id[root_corner])
+    new_map = RootedMap(sigma, alpha, black[root_corner])
     return LabeledQuad(new_map, len(m.face_of_root()))
 
 
@@ -587,13 +598,11 @@ def oriented_distance_check(m: RootedMap, vertex_origin, q: LabeledQuad):
     """Breadth-first distances on the image m = ab_forward(q)[0], with
     boundary edges usable in one direction only, reproduce the original
     labels on kept vertices; vertex_origin is ab_forward's second value."""
-    vertex_of, face_of, ext = m.vertex_of, m.face_of, m.face_of[m.root]
+    vertex_of, face_of, ext, alpha = m.vertex_of, m.face_of, m.face_of[m.root], m.alpha
     V = len(m.vertices())
-    arcs = [[] for _ in range(V)]
-    for d in range(m.n_darts):
-        if face_of[d] == ext or face_of[m.alpha[d]] != ext:  # a boundary edge runs along its external dart
-            arcs[vertex_of[d]].append(vertex_of[m.alpha[d]])
-    dist = _bfs_distances(arcs, vertex_of[m.root])
+    # a boundary edge runs along its external dart only
+    usable = [[d for d in cyc if face_of[d] == ext or face_of[alpha[d]] != ext] for cyc in m.vertices()]
+    dist = _bfs_distances(usable, [vertex_of[a] for a in alpha], vertex_of[m.root])
     for new_v in range(V):
         want = q.dist[vertex_origin[new_v]]
         if dist[new_v] != want:
@@ -628,7 +637,7 @@ def bijection_check(n, f) -> CheckReport:
         if key not in codomain:
             raise VerificationError("local-rule image escapes the bridgeless family")
         images[key] = q
-        n_max = sum(1 for flag in q.local_max if flag)
+        n_max = q.local_max.count(True)
         if len(image.vertices()) != len(q.local_max) - n_max:
             raise VerificationError("vertex transport failed")
         oriented_distance_check(image, origin, q)
@@ -648,7 +657,7 @@ def bijection_check(n, f) -> CheckReport:
         seen.add(k2)
         if k2 not in quad_key_set:
             raise VerificationError("white-vertex image is not a corpus quadrangulation")
-        blacks = sum(1 for c in q2.color if c == "black")
+        blacks = q2.color.count("black")
         whites = len(q2.color) - blacks
         if blacks != len(m.vertices()) or whites != len(m.faces()) - 1:
             raise VerificationError("color transport failed")

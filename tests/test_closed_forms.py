@@ -214,6 +214,13 @@ def test_heights_below_the_recursions_are_structural():
         assert ParamPoint(family, 3).factor(0, 0).is_zero()  # 1 - param^0
 
 
+def test_heights_must_be_ints():
+    for system, where in (("bw", "height"), ("pq", "height"), ("y", "pair")):
+        for i, shown in ((1.5, "1.5"), (True, "True"), ("2", "'2'"), (None, "None")):
+            with pytest.raises(StructureError, match=f"{where} {shown} is not an int"):
+                verify_recursion(system, [i], 4)
+
+
 def test_a_report_with_no_check_is_not_a_pass():
     for system in ("bw", "pq", "y"):
         report = verify_recursion(system, range(1, 1), 4)

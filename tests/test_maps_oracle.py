@@ -10,7 +10,6 @@ from quadslice.exactalg import BIVARS, MPoly, bipoly_to_text, tw
 from quadslice.maps_oracle import (
     LabeledQuad,
     RootedMap,
-    _bfs_distances,
     _join_corners,
     _partitions,
     ab_forward,
@@ -147,6 +146,22 @@ def test_malformed_maps_name_the_problem(sigma, alpha, root, message):
     with pytest.raises(StructureError, match=message):
         RootedMap(sigma, alpha, root)
     assert RootedMap((0, 1), (1, 0), 1).root == 1
+
+
+@pytest.mark.parametrize("sigma, alpha, root, message", [
+    ((0.0, 1), (1, 0), 0, "dart 0.0 is not an int"),
+    ((True, 0), (1, 0), 0, "dart True is not an int"),
+    ((0, 1), (1, 0.0), 0, "dart 0.0 is not an int"),
+    ((0, 1), (False, 0), 0, "dart False is not an int"),
+    ((0, "1"), (1, 0), 0, "dart '1' is not an int"),
+    ((0, 1), (1, None), 0, "dart None is not an int"),
+    ((0, 1), (1, 0), True, r"root True is not a dart of the map \(darts 0..1\)"),
+    ((0, 1), (1, 0), 0.0, "root 0.0 is not a dart"),
+])
+def test_darts_and_root_must_be_ints(sigma, alpha, root, message):
+    # values equal to a dart but of another type are refused by name
+    with pytest.raises(StructureError, match=message):
+        RootedMap(sigma, alpha, root)
 
 
 def test_canonical_key_is_root_sensitive():
@@ -454,7 +469,8 @@ def test_canonical_key_ignores_dart_labels(data):
 # The set-, dict- and closure-based code the flat-array fast paths replaced,
 # kept as their oracles: the gluing search with its write trail, the set
 # orbit of the root, the dict canonical relabeling, the corner join that
-# collects edge ends in a dict and sorts them per corner, and the labels read
+# collects edge ends in a dict and sorts them per corner, the white-vertex
+# construction that numbers its edge ends through dicts, and the labels read
 # off adjacency sets.
 
 def _trail_glue_polygons(sizes):
@@ -632,6 +648,26 @@ def _end_dict_join_corners(m, picked, kept, kind):
     return tuple(sigma), tuple(alpha), dart_id[(m.root, +1)], origin
 
 
+def _dict_ab_inverse(m):
+    """The white-vertex construction numbering its new edge ends through
+    dicts; returns (sigma, alpha, root) of the result before validation."""
+    ext = m.face_of[m.root]
+    faces = m.inner_faces()
+    corners = [[d for d in v_cycle if m.face_of[d] != ext] for v_cycle in m.vertices()]
+    black_id = {d: i for i, d in enumerate(d for cs in corners for d in cs)}
+    white_id = {d: len(black_id) + i for i, d in enumerate(d for f in faces for d in f)}
+    sigma = [0] * (2 * len(black_id))
+    alpha = [0] * (2 * len(black_id))
+    rotations = [[black_id[d] for d in cs] for cs in corners]
+    rotations += [[white_id[d] for d in reversed(f)] for f in faces]
+    for ids in rotations:
+        for k, dd in enumerate(ids):
+            sigma[dd] = ids[(k + 1) % len(ids)]
+    for d, a in black_id.items():
+        alpha[a], alpha[white_id[d]] = white_id[d], a
+    return tuple(sigma), tuple(alpha), black_id[m.sigma[m.root]]
+
+
 def _set_adjacency_labels(m):
     """The distance labels, colors and local-maximum flags of a quadrangulation."""
     vertex_of = m.vertex_of
@@ -641,7 +677,17 @@ def _set_adjacency_labels(m):
         adj[a].add(b)
         adj[b].add(a)
     root_vertex = vertex_of[m.root]
-    dist = _bfs_distances(adj, root_vertex)
+    dist = [-1] * len(adj)
+    dist[root_vertex] = 0
+    frontier = [root_vertex]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in adj[v]:
+                if dist[u] == -1:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
     color = ["black" if d % 2 == 0 else "white" for d in dist]
     local_max = [all(dist[u] == dist[v] - 1 for u in adj[v]) and v != root_vertex for v in range(len(adj))]
     return dist, color, local_max
@@ -771,3 +817,83 @@ def test_validation_matches_the_set_orbit_on_disjoint_unions(data):
     assert len(_set_orbit(sigma, alpha, root)) < len(sigma)
     with pytest.raises(StructureError, match="map is not connected"):
         RootedMap(sigma, alpha, root)
+
+
+def _unpruned_bridgeless_maps(b, E):
+    """The codomain glued without pruning and filtered afterwards: every
+    planar gluing of the root face [b] and the inner faces, kept when its
+    boundary has no bridge, one map per class, the first in gluing order."""
+    out, seen = [], set()
+    inner = 2 * E - b
+    for degrees in _partitions(inner, inner):
+        matchings, nxt = glue_polygons([b, *degrees])
+        for match in matchings:
+            m = RootedMap([nxt[match[d]] for d in range(len(match))], match, 0)
+            if m.boundary_is_bridgeless() and m.canonical_key() not in seen:
+                seen.add(m.canonical_key())
+                out.append(m)
+    return out
+
+
+def test_pruned_gluing_matches_the_filtered_gluing():
+    # the search that never pairs two root-polygon sides gives exactly the
+    # gluings that pair none, and the same maps in the same order
+    for b in range(1, 5):
+        for E in range(1, 7):
+            inner = 2 * E - b
+            for degrees in _partitions(inner, inner):
+                sizes = [b, *degrees]
+                matchings, nxt = glue_polygons(sizes)
+                kept = [m for m in matchings if all(m[s] >= b for s in range(b))]
+                assert glue_polygons(sizes, bridgeless=True) == (kept, nxt), sizes
+            pruned = [(m.sigma, m.alpha, m.root) for m in enumerate_bridgeless_maps(b, E)]
+            assert pruned == [(m.sigma, m.alpha, m.root) for m in _unpruned_bridgeless_maps(b, E)], (b, E)
+
+
+def _codomain_corpus():
+    """The bridgeless maps with boundary n <= 3 and n + f edges, f <= 2."""
+    return [m for n in range(1, 4) for f in range(3) for m in enumerate_bridgeless_maps(n, n + f)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_stored_key_matches_the_dict_relabeling(data):
+    # a codomain map or a quadrangulation, its darts relabelled and its root
+    # moved anywhere: the key kept from validation is the dict relabeling,
+    # and the key of the relabelled map is the key of the original at the
+    # image of its root
+    m = data.draw(st.sampled_from(_codomain_corpus() + [q.map for q in _small_corpus()]))
+    p = data.draw(st.permutations(range(m.n_darts)))
+    root = data.draw(st.integers(0, m.n_darts - 1))
+    moved = RootedMap(*_relabelled(m.sigma, m.alpha, p, p[root]))
+    key = moved.canonical_key()
+    assert key == _dict_canonical_key(moved)
+    assert key == RootedMap(m.sigma, m.alpha, root).canonical_key()
+    assert type(key) is tuple and all(type(part) is tuple for part in key)
+
+
+def test_white_vertex_images_match_the_dict_construction():
+    # exact images over the codomain with n <= 3 and f <= 2, and over the
+    # black-corner images of the quadrangulations of the same sizes
+    maps = _codomain_corpus() + [angular_inverse(q) for _, _, q in _corpus()]
+    for m in maps:
+        q = ab_inverse(m)
+        assert (q.map.sigma, q.map.alpha, q.map.root) == _dict_ab_inverse(m)
+        assert q.n == len(m.face_of_root())
+
+
+def test_labels_match_the_set_adjacency_on_every_boundary_root():
+    # each quadrangulation of the small corpus rooted at every boundary dart
+    for q in _small_corpus():
+        for root in q.map.face_of_root():
+            q2 = LabeledQuad(RootedMap(q.map.sigma, q.map.alpha, root), q.n)
+            assert (q2.dist, q2.color, q2.local_max) == _set_adjacency_labels(q2.map)
+
+
+def test_a_same_level_edge_is_refused():
+    # a triangle: edge 2-3 joins the two neighbours of the root vertex,
+    # both at distance 1
+    triangle = RootedMap([5, 2, 1, 4, 3, 0], [1, 0, 3, 2, 5, 4], 0)
+    for n in (1, 2, 3):
+        with pytest.raises(VerificationError, match="edge endpoints must differ by 1"):
+            LabeledQuad(triangle, n)

@@ -12,7 +12,10 @@ with ``--enum-n`` below 1, ``verify conserved`` or ``all`` with
 which only ``--type stieltjes`` reads, ``table --cap``, ``verify
 --cap``, ``extract --cap`` or ``extract --internal-cap`` below 1, and
 ``extract --type stieltjes --internal-cap`` below the solver heights the
-boundary series reads, named with the least value that reaches them).
+boundary series reads, named with the least value that reaches them, and
+``table --what fn|jn`` or ``verify equality`` with an ``--n`` above the
+solver heights at ``--cap``, named with the least ``--cap`` that reaches
+it).
 ``verify stieltjes|newtype`` and ``extract`` share one rung comparison: a rung
 exact only below ``--cap``, as from an ``extract --internal-cap`` too
 small for it, fails with exit 1, naming the rung and the cap it reached.
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
@@ -106,16 +108,6 @@ def _emit_table(what, cap, entries, fmt, out):
             out.write("".join(f"{m['tb']} {m['tw']} {m['coeff']}\n" for m in entry["monomials"]) or "\n")
 
 
-def parse_table_json(text):
-    """Round-trip reader for the JSON table schema."""
-    from .exactalg import bipoly
-
-    data = json.loads(text)
-    entries = {e["index"]: bipoly({(m["tb"], m["tw"]): m["coeff"] for m in e["monomials"]}, data["cap"])
-               for e in data["entries"]}
-    return data["what"], data["cap"], entries
-
-
 # weight table -> (solver in slice_solver, sequence of the solved family)
 _WEIGHTS = {"b": ("solve_bw", "first"), "w": ("solve_bw", "second"), "p": ("solve_pq", "first"),
             "q": ("solve_pq", "second"), "y": ("solve_y", "first")}
@@ -125,14 +117,16 @@ def cmd_table(args) -> int:
     from . import slice_solver
 
     cap = args.cap
-    entries = []
     if args.what in ("fn", "jn"):
-        fn = slice_solver.f_n if args.what == "fn" else slice_solver.j_n
-        for n in _parse_range(args.n):
-            entries.append(_poly_entry(n, fn(n, cap)))
+        wanted = _parse_range(args.n)
+        _check_boundary_cap(wanted[-1], cap)
+        upto = slice_solver.f_upto if args.what == "fn" else slice_solver.j_upto
+        series = upto(wanted[-1], cap)
+        entries = [_poly_entry(n, series[n]) for n in wanted]
     else:
         solver, side = _WEIGHTS[args.what]
         fam = getattr(slice_solver, solver)(cap)
+        entries = []
         for i in _parse_range(args.i):
             if i > fam.i_max:
                 raise StructureError(f"index {i} beyond solved range {fam.i_max}")
@@ -161,8 +155,9 @@ def _run_suite(name, args, log):
     if name == "equality":
         from . import maps_oracle, slice_solver
 
+        fs, js = slice_solver.f_upto(args.n, args.cap), slice_solver.j_upto(args.n, args.cap)
         for n in range(1, args.n + 1):
-            if slice_solver.f_n(n, args.cap) != slice_solver.j_n(n, args.cap):
+            if fs[n] != js[n]:
                 raise VerificationError(f"boundary series differ at n={n}")
         log(f"slice route: f_n = j_n for n <= {args.n} at cap {args.cap}")
         for n in range(1, args.enum_n + 1):
@@ -201,13 +196,14 @@ def _run_suite(name, args, log):
     elif name == "conserved":
         from . import slice_solver
 
+        fs, js = slice_solver.f_upto(3, args.cap), slice_solver.j_upto(3, args.cap)
+        levels = [(slice_solver.conserved_f(3, d, args.cap), slice_solver.conserved_j(3, d, args.cap))
+                  for d in range(0, 5)]
         for n in range(1, 4):
-            fn = slice_solver.f_n(n, args.cap).with_cap(args.cap - 1)
-            jn = slice_solver.j_n(n, args.cap).with_cap(args.cap - 1)
-            for d in range(0, 5):
-                if slice_solver.conserved_f(n, d, args.cap) != fn:
+            for d, (inv_f, inv_j) in enumerate(levels):
+                if inv_f[n - 1] != fs[n].with_cap(args.cap - 1):
                     raise VerificationError(f"the bicolored invariant differs from f_n at n={n}, level {d}")
-                if slice_solver.conserved_j(n, d, args.cap) != jn:
+                if inv_j[n - 1] != js[n].with_cap(args.cap - 1):
                     raise VerificationError(f"the context invariant differs from j_n at n={n}, level {d}")
         log(f"invariants level-independent for n <= 3, levels 0..4, cap {args.cap}")
         slice_solver.conserved_symbolic_display_check(range(0, 5))
@@ -256,6 +252,8 @@ def cmd_verify(args) -> int:
     # and the solved families reach height cap + 2
     if "conserved" in names and args.cap < 6:
         raise StructureError(f"the conserved suite needs --cap >= 6, got {args.cap}")
+    if "equality" in names:
+        _check_boundary_cap(args.n, args.cap)
     if "newtype" in names:
         _check_newtype_cap(args.cap)
     failed = False
@@ -271,6 +269,17 @@ def cmd_verify(args) -> int:
         for line in lines:
             print(f"  - {line}")
     return 1 if failed else 0
+
+
+def _check_boundary_cap(n, cap):
+    """f_n and j_n read the solved weights at heights 1..n, and the solvers
+    at cap reach the height ``i_max_at`` gives (cap + 2)."""
+    from .slice_solver import i_max_at
+
+    top = i_max_at("bw", cap)
+    if n > top:
+        raise StructureError(f"--cap {cap} solves heights up to {top}, below the height {n} that the boundary"
+                             f" series at n = {n} reads (--cap at least {n - 2})")
 
 
 def _check_newtype_cap(cap):

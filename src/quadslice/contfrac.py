@@ -60,7 +60,7 @@ from .exactalg import (
 )
 from .ratfunc import QQ, FieldSpec, Poly, RatFunc
 from .series import RHO, RHO_RING, TAU, Series, bipoly_to_tau, graded_div, tau_to_bipoly
-from .slice_solver import a0_a1_times_tb, f_n, solve_limit, y1_series
+from .slice_solver import a0_a1_times_tb, f_n, f_upto, solve_limit, y1_series
 from .lattice_paths import z_const
 
 
@@ -392,9 +392,9 @@ def newtype_rungs_from_solver_inputs(N, i_max):
 
 
 def boundary_series(order, cap) -> Series:
-    """The Stieltjes series sum_n f_n z^n to ``order``, each f_n at ``cap``."""
-    coeffs = [f_n(n, cap) for n in range(order + 1)]
-    return Series("z", order, coeffs, _ring_field(bipoly_one(cap)))
+    """The Stieltjes series sum_n f_n z^n to ``order``, each f_n at ``cap``,
+    every coefficient from one pass of the path DP."""
+    return Series("z", order, f_upto(order, cap), _ring_field(bipoly_one(cap)))
 
 
 def stieltjes_rungs_from_solver(out_cap, i_max):

@@ -20,6 +20,10 @@ solver, or opaque symbols for identity checking).  All variants run one
 dynamic programme over positions (``_run_dp``): a flat step lands two
 positions on, and the state is the height, together with the last step
 direction only for the context weighting, the one weighting that reads it.
+One pass of 2n steps gives the sums of every half-length 0..n, each read
+off the layer of the position where its paths end (``path_sums``), for
+any forced-descent counts at once; ``z_bicolored``, ``z_context`` and
+``z_elongated`` are views of the last entry.
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ class WeightTable:
         raise StructureError("empty weight table")
 
 
-def _run_dp(n2, d, k, hmax, exemplar, descent, flat=None, by_last=False):
-    """Sum over paths of horizontal length n2 from d to d staying >= d.
+def _run_dp(n, d, ks, exemplar, descent, flat=None, by_last=False):
+    """Sums over paths from d to d staying >= d, for every half-length
+    0..n and every forced-descent count in ``ks``, from one pass of 2n steps.
 
     Steps are ascents, descents and, when ``flat`` is given, flat steps of
     horizontal length 2 that land two positions on.  descent(h, last)
@@ -93,69 +98,92 @@ def _run_dp(n2, d, k, hmax, exemplar, descent, flat=None, by_last=False):
     The state at each position is the height, plus the direction of the
     last step (+1 or -1, 0 at the start) when ``by_last`` is set; otherwise
     ``last`` is always 0, and paths that differ only in their last step share
-    one state.  An ascent or flat step must end by position n2 - k, so the
-    path ends with k descents.  Returns a ring element.
+    one state.  A path of half-length m ending with k descents is a state
+    at height d + k at position 2m - k followed by those k descents, so each
+    position's layer, complete once the pass reaches it, gives the totals
+    of every shorter length.  Returns, for each k in ``ks``, the list
+    [Z_0, ..., Z_n] of ring elements.
     """
     one = _ring_one_of(exemplar)
     zero = _ring_zero_of(one)
     up, down = (+1, -1) if by_last else (0, 0)
+    n2 = 2 * n
+    end = n2 - min(ks)  # no step of any path read starts at or after this position
+    sums = [[zero] * (n + 1) for _ in ks]
     # position -> {(height, last): accumulated weight}
-    layers = [{(d, 0): one}] + [{} for _ in range(n2)]
+    layers = [{(d, 0): one}] + [{} for _ in range(end)]
 
     def put(t, key, val):
         layers[t][key] = layers[t].get(key, zero) + val
 
-    for t in range(n2):
+    for t in range(end + 1):
+        for out, k in zip(sums, ks):  # paths of half-length (t + k) / 2 end here with k descents
+            if (t + k) % 2 or (t + k) // 2 > n:
+                continue
+            total = zero
+            for (h, last), val in layers[t].items():
+                if h == d + k:
+                    for j in range(k):
+                        val = val * descent(h - j, last if j == 0 else down)
+                    total = total + val
+            out[(t + k) // 2] = total
+        if t == end:
+            break
         for (h, last), val in layers[t].items():
             if h - d > n2 - t:  # cannot return to the base height in time
                 continue
-            if t + 1 <= n2 - k and h + 1 <= hmax:
+            if h - d < n:
                 put(t + 1, (h + 1, up), val)
             if h > d:
                 put(t + 1, (h - 1, down), val * descent(h, last))
-            if flat is not None and t + 2 <= n2 - k:
+            if flat is not None and t + 2 <= end:
                 put(t + 2, (h, 0), val * flat(h))
         layers[t] = None  # free the weights no later step reads
-    total = zero
-    for (h, _last), val in layers[n2].items():
-        if h == d:
-            total = total + val
-    return total
+    return sums
+
+
+def _steps(table, d):
+    """(descent, flat, by_last) of a table's weighting at base height d:
+    the step weights ``_run_dp`` reads."""
+    if table.kind == "bicolored":
+        return (lambda h, _last: table.a(h) if (h - d) % 2 == 0 else table.b(h)), None, False
+    if table.kind == "context":
+        return (lambda h, last: table.b(h) if last >= 0 else table.a(h)), None, True
+    if d != 0:
+        raise StructureError("elongated paths are defined at base height 0")
+    return (lambda h, _last: table.a(2 * h)), (lambda h: table.a(2 * h + 1)), False
+
+
+def path_sums(table: WeightTable, n, d=0, ks=(0,)):
+    """For each k in ``ks``, [Z_0, ..., Z_n]: the table's path sums of every
+    half-length up to n at base height d whose last k steps descend, all
+    from one pass of the path DP."""
+    descent, flat, by_last = _steps(table, d)
+    return _run_dp(n, d, ks, table.an_element(), descent, flat, by_last)
+
+
+def _view(kind, spec, table):
+    """The path sum of ``spec`` alone: the last entry of its pass."""
+    if table.kind != kind:
+        raise StructureError(f"{kind} table required")
+    return path_sums(table, spec.n, spec.d, (spec.k,))[0][-1]
 
 
 def z_bicolored(spec: PathSpec, table: WeightTable):
     """Paths weighted by height parity: descent from i gets the first
     sequence when i = d (mod 2), the second otherwise."""
-    if table.kind != "bicolored":
-        raise StructureError("bicolored table required")
-    d = spec.d
-
-    def w(h, _last):
-        return table.a(h) if (h - d) % 2 == 0 else table.b(h)
-
-    return _run_dp(2 * spec.n, d, spec.k, d + spec.n, table.an_element(), w)
+    return _view("bicolored", spec, table)
 
 
 def z_context(spec: PathSpec, table: WeightTable):
     """Paths weighted by context: descent from i gets the second sequence
     after an ascent and the first after a descent."""
-    if table.kind != "context":
-        raise StructureError("context table required")
-
-    def w(h, last):
-        return table.b(h) if last >= 0 else table.a(h)
-
-    return _run_dp(2 * spec.n, spec.d, spec.k, spec.d + spec.n, table.an_element(), w, by_last=True)
+    return _view("context", spec, table)
 
 
 def z_elongated(spec: PathSpec, table: WeightTable):
     """Paths with +-1 steps and flat double steps, base height 0 only."""
-    if table.kind != "elongated":
-        raise StructureError("elongated table required")
-    if spec.d != 0:
-        raise StructureError("elongated paths are defined at base height 0")
-    return _run_dp(2 * spec.n, 0, spec.k, spec.n, table.an_element(),
-                   lambda h, _last: table.a(2 * h), lambda h: table.a(2 * h + 1))
+    return _view("elongated", spec, table)
 
 
 def z_const(n, first, second, kind="bicolored", k=0):

@@ -28,11 +28,14 @@ where sums, negation, products, truncation and == run; shifts stay packed
 too.  A capped (tb, tw) value is the same layout, so the tau grading hands
 the packed fields across; the way back checks the degree bound on the
 integer, reading by one mask the slots above the diagonal, and only when
-the excess bound is positive.  ``coeffs`` decodes the rows on first read,
-and ``divide`` runs on them, exactly: each coefficient division must
-leave remainder zero, else NonInvertibleError.  Where the quotient over
-Q(v) is polynomial, every one of those divisions is exact, so no quotient
-that exists over Q[v] is lost, and no gcd runs in this form.
+the excess bound is positive.  ``coeffs`` decodes the rows on first read.
+``divide`` by a monomial c var^v, c rational (a division by tb in the
+tau grading), stays packed: a cut, a shift and one integer multiply.  Any
+other divisor runs on the decoded rows, exactly: each coefficient
+division must leave remainder zero, else NonInvertibleError.  Where the
+quotient over Q(v) is polynomial, every one of those divisions is exact,
+so no quotient that exists over Q[v] is lost, and no gcd runs in this
+form.
 """
 
 from __future__ import annotations
@@ -202,8 +205,14 @@ class Series:
         by valuation(other).  Coefficient divisions happen in the field, by
         one inverse of the leading coefficient; over Q[v], unless that is a
         constant, each one must leave remainder zero, else NonInvertibleError.
+        Over Q[v] a divisor c var^v, c a rational constant, divides on the
+        packed integer: self cut, shifted down by v and scaled by 1/c.
         """
         self._check(other)
+        if self._num is not None and other._num and other.field is self.field:
+            q = _by_monomial(self, other)
+            if q is not None:
+                return q
         vb = other.valuation()
         if vb is None:
             raise NonInvertibleError("division by the zero series")
@@ -273,6 +282,34 @@ class Series:
         bits = [f"({c})*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c != self.field.zero]
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O({self.var}^{self.cap + 1})"
+
+
+def _packed_valuation(s):
+    """The lowest row of packed s with a nonzero slot, or None for zero:
+    the row of the lowest set bit, which lies in the lowest nonzero slot."""
+    if not s._num:
+        return None
+    return ((s._num & -s._num).bit_length() - 1) // (s._stride * s._width)
+
+
+def _by_monomial(a, b):
+    """a / b on the packed integers when b is c var^v with c a rational
+    constant, else None.  b shifted down by v is such a constant iff it
+    fits slot 0, the constant test of ``_product``; the shift is by
+    width - 1, as a bare shift by the width would read slots (-1, 1) as
+    the constant -1 plus a borrow.  The refusals are those of the row loop."""
+    vb = _packed_valuation(b)
+    c = b._num >> (vb * b._stride * b._width)
+    if c >> (b._width - 1) not in (0, -1):
+        return None
+    va = _packed_valuation(a)
+    if va is not None and va < vb:
+        raise NonInvertibleError(f"quotient is not a series: valuations {va} < {vb}")
+    cap = min(a.cap, b.cap) - vb
+    if cap < 0:
+        raise NonInvertibleError("divisor valuation exceeds series order")
+    q = a.truncate(cap + vb).shift(-vb)
+    return q if c == b._den else q * Fraction(b._den, c)
 
 
 def _blank_series(var, field):

@@ -57,7 +57,12 @@ and are solved the same way as one height-independent pair.
 This module also assembles the fixed-boundary-length series f_n and j_n
 from the path generating functions, evaluates the level-d conserved
 quantities, and computes the first merged coefficient by its two
-independent closed-form routes.
+independent closed-form routes.  One pass of the path DP over a solved
+table gives f_0..f_n (``f_upto``) or j_0..j_n (``j_upto``); ``f_n`` and
+``j_n`` are single-length views.  The level-d invariants of every
+half-length up to n come from one pass of 2(n + 1) steps at level d that
+reads both the main sums and the sums ending in two descents, and each
+correction's division by tb stays on the packed integer.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from operator import mul
 
 from .errors import CheckReport, StructureError, VerificationError
 from .exactalg import MPoly, _bytes_width, _fit, _packed, _rewidth, bipoly_one, bipoly_zero, tb, tw
-from .lattice_paths import PathSpec, WeightTable, symbol_table, z_bicolored, z_const, z_context
+from .lattice_paths import PathSpec, WeightTable, path_sums, symbol_table, z_bicolored, z_const, z_context
 from .series import graded_div
 
 
@@ -404,6 +409,16 @@ def j_n(n, N) -> MPoly:
     return z_context(PathSpec(n, 0), solve_pq(N).weight_table())
 
 
+def f_upto(n, N) -> list:
+    """[f_0, ..., f_n] at cap N, from one pass of the path DP."""
+    return path_sums(solve_bw(N).weight_table(), n)[0]
+
+
+def j_upto(n, N) -> list:
+    """[j_0, ..., j_n] at cap N, from one pass of the path DP."""
+    return path_sums(solve_pq(N).weight_table(), n)[0]
+
+
 def a0_a1_times_tb(lim: LimitPair):
     """tb * A0 = P (1 - P - Q) and tb * A1 = -P for the limit pair."""
     P, Q = lim.first, lim.second
@@ -434,27 +449,32 @@ def f_n_closed(n, N, route="direct") -> MPoly:
 
 # ------------------------------------------------------ conserved quantities
 
-def _conserved(fam, z, n, d, N) -> MPoly:
+def _conserved(fam, n, d, N) -> list:
+    """The level-d invariants of half-lengths 1..n at cap N - 1.  Level 0
+    has no correction; above it, one pass of 2(n + 1) steps gives both the
+    main sums and the sums of two final descents."""
     table = fam.weight_table()
-    main = z(PathSpec(n, d), table).with_cap(N - 1)
     if d == 0:
-        return main
-    corr = z(PathSpec(n + 1, d, k=2), table) * fam.first[d]
-    return main - graded_div(corr, tb(N))
+        return [z.with_cap(N - 1) for z in path_sums(table, n)[0][1:]]
+    main, desc = path_sums(table, n + 1, d, (0, 2))
+    t_b, low = tb(N), fam.first[d]
+    return [z.with_cap(N - 1) - graded_div(c * low, t_b) for z, c in zip(main[1:], desc[2:])]
 
 
-def conserved_f(n, d, N) -> MPoly:
-    """Level-d invariant of the bicolored system; equals f_n for every d.
+def conserved_f(n, d, N) -> list:
+    """Level-d invariants of the bicolored system for half-lengths 1..n;
+    the one of half-length m equals f_m for every d.
 
-    Value: Z(2n at level d) - (1/tb) Z2v(2n+2 at level d) B_d, with the
+    Value: Z(2m at level d) - (1/tb) Z2v(2m+2 at level d) B_d, with the
     exact tb division done in the tau grading.  Result cap is N - 1.
     """
-    return _conserved(solve_bw(N), z_bicolored, n, d, N)
+    return _conserved(solve_bw(N), n, d, N)
 
 
-def conserved_j(n, d, N) -> MPoly:
-    """Level-d invariant of the context system; equals j_n for every d."""
-    return _conserved(solve_pq(N), z_context, n, d, N)
+def conserved_j(n, d, N) -> list:
+    """Level-d invariants of the context system for half-lengths 1..n; the
+    one of half-length m equals j_m for every d."""
+    return _conserved(solve_pq(N), n, d, N)
 
 
 @_top_cap_store

@@ -64,12 +64,11 @@ def test_criterion_05_closed_forms():
 
 
 def test_criterion_06_conserved_quantities():
-    for n in range(1, 4):
-        base_f = slice_solver.f_n(n, 6).with_cap(5)
-        base_j = slice_solver.j_n(n, 6).with_cap(5)
-        for d in range(0, 5):
-            assert slice_solver.conserved_f(n, d, 6) == base_f, (n, d)
-            assert slice_solver.conserved_j(n, d, 6) == base_j, (n, d)
+    for d in range(0, 5):
+        inv_f, inv_j = slice_solver.conserved_f(3, d, 6), slice_solver.conserved_j(3, d, 6)
+        for n in range(1, 4):
+            assert inv_f[n - 1] == slice_solver.f_n(n, 6).with_cap(5), (n, d)
+            assert inv_j[n - 1] == slice_solver.j_n(n, 6).with_cap(5), (n, d)
     assert slice_solver.conserved_symbolic_display_check(range(0, 5)).passed
     slice_solver.y1_two_routes(6)
     _ok("criterion 6: invariants level-independent for d <= 4, n <= 3 at cap 6; "

@@ -11,9 +11,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from quadslice import cli, contfrac, maps_oracle, slice_solver
-from quadslice.cli import _poly_entry, _table_json, main, parse_table_json
-from quadslice.exactalg import MPoly, tb
-from quadslice.slice_solver import f_n, solve_y
+from quadslice.cli import _poly_entry, _table_json, main
+from quadslice.exactalg import MPoly, bipoly, tb
+from quadslice.slice_solver import f_n, f_upto, solve_y
 
 
 def run(argv):
@@ -22,6 +22,14 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
+
+
+def parse_table_json(text):
+    """Round-trip reader for the JSON table schema."""
+    data = json.loads(text)
+    entries = {e["index"]: bipoly({(m["tb"], m["tw"]): m["coeff"] for m in e["monomials"]}, data["cap"])
+               for e in data["entries"]}
+    return data["what"], data["cap"], entries
 
 
 def test_consecutive_calls_run_as_fresh_ones(monkeypatch):
@@ -100,6 +108,17 @@ def test_empty_range_is_usage_error():
     assert rc == 2
 
 
+def test_table_fn_above_the_solved_heights_is_usage_error():
+    for what in ("fn", "jn"):
+        rc, out, err = run(["table", "--what", what, "--n", "1..20", "--cap", "4"])
+        assert rc == 2 and out == "", what
+        assert "below the height 20 that the boundary series at n = 20 reads (--cap at least 18)" in err, what
+        assert "weight index" not in err
+    rc, out, _ = run(["table", "--what", "jn", "--n", "7..7", "--cap", "5", "--format", "json"])
+    assert rc == 0
+    assert parse_table_json(out)[2] == {7: slice_solver.j_n(7, 5)}
+
+
 def test_verify_equality_small():
     rc, out, _ = run(
         ["verify", "equality", "--n", "3", "--cap", "5", "--enum-n", "2", "--enum-f", "2"]
@@ -115,6 +134,30 @@ def test_verify_equality_enumerates_each_weight_sum_once(monkeypatch):
     rc, out, _ = run(["verify", "equality", "--n", "2", "--cap", "4", "--enum-n", "2", "--enum-f", "1"])
     assert rc == 0 and out.startswith("PASS equality")
     assert seen == [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def test_verify_equality_fails_when_the_boundary_series_differ(monkeypatch):
+    real = slice_solver.j_upto
+
+    def wrong(n, N):  # j_2 off by one monomial
+        series = real(n, N)
+        return series[:2] + [series[2] + tb(N) ** N] + series[3:]
+
+    monkeypatch.setattr(slice_solver, "j_upto", wrong)
+    rc, out, _ = run(["verify", "equality", "--n", "3", "--cap", "5", "--enum-n", "0"])
+    assert rc == 1
+    assert out == "FAIL equality: boundary series differ at n=2\n"
+
+
+def test_verify_equality_above_the_solved_heights_is_usage_error():
+    # f_20 reads height 20, beyond the heights 1..6 the solvers reach at cap
+    # 4; this used to exit 2 naming an internal weight index of the path DP
+    rc, out, err = run(["verify", "equality", "--n", "20", "--cap", "4", "--enum-n", "0"])
+    assert rc == 2 and out == ""
+    assert "--cap 4 solves heights up to 6, below the height 20 that the boundary series at n = 20 reads" \
+           " (--cap at least 18)" in err
+    rc, out, _ = run(["verify", "equality", "--n", "6", "--cap", "4", "--enum-n", "0"])
+    assert rc == 0 and out.startswith("PASS equality")
 
 
 def test_verify_reflection_small():
@@ -278,7 +321,7 @@ def test_verify_stieltjes_names_a_rung_short_of_cap(monkeypatch):
 def test_verify_conserved_compares_with_f_n(monkeypatch):
     # wrong at every level alike, so a check of level independence alone passes
     def wrong(n, d, N):
-        return f_n(n, N).with_cap(N - 1) + tb(N - 1) ** (N - 1)
+        return [f.with_cap(N - 1) + tb(N - 1) ** (N - 1) for f in f_upto(n, N)[1:]]
 
     monkeypatch.setattr(slice_solver, "conserved_f", wrong)
     rc, out, _ = run(["verify", "conserved", "--cap", "6"])

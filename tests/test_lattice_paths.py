@@ -11,13 +11,14 @@ from quadslice.exactalg import _ring_one_of, _ring_zero_of
 from quadslice.lattice_paths import (
     PathSpec,
     WeightTable,
+    path_sums,
     symbol_table,
     z_bicolored,
     z_const,
     z_context,
     z_elongated,
 )
-from quadslice.slice_solver import solve_limit, solve_y
+from quadslice.slice_solver import solve_bw, solve_limit, solve_pq, solve_y
 
 
 def brute_paths(n, d, k, weight_of_descent, one):
@@ -92,6 +93,107 @@ def layered_elongated(spec, table):
             if t + 2 <= n2 - k:
                 layers[t + 2][h] = layers[t + 2].get(h, zero) + val * table.a(2 * h + 1)
     return layers[n2].get(0, zero)
+
+
+def per_length_dp(spec, table):
+    """The path DP as it ran before one pass served every length: one run
+    of 2n steps from position 0 for this (n, d, k) alone, where an ascent or
+    flat step must end by position 2n - k.  Kept as the differential oracle
+    for ``path_sums``."""
+    n2, d, k = 2 * spec.n, spec.d, spec.k
+    one = _ring_one_of(table.an_element())
+    zero = _ring_zero_of(one)
+    by_last = table.kind == "context"
+    flat = (lambda h: table.a(2 * h + 1)) if table.kind == "elongated" else None
+    if table.kind == "bicolored":
+        def descent(h, _last):
+            return table.a(h) if (h - d) % 2 == 0 else table.b(h)
+    elif by_last:
+        def descent(h, last):
+            return table.b(h) if last >= 0 else table.a(h)
+    else:
+        def descent(h, _last):
+            return table.a(2 * h)
+    up, down = (+1, -1) if by_last else (0, 0)
+    layers = [{(d, 0): one}] + [{} for _ in range(n2)]
+
+    def put(t, key, val):
+        layers[t][key] = layers[t].get(key, zero) + val
+
+    for t in range(n2):
+        for (h, last), val in layers[t].items():
+            if h - d > n2 - t:
+                continue
+            if t + 1 <= n2 - k and h + 1 <= d + spec.n:
+                put(t + 1, (h + 1, up), val)
+            if h > d:
+                put(t + 1, (h - 1, down), val * descent(h, last))
+            if flat is not None and t + 2 <= n2 - k:
+                put(t + 2, (h, 0), val * flat(h))
+    total = zero
+    for (h, _last), val in layers[n2].items():
+        if h == d:
+            total = total + val
+    return total
+
+
+SOLVERS = {"bw": solve_bw, "pq": solve_pq, "y": solve_y}
+
+
+@pytest.mark.parametrize("source", ["bw@7", "pq@7", "y@7", "bw@12", "pq@12", "y@12",
+                                    "bicolored", "context", "elongated"])
+def test_one_pass_matches_the_per_length_dp(source):
+    # solver tables at caps 7 and 12, and symbol tables, of each weighting
+    kind, _, cap = source.partition("@")
+    table = SOLVERS[kind](int(cap)).weight_table() if cap else symbol_table(kind, 9)[0]
+    elongated = table.kind == "elongated"
+    for d in [0] if elongated else range(0, 5):
+        # the longest pass the table's heights hold: a descent from height
+        # d + n reads index d + n, an elongated flat step at n index 2n + 1
+        n = min(5, (len(table.first) - 2) // 2 if elongated else len(table.first) - 1 - d)
+        ks = (0, 1, 2, 3)
+        passes = path_sums(table, n, d, ks)
+        for k, sums in zip(ks, passes):
+            assert len(sums) == n + 1
+            for m in range(n + 1):
+                want = per_length_dp(PathSpec(m, d, k), table) if k <= 2 * m else _ring_zero_of(sums[0])
+                assert sums[m] == want, (d, k, m)
+        for k in ks:  # one count at a time, and the single-length views
+            assert path_sums(table, n, d, (k,))[0] == passes[k], (d, k)
+        z = {"bicolored": z_bicolored, "context": z_context, "elongated": z_elongated}[table.kind]
+        for k in ks:
+            if k <= 2 * n:
+                assert z(PathSpec(n, d, k), table) == passes[k][n], (d, k)
+
+
+class CountingTable(WeightTable):
+    """A weight table that counts its weight reads."""
+
+    __slots__ = ("reads",)
+
+    def a(self, idx):
+        self.reads += 1
+        return WeightTable.a(self, idx)
+
+    def b(self, idx):
+        self.reads += 1
+        return WeightTable.b(self, idx)
+
+
+@pytest.mark.parametrize("kind", ["bicolored", "context", "elongated"])
+def test_one_pass_reads_no_weight_the_per_length_dp_skips(kind):
+    # with no forced descents every read is a step weight of the last
+    # length's pass, so the pruning at h - d > 2n - t must stay
+    symbols = symbol_table(kind, 9)[0]
+    table = CountingTable(kind, symbols.first, symbols.second)
+    for d in [0] if kind == "elongated" else [0, 3]:
+        for n in (3, 6):
+            table.reads = 0
+            path_sums(table, n, d)
+            one_pass = table.reads
+            table.reads = 0
+            per_length_dp(PathSpec(n, d), table)
+            assert one_pass == table.reads, (d, n)
 
 
 rational_elongated = st.lists(

@@ -13,11 +13,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadslice.closed_forms import ALPHA_RING
+from quadslice.closed_forms import ALPHA_RING, GAMMA_RING
 from quadslice.errors import NonInvertibleError, StructureError
-from quadslice.exactalg import _bytes_width, _decode, _encode, _integral, _norm_coeff, bipoly
+from quadslice.exactalg import _bytes_width, _decode, _encode, _integral, _norm_coeff, bipoly, bipoly_one, tb, tw
 from quadslice.ratfunc import Poly, _inv_elem
-from quadslice.series import RHO_RING, Series, bipoly_to_tau, tau_to_bipoly
+from quadslice.series import RHO_RING, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 
 RINGS = {"Q[rho]": RHO_RING, "Q[alpha]": ALPHA_RING}
 
@@ -122,7 +122,7 @@ def operand(draw, var):
 
 
 def ring_of(var):
-    return RHO_RING if var == "rho" else ALPHA_RING
+    return {"rho": RHO_RING, "alpha": ALPHA_RING, "gamma": GAMMA_RING}[var]
 
 
 def same(value, rows, var):
@@ -311,3 +311,75 @@ def test_degree_and_excess_bounds_survive_each_operation(ring):
     rows = rows_add(cubed.coeffs, flat.coeffs)
     both = cubed + flat
     check(both * both, rows_mul(rows, rows, var))
+
+
+# ------------------------------------------- division by a monomial c u^v
+
+MONOMIAL_RINGS = {"Q[rho]": RHO_RING, "Q[alpha]": ALPHA_RING, "Q[gamma]": GAMMA_RING}
+
+
+def quotient_or_refusal(num, den, rnum, rden, var):
+    """num.divide(den) holds what the row loop gives, or both refuse."""
+    try:
+        want = rows_divide(rnum, rden)
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError):
+            num.divide(den)
+    else:
+        same(num.divide(den), want, var)
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+@settings(max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_monomial_division_matches_the_row_loop(ring, data):
+    var = MONOMIAL_RINGS[ring].zero.var
+    num, rnum = data.draw(operand(var))
+    c = data.draw(coefficient.filter(bool))
+    v, cap = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 8))
+    den = Series.const("u", cap, c * MONOMIAL_RINGS[ring].one, MONOMIAL_RINGS[ring]).shift(v)
+    rden = rows_shift((Poly(var, [c]),) + (Poly.zero(var),) * cap, v, var)
+    quotient_or_refusal(num, den, rnum, rden, var)
+    # the same divisor times a non-constant row is no monomial: the row loop
+    wide = den * Series("u", den.cap, [MONOMIAL_RINGS[ring].one, Poly.gen(var)][:den.cap + 1], MONOMIAL_RINGS[ring])
+    quotient_or_refusal(num, wide, rnum, wide.coeffs, var)
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+def test_monomial_test_is_not_fooled_by_a_borrow(ring):
+    # slots (-1, 1) at stride 1 pack to 2^w - 1, which a shift by the width
+    # w reads as a constant: the divisor is -1 + u, no monomial
+    field = MONOMIAL_RINGS[ring]
+    var = field.zero.var
+    den = Series("u", 4, [-field.one, field.one], field)
+    assert den._stride == 1 and den._num >> den._width == 0
+    num = Series("u", 4, [Poly(var, [1, 2]), Poly.gen(var), field.one], field)
+    want = rows_divide(num.coeffs, den.coeffs)
+    same(num.divide(den), want, var)
+    same(num.shift(2).divide(den.shift(2)), want, var)
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+def test_monomial_division_refusals(ring):
+    field = MONOMIAL_RINGS[ring]
+    var = field.zero.var
+    u2 = Series.const("u", 4, 3 * field.one, field).shift(2)
+    short = Series("u", 5, [field.zero, Poly.gen(var)], field)
+    with pytest.raises(NonInvertibleError, match=r"quotient is not a series: valuations 1 < 2"):
+        short.divide(u2)
+    with pytest.raises(NonInvertibleError, match="divisor valuation exceeds series order"):
+        Series.zero("u", 1, field).divide(u2)
+    with pytest.raises(NonInvertibleError, match="division by the zero series"):
+        short.divide(Series.zero("u", 4, field))
+
+
+def test_division_by_tb_refuses_what_tb_does_not_divide():
+    N = 5
+    with pytest.raises(NonInvertibleError, match=r"valuations 0 < 1"):
+        graded_div(bipoly_one(N) + tb(N), tb(N))
+    with pytest.raises(NonInvertibleError, match=r"tau\^0 coefficient has rho-degree 1 > 0"):
+        graded_div(tw(N), tb(N))
+    assert graded_div(tb(N) * tw(N) - 3 * tb(N) ** 2, tb(N)) == (tw(N) - 3 * tb(N)).with_cap(N - 1)
+    num, den = bipoly_to_tau(tb(N) * tw(N)), bipoly_to_tau(tb(N))
+    assert tau_to_bipoly(num.divide(den)) == tw(N - 1)
+    assert num._coeffs is None and den._coeffs is None  # no row decoded

@@ -8,13 +8,17 @@ import pytest
 from quadslice import exactalg, slice_solver
 from quadslice.errors import StructureError, VerificationError
 from quadslice.exactalg import bipoly, bipoly_one, bipoly_zero, tb, tw
+from quadslice.lattice_paths import PathSpec, z_bicolored, z_context
+from quadslice.series import graded_div
 from quadslice.slice_solver import (
     conserved_f,
     conserved_j,
     conserved_symbolic_display_check,
     f_n,
     f_n_closed,
+    f_upto,
     j_n,
+    j_upto,
     solve_bw,
     solve_limit,
     solve_pq,
@@ -107,12 +111,35 @@ def test_closed_route_equals_solver():
 
 
 def test_conserved_quantities_level_independent():
-    for n in range(1, 4):
-        base_f = f_n(n, 6).with_cap(5)
-        base_j = j_n(n, 6).with_cap(5)
-        for d in range(0, 5):
-            assert conserved_f(n, d, 6) == base_f, (n, d)
-            assert conserved_j(n, d, 6) == base_j, (n, d)
+    for d in range(0, 5):
+        inv_f, inv_j = conserved_f(3, d, 6), conserved_j(3, d, 6)
+        for n in range(1, 4):
+            assert inv_f[n - 1] == f_n(n, 6).with_cap(5), (n, d)
+            assert inv_j[n - 1] == j_n(n, 6).with_cap(5), (n, d)
+
+
+def test_one_pass_series_match_the_single_length_views():
+    for N in (5, 9):
+        assert f_upto(7, N) == [f_n(n, N) for n in range(8)]
+        assert j_upto(7, N) == [j_n(n, N) for n in range(8)]
+
+
+@pytest.mark.parametrize("conserved, solve, z", [(conserved_f, solve_bw, z_bicolored),
+                                                 (conserved_j, solve_pq, z_context)])
+def test_conserved_lists_match_the_per_length_invariants(conserved, solve, z):
+    # each invariant as it was computed before one pass served every
+    # length: two path sums of its own and a graded division by tb
+    N = 9
+    fam = solve(N)
+    table = fam.weight_table()
+    for d in range(0, 5):
+        want = []
+        for n in range(1, 6):
+            main = z(PathSpec(n, d), table).with_cap(N - 1)
+            if d:
+                main = main - graded_div(z(PathSpec(n + 1, d, k=2), table) * fam.first[d], tb(N))
+            want.append(main)
+        assert conserved(5, d, N) == want, d
 
 
 def test_conserved_symbolic_displays():

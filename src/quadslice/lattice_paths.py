@@ -118,15 +118,15 @@ def _run_dp(n, d, ks, exemplar, descent, flat=None, by_last=False):
 
     for t in range(end + 1):
         for out, k in zip(sums, ks):  # paths of half-length (t + k) / 2 end here with k descents
-            if (t + k) % 2 or (t + k) // 2 > n:
+            m, odd = divmod(t + k, 2)
+            if odd or m > n:
                 continue
-            total = zero
             for (h, last), val in layers[t].items():
                 if h == d + k:
                     for j in range(k):
                         val = val * descent(h - j, last if j == 0 else down)
-                    total = total + val
-            out[(t + k) // 2] = total
+                    # a lone state is the sum itself: a view adds nothing per length
+                    out[m] = val if out[m] is zero else out[m] + val
         if t == end:
             break
         for (h, last), val in layers[t].items():

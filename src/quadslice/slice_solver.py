@@ -548,23 +548,24 @@ def conserved_symbolic_display_check(d_range=range(0, 5)):
 
     for d in d_range:
         i = d + 1
-        # weighting -> (path sum, table, corrective weight, [(main, correction) for n = 1, 2])
+        # weighting -> (table, corrective weight, [(main, correction) for n = 1, 2])
         displays = {
-            "first": (z_bicolored, table_bw, B(d), [
+            "first": (table_bw, B(d), [
                 (W(i), B(i + 1) * W(i) * B(i - 1)),
                 (W(i) * W(i) + B(i + 1) * W(i), (W(i) + B(i + 1) + W(i + 2)) * B(i + 1) * W(i) * B(i - 1)),
             ]),
-            "second": (z_context, table_pq, P(d), [
+            "second": (table_pq, P(d), [
                 (Q(i), Q(i + 1) * P(i) * P(i - 1)),
                 (Q(i) * Q(i) + Q(i + 1) * P(i),
                  ((Q(i) + Q(i + 1)) * Q(i + 1) + Q(i + 2) * P(i + 1)) * P(i) * P(i - 1)),
             ]),
         }
-        for name, (z, table, low, wants) in displays.items():
+        for name, (table, low, wants) in displays.items():
+            sums, desc = path_sums(table, 3, d, (0, 2))
             for n, (main, corr) in enumerate(wants, start=1):
-                if z(PathSpec(n, d), table) != main:
+                if sums[n] != main:
                     raise VerificationError(f"{name}-weighting n={n} main term failed at level {d}")
-                if z(PathSpec(n + 1, d, k=2), table) * low != corr:
+                if desc[n + 1] * low != corr:
                     raise VerificationError(f"{name}-weighting n={n} correction failed at level {d}")
         report.add(f"level {d}: all four displays hold")
     return report

@@ -142,23 +142,18 @@ def _run_dp(n, d, ks, exemplar, descent, flat=None, by_last=False):
     return sums
 
 
-def _steps(table, d):
-    """(descent, flat, by_last) of a table's weighting at base height d:
-    the step weights ``_run_dp`` reads."""
-    if table.kind == "bicolored":
-        return (lambda h, _last: table.a(h) if (h - d) % 2 == 0 else table.b(h)), None, False
-    if table.kind == "context":
-        return (lambda h, last: table.b(h) if last >= 0 else table.a(h)), None, True
-    if d != 0:
-        raise StructureError("elongated paths are defined at base height 0")
-    return (lambda h, _last: table.a(2 * h)), (lambda h: table.a(2 * h + 1)), False
-
-
 def path_sums(table: WeightTable, n, d=0, ks=(0,)):
     """For each k in ``ks``, [Z_0, ..., Z_n]: the table's path sums of every
     half-length up to n at base height d whose last k steps descend, all
     from one pass of the path DP."""
-    descent, flat, by_last = _steps(table, d)
+    if table.kind == "bicolored":
+        descent, flat, by_last = (lambda h, _last: table.a(h) if (h - d) % 2 == 0 else table.b(h)), None, False
+    elif table.kind == "context":
+        descent, flat, by_last = (lambda h, last: table.b(h) if last >= 0 else table.a(h)), None, True
+    elif d != 0:
+        raise StructureError("elongated paths are defined at base height 0")
+    else:
+        descent, flat, by_last = (lambda h, _last: table.a(2 * h)), (lambda h: table.a(2 * h + 1)), False
     return _run_dp(n, d, ks, table.an_element(), descent, flat, by_last)
 
 

@@ -381,20 +381,22 @@ def _tower(vars=("y", "alpha")):
     the limits P, Q over D, and the displayed forms of the merged limit
     Y = Q - P, the first merged coefficient Y_1, the ladder coefficients
     A_0, A_1, the hard-piece weight w and d = (Y_1 - Y)/Y_1, which
-    ``section6_algebra`` proves equal to their definitions.  Built on first
-    use and shared; callers must not mutate it."""
+    ``section6_algebra`` proves equal to their definitions.  Each
+    denominator is divided out factor by factor, so sums over shared
+    factors multiply nothing.  Built on first use and shared; callers must
+    not mutate it."""
     y, a = PolyFrac.gen(vars, vars[0]), PolyFrac.gen(vars, vars[1])
     one = y.ring_one()
     D = one + y + a * y - 6 * a * y ** 2 + a * y ** 3 + a ** 2 * y ** 3 + a ** 2 * y ** 4
-    ay_ay3 = (one - a * y) * (one - a * y ** 3)
+    over_ay_ay3 = one / (one - a * y) / (one - a * y ** 3)
     return SimpleNamespace(
         a=a, y=y, one=one, D=D,
         P=y * (one - a * y) ** 2 / D,
         Q=a * y * (one - y) ** 2 / D,
         Y=(a - 1) * y * (one - a * y ** 2) / D,
-        Y1=(a - 1) * y * (one - a * y ** 3) / ((one + y) * D),
-        A0=(one - a * y ** 2) ** 2 / ay_ay3,
-        A1=-D / ay_ay3,
+        Y1=(a - 1) * y * (one - a * y ** 3) / (one + y) / D,
+        A0=(one - a * y ** 2) ** 2 * over_ay_ay3,
+        A1=-D * over_ay_ay3,
         w=-one / (y + 1 / y + 2),
         d=-y * (one - a * y) / (one - a * y ** 3),
     )

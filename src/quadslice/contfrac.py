@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .errors import CheckReport, NonInvertibleError, StructureError, VerificationError
 from .exactalg import (
@@ -70,22 +71,37 @@ def _ring_field(exemplar) -> FieldSpec:
 
 def _fold(Y, rungs, one, z):
     """The two-term fraction 1 / (1 - z Y_1 - z Y_2 / (1 - z Y_3 - ...)) cut
-    after ``rungs`` rungs, as its convergent pair (num, den) folded bottom-up
+    after ``rungs`` rungs, as a convergent pair (num, den) folded bottom-up
     by ring operations alone: under rung i the tail num/den becomes
-    den / (den - z (den Y_{2i-1} + num Y_{2i})), so den(0) stays 1.  A
-    missing Y_{2 rungs} ends the last rung at 1 - z Y_{2 rungs - 1}."""
+    den / (den - z (den Y_{2i-1} + num Y_{2i})).  A missing Y_{2 rungs} ends
+    the last rung at 1 - z Y_{2 rungs - 1}.
+
+    A rung pair of rationals is cleared into the pair by the common
+    denominator s of the two, as s den / (s den - z (den (s Y_{2i-1}) +
+    num (s Y_{2i}))), the same fraction on integer rungs, so a fold over QQ
+    stays on ints.  So den(0) is 1 for ring rungs and the product of the
+    scales s for rational ones; a test of the pair must be invariant under
+    a common scale."""
     num = den = one
     for i in range(rungs, 0, -1):
-        body = den * Y[2 * i - 2]
-        if 2 * i - 1 < len(Y):
-            body = body + num * Y[2 * i - 1]
-        num, den = den, den - z * body
+        pair, top = Y[2 * i - 2:2 * i], den
+        if all(isinstance(y, (int, Fraction)) for y in pair):
+            s = lcm(*(y.denominator for y in pair))
+            pair = [y.numerator * (s // y.denominator) for y in pair]
+            if s != 1:
+                top = den * s
+        body = den * pair[0]
+        if len(pair) > 1:
+            body = body + num * pair[1]
+        num, den = top, top - z * body
     return num, den
 
 
 def expand(coeffs, L, kind="newtype", finite=False) -> Series:
     """The fraction to order L in z: num / den of its convergent pair over
-    series truncated at L, by one exact series division.
+    series truncated at L, by one exact series division.  Over QQ the pair
+    is folded on ints and den(0) is the product of the rung scales; over a
+    ring of rungs den(0) is 1.
 
     kind in {"stieltjes", "newtype"}; coeffs are the rung values c_1..c_K
     (Stieltjes) or Y_1..Y_K (two-term rungs).  finite=True means the
@@ -440,8 +456,10 @@ def finite_reflection_check(alpha, seed) -> CheckReport:
     degree alpha; the companion built from the transformed weights equals
     -(Y_1/z) J(1/z) = -Y_1 rev(num) / rev(den), rev reversing coefficients;
     and Y_1 = -1 / lim z J(z) as z grows (ratio of leading coefficients).
-    All of it runs on the convergent pairs over Q[z], with one gcd to read
-    the reduced degrees and the reflection checked cross-multiplied."""
+    All of it runs on the convergent pairs over Z[z], each cleared by the
+    product of its rung scales, with one gcd to read the reduced degrees
+    and the reflection checked cross-multiplied: each test is invariant
+    under a common scale of a pair."""
     rng = random.Random(seed)
     Y = _random_nonzero_rationals(2 * alpha - 1, rng)
     report = CheckReport(f"finite reflection alpha={alpha} seed={seed}")

@@ -13,8 +13,9 @@ and denominator are coprime and the denominator is monic, so two
 arithmetic routes to the same value produce structurally equal objects and
 == is reliable.  RatFunc says where the gcd runs.
 
-PolyFrac is the tool for identities in several parameters: a fraction of
-two uncapped MPoly values that is never reduced, so it runs no gcd at all.
+PolyFrac is the tool for identities in several parameters: an uncapped
+MPoly numerator over a multiset of MPoly factors, never reduced, so it runs
+no gcd at all; sums and == lift each side only by the factors it lacks.
 """
 
 from __future__ import annotations
@@ -425,21 +426,82 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
-class PolyFrac:
-    """A fraction num / den of two uncapped MPolys over one variable tuple,
-    never reduced.  Sums and products cross-multiply and a/b == c/d tests
-    a d == c b, so no gcd runs; as the parts only grow, a long computation
-    should go on from the short closed form of each proved subexpression."""
+def _over(num: MPoly, den: MPoly):
+    """num / den as a numerator and a factor multiset: den is one factor,
+    unless it is a constant c, which the numerator takes as 1/c."""
+    c = den.constant_term()
+    if den == c:
+        return (num if c == 1 else num * (1 / c)), {}
+    return num, {den: 1}
 
-    __slots__ = ("num", "den")
+
+def _expand(one: MPoly, factors):
+    """The product of the factors, each to its multiplicity (one if none)."""
+    out = None
+    for f, m in factors.items():
+        out = f ** m if out is None else out * f ** m
+    return one if out is None else out
+
+
+def _common(a: PolyFrac, b: PolyFrac):
+    """The numerators of a and b brought to the structural lcm of their
+    factor multisets (each factor at the greater of its two multiplicities),
+    and that lcm: each side is multiplied only by the factors it lacks."""
+    fa, fb = a.factors, b.factors
+    if fa == fb:
+        return a.num, b.num, fa
+    common, lack_a, lack_b = dict(fa), {}, {}
+    for f, m in fb.items():
+        k = fa.get(f, 0)
+        if m > k:
+            common[f], lack_a[f] = m, m - k
+        elif k > m:
+            lack_b[f] = k - m
+    for f, k in fa.items():
+        if f not in fb:
+            lack_b[f] = k
+    return _lift(a.num, lack_a), _lift(b.num, lack_b), common
+
+
+def _lift(num: MPoly, lack):
+    """num times the factors it lacks, multiplied together first."""
+    return num * _expand(num.ring_one(), lack) if lack else num
+
+
+def _frac(num, factors):
+    f = PolyFrac.__new__(PolyFrac)
+    f.num, f.factors = num, factors
+    return f
+
+
+class PolyFrac:
+    """A fraction of uncapped MPolys over one variable tuple, never reduced:
+    the numerator ``num`` over a denominator kept as a multiset of factors,
+    ``factors`` = {MPoly: multiplicity}, so no gcd and no division runs.
+
+    A product merges the two multisets and a power scales the
+    multiplicities; ``inverse`` expands the denominator into the numerator
+    and the old numerator becomes one factor (a constant one goes into the
+    numerator as its inverse).  A sum, a difference and == bring both
+    numerators to the structural lcm of the two multisets, the greater
+    multiplicity of each factor, with factors compared by MPoly equality:
+    each side is multiplied only by the factors it lacks, and two sides over
+    the same multiset multiply nothing.  ``den`` is the expanded product.
+    As the parts only grow, a long computation should go on from the short
+    closed form of each proved subexpression, and divide by a product factor
+    by factor so the factors stay shared."""
+
+    __slots__ = ("num", "factors")
 
     def __init__(self, num: MPoly, den: MPoly = None):
-        den = num.ring_one() if den is None else den
-        if num.cap is not None or den.cap is not None or num.vars != den.vars:
+        if num.cap is not None or (den is not None and (den.cap is not None or num.vars != den.vars)):
             raise StructureError("a PolyFrac needs two uncapped MPolys over one variable tuple")
-        if den.is_zero():
+        if den is None:
+            self.num, self.factors = num, {}
+        elif den.is_zero():
             raise NonInvertibleError("zero denominator")
-        self.num, self.den = num, den
+        else:
+            self.num, self.factors = _over(num, den)
 
     @classmethod
     def gen(cls, vars, name):
@@ -448,6 +510,10 @@ class PolyFrac:
     @property
     def vars(self):
         return self.num.vars
+
+    @property
+    def den(self):
+        return _expand(self.num.ring_one(), self.factors)
 
     def ring_zero(self):
         return PolyFrac(self.num.ring_zero())
@@ -467,14 +533,13 @@ class PolyFrac:
 
     @_coerced
     def __add__(self, other):
-        if self.den == other.den:
-            return PolyFrac(self.num + other.num, self.den)
-        return PolyFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, common = _common(self, other)
+        return _frac(a + b, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyFrac(-self.num, self.den)
+        return _frac(-self.num, self.factors)
 
     def __sub__(self, other):
         return self + -other
@@ -484,7 +549,10 @@ class PolyFrac:
 
     @_coerced
     def __mul__(self, other):
-        return PolyFrac(self.num * other.num, self.den * other.den)
+        factors = dict(self.factors)
+        for f, m in other.factors.items():
+            factors[f] = factors.get(f, 0) + m
+        return _frac(self.num * other.num, factors)
 
     __rmul__ = __mul__
 
@@ -499,16 +567,17 @@ class PolyFrac:
     def inverse(self):
         if self.is_zero():
             raise NonInvertibleError("zero has no inverse")
-        return PolyFrac(self.den, self.num)
+        return _frac(*_over(self.den, self.num))
 
     def __pow__(self, n):
-        return self.inverse() ** -n if n < 0 else PolyFrac(self.num ** n, self.den ** n)
+        if n < 0:
+            return self.inverse() ** -n
+        return _frac(self.num ** n, {f: m * n for f, m in self.factors.items()} if n else {})
 
     @_coerced
     def __eq__(self, other):
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        a, b, _ = _common(self, other)
+        return a == b
 
     __hash__ = None  # equal values need not have equal parts
 

@@ -45,11 +45,12 @@ clamp, so ``i_max`` and the strict weight table read exactly as after a
 solve at the lower cap; each lower cap is cut once and kept until a higher
 cap replaces the store.  A request above it solves rows 1..N afresh and
 replaces the store: rows are cheap next to the confirming sweep, so
-restarting from the stored rows would save nothing.  The confirming sweeps,
-the clamp assertion and the cross-check of ``y1_series`` run at every solve
-at a new top cap.  A cut-down result needs none of them again: truncation
-is a ring homomorphism and the clamp is exact, so it is the truncation of a
-checked value.
+restarting from the stored rows would save nothing.  The confirming sweeps
+and the clamp assertion run at every solve at a new top cap, and so does
+the cross-check of ``y1_series``, against Q_1 - P_1 of the context solve at
+its cap: it builds no merged family and runs no merged sweep.  A cut-down
+result needs none of them again: truncation is a ring homomorphism and the
+clamp is exact, so it is the truncation of a checked value.
 
 The i -> infinity limits satisfy the bicolored rule with height-independent
 weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles,
@@ -480,12 +481,15 @@ def conserved_j(n, d, N) -> list:
 @_top_cap_store
 def y1_series(N) -> MPoly:
     """First merged coefficient at full cap N via the division-free route
-    (Q - P)(1 - P - 2Q) / (1 - 2Q); cross-checked against the solver."""
+    (Q - P)(1 - P - 2Q) / (1 - 2Q); cross-checked against the solver's
+    Y_1 = Q_1 - P_1, read off the context solution, so no merged family
+    is built for the check."""
     lim = solve_limit(N)
     P, Q = lim.first, lim.second
     one = bipoly_one(N)
     val = (Q - P) * (one - P - 2 * Q) * (one - 2 * Q).inv()
-    if val != solve_y(N).first[1]:
+    pq = solve_pq(N)
+    if val != pq.second[1] - pq.first[1]:
         raise VerificationError("closed-form Y_1 disagrees with the solver")
     return val
 
@@ -494,7 +498,7 @@ def y1_two_routes(N):
     """First merged coefficient by its two independent closed-form routes.
 
     Route 1: (Q - P)(1 - P - 2Q) / (1 - 2Q) as a plain series inverse,
-    which ``y1_series`` checks against the solver's first merged coefficient.
+    which ``y1_series`` checks against Q_1 - P_1 of the context solution.
     Route 2: the conserved-quantity route (tw - tb) / (1 - Q_1) with
     Q_1 = Q - Q P^2 / tb, equivalently the single fraction
     tb (tw - tb) / (tb (1 - Q) + Q P^2) via exact graded division.

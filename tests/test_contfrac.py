@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from quadslice.contfrac import (
 )
 from quadslice import contfrac
 from quadslice.errors import NonInvertibleError, StructureError, VerificationError
-from quadslice.exactalg import bipoly_one, det_division_free, tb
+from quadslice.exactalg import MPoly, bipoly, bipoly_one, det_division_free, tb
 from quadslice.lattice_paths import symbol_table, z_const
 from quadslice.ratfunc import QQ, Poly, RatFunc
 from quadslice.series import RHO_RING, Series
@@ -341,6 +342,103 @@ def test_expand_matches_the_inverse_per_rung_fold(case):
 def test_finite_fraction_ratfunc_matches_the_ratfunc_fold(Y):
     want = fold_oracle(Y, (len(Y) + 1) // 2, RatFunc.one("z"), RatFunc.gen("z"), RatFunc.inverse)
     assert finite_fraction_ratfunc(Y) == want
+
+
+def fraction_fold(Y, rungs, one, z):
+    """_fold before it cleared rational rung pairs: every rung folded as it
+    is, Fractions included, so den(0) stays 1."""
+    num = den = one
+    for i in range(rungs, 0, -1):
+        body = den * Y[2 * i - 2]
+        if 2 * i - 1 < len(Y):
+            body = body + num * Y[2 * i - 1]
+        num, den = den, den - z * body
+    return num, den
+
+
+@st.composite
+def rational_rungs(draw):
+    """(coeffs, kind, Y, rungs): two-term rungs of odd or even length, or
+    Stieltjes rungs c with zero c allowed, and the two-term rungs Y
+    (= coeffs, or (0, c_1, 0, c_2, ...)) cut after any number of rungs."""
+    kind = draw(st.sampled_from(["odd", "even", "stieltjes"]))
+    count = draw(st.integers(1, 7))
+    coeffs = draw(st.lists(small_fractions, min_size=count, max_size=count))
+    if kind == "stieltjes":
+        Y = [v for c in coeffs for v in (0, c)]
+    else:
+        Y = coeffs = coeffs + [draw(small_fractions)] if (count % 2 == 1) != (kind == "odd") else coeffs
+    return coeffs, "stieltjes" if kind == "stieltjes" else "newtype", Y, draw(st.integers(0, (len(Y) + 1) // 2))
+
+
+def _scales(Y, rungs):
+    out = 1
+    for i in range(1, rungs + 1):
+        out *= lcm(*(Fraction(y).denominator for y in Y[2 * i - 2:2 * i]))
+    return out
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rational_rungs())
+def test_cleared_fold_is_the_same_fraction_on_integers(case):
+    _, _, Y, rungs = case
+    one, z = Poly.one("z"), Poly.gen("z")
+    num, den = contfrac._fold(Y, rungs, one, z)
+    ref_num, ref_den = fraction_fold(Y, rungs, one, z)
+    assert num * ref_den == ref_num * den
+    assert all(type(c) is int for c in num.coeffs + den.coeffs)
+    assert den.coeffs[0] == _scales(Y, rungs) and ref_den.coeffs[0] == 1
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rational_rungs(), st.integers(0, 8))
+def test_cleared_fold_expands_to_the_reference_series(case, L):
+    coeffs, kind, Y, _ = case
+    full = (len(Y) + 1) // 2
+    field = contfrac._ring_field(Y[0])
+    one, z = Series.one("z", L, field), Series.gen("z", L, field)
+    for finite in (True, False):
+        try:
+            got = expand(coeffs, L, kind, finite)
+        except StructureError:  # a finite two-term fraction of even length, or too few rungs for L
+            continue
+        want = Series.divide(*fraction_fold(Y, full if finite else min(full, L), one, z))
+        assert got.cap == want.cap == L
+        assert list(got.coeffs) == list(want.coeffs)
+    assert finite_fraction_ratfunc(Y) == RatFunc(*fraction_fold(Y, full, Poly.one("z"), Poly.gen("z")))
+
+
+@pytest.mark.parametrize("count", [3, 4, 5])
+def test_ring_rungs_fold_to_the_reference_pair(count):
+    """Rungs in a ring (Poly, keyed and packed MPoly, packed Series over
+    Q[rho]) are folded as before, each with one and z of its own ring."""
+    rng = random.Random(count)
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    rungs = (count + 1) // 2
+    keyed_vars = ("z", "a", "b")
+    rings = {
+        "Poly": ([Poly("z", [rational() for _ in range(3)]) for _ in range(count)], Poly.one("z"), Poly.gen("z")),
+        "keyed MPoly": ([MPoly(keyed_vars, {(1, 0, 0): rational(), (0, 1, 0): rational(), (0, 1, 1): rational()})
+                         for _ in range(count)], MPoly.const(keyed_vars, 1), MPoly.gen(keyed_vars, "z")),
+        "packed MPoly": ([bipoly({(1, 0): rational(), (0, 1): rational(), (1, 1): rational()}, 6)
+                          for _ in range(count)], bipoly_one(6), tb(6)),
+        "packed Series": ([Series("z", 5, [Poly("rho", [rational(), rational()]) for _ in range(3)], RHO_RING)
+                           for _ in range(count)], Series.one("z", 5, RHO_RING), Series.gen("z", 5, RHO_RING)),
+    }
+    assert rings["packed MPoly"][1]._num is not None and rings["packed Series"][1]._num is not None
+    for name, (Y, one, z) in rings.items():
+        got, want = contfrac._fold(Y, rungs, one, z), fraction_fold(Y, rungs, one, z)
+        assert got[0] == want[0] and got[1] == want[1], name
+    # and expand over a ring of symbols divides the reference pair
+    table, _ = symbol_table("elongated", count)
+    Y = [table.a(j) for j in range(1, count + 1)]
+    field = contfrac._ring_field(Y[0])
+    L = rungs
+    want = Series.divide(*fraction_fold(Y, rungs, Series.one("z", L, field), Series.gen("z", L, field)))
+    assert expand(Y, L, finite=count % 2 == 1) == want
 
 
 def direct_hankel(F, i, shift):

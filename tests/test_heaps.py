@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadslice import heaps
+from quadslice import closed_forms, exactalg, heaps
 from quadslice.closed_forms import _tower
 from quadslice.errors import StructureError, VerificationError
 from quadslice.heaps import (
@@ -233,6 +233,36 @@ def test_h_ladder_small():
     assert report.passed
     assert any("bi-ratios" in line for line in report.lines)
     assert h_ladder(1).lines == report.lines  # i_max no longer bounds the proof
+
+
+def test_h_ladder_identities_on_factor_multisets_match_the_oracle(monkeypatch):
+    """The eight identities hold on factor-multiset PolyFracs, each side is
+    the value the cross-multiplying oracle builds, and the checks run fewer
+    MPoly products than the oracle's cross-multiplied ones."""
+    from test_ratfunc import CrossPolyFrac, same_value
+
+    products = []
+    real_mul = exactalg._key_mul
+
+    def counted(p, q):
+        products[-1] += 1
+        return real_mul(p, q)
+
+    def identities(cls):
+        monkeypatch.setattr(closed_forms, "PolyFrac", cls)
+        monkeypatch.setattr(heaps, "PolyFrac", cls)
+        T = _tower.__wrapped__(LADDER_VARS)
+        return _ladder_identities(T, *_ladder_forms(T))
+
+    new, old = identities(heaps.PolyFrac), identities(CrossPolyFrac)
+    monkeypatch.setattr(exactalg, "_key_mul", counted)
+    for built in (new, old):
+        products.append(0)
+        assert all(lhs == rhs for _, lhs, rhs in built)
+    for (name, lhs, rhs), (_, old_lhs, old_rhs) in zip(new, old):
+        assert same_value(lhs, old_lhs) and same_value(rhs, old_rhs), name
+        assert (lhs - rhs).is_zero(), name
+    assert products[0] < products[1], products
 
 
 def _ladder_mutants(T, L0, L1):

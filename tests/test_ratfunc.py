@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadslice.errors import NonInvertibleError, StructureError
 from quadslice.exactalg import MPoly
-from quadslice.ratfunc import QQ, Poly, PolyFrac, RatFunc
+from quadslice.ratfunc import QQ, Poly, PolyFrac, RatFunc, _coerced
 from quadslice.series import Series
 
 
@@ -481,3 +481,242 @@ def test_polyfrac_operands_over_different_variables_raise():
             bad()
     with pytest.raises(StructureError):
         PolyFrac(MPoly.gen(("x", "y"), "x", cap=3))
+
+
+# ------------------------------- factor multisets against the cross-multiplying oracle
+
+
+class CrossPolyFrac:
+    """PolyFrac before its denominator became a factor multiset: one
+    expanded denominator, sums and products cross-multiply and a/b == c/d
+    tests a d == c b.  Kept as the differential oracle."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MPoly, den: MPoly = None):
+        den = num.ring_one() if den is None else den
+        if num.cap is not None or den.cap is not None or num.vars != den.vars:
+            raise StructureError("a PolyFrac needs two uncapped MPolys over one variable tuple")
+        if den.is_zero():
+            raise NonInvertibleError("zero denominator")
+        self.num, self.den = num, den
+
+    @classmethod
+    def gen(cls, vars, name):
+        return cls(MPoly.gen(vars, name))
+
+    @property
+    def vars(self):
+        return self.num.vars
+
+    def ring_zero(self):
+        return CrossPolyFrac(self.num.ring_zero())
+
+    def ring_one(self):
+        return CrossPolyFrac(self.num.ring_one())
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CrossPolyFrac(MPoly.const(self.vars, other))
+        if isinstance(other, CrossPolyFrac) and other.vars != self.vars:
+            raise StructureError(f"variable mismatch {self.vars}/{other.vars}")
+        return other if isinstance(other, CrossPolyFrac) else None
+
+    @_coerced
+    def __add__(self, other):
+        if self.den == other.den:
+            return CrossPolyFrac(self.num + other.num, self.den)
+        return CrossPolyFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CrossPolyFrac(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    @_coerced
+    def __mul__(self, other):
+        return CrossPolyFrac(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    @_coerced
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    @_coerced
+    def __rtruediv__(self, other):
+        return other * self.inverse()
+
+    def inverse(self):
+        if self.is_zero():
+            raise NonInvertibleError("zero has no inverse")
+        return CrossPolyFrac(self.den, self.num)
+
+    def __pow__(self, n):
+        return self.inverse() ** -n if n < 0 else CrossPolyFrac(self.num ** n, self.den ** n)
+
+    @_coerced
+    def __eq__(self, other):
+        if self.den == other.den:
+            return self.num == other.num
+        return self.num * other.den == other.num * self.den
+
+    __hash__ = None
+
+
+def same_value(new, old):
+    """A factor-multiset PolyFrac and an oracle one are the same fraction."""
+    return new.num * old.den == old.num * new.den
+
+
+# small polynomials the leaves share as factors, so sums meet equal factors
+# built as distinct objects, repeated ones such as (1 + x)^k, and constants
+FACTORS = [{(1, 0): 1, (0, 0): 1}, {(0, 1): 1, (0, 0): -1}, {(1, 1): 2, (0, 0): 3}, {(0, 0): 4}]
+
+
+def _factor(vars, j):
+    return MPoly(vars, {exp + (0,) * (len(vars) - 2): c for exp, c in FACTORS[j].items()})
+
+
+def _leaf(cls, vars, t):
+    """A leaf of either class, each call building its polynomials afresh."""
+    kind = t[0]
+    if kind == "var":
+        return cls.gen(vars, vars[t[1]])
+    if kind == "const":
+        return cls(MPoly.const(vars, t[1]))
+    one = cls(MPoly.const(vars, 1))
+    if kind == "power":  # f^k (1/f)^m, so f is a factor of multiplicity m
+        _, j, k, m = t
+        return cls(_factor(vars, j)) ** k * (one / cls(_factor(vars, j))) ** m
+    _, i, j = t  # 1 / (f_i f_j): one expanded denominator, or factor by factor
+    if kind == "expanded":
+        return cls(MPoly.const(vars, 1), _factor(vars, i) * _factor(vars, j))
+    return one / cls(_factor(vars, i)) / cls(_factor(vars, j))
+
+
+def _shared_tree(nvars):
+    j = st.integers(0, len(FACTORS) - 1)
+    leaves = st.one_of(
+        st.sampled_from([("var", k) for k in range(nvars)]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).map(lambda c: ("const", c)),
+        st.tuples(st.just("power"), j, st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.sampled_from(["expanded", "factored"]), j, j),
+    )
+
+    def nodes(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), sub, sub),
+            st.tuples(st.just("**"), sub, st.integers(-2, 2)),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=5)
+
+
+@st.composite
+def shared_factor_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    vars = ("x", "y", "z")[:n]
+    return vars, draw(_shared_tree(n)), draw(_shared_tree(n))
+
+
+def _build_in(cls, tree, vars):
+    if tree[0] not in ("+", "-", "*", "/", "**"):
+        return _leaf(cls, vars, tree)
+    rhs = tree[2] if tree[0] == "**" else _build_in(cls, tree[2], vars)
+    return _apply(tree[0], _build_in(cls, tree[1], vars), rhs)
+
+
+def _both(tree, vars):
+    """The tree built in both classes, or None where it divides by zero."""
+    try:
+        new = _build_in(PolyFrac, tree, vars)
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError):
+            _build_in(CrossPolyFrac, tree, vars)
+        return None
+    return new, _build_in(CrossPolyFrac, tree, vars)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(shared_factor_cases())
+def test_polyfrac_matches_the_cross_multiplying_oracle(case):
+    vars, ta, tb = case
+    pairs = [_both(tree, vars) for tree in (ta, tb)]
+    if None in pairs:
+        return
+    (a, oa), (b, ob) = pairs
+    for new, old in pairs:
+        assert same_value(new, old)
+        assert new.is_zero() == old.is_zero()
+        assert new.den == _expand_factors(new)
+        assert all(not f.is_zero() and f != f.constant_term() for f in new.factors)
+    for op in "+-*/":
+        if op == "/" and b.is_zero():
+            for lhs, rhs in ((a, b), (oa, ob)):
+                with pytest.raises(NonInvertibleError):
+                    lhs / rhs
+            continue
+        got, want = _apply(op, a, b), _apply(op, oa, ob)
+        assert same_value(got, want) and got.is_zero() == want.is_zero()
+    for n in range(-3, 4):
+        if n < 0 and a.is_zero():
+            for f in (a, oa):
+                with pytest.raises(NonInvertibleError):
+                    f ** n
+            continue
+        assert same_value(a ** n, oa ** n)
+    if not a.is_zero():
+        assert same_value(a.inverse(), oa.inverse())
+    assert (a == b) == (oa == ob) == (b == a)
+    # the same value reached by routes that share no denominator object
+    assert a == PolyFrac(oa.num) / PolyFrac(oa.den)
+    assert (a + b) - b == a and (a - a).is_zero() and a * b == b * a
+
+
+def _expand_factors(f):
+    out = f.num.ring_one()
+    for p, m in f.factors.items():
+        out = out * p ** m
+    return out
+
+
+def test_polyfrac_lifts_each_side_by_the_factors_it_lacks():
+    vars = ("x", "y")
+    x, y = PolyFrac.gen(vars, "x"), PolyFrac.gen(vars, "y")
+    one = x.ring_one()
+    a = (one / (one + y)) ** 3 / (one - x)
+    b = x / (one + y) / (one - x) / (one - x)
+    # built again as distinct objects, the factors still meet
+    s = a + b
+    assert s.factors == {MPoly.gen(vars, "y") + 1: 3, 1 - MPoly.gen(vars, "x"): 2}
+    assert same_value(s, CrossPolyFrac(1 - MPoly.gen(vars, "x")) / CrossPolyFrac((1 + MPoly.gen(vars, "y")) ** 3
+                                                                                  * (1 - MPoly.gen(vars, "x")) ** 2)
+                      + CrossPolyFrac(MPoly.gen(vars, "x")) / CrossPolyFrac((1 + MPoly.gen(vars, "y"))
+                                                                            * (1 - MPoly.gen(vars, "x")) ** 2))
+    # equal multisets add numerators and multiply nothing
+    assert (a + a).factors == a.factors and (a + a).num == 2 * a.num
+    # a constant denominator goes into the numerator, so no factor is a constant
+    half = x / 2
+    assert half.factors == {} and half.num == MPoly.gen(vars, "x") * Fraction(1, 2)
+    assert PolyFrac(MPoly.gen(vars, "x"), MPoly.const(vars, -3)).factors == {}
+    assert (one / half).factors == {MPoly.gen(vars, "x") * Fraction(1, 2): 1} and (one / half).num == 1
+    # powers scale the multiplicities, inverse makes the numerator one factor
+    assert (a ** 2).factors == {MPoly.gen(vars, "y") + 1: 6, 1 - MPoly.gen(vars, "x"): 2}
+    inv = (x + y) / (one - x)
+    assert inv.inverse().factors == {MPoly.gen(vars, "x") + MPoly.gen(vars, "y"): 1}
+    assert inv.inverse().num == 1 - MPoly.gen(vars, "x")
+    assert inv.den == 1 - MPoly.gen(vars, "x") and (inv ** 0).factors == {}
+    # one denominator given expanded and factored: equal values, distinct multisets
+    f, g = 1 + MPoly.gen(vars, "y"), 1 - MPoly.gen(vars, "x")
+    expanded, factored = PolyFrac(MPoly.const(vars, 1), f * g), one / PolyFrac(f) / PolyFrac(g)
+    assert expanded.factors != factored.factors and expanded == factored and (expanded - factored).is_zero()

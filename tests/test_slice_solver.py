@@ -553,7 +553,8 @@ def test_store_memo_follows_the_top():
 
 def test_store_counts_of_a_scripted_run():
     # (hits, misses) of solve_bw, solve_pq, solve_y, solve_limit and
-    # y1_series, as recorded before hits were memoized per cap
+    # y1_series; y1_series checks against the context solve, so solve_y(3)
+    # is a miss and solve_pq serves one more hit
     clear_stores()
     for N in (4, 2, 2, 7, 3, 7, 5):
         solve_bw(N)
@@ -563,7 +564,7 @@ def test_store_counts_of_a_scripted_run():
             conserved_f(n, d, 6), conserved_j(n, d, 6)
     y1_two_routes(6)
     solve_y(3), solve_y(8), solve_pq(5), f_n_closed(2, 7), y1_series(4)
-    assert [tuple(stored.cache_info()[:2]) for stored in STORED] == [(17, 2), (13, 2), (1, 2), (1, 2), (1, 1)]
+    assert [tuple(stored.cache_info()[:2]) for stored in STORED] == [(17, 2), (14, 2), (0, 2), (1, 2), (1, 1)]
 
 
 # --------------------------------- the merged sequence against its own solve
@@ -598,3 +599,25 @@ def test_solve_y_rejects_a_tampered_context_height(monkeypatch, side, height):
     with pytest.raises(VerificationError, match="failed to become stationary"):
         solve_y(N)
     assert solve_y.cache_info().currsize == 0
+
+
+def test_y1_series_checks_against_the_context_solve_alone():
+    for N in (1, 4, 9):
+        clear_stores()
+        val = y1_series(N)
+        assert solve_y.cache_info()[:2] == (0, 0), N  # no merged family built
+        assert val == solve_y(N).first[1], N
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_y1_series_rejects_a_tampered_first_context_height(monkeypatch, side):
+    N = 6
+    clear_stores()
+    pq = solve_pq(N)
+    heights = {"first": list(pq.first), "second": list(pq.second)}
+    heights[side][1] = heights[side][1] + tb(N) ** N
+    tampered = slice_solver.SliceFamily("pq", N, pq.i_max, heights["first"], heights["second"])
+    monkeypatch.setattr(slice_solver, "solve_pq", lambda M: tampered)
+    with pytest.raises(VerificationError, match="closed-form Y_1 disagrees with the solver"):
+        y1_series(N)
+    assert y1_series.cache_info().currsize == 0

@@ -46,7 +46,12 @@ reads each degree off its key.  The exponent tuples are decoded, in one
 
 Determinants over any of the rings in this package are computed by the
 Berkowitz recurrence, which uses ring operations only.  Truncated rings
-have zero divisors, so elimination with division is not available.
+have zero divisors, yet exact division is available: ``series.graded_div``
+divides a capped (tb, tw) value by one of no higher valuation in the tau
+grading, where the divisor's lowest nonzero row shifts out and the
+quotient over Q[rho] runs on integers (``series.Series.divide``).  So
+elimination that divides exactly by such a pivot (Bareiss) can run on
+these rings, at a cap lowered by the pivots' valuations.
 """
 
 from __future__ import annotations
@@ -117,15 +122,24 @@ def _truncate(num, bits):
     return num - (1 << bits) if num >> (bits - 1) else num
 
 
-def _rewidth(num, width, new, n):
-    """num with its n slots re-laid from ``width`` to ``new`` bits; every
-    slot must fit the narrower of the two."""
-    k, wide, bias = width // 8, new // 8, min(width, new)
-    digits = _digits(num, width, n, bias)
+def _relaid_digits(num, width, new, n):
+    """The bytes of the low n slots of num re-laid from ``width`` to ``new``
+    bits a slot, each slot biased by 2^(b-1), b the narrower width, which
+    every slot must fit."""
+    k, wide = width // 8, new // 8
+    digits = _digits(num, width, n, min(width, new))
+    if wide == k:
+        return digits
     out = bytearray(n * wide)
     for j in range(min(k, wide)):  # byte j of every slot in one strided copy
         out[j::wide] = digits[j::k]
-    return int.from_bytes(out, "little") - (_ones(new, n) << (bias - 1))
+    return out
+
+
+def _rewidth(num, width, new, n):
+    """num with its n slots re-laid from ``width`` to ``new`` bits; every
+    slot must fit the narrower of the two."""
+    return int.from_bytes(_relaid_digits(num, width, new, n), "little") - (_ones(new, n) << (min(width, new) - 1))
 
 
 def _restride(num, width, stride, rows, new_stride):

@@ -31,20 +31,28 @@ integer, reading by one mask the slots above the diagonal, and only when
 the excess bound is positive.  ``coeffs`` decodes the rows on first read.
 ``divide`` by a monomial c var^v, c rational (a division by tb in the
 tau grading), stays packed: a cut, a shift and one integer multiply.  Any
-other divisor runs on the decoded rows, exactly: each coefficient
-division must leave remainder zero, else NonInvertibleError.  Where the
-quotient over Q(v) is polynomial, every one of those divisions is exact,
-so no quotient that exists over Q[v] is lost, and no gcd runs in this
-form.
+other divisor over Q[v] divides on integers (Kronecker substitution): each
+row of either operand is one int, its polynomial at v = 2^w, the row
+recursion makes one integer division a row, and the quotient's ints,
+shifted into place, are its packed integer.  A width certificate shows
+that the digits so read are the quotient's coefficients.  A nonzero
+integer remainder (a quotient not over the integers, as 1/2 is, or none
+at all), or a certificate missed at two widths, hands the division to the
+row loop on the decoded rows, the route over every other field too.
+There each coefficient division must leave remainder zero, else
+NonInvertibleError.  Where the quotient over Q(v) is polynomial, every one
+of those divisions is exact, so no quotient that exists over Q[v] is
+lost, and no gcd runs in either form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import NonInvertibleError, StructureError
-from .exactalg import (BIVARS, MPoly, _bits, _bytes_width, _cut, _equal, _neg, _ones, _pack, _packed, _product,
-                       _rows, _sum, power)
+from .exactalg import (BIVARS, MPoly, _bits, _bytes_width, _cut, _equal, _fit, _lowest, _neg, _ones, _pack, _packed,
+                       _product, _relaid_digits, _rewidth, _rows, _sum, power)
 from .ratfunc import QQ, FieldSpec, Poly, _inv_elem, _qq_normal
 
 TAU, RHO = "tau", "rho"
@@ -59,7 +67,12 @@ class Series:
     def __init__(self, var, cap, coeffs, field):
         if cap < 0:
             raise StructureError("series cap must be >= 0")
-        coeffs = _qq_normal(coeffs) if field is QQ else list(coeffs)
+        if field is QQ:
+            coeffs = _qq_normal(coeffs)
+        elif isinstance(field.zero, Poly):
+            coeffs = [_ring_elem(c, field) for c in coeffs]
+        else:
+            coeffs = list(coeffs)
         if len(coeffs) < cap + 1:
             coeffs = coeffs + [field.zero] * (cap + 1 - len(coeffs))
         elif len(coeffs) > cap + 1:
@@ -118,6 +131,8 @@ class Series:
         return None
 
     def truncate(self, cap):
+        if cap < 0:
+            raise StructureError("series cap must be >= 0")
         if cap > self.cap:
             raise StructureError(f"cannot extend series cap {self.cap} to {cap}")
         if self._num is None:
@@ -206,11 +221,16 @@ class Series:
         one inverse of the leading coefficient; over Q[v], unless that is a
         constant, each one must leave remainder zero, else NonInvertibleError.
         Over Q[v] a divisor c var^v, c a rational constant, divides on the
-        packed integer: self cut, shifted down by v and scaled by 1/c.
+        packed integer: self cut, shifted down by v and scaled by 1/c.  Any
+        other divisor over Q[v] first divides on integers, one row at a
+        time at v = 2^w, under a width certificate (``_by_rows``); a
+        quotient that is not over the integers, or a division that is not
+        exact, falls back to the coefficient loop, whose results and
+        messages it then gives.
         """
         self._check(other)
         if self._num is not None and other._num and other.field is self.field:
-            q = _by_monomial(self, other)
+            q = _packed_divide(self, other)
             if q is not None:
                 return q
         vb = other.valuation()
@@ -292,24 +312,95 @@ def _packed_valuation(s):
     return ((s._num & -s._num).bit_length() - 1) // (s._stride * s._width)
 
 
-def _by_monomial(a, b):
-    """a / b on the packed integers when b is c var^v with c a rational
-    constant, else None.  b shifted down by v is such a constant iff it
-    fits slot 0, the constant test of ``_product``; the shift is by
-    width - 1, as a bare shift by the width would read slots (-1, 1) as
-    the constant -1 plus a borrow.  The refusals are those of the row loop."""
+def _packed_divide(a, b):
+    """a / b on the packed integers, b nonzero and in a's ring, or None for
+    the row loop.  The refusals are those of the row loop.
+
+    A divisor c var^v, c a rational constant, is one cut, shift and scale:
+    b shifted down by v is such a constant iff it fits slot 0, the constant
+    test of ``_product``; the shift is by width - 1, as a bare shift by the
+    width would read slots (-1, 1) as the constant -1 plus a borrow.  Any
+    other divisor runs ``_by_rows``."""
     vb = _packed_valuation(b)
-    c = b._num >> (vb * b._stride * b._width)
-    if c >> (b._width - 1) not in (0, -1):
-        return None
     va = _packed_valuation(a)
     if va is not None and va < vb:
         raise NonInvertibleError(f"quotient is not a series: valuations {va} < {vb}")
     cap = min(a.cap, b.cap) - vb
     if cap < 0:
         raise NonInvertibleError("divisor valuation exceeds series order")
+    c = b._num >> (vb * b._stride * b._width)
+    if c >> (b._width - 1) not in (0, -1):
+        return _by_rows(a, b, vb, cap)
     q = a.truncate(cap + vb).shift(-vb)
     return q if c == b._den else q * Fraction(b._den, c)
+
+
+def _by_rows(a, b, vb, cap):
+    """a / b, b's lowest nonzero row vb no monomial, with each row of a and b
+    one integer: its polynomial at v = 2^w.  Evaluation at 2^w is a ring
+    homomorphism, so the row recursion on these integers is exact at any w;
+    a nonzero remainder means the numerators' quotient is not over Z[v].
+    The quotient rows Q_k pack into sum Q_k 2^(k S w) with S slots a row
+    from their bit lengths, and each Q_k's balanced digits are read as its
+    coefficients.  Then D_k = A_k - sum_j B_j Q_(k-j), which vanishes at
+    2^w, has every slot below 2^(w-1) when w > fit_A and
+    w > fit_B + fit_Q + bitlen(pairs), so D_k = 0 and, b's row vb being
+    nonzero in the domain Q[v], the quotient is the only one.  A width
+    short of that certificate is raised to it once; a second miss, like a
+    remainder, returns None.  The value is Q den_b / den_a."""
+    n = cap + 1
+    pairs = n * (b._deg + 1)  # the certificate's pairs at any stride
+    w = _bytes_width(max(a._width, b._width, a._fit + b._fit + pairs.bit_length() + 16))
+    for _ in range(2):
+        A, B = _row_ints(a, w, vb, n), _row_ints(b, w, vb, n)
+        b0, Q = B[0], []
+        for k in range(n):
+            q, r = divmod(A[k] - sum(map(mul, B[1:k + 1], reversed(Q))), b0)
+            if r:
+                return None
+            Q.append(q)
+        # |Q_k| < 2^L lies in the balanced range of (L + 2) / w slots
+        degs = [((q.bit_length() + 1) // w, k) for k, q in enumerate(Q) if q]
+        if not degs:
+            return Series.zero(a.var, cap, a.field)
+        deg = max(d for d, _ in degs)
+        stride = deg + 1
+        num = sum(q << (k * stride * w) for k, q in enumerate(Q) if q)
+        fit = _fit(num, w, n * stride, w)
+        need = max(a._fit, b._fit + fit + (n * min(b._deg + 1, stride)).bit_length()) + 1
+        if w >= need:
+            break
+        w = _bytes_width(need)
+    else:
+        return None
+    scale = b._den
+    fit += (scale - 1).bit_length()
+    width = _bytes_width(fit)
+    if width != w:
+        num = _rewidth(num, w, width, n * stride)
+    return _lowest(_packed(a._blank(), cap, num * scale, a._den, stride, width, fit, deg,
+                           max(d - k for d, k in degs)))
+
+
+def _row_ints(v, width, lo, n):
+    """Rows lo..lo + n - 1 of packed v, whose rows below lo are zero, each as
+    one int at v = 2^width, width a whole number of bytes no less than v's;
+    v is not re-laid."""
+    s = v._stride
+    digits = _relaid_digits(v._num >> (lo * s * v._width), v._width, width, n * s)
+    size, bias = s * width // 8, _ones(width, s) << (v._width - 1)
+    return [int.from_bytes(digits[i * size:i * size + size], "little") - bias for i in range(n)]
+
+
+def _ring_elem(c, field):
+    """c in Q[v], the ring of ``field``: a Poly in v as it is, an int or a
+    Fraction as a constant."""
+    if isinstance(c, Poly) and c.var == field.zero.var:
+        return c
+    if isinstance(c, (int, Fraction)):
+        return field.one * c
+    kind = f"a polynomial in {c.var}" if isinstance(c, Poly) else type(c).__name__
+    raise StructureError(f"series coefficient {c!r} ({kind}) is not in {field.name}")
 
 
 def _blank_series(var, field):

@@ -8,16 +8,23 @@ divided row by row.
 """
 
 import re
+import sys
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadslice import series
 from quadslice.closed_forms import ALPHA_RING, GAMMA_RING
+from quadslice.contfrac import newtype_rungs_from_solver_inputs, stieltjes_rungs_from_solver
 from quadslice.errors import NonInvertibleError, StructureError
-from quadslice.exactalg import _bytes_width, _decode, _encode, _integral, _norm_coeff, bipoly, bipoly_one, tb, tw
-from quadslice.ratfunc import Poly, _inv_elem
-from quadslice.series import RHO_RING, Series, bipoly_to_tau, graded_div, tau_to_bipoly
+from quadslice.exactalg import (_bits, _bytes_width, _decode, _encode, _integral, _norm_coeff, bipoly, bipoly_one, tb,
+                                tw)
+from quadslice.ratfunc import QQ, Poly, _inv_elem
+from quadslice.series import RHO, RHO_RING, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 
 RINGS = {"Q[rho]": RHO_RING, "Q[alpha]": ALPHA_RING}
 
@@ -383,3 +390,255 @@ def test_division_by_tb_refuses_what_tb_does_not_divide():
     num, den = bipoly_to_tau(tb(N) * tw(N)), bipoly_to_tau(tb(N))
     assert tau_to_bipoly(num.divide(den)) == tw(N - 1)
     assert num._coeffs is None and den._coeffs is None  # no row decoded
+
+
+# ----------------------------------------- division on integers at v = 2^w
+
+@contextmanager
+def integer_route():
+    """Records what each integer-route division returned (None for a
+    fallback to the row loop) and the widths its rows were read at."""
+    log = SimpleNamespace(results=[], widths=[])
+    by_rows, row_ints = series._by_rows, series._row_ints
+
+    def spy_rows(*args):
+        log.results.append(by_rows(*args))
+        return log.results[-1]
+
+    def spy_ints(v, width, lo, n):
+        log.widths.append(width)
+        return row_ints(v, width, lo, n)
+
+    series._by_rows, series._row_ints = spy_rows, spy_ints
+    try:
+        yield log
+    finally:
+        series._by_rows, series._row_ints = by_rows, row_ints
+
+
+def row_loop(num, den):
+    """num.divide(den) on the decoded rows only, the route before the integer one."""
+    packed = series._packed_divide
+    series._packed_divide = lambda a, b: None
+    try:
+        return num.divide(den)
+    finally:
+        series._packed_divide = packed
+
+
+def as_row_loop(num, den):
+    """num.divide(den) gives the row loop's quotient, or its error text."""
+    try:
+        want = row_loop(num, den)
+    except NonInvertibleError as exc:
+        with pytest.raises(NonInvertibleError, match=f"^{re.escape(str(exc))}$"):
+            num.divide(den)
+    else:
+        got = num.divide(den)
+        assert got.coeffs == want.coeffs and got == want
+
+
+@st.composite
+def divisor(draw, var):
+    """(packed divisor, oracle rows) whose lowest row is neither a monomial
+    nor a unit -- (v - 1)^k, 1 - 2v + v^2 or c v^j (1 + v) -- over rows of
+    small or wide coefficients, scaled by 1, 1/3 or 2/5 and shifted up by
+    0..2."""
+    v = Poly.gen(var)
+    cap = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["power", "square", "scaled"]))
+    if kind == "power":
+        lead = (v - 1) ** draw(st.integers(1, 3))
+    elif kind == "square":
+        lead = 1 - 2 * v + v ** 2
+    else:
+        lead = draw(coefficient.filter(bool)) * v ** draw(st.integers(0, 2)) * (1 + v)
+    scale = draw(st.sampled_from([1, Fraction(1, 3), Fraction(2, 5)]))
+    rows = (lead * scale,) + tuple(
+        Poly(var, [draw(coefficient) * scale for _ in range(draw(st.integers(0, 3)))]) for _ in range(cap))
+    up = draw(st.integers(0, 2))
+    return Series("u", cap, rows, ring_of(var)).shift(up), rows_shift(rows, up, var)
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_division_matches_the_row_loop(ring, data):
+    var = MONOMIAL_RINGS[ring].zero.var
+    (den, rden), (q, rq), (c, rc) = data.draw(divisor(var)), data.draw(operand(var)), data.draw(operand(var))
+    num, rnum = den * q, rows_mul(rden, rq, var)
+    with integer_route() as log:
+        quotient_or_refusal(num, den, rnum, rden, var)
+        as_row_loop(num, den)
+        # most of these are no multiple of den: the row loop's refusal, to the letter
+        quotient_or_refusal(num + c, den, rows_add(rnum, rc), rden, var)
+        as_row_loop(num + c, den)
+    exact = [r for r in log.results if r is not None]
+    if not any(r.is_zero() for r in rq) and all(type(x) is int for r in rnum + rden for x in r.coeffs):
+        assert exact  # an integer quotient stays on the integers
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+def test_quotient_outgrowing_the_first_width_is_read_at_the_certified_one(ring):
+    # a = 1 + v, b = (1 + v)(1 + c u): q_k = (-c)^k, so a and b are small and q
+    # is not; at c = 63 and cap 6 the first width is short of q's 37 bits, so
+    # it reads wrong digits, whose certificate fails, and the second holds q
+    field = MONOMIAL_RINGS[ring]
+    var = field.zero.var
+    v = Poly.gen(var)
+    a, b = Series("u", 6, [1 + v], field), Series("u", 6, [1 + v, 63 * (1 + v)], field)
+    with integer_route() as log:
+        q = a.divide(b)
+    assert q.coeffs == tuple(Poly(var, [(-63) ** k]) for k in range(7)) == rows_divide(a.coeffs, b.coeffs)
+    assert _bits((-63) ** 6) == 37 and log.widths == [32, 32, 48, 48] and log.results[0] is not None
+    # at cap 8 and c = 2^40 no second width holds q either: the row loop's answer
+    a, b = Series("u", 8, [1 + v], field), Series("u", 8, [1 + v, 2**40 * (1 + v)], field)
+    with integer_route() as log:
+        q = a.divide(b)
+    assert log.results == [None] and len(log.widths) == 4
+    assert q.coeffs == tuple(Poly(var, [(-(2**40)) ** k]) for k in range(9)) == rows_divide(a.coeffs, b.coeffs)
+
+
+def test_width_certificate_holds_to_the_bit():
+    # the family above at small c: a retry runs exactly when the first width
+    # w is short of max(fit_a, fit_b + fit_q + bitlen(pairs)) + 1, pairs the
+    # (n rows) x (min(deg_b, deg_q) + 1 slots) that can meet in a slot of D_k
+    v = Poly.gen(RHO)
+    short = {0: 0, 1: 0}
+    for cap, cs in ((1, range(2**17 - 2, 2**17 + 3)), (6, range(8, 18)), (8, range(4, 10))):
+        n = cap + 1
+        for c in cs:
+            a, b = Series("u", cap, [1 + v], RHO_RING), Series("u", cap, [1 + v, c * (1 + v)], RHO_RING)
+            first = _bytes_width(max(a._width, b._width, a._fit + b._fit + (n * (b._deg + 1)).bit_length() + 16))
+            fit_q = max(_bits((-c) ** k) for k in range(n))
+            pairs = n * 1  # q's rows are constants: one slot each
+            need = max(a._fit, b._fit + fit_q + pairs.bit_length()) + 1
+            with integer_route() as log:
+                q = a.divide(b)
+            assert q.coeffs == tuple(Poly(RHO, [(-c) ** k]) for k in range(n))
+            assert log.widths == ([first] * 2 if need <= first else [first] * 2 + [_bytes_width(need)] * 2)
+            if need - first in short:
+                short[need - first] += 1
+    assert all(short.values())  # both sides of the bound were met exactly
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+def test_rational_quotients_fall_back_to_the_row_loop(ring):
+    field = MONOMIAL_RINGS[ring]
+    var = field.zero.var
+    v = Poly.gen(var)
+    for lead in (2, 3, Fraction(3, 2)):
+        den = Series("u", 5, [lead, v], field)  # no monomial: its row 1 is v
+        for num in (Series.one("u", 5, field), Series("u", 5, [1 + v, Fraction(1, 7)], field)):
+            with integer_route() as log:
+                as_row_loop(num, den)
+                assert num.divide(den).coeffs == rows_divide(num.coeffs, den.coeffs)
+            assert None in log.results
+    # lead 2 with a quotient over Z[v] stays on the integers
+    den = Series("u", 5, [2, v], field)
+    with integer_route() as log:
+        assert (den * 5).divide(den) == Series.const("u", 5, 5, field)
+    assert log.results[0] is not None
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+def test_non_exact_division_gives_the_row_loops_refusal(ring):
+    field = MONOMIAL_RINGS[ring]
+    var = field.zero.var
+    v = Poly.gen(var)
+    cases = (
+        (Series.one("u", 4, field), Series("u", 4, [1 + v, field.one], field), 0),
+        (Series("u", 4, [1 + v, field.one], field), Series("u", 4, [1 + v], field), 1),
+        (Series("u", 4, [v * (v - 1), field.zero, field.zero, v], field), Series("u", 4, [(v - 1) ** 2, v], field), 0),
+        (Series("u", 6, [(v - 1) ** 2, field.zero, field.zero, v], field).shift(1),
+         Series("u", 6, [(v - 1) ** 2], field).shift(1), 3),
+    )
+    for num, den, row in cases:
+        with integer_route() as log:
+            with pytest.raises(NonInvertibleError,
+                               match=f"^quotient is not over Q\\[{var}\\]: nonzero remainder at u\\^{row}$"):
+                num.divide(den)
+        assert log.results == [None]
+        as_row_loop(num, den)
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+def test_integer_route_denominators(ring):
+    field = MONOMIAL_RINGS[ring]
+    var = field.zero.var
+    v = Poly.gen(var)
+    # den_b = 7 scales the quotient's slots out of the width they were read
+    # at: 7 (2^15 - 1) needs 19 bits, 2^15 - 1 only 16
+    top = 2**15 - 1
+    num = Series("u", 3, [(1 + v) * top, (1 + v) * (top - v)], field)
+    den = Series("u", 3, [(1 + v) * Fraction(1, 7)], field)
+    with integer_route() as log:
+        q = num.divide(den)
+    assert log.results[0] is not None
+    assert q.coeffs == rows_divide(num.coeffs, den.coeffs) == (Poly(var, [7 * top]), Poly(var, [7 * top, -7]),
+                                                               field.zero, field.zero)
+    # den_a = 5 and den_b = 3, over a wide quotient
+    wide = Series("u", 4, [2**70 - v ** 3, v, -(2**64)], field)
+    den = Series("u", 4, [(v - 1) ** 2 * Fraction(1, 3), Fraction(1, 3) * v], field)
+    num = den * wide * Fraction(3, 5)
+    with integer_route() as log:
+        q = num.divide(den)
+    assert log.results[0] is not None and q == wide.truncate(4) * Fraction(3, 5)
+    assert q.coeffs == rows_divide(num.coeffs, den.coeffs)
+
+
+@pytest.mark.parametrize("ring", sorted(MONOMIAL_RINGS))
+def test_quotient_above_either_operands_stride(ring):
+    # 1 / (1 + v u) = sum (-v)^k u^k: row k of degree k, at cap 10 far above
+    # the strides 1 and 2 of the operands
+    field = MONOMIAL_RINGS[ring]
+    var = field.zero.var
+    v = Poly.gen(var)
+    one, den = Series.one("u", 10, field), Series("u", 10, [field.one, v], field)
+    with integer_route() as log:
+        q = den.inv()
+    assert log.results[0] is not None and q._stride > max(one._stride, den._stride)
+    assert q.coeffs == tuple((-v) ** k for k in range(11)) == rows_divide(one.coeffs, den.coeffs)
+    assert q * den == one
+    # and through a lowest row that is no unit
+    lead = Series("u", 10, [(v - 1) ** 2], field)
+    with integer_route() as log:
+        assert lead.divide(lead * den) == q
+    assert log.results[0] is not None
+
+
+def test_extractions_divide_on_integers():
+    # no Poly.divmod runs outside the Q(rho) view of the companions
+    callers, divmod = Counter(), Poly.divmod
+
+    def spy(self, other):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return divmod(self, other)
+
+    Poly.divmod = spy
+    try:
+        with integer_route() as log:
+            stieltjes_rungs_from_solver(8, 2)
+            newtype_rungs_from_solver_inputs(5, 3)
+    finally:
+        Poly.divmod = divmod
+    assert set(callers) <= {"_rho_view"}
+    assert log.results and None not in log.results
+
+
+def test_packed_truncate_and_constructor_refusals():
+    rho = Poly.gen(RHO)
+    packed = Series("u", 4, [Poly(RHO, [1, 2])], RHO_RING)
+    with pytest.raises(StructureError, match="^series cap must be >= 0$"):
+        packed.truncate(-1)
+    with pytest.raises(StructureError, match="^series cap must be >= 0$"):
+        Series("u", 4, [Fraction(1, 2)], QQ).truncate(-1)
+    # numbers are constants of Q[v], as in Series.const and in arithmetic
+    mixed = Series("u", 3, [1, rho, Fraction(1, 2)], RHO_RING)
+    assert mixed.coeffs == (RHO_RING.one, rho, RHO_RING.one * Fraction(1, 2), RHO_RING.zero)
+    assert mixed == Series.const("u", 3, 1, RHO_RING) + Series.gen("u", 3, RHO_RING) * rho \
+        + Series.gen("u", 3, RHO_RING) ** 2 * Fraction(1, 2)
+    assert Series.const("u", 2, 3, ALPHA_RING) == Series.one("u", 2, ALPHA_RING) * 3
+    for bad in (1.5, "x", Poly.gen("alpha")):
+        with pytest.raises(StructureError, match="series coefficient .* is not in QQ\\[rho\\]"):
+            Series("u", 3, [RHO_RING.one, bad], RHO_RING)

@@ -441,16 +441,13 @@ def as_row_loop(num, den):
 @st.composite
 def divisor(draw, var):
     """(packed divisor, oracle rows) whose lowest row is neither a monomial
-    nor a unit -- (v - 1)^k, 1 - 2v + v^2 or c v^j (1 + v) -- over rows of
-    small or wide coefficients, scaled by 1, 1/3 or 2/5 and shifted up by
-    0..2."""
+    nor a unit -- (v - 1)^k (at k = 2, 1 - 2v + v^2) or c v^j (1 + v) --
+    over rows of small or wide coefficients, scaled by 1, 1/3 or 2/5 and
+    shifted up by 0..2."""
     v = Poly.gen(var)
     cap = draw(st.integers(0, 8))
-    kind = draw(st.sampled_from(["power", "square", "scaled"]))
-    if kind == "power":
+    if draw(st.booleans()):
         lead = (v - 1) ** draw(st.integers(1, 3))
-    elif kind == "square":
-        lead = 1 - 2 * v + v ** 2
     else:
         lead = draw(coefficient.filter(bool)) * v ** draw(st.integers(0, 2)) * (1 + v)
     scale = draw(st.sampled_from([1, Fraction(1, 3), Fraction(2, 5)]))

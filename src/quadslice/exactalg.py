@@ -11,10 +11,10 @@ zero coefficients are never listed.  When ``cap`` is an int, every
 operation discards terms of total degree above it, which makes the type a
 quotient ring (truncation commutes with + and *).  When ``cap`` is None the
 value is an ordinary polynomial; this is used for opaque symbolic weights.
-Values are immutable and all operations are pure.
+Values are immutable; a product may re-lay an operand's integer in place.
 
 The graded packed layout.  A packed value at cap c is one integer over
-one positive denominator in lowest terms; row k <= c, slot b is a signed
+one positive denominator, not reduced; row k <= c, slot b is a signed
 field of ``width`` bits at slot position k * stride + b.  The value bounds
 its slots (``fit`` bits, exact after a product) and its rows (slot b is 0
 above ``deg`` and, in row k, above k + ``exc``).  Row k of a product has
@@ -26,13 +26,15 @@ slot width from their fits and a bound on the pairs that meet in a slot;
 it re-lays each operand in place.  A product by a constant (a value whose
 numerator fits slot 0) is one integer multiply of the other numerator, in
 its layout.  A sum is one integer sum, and a cut to a lower cap one mask.
-A capped polynomial in two variables -- the weight
-series in (tb, tw), the workhorse of the package, with constructors
-``bipoly_*`` -- is such a value with tb^a tw^b in row a + b, slot b, so
-deg <= cap and exc <= 0, built and cut at stride cap + 1.  ``series``
-holds its series over Q[v] in the same layout (v^b var^k in row k, slot
-b), so the tau image of a bivariate value is the same integer.  The term
-dict is decoded only when ``terms`` is read.
+Equality compares the integers over one denominator, else tests the
+difference for zero; ``terms``, the constant term and the hash reduce each
+coefficient.  A capped polynomial in two variables -- the weight series in
+(tb, tw), the workhorse of the package, with constructors ``bipoly_*`` --
+is such a value with tb^a tw^b in row a + b, slot b, so deg <= cap and
+exc <= 0, built and cut at stride cap + 1.  ``series`` holds its series
+over Q[v] in the same layout (v^b var^k in row k, slot b), so the tau
+image of a bivariate value is the same integer.  The term dict is decoded
+only when ``terms`` is read.
 
 The keyed layout.  Every other polynomial (uncapped, or in another number
 of variables) is held as {key: coefficient}, the key packing exponent e_i
@@ -60,7 +62,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 
 from .errors import NonInvertibleError, StructureError
 
@@ -550,22 +552,8 @@ def _rows(v):
 
 
 def _packed(v, cap, num, den, stride, width, fit, deg, exc):
-    """v, a blank value, given packed fields at ``cap``; num / den is in
-    lowest terms, or is brought there by ``_lowest``."""
+    """v, a blank value, given packed fields at ``cap`` (num / den unreduced)."""
     v.cap, v._num, v._den, v._stride, v._width, v._fit, v._deg, v._exc = cap, num, den, stride, width, fit, deg, exc
-    return v
-
-
-def _lowest(v):
-    """v with num / den brought to lowest terms, in place."""
-    if not v._num:
-        v._den, v._fit = 1, 0
-    elif v._den != 1:
-        n = (v.cap + 1) * v._stride
-        slots = _decode(v._num, v._width, n, range(n))
-        g = gcd(v._den, *slots)
-        if g != 1:  # num // g is exact: g divides every slot
-            v._num, v._den, v._fit = v._num // g, v._den // g, max(_bits(c // g) for c in slots)
     return v
 
 
@@ -599,8 +587,8 @@ def _sum(a, b, sign):
     stride, width = max(a._stride, b._stride), max(a._width, b._width, _bytes_width(fit))
     x, y = _laid(a, stride, width), _laid(b, stride, width)
     x, y = x if sa == 1 else x * sa, y if sb == 1 else y * sb
-    return _lowest(_packed(a._blank(), a.cap, x + y if sign > 0 else x - y, den, stride, width, fit,
-                           max(a._deg, b._deg), max(a._exc, b._exc)))
+    return _packed(a._blank(), a.cap, x + y if sign > 0 else x - y, den, stride, width, fit,
+                   max(a._deg, b._deg), max(a._exc, b._exc))
 
 
 def _neg(a):
@@ -627,13 +615,13 @@ def _product(a, b):
         bits, stride = const._fit + other._fit, other._stride
         width, n = max(other._width, _bytes_width(bits)), (c + 1) * stride
         num = _laid(other, stride, width) * const._num
-        return _lowest(_packed(a._blank(), c, num, a._den * b._den, stride, width, _fit(num, width, n, bits),
-                               other._deg, other._exc))
+        return _packed(a._blank(), c, num, a._den * b._den, stride, width, _fit(num, width, n, bits),
+                       other._deg, other._exc)
     stride = max(deg + 1, a._stride, b._stride)
     bits = (_pairs(c, min(a._deg, b._deg), a._exc, b._exc) << (a._fit + b._fit - 2)).bit_length() + 1
     width, n = _bytes_width(bits), (c + 1) * stride
     num = _truncate(_laid(a, stride, width) * _laid(b, stride, width), n * width)
-    return _lowest(_packed(a._blank(), c, num, a._den * b._den, stride, width, _fit(num, width, n, bits), deg, exc))
+    return _packed(a._blank(), c, num, a._den * b._den, stride, width, _fit(num, width, n, bits), deg, exc)
 
 
 @lru_cache(maxsize=1024)
@@ -650,14 +638,15 @@ def _cut(a, cap):
     if cap == a.cap:
         return a
     num = _truncate(a._num, (cap + 1) * a._stride * a._width)
-    return _lowest(_packed(a._blank(), cap, num, a._den, a._stride, a._width, a._fit, min(a._deg, cap + a._exc),
-                           a._exc))
+    return _packed(a._blank(), cap, num, a._den, a._stride, a._width, a._fit, min(a._deg, cap + a._exc), a._exc)
 
 
 def _equal(a, b):
-    """a == b for packed values at one cap."""
+    """a == b for packed values at one cap (see the module docstring)."""
+    if a._den != b._den:
+        return not _sum(a, b, -1)._num
     stride, width = max(a._stride, b._stride), max(a._width, b._width)
-    return a._den == b._den and _laid(a, stride, width) == _laid(b, stride, width)
+    return _laid(a, stride, width) == _laid(b, stride, width)
 
 
 # ------------------------------------------------------------------ bivariate

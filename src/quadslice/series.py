@@ -24,25 +24,26 @@ The image is held over Q[rho] (``RHO_RING``, Poly coefficients).  Over
 any one-variable polynomial ring Q[v] (a field spec whose zero is a Poly:
 Q[rho] here, Q[alpha] and Q[gamma] in ``closed_forms``) a series is held
 in the graded packed layout of ``exactalg`` (v^b var^k in row k, slot b),
-where sums, negation, products, truncation and == run; shifts stay packed
-too.  A capped (tb, tw) value is the same layout, so the tau grading hands
-the packed fields across; the way back checks the degree bound on the
-integer, reading by one mask the slots above the diagonal, and only when
-the excess bound is positive.  ``coeffs`` decodes the rows on first read.
-``divide`` by a monomial c var^v, c rational (a division by tb in the
-tau grading), stays packed: a cut, a shift and one integer multiply.  Any
-other divisor over Q[v] divides on integers (Kronecker substitution): each
-row of either operand is one int, its polynomial at v = 2^w, the row
-recursion makes one integer division a row, and the quotient's ints,
-shifted into place, are its packed integer.  A width certificate shows
-that the digits so read are the quotient's coefficients.  A nonzero
-integer remainder (a quotient not over the integers, as 1/2 is, or none
-at all), or a certificate missed at two widths, hands the division to the
-row loop on the decoded rows, the route over every other field too.
-There each coefficient division must leave remainder zero, else
-NonInvertibleError.  Where the quotient over Q(v) is polynomial, every one
-of those divisions is exact, so no quotient that exists over Q[v] is
-lost, and no gcd runs in either form.
+where sums, differences, negation, products, truncation, ==, shifts, the
+valuation and the zero test run.  A capped (tb, tw) value is the same
+layout, so the tau grading hands the packed fields across; the way back
+checks the degree bound on the integer, reading by one mask the slots
+above the diagonal, and only when the excess bound is positive.
+``coeffs`` decodes the rows on first read.  ``divide`` makes its refusals
+once, for every route; by a monomial c var^v, c rational (a division by
+tb in the tau grading), it stays packed: a cut, a shift and one integer
+multiply.  Any other divisor over Q[v] divides on integers (Kronecker
+substitution): each row of either operand is one int, its polynomial at
+v = 2^w, the row recursion makes one integer division a row, and the
+quotient's ints, shifted into place, are its packed integer.  A width
+certificate shows that the digits so read are the quotient's
+coefficients.  A nonzero integer remainder (a quotient not over the
+integers, as 1/2 is, or none at all), or a certificate missed at two
+widths, hands the division to the row loop on the decoded rows, the route
+over every other field too.  There each coefficient division must leave
+remainder zero, else NonInvertibleError.  Where the quotient over Q(v) is
+polynomial, every one of those divisions is exact, so no quotient that
+exists over Q[v] is lost, and no gcd runs in either form.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import NonInvertibleError, StructureError
-from .exactalg import (BIVARS, MPoly, _bits, _bytes_width, _cut, _equal, _fit, _lowest, _neg, _ones, _pack, _packed,
+from .exactalg import (BIVARS, MPoly, _bits, _bytes_width, _cut, _equal, _fit, _neg, _ones, _pack, _packed,
                        _product, _relaid_digits, _rewidth, _rows, _sum, power)
 from .ratfunc import QQ, FieldSpec, Poly, _inv_elem, _qq_normal
 
@@ -120,10 +121,14 @@ class Series:
         return Series.one(self.var, self.cap, self.field)
 
     def is_zero(self):
+        if self._num is not None:
+            return not self._num
         z = self.field.zero
         return all(c == z for c in self.coeffs)
 
     def valuation(self):
+        if self._num is not None:  # the row of the lowest set bit, in the lowest nonzero slot
+            return ((self._num & -self._num).bit_length() - 1) // (self._stride * self._width) if self._num else None
         z = self.field.zero
         for k, c in enumerate(self.coeffs):
             if c != z:
@@ -151,15 +156,21 @@ class Series:
             return Series.const(self.var, cap, self.field.one * other, self.field)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + other (sign 1) or self - other (sign -1) at the lower cap."""
         cap = min(self.cap, other.cap) if isinstance(other, Series) else self.cap
         a = self if self.cap == cap else self.truncate(cap)
         other = a._coerce(other, cap)
         if other is None:
             return NotImplemented
         if a._num is not None:
-            return _sum(a, other, 1)
+            return _sum(a, other, sign)
+        if sign < 0:
+            other = -other
         return Series(a.var, cap, [x + y for x, y in zip(a.coeffs, other.coeffs)], a.field)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -169,9 +180,9 @@ class Series:
         return _neg(self)
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            return self + (-other)
-        return self + (-(self.ring_one() * other))
+        if not isinstance(other, Series):
+            other = self.ring_one() * other
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -217,22 +228,19 @@ class Series:
         """Exact series quotient q with other * q = self.
 
         Requires valuation(other) <= valuation(self); the result cap shrinks
-        by valuation(other).  Coefficient divisions happen in the field, by
-        one inverse of the leading coefficient; over Q[v], unless that is a
-        constant, each one must leave remainder zero, else NonInvertibleError.
-        Over Q[v] a divisor c var^v, c a rational constant, divides on the
-        packed integer: self cut, shifted down by v and scaled by 1/c.  Any
-        other divisor over Q[v] first divides on integers, one row at a
-        time at v = 2^w, under a width certificate (``_by_rows``); a
-        quotient that is not over the integers, or a division that is not
-        exact, falls back to the coefficient loop, whose results and
-        messages it then gives.
+        by valuation(other); a zero divisor, or one of higher valuation or of
+        valuation above the order, is refused before either route runs.
+        Coefficient divisions happen in the field, by one inverse of the
+        leading coefficient; over Q[v], unless that is a constant, each one
+        must leave remainder zero, else NonInvertibleError.  Over Q[v] a
+        divisor c var^v, c a rational constant, divides on the packed
+        integer: self cut, shifted down by v and scaled by 1/c.  Any other
+        divisor over Q[v] first divides on integers, one row at a time at
+        v = 2^w, under a width certificate (``_by_rows``); a quotient that is
+        not over the integers, or a division that is not exact, falls back
+        to the coefficient loop, whose results and messages it then gives.
         """
         self._check(other)
-        if self._num is not None and other._num and other.field is self.field:
-            q = _packed_divide(self, other)
-            if q is not None:
-                return q
         vb = other.valuation()
         if vb is None:
             raise NonInvertibleError("division by the zero series")
@@ -244,6 +252,10 @@ class Series:
         cap = min(self.cap, other.cap) - vb
         if cap < 0:
             raise NonInvertibleError("divisor valuation exceeds series order")
+        if self._num is not None and other._num is not None and other.field is self.field:
+            q = _packed_divide(self, other, vb, cap)
+            if q is not None:
+                return q
         a, b = self.coeffs, other.coeffs
         lead = b[vb]
         z = self.field.zero
@@ -304,30 +316,15 @@ class Series:
         return f"{body} + O({self.var}^{self.cap + 1})"
 
 
-def _packed_valuation(s):
-    """The lowest row of packed s with a nonzero slot, or None for zero:
-    the row of the lowest set bit, which lies in the lowest nonzero slot."""
-    if not s._num:
-        return None
-    return ((s._num & -s._num).bit_length() - 1) // (s._stride * s._width)
-
-
-def _packed_divide(a, b):
-    """a / b on the packed integers, b nonzero and in a's ring, or None for
-    the row loop.  The refusals are those of the row loop.
+def _packed_divide(a, b, vb, cap):
+    """a / b at ``cap`` on the packed integers, b in a's ring with lowest
+    nonzero row vb, or None for the row loop.
 
     A divisor c var^v, c a rational constant, is one cut, shift and scale:
     b shifted down by v is such a constant iff it fits slot 0, the constant
     test of ``_product``; the shift is by width - 1, as a bare shift by the
     width would read slots (-1, 1) as the constant -1 plus a borrow.  Any
     other divisor runs ``_by_rows``."""
-    vb = _packed_valuation(b)
-    va = _packed_valuation(a)
-    if va is not None and va < vb:
-        raise NonInvertibleError(f"quotient is not a series: valuations {va} < {vb}")
-    cap = min(a.cap, b.cap) - vb
-    if cap < 0:
-        raise NonInvertibleError("divisor valuation exceeds series order")
     c = b._num >> (vb * b._stride * b._width)
     if c >> (b._width - 1) not in (0, -1):
         return _by_rows(a, b, vb, cap)
@@ -378,8 +375,7 @@ def _by_rows(a, b, vb, cap):
     width = _bytes_width(fit)
     if width != w:
         num = _rewidth(num, w, width, n * stride)
-    return _lowest(_packed(a._blank(), cap, num * scale, a._den, stride, width, fit, deg,
-                           max(d - k for d, k in degs)))
+    return _packed(a._blank(), cap, num * scale, a._den, stride, width, fit, deg, max(d - k for d, k in degs))
 
 
 def _row_ints(v, width, lo, n):

@@ -16,12 +16,11 @@ height i >= 1 (index 0 is identically zero):
 
 Each system is stated once, as a rule ``rule(x, y, i, t_b, t_w)`` giving
 the two right-hand sides at height i from height accessors x and y over any
-ring; the solvers, the limit pair and the closed-form residual checks of
-``closed_forms`` all evaluate these rules, and the solver reads each
-rule's shape by evaluating it once on opaque symbols (``_form``).  The
-merged sequence enters its rule as the pair x(i) = Y_{2i}, y(i) = Y_{2i-1},
-so its parity-respecting clamp is the ordinary height clamp of the pair at
-N + 3.
+ring; the solvers and the closed-form residual checks of ``closed_forms``
+all evaluate these rules, and the solver reads each rule's shape by
+evaluating it once on opaque symbols (``_form``).  The merged sequence
+enters its rule as the pair x(i) = Y_{2i}, y(i) = Y_{2i-1}, so its
+parity-respecting clamp is the ordinary height clamp of the pair at N + 3.
 
 Every right-hand side is a t_b, t_w source plus products of two unknowns,
 and every slice weight has zero constant term.  So the total-degree-c part
@@ -53,8 +52,12 @@ result needs none of them again: truncation is a ring homomorphism and the
 clamp is exact, so it is the truncation of a checked value.
 
 The i -> infinity limits satisfy the bicolored rule with height-independent
-weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles,
-and are solved the same way as one height-independent pair.
+weights, B = tb + B(B + 2W), W = tw + W(W + 2B), shared by both ensembles.
+The top pair of the context solve at cap N satisfies it: the confirming
+sweep checks the rule at the top height, which reads itself as the one
+above, and the top two heights agree.  With zero constant terms its fixed
+point is unique, so ``solve_limit`` reads the pair off ``solve_pq``.
+
 This module also assembles the fixed-boundary-length series f_n and j_n
 from the path generating functions, evaluates the level-d conserved
 quantities, and computes the first merged coefficient by its two
@@ -197,24 +200,23 @@ _FORM_VARS = ("x-", "x", "x+", "y-", "y", "y+", "tb", "tw")
 
 
 @lru_cache(maxsize=None)
-def _form(rule, flat=False):
+def _form(rule):
     """The two right-hand sides of ``rule`` as (source, groups), read by
     evaluating the rule once at height 1 on opaque symbols for x and y at
-    heights i - 1, i and i + 1 (``flat``: every height reads the one pair at
-    i).  ``source`` holds the coefficients of t_b and t_w; the quadratic part
-    is the sum over ``groups`` of u * (sum of c * v over its members (c, v)),
-    an unknown u or v being (side, height offset), side 0 for x, 1 for y.
-    Factoring out the unknown in the most terms first keeps the groups few.
-    Any other term -- a constant, one linear in the unknowns -- would break
-    the degree-by-degree solve, and is refused."""
+    heights i - 1, i and i + 1.  ``source`` holds the coefficients of t_b
+    and t_w; the quadratic part is the sum over ``groups`` of u * (sum of
+    c * v over its members (c, v)), an unknown u or v being (side, height
+    offset), side 0 for x, 1 for y.  Factoring out the unknown in the most
+    terms first keeps the groups few.  Any other term -- a constant, one
+    linear in the unknowns -- would break the degree-by-degree solve, and
+    is refused."""
     gens = [MPoly.gen(_FORM_VARS, v) for v in _FORM_VARS]
 
     def read(side):
         def at(j):
-            d = 0 if flat else j - 1
-            if d not in (-1, 0, 1):
-                raise StructureError(f"{rule.__name__} reads height i{d:+d}: heights i - 1..i + 1 only")
-            return gens[3 * side + 1 + d]
+            if not 0 <= j <= 2:
+                raise StructureError(f"{rule.__name__} reads height i{j - 1:+d}: heights i - 1..i + 1 only")
+            return gens[3 * side + j]
         return at
 
     out = []
@@ -282,11 +284,10 @@ def _value(rows, N, width):
     return _packed(bipoly_zero(N)._blank(), N, num, 1, stride, narrow, fit, N, 0)
 
 
-def _solve(kind, N, i_max, flat=False):
+def _solve(kind, N, i_max):
     """A system's rule solved at cap N with heights clamped at i_max (height
-    i_max + 1 reads i_max), or ``flat`` as one height-independent pair with
-    i_max = 1, one total degree at a time; returns the two lists of values
-    at heights 0..i_max, checked by ``_confirm``.
+    i_max + 1 reads i_max), one total degree at a time; returns the two
+    lists of values at heights 0..i_max, checked by ``_confirm``.
 
     Each height keeps its rows, row k an int packing the k + 1 tw-slots of
     its degree-k part at one slot width.  Row c of a right-hand side is its
@@ -297,7 +298,7 @@ def _solve(kind, N, i_max, flat=False):
     for each group, sum of |c| times sum over j of (min(j, c - j) + 1)
     2^(f_j - 1) 2^(f_(c-j) - 1) -- and every row is re-laid at twice the
     width until that bound fits."""
-    form = _form(SYSTEMS[kind][0], flat)
+    form = _form(SYSTEMS[kind][0])
     width = _START_WIDTH
     rows = [[None] + [[0] for _ in range(i_max)] for _ in range(2)]
 
@@ -337,20 +338,19 @@ def _solve(kind, N, i_max, flat=False):
                 side[i].append(side[h][c])
         fits.append(fit)
     X, Y = ([bipoly_zero(N)] + [_value(r, N, width) for r in side[1:]] for side in rows)
-    _confirm(kind, X, Y, N, flat)
+    _confirm(kind, X, Y, N)
     return X, Y
 
 
-def _confirm(kind, X, Y, N, flat=False):
-    """One sweep of the rule at cap N over every height must give back X and
-    Y (or the one pair of X[1], Y[1] when ``flat``), and the family must
-    repeat its top height."""
+def _confirm(kind, X, Y, N):
+    """One sweep of the rule at cap N over every height, the top one read as
+    the one above it too, must give back X and Y, and the top must repeat."""
     rule, name, _ = SYSTEMS[kind]
-    x, y = ((lambda i, V=V: V[1]) if flat else (V + V[-1:]).__getitem__ for V in (X, Y))
+    x, y = ((V + V[-1:]).__getitem__ for V in (X, Y))
     t_b, t_w = tb(N), tw(N)
     if any(rule(x, y, i, t_b, t_w) != (X[i], Y[i]) for i in range(1, len(X))):
         raise VerificationError(f"{name} confirming sweep failed to become stationary")
-    if not flat and (X[-1] != X[-2] or Y[-1] != Y[-2]):
+    if X[-1] != X[-2] or Y[-1] != Y[-2]:
         raise VerificationError(f"{name} family failed to stabilize at the clamp")
 
 
@@ -386,9 +386,9 @@ def solve_y(N) -> SliceFamily:
 
 @_top_cap_store
 def solve_limit(N) -> LimitPair:
-    """The bicolored rule on height-independent weights."""
-    (_, B), (_, W) = _solve("bw", N, 1, flat=True)
-    return LimitPair(B, W, N)
+    """The height-independent pair: the top height of the context solve."""
+    pq = solve_pq(N)
+    return LimitPair(pq.first[-1], pq.second[-1], N)
 
 
 # ------------------------------------------------- boundary-length series

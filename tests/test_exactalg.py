@@ -594,6 +594,22 @@ def test_keys_decode_only_when_terms_are_read(monkeypatch):
     assert sum(z.terms.values()) == 58786 and decoded == [22]  # decoded once, then cached
 
 
+# ------------------------------------------ values over unreduced denominators
+#
+# A packed value is its integer over a denominator that is never reduced;
+# equality, the hash and every coefficient read must not see the difference.
+
+
+def test_a_value_over_two_denominators_reads_and_hashes_alike():
+    half = (tb(3) * Fraction(1, 2) + 1).with_cap(0)  # the cut leaves 2 / 2
+    one = bipoly_one(0)
+    assert (half._den, one._den) == (2, 1)
+    assert half == one and one == half and hash(half) == hash(one)
+    assert half.terms == one.terms == {(0, 0): 1} and type(half.terms[(0, 0)]) is int
+    assert half.constant_term() == one.constant_term() == 1
+    assert half != 2 * one and half != bipoly_zero(0) and (half - one).is_zero()
+
+
 # ----------------------------------------- products by a constant operand
 #
 # A packed operand whose numerator fits slot 0 is a constant, and its product
@@ -611,8 +627,8 @@ def general_product(a, b):
     bits = (exactalg._pairs(c, min(a._deg, b._deg), a._exc, b._exc) << (a._fit + b._fit - 2)).bit_length() + 1
     width, n = exactalg._bytes_width(bits), (c + 1) * stride
     num = exactalg._truncate(exactalg._laid(a, stride, width) * exactalg._laid(b, stride, width), n * width)
-    return exactalg._lowest(exactalg._packed(a._blank(), c, num, a._den * b._den, stride, width,
-                                             exactalg._fit(num, width, n, bits), deg, exc))
+    return exactalg._packed(a._blank(), c, num, a._den * b._den, stride, width, exactalg._fit(num, width, n, bits),
+                            deg, exc)
 
 
 constants = st.one_of(

@@ -17,8 +17,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadslice import series
-from quadslice.closed_forms import ALPHA_RING, GAMMA_RING
+from quadslice import exactalg, series
+from quadslice.closed_forms import ALPHA_RING, GAMMA_RING, eval_tt, param_point
 from quadslice.contfrac import newtype_rungs_from_solver_inputs, stieltjes_rungs_from_solver
 from quadslice.errors import NonInvertibleError, StructureError
 from quadslice.exactalg import (_bits, _bytes_width, _decode, _encode, _integral, _norm_coeff, bipoly, bipoly_one, tb,
@@ -392,6 +392,35 @@ def test_division_by_tb_refuses_what_tb_does_not_divide():
     assert num._coeffs is None and den._coeffs is None  # no row decoded
 
 
+@pytest.mark.parametrize("k", [6, Fraction(3, 7), Fraction(-2, 5)])
+def test_a_series_over_two_denominators_reads_and_hashes_alike(k):
+    s = Series("tau", 3, [Poly(RHO, [1, -2]), Poly(RHO, [0, 3, 5]), Poly.zero(RHO), Poly(RHO, [7])], RHO_RING)
+    back = s * k * (1 / Fraction(k))  # the same value, over den(k) |num(k)|
+    assert back._den == abs(Fraction(k).numerator) * Fraction(k).denominator != s._den
+    assert back == s and s == back and hash(back) == hash(s)
+    assert back.coeffs == s.coeffs and all(type(c) is int for row in back.coeffs for c in row.coeffs)
+    assert back != s * 2 and (back - s).is_zero() and (back - s).valuation() is None
+
+
+def test_scaling_and_the_zero_and_valuation_tests_decode_nothing(monkeypatch):
+    t_w = eval_tt(param_point("yalpha", 4))[1]
+    decoded, negated = [], []
+    decode, neg = exactalg._decode, series._neg
+    monkeypatch.setattr(exactalg, "_decode", lambda *args: decoded.append(args) or decode(*args))
+    monkeypatch.setattr(series, "_neg", lambda a: negated.append(a) or neg(a))
+    scaled = t_w * Fraction(3, 7)
+    zero = scaled - scaled  # one integer difference, no negation
+    assert scaled._coeffs is None and zero._coeffs is None
+    assert scaled.valuation() == 1 and scaled.shift(2).valuation() == 3 and not scaled.is_zero()
+    assert zero.is_zero() and zero.valuation() is None
+    with pytest.raises(NonInvertibleError, match="^division by the zero series$"):
+        scaled.divide(zero)
+    with pytest.raises(NonInvertibleError, match="^quotient is not a series: valuations 1 < 3$"):
+        scaled.divide(scaled.shift(2))
+    assert decoded == [] and negated == []
+    assert scaled.coeffs == tuple(c * Fraction(3, 7) for c in t_w.coeffs)
+
+
 # ----------------------------------------- division on integers at v = 2^w
 
 @contextmanager
@@ -419,7 +448,7 @@ def integer_route():
 def row_loop(num, den):
     """num.divide(den) on the decoded rows only, the route before the integer one."""
     packed = series._packed_divide
-    series._packed_divide = lambda a, b: None
+    series._packed_divide = lambda a, b, vb, cap: None
     try:
         return num.divide(den)
     finally:
@@ -471,7 +500,9 @@ def test_integer_division_matches_the_row_loop(ring, data):
         quotient_or_refusal(num + c, den, rows_add(rnum, rc), rden, var)
         as_row_loop(num + c, den)
     exact = [r for r in log.results if r is not None]
-    if not any(r.is_zero() for r in rq) and all(type(x) is int for r in rnum + rden for x in r.coeffs):
+    # a divisor shifted above num's order is refused before either route
+    defined = den.valuation() <= num.cap
+    if defined and not any(r.is_zero() for r in rq) and all(type(x) is int for r in rnum + rden for x in r.coeffs):
         assert exact  # an integer quotient stays on the integers
 
 

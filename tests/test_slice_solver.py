@@ -252,10 +252,6 @@ def test_form_is_read_off_the_rules():
         ((0, 1), [((1, 0), [(1, (0, -1)), (1, (1, 0))]), ((0, 0), [(1, (1, 1))])]),
     ]
     assert form(slice_solver.merged_rule)[1][0] == (-1, 1)
-    assert form(slice_solver.bicolored_rule, True) == [
-        ((1, 0), [((0, 0), [(2, (1, 0)), (1, (0, 0))])]),
-        ((0, 1), [((1, 0), [(2, (0, 0)), (1, (1, 0))])]),
-    ]
 
 
 # ------------------------------------------ the top-cap store against per-cap solves
@@ -367,7 +363,7 @@ def count_rows_and_sweeps(monkeypatch):
     rows, sweeps = [], []
     monkeypatch.setattr(slice_solver, "_row", lambda groups, c: rows.append(c) or row(groups, c))
     monkeypatch.setattr(slice_solver, "_confirm",
-                        lambda kind, X, Y, N, flat=False: sweeps.append(N) or confirm(kind, X, Y, N, flat))
+                        lambda kind, X, Y, N: sweeps.append(N) or confirm(kind, X, Y, N))
     return rows, sweeps
 
 
@@ -466,6 +462,22 @@ def test_row_solver_widens_mid_run(monkeypatch, full_height):
     assert {16, 32, 64} <= set(widened)
 
 
+def test_limit_pair_is_the_top_height_of_both_solves(monkeypatch):
+    # the flat rule's rising schedule is the oracle; solve_limit itself
+    # solves nothing, reading the top of the context solve at its cap
+    clear_stores()
+    for N in range(1, 25):
+        (B,), (W,) = full_height_rising(limit_step, 1, N)
+        lim = solve_limit(N)
+        assert (lim.cap, lim.first, lim.second) == (N, B, W), N
+        for fam in (solve_pq(N), solve_bw(N)):
+            assert (fam.first[-1], fam.second[-1]) == (B, W), (fam.kind, N)
+    solves = []
+    monkeypatch.setattr(slice_solver, "_solve", lambda *args: solves.append(args))
+    solve_limit.cache_clear()
+    assert solve_limit(24).first == B and solves == []
+
+
 def test_a_corrupted_row_fails_the_confirming_sweep(monkeypatch):
     row = slice_solver._row
     seen = []
@@ -554,7 +566,8 @@ def test_store_memo_follows_the_top():
 def test_store_counts_of_a_scripted_run():
     # (hits, misses) of solve_bw, solve_pq, solve_y, solve_limit and
     # y1_series; y1_series checks against the context solve, so solve_y(3)
-    # is a miss and solve_pq serves one more hit
+    # is a miss and solve_pq serves one more hit, and each solve_limit miss
+    # (caps 6 and 7) reads the context solve, a hit on solve_pq
     clear_stores()
     for N in (4, 2, 2, 7, 3, 7, 5):
         solve_bw(N)
@@ -564,7 +577,7 @@ def test_store_counts_of_a_scripted_run():
             conserved_f(n, d, 6), conserved_j(n, d, 6)
     y1_two_routes(6)
     solve_y(3), solve_y(8), solve_pq(5), f_n_closed(2, 7), y1_series(4)
-    assert [tuple(stored.cache_info()[:2]) for stored in STORED] == [(17, 2), (14, 2), (0, 2), (1, 2), (1, 1)]
+    assert [tuple(stored.cache_info()[:2]) for stored in STORED] == [(17, 2), (16, 2), (0, 2), (1, 2), (1, 1)]
 
 
 # --------------------------------- the merged sequence against its own solve

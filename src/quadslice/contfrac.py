@@ -31,11 +31,13 @@ and those of the companion coefficient n have denominators dividing
 (rho - 1)^(2n).  So the graded ladder is held over Q[rho], with entry -n
 computed directly as (rho - 1)^(2n) j_{-n} by one exact series division.
 In H_i^(s) row n is scaled by (rho - 1)^(2 max(0, i-n-s)), which clears
-every denominator in it, and Berkowitz's recurrence runs over Q[rho] with
-ring operations only: no polynomial gcd, and one big-integer product per
-series multiply.  The bi-ratios are exact series divisions in Q[rho] with
-the powers of (rho - 1) kept as integer bookkeeping; a nonzero remainder
-raises NonInvertibleError naming the rung.  H_i^(s) itself is not
+every denominator in it.  Matrix and scaling depend on i - s alone, so
+H_k^(0) and H_{k+1}^(1) are the last two leading minors of one matrix, and
+one run of Berkowitz's recurrence per k gives both.  It runs over Q[rho]
+with ring operations only: no polynomial gcd, and one big-integer product
+per series multiply.  The bi-ratios are exact series divisions in Q[rho]
+with the powers of (rho - 1) kept as integer bookkeeping; a nonzero
+remainder raises NonInvertibleError naming the rung.  H_i^(s) itself is not
 polynomial in rho in general, so it is never formed.
 
 For finite fractions the whole object is a rational function of z and the
@@ -62,7 +64,7 @@ from .exactalg import (
 from .ratfunc import QQ, FieldSpec, Poly, RatFunc
 from .series import RHO, RHO_RING, TAU, Series, bipoly_to_tau, graded_div, tau_to_bipoly
 from .slice_solver import a0_a1_times_tb, f_n, f_upto, solve_limit, y1_series
-from .lattice_paths import z_const
+from .lattice_paths import WeightTable, path_sums, z_const
 
 
 def _ring_field(exemplar) -> FieldSpec:
@@ -149,26 +151,25 @@ def stieltjes_extract(F: Series, i_max):
 
     Returns {("b", 2i): value, ("w", 2i-1): value} following the slice
     naming: even rungs are the black-rooted weights, odd rungs white.
-    Requires F known to order 2*i_max with F_0 = 1.
+    Requires F known to order 2*i_max with F_0 = 1.  The Hankel
+    determinants h_i^(0) and h_i^(1) are the leading minors of two
+    matrices, so all of them come from two determinant runs.
     """
     if F.cap < 2 * i_max:
         raise StructureError("series order too small for the requested rungs")
-    if F.coeffs[0] != _ring_one_of(F.coeffs[0]):
+    one = _ring_one_of(F.coeffs[0])
+    if F.coeffs[0] != one:
         raise StructureError("Stieltjes series must start at 1")
 
-    # h_i^(s) = det(F_{n+m+s}), 0 <= n, m <= i, is H_{i+1}^(i+s) on the
-    # one-sided ladder j_k = F_k
-    ladder = JnLadder(enumerate(F.coeffs), F.coeffs[0])
-
-    def h(i, shift):
-        return hankel_type_dets(ladder, i + 1, i + shift)
-
+    # h_i^(s) = det(F_{n+m+s}), 0 <= n, m <= i, is the leading (i+1)-minor
+    # of the family k = 1 - s on the one-sided ladder j_k = F_k; h_{-1} = 1
+    ladder = JnLadder(enumerate(F.coeffs), one)
+    h0 = [one] + _hankel_family(ladder, 1, i_max + 1)
+    h1 = [one] + _hankel_family(ladder, 0, i_max)
     out = {}
-    h0 = {i: h(i, 0) for i in range(-1, i_max + 1)}
-    h1 = {i: h(i, 1) for i in range(-1, i_max)}
     for i in range(1, i_max + 1):
-        out[("w", 2 * i - 1)] = _div(h1[i - 1] * h0[i - 2], h1[i - 2] * h0[i - 1])
-        out[("b", 2 * i)] = _div(h0[i] * h1[i - 2], h0[i - 1] * h1[i - 1])
+        out[("w", 2 * i - 1)] = _div(h1[i] * h0[i - 1], h1[i - 1] * h0[i])
+        out[("b", 2 * i)] = _div(h0[i + 1] * h1[i - 1], h0[i] * h1[i])
     return out
 
 
@@ -208,25 +209,37 @@ def build_jn(J: Series, y1, Jt: Series) -> JnLadder:
     return JnLadder(j, y1)
 
 
-def hankel_type_dets(ladder: JnLadder, i, shift):
-    """H_i^(shift) = det(j_{n+m-i-1+shift}) over 1 <= n, m <= i; H_0 = 1.
+def _hankel_family(ladder: JnLadder, k, size):
+    """The leading minors of (j_{n+m-1-k}), 1 <= n, m <= size, from one
+    determinant run: minor i is H_i^(i-k).
 
     On a ladder with a clearing factor u, row n is first scaled by
-    u^max(0, i-n-shift), the power that clears its most negative entry
-    j_{n-i+shift}, so the determinant comes back as u^e H_i^(shift) with
-    e = _clearing_power(i, shift).
+    u^max(0, k-n), the power that clears its most negative entry j_{n-k},
+    whatever the minor; so minor i comes back as u^e H_i^(i-k) with
+    e = _clearing_power(i, i - k).
     """
-    if i == 0:
-        return _ring_one_of(ladder.y1)
-
     def entry(n, m):
-        idx = n + m - i - 1 + shift
-        extra = max(0, i - n - shift) - max(0, -idx)  # >= 0, as idx >= n - i + shift
+        idx = n + m - 1 - k
+        extra = max(0, k - n) - max(0, -idx)  # >= 0, as idx >= n - k
         if ladder.clear is None or not extra:
             return ladder[idx]
         return ladder[idx] * ladder.clear ** extra
 
-    return det_division_free([[entry(n, m) for m in range(1, i + 1)] for n in range(1, i + 1)])
+    return det_division_free([[entry(n, m) for m in range(1, size + 1)] for n in range(1, size + 1)])
+
+
+def hankel_type_dets(ladder: JnLadder, i, shift):
+    """H_i^(shift) = det(j_{n+m-i-1+shift}) over 1 <= n, m <= i; H_0 = 1.
+
+    The single-determinant view of ``_hankel_family``: the last minor of
+    family i - shift, row-scaled as there on a ladder with a clearing
+    factor.  A negative order raises StructureError.
+    """
+    if i < 0:
+        raise StructureError(f"Hankel-type order {i} is negative")
+    if i == 0:
+        return _ring_one_of(ladder.y1)
+    return _hankel_family(ladder, i - shift, i)[-1]
 
 
 def _clearing_power(i, shift):
@@ -240,12 +253,17 @@ def newtype_extract(ladder: JnLadder, i_max):
         Y_{2i-1} = H_i^(1) H_{i-1}^(0) / (H_{i-1}^(1) H_i^(0)),
         Y_{2i} = H_{i-1}^(0) H_{i+1}^(1) / (H_i^(0) H_i^(1)).
 
-    On a ladder with a clearing factor u the determinants come row-scaled,
-    the powers of u are put back as integer bookkeeping, and a quotient
-    that is not exact in the ladder's ring raises NonInvertibleError naming
-    the rung.
+    H_k^(0) and H_{k+1}^(1) are the last two minors of the family k, so
+    one determinant run per k = 0..i_max gives all of them.  On a ladder
+    with a clearing factor u the determinants come row-scaled, the powers
+    of u are put back as integer bookkeeping, and a quotient that is not
+    exact in the ladder's ring raises NonInvertibleError naming the rung.
     """
-    H = {(i, s): hankel_type_dets(ladder, i, s) for s in (0, 1) for i in range(i_max + 1 + s)}
+    one = _ring_one_of(ladder.y1)
+    H = {(0, 1): one}
+    for k in range(i_max + 1):
+        minors = [one] + _hankel_family(ladder, k, k + 1)
+        H[k, 0], H[k + 1, 1] = minors[k], minors[k + 1]
     rungs = []
     for i in range(1, i_max + 1):
         for k, num, den in (
@@ -342,9 +360,9 @@ def _companion_cleared(n, order) -> Series:
     The companion is tau^n * Y_1 (A_0 Z_n + A_1 (Q-P)^2 Z_{n-1}) /
     (Q-P)^(2n+1), with A_0 and A_1 multiplied through by tb so numerator
     and denominator are polynomial; Z_k is the constant-weight path series
-    coefficient.  The numerator's image times (rho - 1)^(2n) is divided
-    exactly by the denominator's; a remainder raises NonInvertibleError
-    naming j_{-n}.
+    coefficient, Z_n and Z_{n-1} both read off one pass of the path DP.
+    The numerator's image times (rho - 1)^(2n) is divided exactly by the
+    denominator's; a remainder raises NonInvertibleError naming j_{-n}.
     """
     if n == 0:
         return Series.one(TAU, order, RHO_RING)
@@ -353,9 +371,8 @@ def _companion_cleared(n, order) -> Series:
     P, Q = lim.first, lim.second
     ta0, ta1 = a0_a1_times_tb(lim)
     Y = Q - P
-    num = y1_series(cap) * (
-        ta0 * z_const(n, P, Q, "context") + ta1 * Y * Y * z_const(n - 1, P, Q, "context")
-    )
+    Z = path_sums(WeightTable("context", [None] + [P] * n, [None] + [Q] * n), n)[0]
+    num = y1_series(cap) * (ta0 * Z[n] + ta1 * Y * Y * Z[n - 1])
     den = tb(cap) * Y ** (2 * n + 1)
     try:
         out = (bipoly_to_tau(num).shift(n) * _RHO_1 ** (2 * n)).divide(bipoly_to_tau(den))

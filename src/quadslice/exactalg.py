@@ -47,13 +47,17 @@ reads each degree off its key.  The exponent tuples are decoded, in one
 ``struct`` unpack a key, only when ``terms`` is read.
 
 Determinants over any of the rings in this package are computed by the
-Berkowitz recurrence, which uses ring operations only.  Truncated rings
-have zero divisors, yet exact division is available: ``series.graded_div``
-divides a capped (tb, tw) value by one of no higher valuation in the tau
-grading, where the divisor's lowest nonzero row shifts out and the
-quotient over Q[rho] runs on integers (``series.Series.divide``).  So
-elimination that divides exactly by such a pivot (Bareiss) can run on
-these rings, at a cap lowered by the pivots' valuations.
+Berkowitz recurrence, which uses ring operations only; one run
+(``det_division_free``) returns every leading principal minor, the
+determinant last.  The function keeps its determinant's name because the
+benchmark's tracer binds it; the rename goes with the benchmark's next
+change.  Truncated rings have zero divisors, yet exact division is
+available: ``series.graded_div`` divides a capped (tb, tw) value by one of
+no higher valuation in the tau grading, where the divisor's lowest nonzero
+row shifts out and the quotient over Q[rho] runs on integers
+(``series.Series.divide``).  So elimination that divides exactly by such a
+pivot (Bareiss) can run on these rings, at a cap lowered by the pivots'
+valuations.
 """
 
 from __future__ import annotations
@@ -692,51 +696,47 @@ def _ring_zero_of(x):
 
 
 def det_division_free(rows):
-    """Exact determinant via the Berkowitz recurrence (no divisions).
+    """Every leading principal minor [det A_1, ..., det A_n] of a square
+    matrix, the determinant last, from one run of the Berkowitz recurrence
+    (no divisions).  The name is the determinant's, kept because the
+    benchmark's tracer binds it; the rename goes with the benchmark's next
+    change.
 
     Accepts a square list-of-lists over any commutative ring element type
     supporting +, -, * (MPoly, RatFunc, Series, Fraction).  Valid in the
     truncated rings because truncation by total degree is a ring quotient.
+    Step k extends the characteristic polynomial of A_k to A_(k+1) and
+    reads det A_(k+1) off its constant term; the last step computes only
+    that term.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise StructureError("matrix is not square")
     if n == 0:
-        return Fraction(1)
-    one = _ring_one_of(rows[0][0])
+        return []
     zero = _ring_zero_of(rows[0][0])
-    if n == 1:
-        return rows[0][0]
-
-    # poly holds the characteristic polynomial coefficients of the leading
-    # principal k x k submatrix, length k + 1, leading entry 1.
-    poly = [one, -rows[0][0]]
+    # c[i] is the coefficient of x^(k-1-i) in det(x - A_k); the leading 1 is implicit
+    c = [-rows[0][0]]
+    minors = [rows[0][0]]
     for k in range(1, n):
-        a = rows[k][k]
-        row = rows[k][:k]
-        col = [rows[i][k] for i in range(k)]
+        row, vec = rows[k][:k], [r[k] for r in rows[:k]]
         sub = [r[:k] for r in rows[:k]]
-        # items[j] = row . sub^j . col
-        items = []
-        vec = col
-        for _ in range(k):
-            items.append(_dot(row, vec, zero))
-            vec = _matvec(sub, vec, zero)
-        # Toeplitz first column: 1, -a, -items[0], -items[1], ...
-        first = [one, -a] + [-it for it in items]
-        new_poly = []
-        for i in range(k + 2):
-            acc = zero
-            lo = max(0, i - (len(first) - 1))
-            hi = min(i, len(poly) - 1)
-            for j in range(lo, hi + 1):
-                acc = acc + first[i - j] * poly[j]
-            new_poly.append(acc)
-        poly = new_poly
-    det = poly[-1]
-    if n % 2 == 1:
-        det = -det
-    return det
+        # m = a, row . col, row . A_k col, ..., row . A_k^(k-1) col
+        m = [rows[k][k], _dot(row, vec, zero)]
+        for _ in range(k - 1):
+            vec = [_dot(r, vec, zero) for r in sub]
+            m.append(_dot(row, vec, zero))
+        # det(x - A_(k+1)) = (x - a) det(x - A_k) - row adj(x - A_k) col, so
+        # c'_i = c_i - sum_(s <= i) m_s c_(i-1-s), reading c_(-1) = 1 and c_k = 0
+        new = []
+        for i in (k,) if k == n - 1 else range(k + 1):
+            acc = m[i]
+            for s in range(i):
+                acc = acc + m[s] * c[i - 1 - s]
+            new.append(c[i] - acc if i < k else -acc)
+        c = new
+        minors.append(c[-1] if k % 2 else -c[-1])
+    return minors
 
 
 def _dot(u, v, zero):
@@ -744,7 +744,3 @@ def _dot(u, v, zero):
     for a, b in zip(u, v):
         acc = acc + a * b
     return acc
-
-
-def _matvec(m, v, zero):
-    return [_dot(row, v, zero) for row in m]

@@ -32,6 +32,7 @@ from quadslice.ratfunc import QQ, Poly, RatFunc
 from quadslice.series import RHO_RING, Series
 from quadslice.slice_solver import a0_a1_times_tb, f_n, solve_bw, solve_limit, solve_y, y1_series
 
+from test_exactalg import berkowitz_det
 from test_series import RHO_FIELD, field_to_bipoly, rho_field_image
 
 
@@ -113,7 +114,7 @@ def test_stieltjes_bi_ratios_symbolic():
         if i < 0:
             return cs[0].ring_one()
         rows = [[F.coeffs[n + m + shift] for m in range(i + 1)] for n in range(i + 1)]
-        return det_division_free(rows)
+        return berkowitz_det(rows)
 
     for i in (1, 2):
         lhs = cs[2 * i - 2] * (h(i - 2, 1) * h(i - 1, 0))
@@ -446,7 +447,7 @@ def direct_hankel(F, i, shift):
     stieltjes_extract did before it used hankel_type_dets; h_{-1} = 1."""
     if i < 0:
         return 1
-    return det_division_free([[F.coeffs[n + m + shift] for m in range(i + 1)] for n in range(i + 1)])
+    return berkowitz_det([[F.coeffs[n + m + shift] for m in range(i + 1)] for n in range(i + 1)])
 
 
 @pytest.mark.parametrize("finite", [False, True])
@@ -483,6 +484,75 @@ def test_stieltjes_extract_matches_the_direct_hankel_builder():
                 stieltjes_extract(F, i_max)
         else:
             assert stieltjes_extract(F, i_max) == want
+
+
+def row_scaled_hankel(ladder, i, shift):
+    """H_i^(shift) as hankel_type_dets built it before the Hankel families:
+    its own matrix, row n scaled by u^max(0, i-n-shift), one oracle
+    determinant."""
+    def entry(n, m):
+        idx = n + m - i - 1 + shift
+        extra = max(0, i - n - shift) - max(0, -idx)
+        return ladder[idx] if ladder.clear is None or not extra else ladder[idx] * ladder.clear ** extra
+
+    return berkowitz_det([[entry(n, m) for m in range(1, i + 1)] for n in range(1, i + 1)])
+
+
+def rational_ladder():
+    Y = rationals(11, 9)
+    return build_jn(expand(Y, 5, finite=True), Y[0], expand(tilde_coeffs(Y), 4, finite=True))
+
+
+def stieltjes_ladder():
+    F = expand(rationals(12, 6), 6, "stieltjes")
+    return contfrac.JnLadder(enumerate(F.coeffs), F.coeffs[0])
+
+
+@pytest.mark.parametrize("which, families", [
+    ("graded", [(k, k + 1) for k in range(4)]),
+    ("rational", [(0, 3), (1, 3), (2, 4), (3, 4), (4, 5)]),
+    ("stieltjes", [(1, 4), (0, 3)]),
+])
+def test_family_minors_are_the_per_order_determinants(which, families):
+    ladder = {"graded": lambda: graded_ladder(4, 4, 2), "rational": rational_ladder,
+              "stieltjes": stieltjes_ladder}[which]()
+    for k, size in families:
+        minors = contfrac._hankel_family(ladder, k, size)
+        assert len(minors) == size
+        for i, got in enumerate(minors, start=1):
+            assert got == hankel_type_dets(ladder, i, i - k) == row_scaled_hankel(ladder, i, i - k), (k, i)
+
+
+def test_extractions_run_one_determinant_per_hankel_family(monkeypatch):
+    calls = Counter()
+    honest = contfrac.det_division_free
+
+    def counted(rows):
+        calls[len(rows)] += 1
+        return honest(rows)
+
+    def forbidden(*args):
+        raise AssertionError("an extraction went through the single-determinant view")
+
+    monkeypatch.setattr(contfrac, "det_division_free", counted)
+    monkeypatch.setattr(contfrac, "hankel_type_dets", forbidden)
+    F = expand(rationals(13, 8), 8, "stieltjes")
+    for i_max in (1, 3, 4):
+        calls.clear()
+        stieltjes_extract(F, i_max)
+        assert calls == Counter({i_max + 1: 1, i_max: 1}), i_max
+    for ladder, i_max in ((rational_ladder(), 4), (graded_ladder(4, 4, 2), 3)):
+        calls.clear()
+        newtype_extract(ladder, i_max)
+        assert calls == Counter(range(1, i_max + 2)), i_max
+
+
+def test_negative_hankel_order_is_structural():
+    for ladder in (graded_ladder(3, 2, 1), rational_ladder()):
+        assert hankel_type_dets(ladder, 0, 0) == contfrac._ring_one_of(ladder.y1)
+        for i, shift in ((-1, 0), (-1, 1), (-3, 2)):
+            with pytest.raises(StructureError, match=f"order {i} is negative"):
+                hankel_type_dets(ladder, i, shift)
 
 
 # ------------------------------------------- the Q(rho) route, kept as the oracle
@@ -522,7 +592,7 @@ def ratfunc_ladder(order, n_hi, n_lo):
 def ratfunc_hankel(j, i, shift, order):
     if i == 0:
         return Series.one("tau", order, RHO_FIELD)
-    return det_division_free([[j[n + m - i - 1 + shift] for m in range(1, i + 1)] for n in range(1, i + 1)])
+    return berkowitz_det([[j[n + m - i - 1 + shift] for m in range(1, i + 1)] for n in range(1, i + 1)])
 
 
 def ratfunc_rungs(H, i_max):
@@ -638,8 +708,8 @@ def test_newtype_extraction_reaches_i_max_5():
 def test_rational_rings_start_from_int_one():
     # the Berkowitz accumulators start from the ints 0 and 1, so integer
     # data stays in ints, and a quotient of ints stays an exact rational
-    assert det_division_free([[2, 1], [1, 3]]) == 5
-    assert type(det_division_free([[2, 1], [1, 3]])) is int
+    assert det_division_free([[2, 1], [1, 3]]) == [2, 5]
+    assert all(type(d) is int for d in det_division_free([[2, 1], [1, 3]]))
     catalan = Series("z", 6, [1, 1, 2, 5, 14, 42, 132], QQ)
     rungs = stieltjes_extract(catalan, 3)
     assert list(rungs.values()) == [1] * 6

@@ -134,32 +134,110 @@ def test_malformed_exponents_are_structural():
                 MPoly.gen(vars, vars[0], 3).with_cap(cap)
 
 
+def berkowitz_det(rows):
+    """Differential oracle: the Berkowitz recurrence as the package ran it
+    before it returned the leading minors, one determinant per call from
+    the full characteristic polynomial (leading 1 included) of each
+    leading block."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    one, zero = exactalg._ring_one_of(rows[0][0]), exactalg._ring_zero_of(rows[0][0])
+    poly = [one, -rows[0][0]]
+    for k in range(1, n):
+        a, row = rows[k][k], rows[k][:k]
+        sub = [r[:k] for r in rows[:k]]
+        items, vec = [], [rows[i][k] for i in range(k)]
+        for _ in range(k):
+            items.append(sum((x * y for x, y in zip(row, vec)), zero))
+            vec = [sum((x * y for x, y in zip(r, vec)), zero) for r in sub]
+        first = [one, -a] + [-it for it in items]
+        poly = [
+            sum((first[i - j] * poly[j] for j in range(max(0, i - len(first) + 1), min(i, len(poly) - 1) + 1)), zero)
+            for i in range(k + 2)
+        ]
+    return poly[-1] if n % 2 == 0 else -poly[-1]
+
+
+def leading_minors(rows):
+    """Every leading principal minor by Leibniz."""
+    return [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
 def test_det_trivial_examples():
     a = tb(3)
-    assert det_division_free([[a]]) == a
+    assert det_division_free([[a]]) == [a]
     j0, j1, j2 = (bipoly({(k, 0): 1}, 4) for k in range(3))
-    assert det_division_free([[j0, j1], [j1, j2]]) == j0 * j2 - j1 * j1
+    assert det_division_free([[j0, j1], [j1, j2]]) == [j0, j0 * j2 - j1 * j1]
     one, zero = Fraction(1), Fraction(0)
     eye3 = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    assert det_division_free(eye3) == one
+    assert det_division_free(eye3) == [one] * 3
+    assert det_division_free([]) == []
+
+
+def singular_leading_block(rows, k):
+    """rows whose leading k-block is singular and the rest as it was: the
+    block's last row repeats its first, or for k = 1 its entry is zero."""
+    out = [list(r) for r in rows]
+    out[k - 1][:k] = [x - x for x in out[0][:1]] if k == 1 else out[0][:k]
+    return out
+
+
+def check_leading_minors(rows):
+    want = leading_minors(rows)
+    assert det_division_free(rows) == want
+    assert berkowitz_det(rows) == want[-1]
 
 
 def test_det_matches_leibniz_rationals():
     rng = random.Random(3)
-    for size in range(1, 5):
+    for size in range(1, 6):
         for _ in range(8):
             rows = [
                 [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
                 for _ in range(size)
             ]
-            assert det_division_free(rows) == leibniz_det(rows)
+            check_leading_minors(rows)
+            for k in range(1, size + 1):
+                singular = singular_leading_block(rows, k)
+                assert det_division_free(singular)[k - 1] == 0
+                check_leading_minors(singular)
 
 
 def test_det_matches_leibniz_truncated_ring():
     rng = random.Random(11)
-    for size in (2, 3):
+    for size in range(1, 6):
         rows = [[random_bipoly(rng, 4, 3) for _ in range(size)] for _ in range(size)]
-        assert det_division_free(rows) == leibniz_det(rows)
+        check_leading_minors(rows)
+        singular = singular_leading_block(rows, min(2, size))
+        assert det_division_free(singular)[min(1, size - 1)].is_zero()
+        check_leading_minors(singular)
+
+
+def random_rho_series(rng, cap):
+    rows = [Poly("rho", [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]) for _ in range(cap + 1)]
+    return Series("tau", cap, rows, RHO_RING)
+
+
+def test_det_matches_leibniz_packed_series():
+    rng = random.Random(5)
+    for size in range(1, 6):
+        rows = [[random_rho_series(rng, 3) for _ in range(size)] for _ in range(size)]
+        check_leading_minors(rows)
+        singular = singular_leading_block(rows, max(1, size - 1))
+        assert det_division_free(singular)[max(0, size - 2)].is_zero()
+        check_leading_minors(singular)
+
+
+def test_determinant_matches_the_full_polynomial_oracle():
+    # above the sizes Leibniz can afford, the old recurrence is the oracle
+    rng = random.Random(17)
+    for size in (6, 7):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)] for _ in range(size)]
+        minors = det_division_free(rows)
+        assert minors == [berkowitz_det([r[:k] for r in rows[:k]]) for k in range(1, size + 1)]
+        rows = [[random_rho_series(rng, 2) for _ in range(size)] for _ in range(size)]
+        assert det_division_free(rows)[-1] == berkowitz_det(rows)
 
 
 def test_det_rejects_non_square():

@@ -706,7 +706,7 @@ def test_newtype_extraction_reaches_i_max_5():
 
 
 def test_rational_rings_start_from_int_one():
-    # the Berkowitz accumulators start from the ints 0 and 1, so integer
+    # the Berkowitz accumulators start from the int 0, so integer
     # data stays in ints, and a quotient of ints stays an exact rational
     assert det_division_free([[2, 1], [1, 3]]) == [2, 5]
     assert all(type(d) is int for d in det_division_free([[2, 1], [1, 3]]))
